@@ -82,6 +82,18 @@ def _require_keys(obj, allowed, required, where, strict):
         raise SchemaError(f"{where} has unknown field(s) {sorted(unknown)}")
 
 
+def _integer(obj, key, default, where, minimum=None):
+    """An integer field (a JSON integer, or an integral number)."""
+    value = obj.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}.{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{where}.{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _parse_density(spec, where):
     if spec is None:
         return None
@@ -136,9 +148,14 @@ class Problem:
         _require_keys(solver, _SOLVER_KEYS, set(), "solver", strict)
         tols = solver.get("tolerances", {})
         _require_keys(tols, _TOL_KEYS, set(), "solver.tolerances", strict)
-        self.window = int(solver.get("window", 96))
-        self.j_past = int(solver.get("j_past", 64))
-        self.n_lambda = int(solver.get("n_lambda", 4096))
+        self.window = _integer(solver, "window", 96, "solver", minimum=1)
+        self.j_past = _integer(solver, "j_past", 64, "solver", minimum=1)
+        self.n_lambda = _integer(solver, "n_lambda", 4096, "solver", minimum=1)
+        if self.window >= self.n_lambda // 2:
+            raise SchemaError(
+                f"solver.window {self.window} too large for n_lambda {self.n_lambda} "
+                f"(need window < n_lambda // 2 = {self.n_lambda // 2})"
+            )
         self.tolerances = {
             "oracle_rel": float(tols.get("oracle_rel", 1e-4)),
             "mc_sigmas": float(tols.get("mc_sigmas", 3.0)),
@@ -169,8 +186,8 @@ class Problem:
             _require_keys(ch, _CHANNEL_KEYS, {"m", "l", "F", "a"}, where, strict)
             F = _parse_density(ch["F"], where + ".F")
             entry = {
-                "m": int(ch["m"]),
-                "l": int(ch["l"]),
+                "m": _integer(ch, "m", None, where),
+                "l": _integer(ch, "l", None, where),
                 "F": F,
                 "G": _parse_density(ch.get("G"), where + ".G"),
                 "a": _parse_functional(ch["a"], self.blocking, F.K, where + ".a"),
@@ -179,6 +196,12 @@ class Problem:
             }
             if entry["l"] < 1 or entry["m"] < 0:
                 raise SchemaError(f"{where}: need m >= 0 and l >= 1")
+            support = entry["a"].shape[0]
+            if support > self.window:
+                raise SchemaError(
+                    f"{where}.a: functional support {support} exceeds "
+                    f"solver.window {self.window}"
+                )
             for field in ("F", "G", "reference_F", "reference_G"):
                 density = entry[field]
                 if (hasattr(density, "n_lambda")
@@ -200,10 +223,10 @@ class Problem:
             sim = data["simulation"]
             _require_keys(sim, _SIM_KEYS, {"seed"}, "simulation", strict)
             self.simulation = SimulationConfig(
-                seed=int(sim["seed"]),
-                n_trials=int(sim.get("n_trials", 10_000)),
-                n_steps=int(sim.get("n_steps", 64)),
-                batch_size=int(sim.get("batch_size", 1000)),
+                seed=_integer(sim, "seed", None, "simulation", minimum=0),
+                n_trials=_integer(sim, "n_trials", 10_000, "simulation", minimum=1),
+                n_steps=_integer(sim, "n_steps", 64, "simulation", minimum=1),
+                batch_size=_integer(sim, "batch_size", 1000, "simulation", minimum=1),
             )
             self.keep_trials = bool(sim.get("keep_trials", False))
 

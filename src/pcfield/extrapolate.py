@@ -199,9 +199,20 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW,
     """
     Fg = as_grid(F)
     Gg = as_grid(G, Fg.n_lambda) if G is not None else None
-    K = Fg.K
-    a_pad = _pad_functional(a, window, K)
+    a_pad = _pad_functional(a, window, Fg.K)
     ops = assemble_operators(Fg, Gg, window=window, cond_ceiling=cond_ceiling)
+    return _solve_assembled(ops, Fg, Gg, a_pad)[0]
+
+
+def _solve_assembled(ops, Fg, Gg, a_pad):
+    """Solve one channel on operators already assembled for (Fg, Gg).
+
+    ``a_pad`` is the functional zero-padded to the window.  Returns the
+    :class:`EstimateSolution` together with the grid functions A and C of
+    the functional and of the solved coefficients, which the minimax
+    linearization reuses.
+    """
+    window, K = ops.window, ops.K
     if ops.cond_B > 1e8:
         warnings.warn(
             f"normal equations are ill-conditioned (cond ~ {ops.cond_B:.3e}); "
@@ -216,13 +227,11 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW,
     n = Fg.n_lambda
     A = _functional_on_grid(a_pad, n)
     C = _functional_on_grid(c, n)
-    total = Fg.values + (Gg.values if Gg is not None else 0.0)
-    inv_total = np.linalg.inv(total)
     if Gg is not None:
         numer = np.einsum("tk,tkn->tn", A, Gg.values) + C
     else:
         numer = C
-    h = A - np.einsum("tn,tnk->tk", numer, inv_total)
+    h = A - np.einsum("tn,tnk->tk", numer, ops.inv_total)
 
     delta = float(np.real(a_vec.conj() @ (ops.R @ a_vec) + c_vec.conj() @ (ops.B @ c_vec)))
     diagnostics = {
@@ -234,8 +243,9 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW,
         ),
         "noisy": Gg is not None,
     }
-    return EstimateSolution(coefficients=c, h_grid=h, delta=delta,
-                            window=window, diagnostics=diagnostics)
+    sol = EstimateSolution(coefficients=c, h_grid=h, delta=delta,
+                           window=window, diagnostics=diagnostics)
+    return sol, A, C
 
 
 def solve_noiseless(F, a, window=DEFAULT_WINDOW,
@@ -382,6 +392,19 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
     )
 
 
+def _factor_convolution(d, a):
+    """conv(j) = sum_p d(p)^T a(p + j) for j = 0 .. J-1, with a = 0 past J.
+
+    ``d`` is (U, K, K), ``a`` is (J, K); the result is (J, K).
+    """
+    J, K = a.shape
+    P = min(J, d.shape[0])
+    padded = np.zeros((J + P, K), dtype=complex)
+    padded[:J] = a
+    shifted = padded[np.arange(P)[:, None] + np.arange(J)[None, :]]  # (P, J, K)
+    return np.einsum("pkn,pjk->jn", d[:P], shifted)
+
+
 def solve_by_factorization(fac, a, n_lambda=None,
                            factorization_tol=FACTORIZATION_TOL):
     """Noiseless extrapolation through the canonical factorization.
@@ -407,11 +430,7 @@ def solve_by_factorization(fac, a, n_lambda=None,
         raise ValueError(f"functional has K={K}, factor has K={fac.K}")
     d = fac.coefficients
 
-    conv = np.zeros((J, K), dtype=complex)
-    for j in range(J):
-        upto = min(J - j, d.shape[0])
-        for p in range(upto):
-            conv[j] += d[p].T @ a[p + j]
+    conv = _factor_convolution(d, a)
     delta = float(np.sum(np.abs(conv) ** 2))
 
     n = fac.factor_grid.shape[0]

@@ -31,9 +31,11 @@ from .extrapolate import (
     DEFAULT_WINDOW,
     solve_channel,
     spectral_factorize,
-    _functional_on_grid,
+    _factor_convolution,
+    _pad_functional,
+    _solve_assembled,
 )
-from .spectral import SpectralDensityGrid, as_grid, evaluate_lag_series
+from .spectral import SpectralDensityGrid, as_grid, assemble_operators, evaluate_lag_series
 
 SIGNAL_KINDS = ("contamination", "band")
 NOISE_KINDS = ("power", "l1_ball")
@@ -72,6 +74,8 @@ class SignalClass:
                 raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.kind == "band" and (self.upper is None or self.lower is None):
             raise ValueError("band class needs both lower and upper densities")
+        if self.variant != "matrix":
+            self.power = _real_parameter(self.power, "signal power")
         if self.variant == "weighted":
             if self.weight is None:
                 raise ValueError("weighted variant needs the weight matrix")
@@ -98,6 +102,9 @@ class NoiseClass:
             raise ValueError("power class needs the power value")
         if self.kind == "l1_ball" and (self.nominal is None or self.radius is None):
             raise ValueError("l1 class needs a nominal density and a radius")
+        if self.variant != "matrix":
+            self.power = _real_parameter(self.power, "noise power")
+        self.radius = _real_parameter(self.radius, "noise radius")
         if self.variant == "weighted":
             if self.weight is None:
                 raise ValueError("weighted variant needs the weight matrix")
@@ -140,6 +147,21 @@ def band_pair(variant, lower, upper, signal_power, noise_nominal, noise_radius,
                          radius=noise_radius, weight=weight_noise),
         channel_weight=channel_weight,
     )
+
+
+def _real_parameter(value, name):
+    """A real class parameter; complex input must have zero imaginary part.
+
+    Parsed problem files deliver vectors and matrices as complex arrays, so
+    the real parameters (radii, and powers of the field variants) are
+    stripped of their zero imaginary parts once, here.
+    """
+    if value is None or not np.iscomplexobj(value):
+        return value
+    arr = np.asarray(value)
+    if np.any(arr.imag != 0):
+        raise ValueError(f"{name} must be real")
+    return arr.real.copy()
 
 
 def _check_weight(weight):
@@ -274,7 +296,11 @@ def _soft_threshold_to_radius(dev, radius):
 
 
 def _signal_bounds(cls, n_lambda, K):
-    """Lower / upper fields (or matrices) of the signal class on the grid."""
+    """Lower / upper fields of the signal class on the grid.
+
+    For the matrix variant the fields are the bound matrices themselves
+    (Loewner-order bounds); ``upper`` is None for the contamination kind.
+    """
     upper = as_grid(cls.upper, n_lambda).values if cls.upper is not None else None
     if cls.kind == "contamination":
         lower_field = (1.0 - cls.epsilon) * _field(upper, cls.variant, cls.weight)
@@ -292,21 +318,19 @@ def _project_signal(values, cls, channel_weight, n_iter=80):
     lower_field, upper_field = _signal_bounds(cls, values.shape[0], K)
     target = None
     if cls.power is not None:
-        target = np.asarray(cls.power, dtype=float) / channel_weight
+        # the matrix variant's power is a Hermitian matrix, the others' real
+        dtype = complex if variant == "matrix" else float
+        target = np.asarray(cls.power, dtype=dtype) / channel_weight
 
     out = values.copy()
     for _ in range(n_iter):
         prev = out
         if variant == "matrix":
-            if cls.kind == "contamination":
-                bound = (1.0 - cls.epsilon) * as_grid(cls.upper, values.shape[0]).values
-                out = _loewner_clip_below(out, bound)
-            else:
-                out = _loewner_clip_below(out, as_grid(cls.lower, values.shape[0]).values)
-                out = _loewner_clip_above(out, as_grid(cls.upper, values.shape[0]).values)
+            out = _loewner_clip_below(out, lower_field)
+            if upper_field is not None:
+                out = _loewner_clip_above(out, upper_field)
             if target is not None:
-                current = np.mean(out, axis=0)
-                out = out + (np.asarray(cls.power, dtype=complex) / channel_weight - current)
+                out = out + (target - np.mean(out, axis=0))
         else:
             t = _field(out, variant, cls.weight)
             hi = upper_field if upper_field is not None else np.inf
@@ -336,12 +360,12 @@ def _project_noise(values, cls, channel_weight, n_iter=80):
     n = values.shape[0]
     out = values.copy()
     if cls.kind == "power":
-        target = np.asarray(cls.power, dtype=float) / channel_weight
+        dtype = complex if variant == "matrix" else float
+        target = np.asarray(cls.power, dtype=dtype) / channel_weight
         for _ in range(n_iter):
             prev = out
             if variant == "matrix":
-                current = np.mean(out, axis=0)
-                out = out + (np.asarray(cls.power, dtype=complex) / channel_weight - current)
+                out = out + (target - np.mean(out, axis=0))
             else:
                 t = _field(out, variant, cls.weight)
                 # constant shift of the field to hit the power target exactly
@@ -353,12 +377,15 @@ def _project_noise(values, cls, channel_weight, n_iter=80):
         return out
 
     nominal = as_grid(cls.nominal, n).values
+    radius = np.asarray(cls.radius, dtype=float)
+    if variant == "matrix":
+        if radius.shape != (K, K):
+            radius = np.full((K, K), float(np.ravel(radius)[0]))
+    else:
+        t_nom = _field(nominal, variant, cls.weight)
     for _ in range(n_iter):
         prev = out
         if variant == "matrix":
-            radius = np.asarray(cls.radius, dtype=float)
-            if radius.shape != (K, K):
-                radius = np.full((K, K), float(np.ravel(cls.radius)[0]))
             dev = out - nominal
             new_dev = dev.copy()
             for k in range(K):
@@ -370,16 +397,15 @@ def _project_noise(values, cls, channel_weight, n_iter=80):
             out = nominal + new_dev
         else:
             t = _field(out, variant, cls.weight)
-            t_nom = _field(nominal, variant, cls.weight)
             dev = t - t_nom
             if variant == "component":
-                radii = np.broadcast_to(np.asarray(cls.radius, dtype=float), (K,))
+                radii = np.broadcast_to(radius, (K,))
                 new_dev = np.column_stack([
                     _soft_threshold_to_radius(dev[:, k], radii[k] / channel_weight)
                     for k in range(K)
                 ])
             else:
-                new_dev = _soft_threshold_to_radius(dev, float(cls.radius) / channel_weight)
+                new_dev = _soft_threshold_to_radius(dev, float(radius) / channel_weight)
             out = _apply_field_delta(out, new_dev - dev, variant, cls.weight)
         out = _psd_clip(out)
         if np.max(np.abs(out - prev)) < 1e-13 * max(1.0, np.max(np.abs(out))):
@@ -414,17 +440,11 @@ def feasibility_gap(pair, spec, n_lambda=None):
     cls = spec.signal
     lower_field, upper_field = _signal_bounds(cls, Fg.n_lambda, Fg.K)
     if cls.variant == "matrix":
-        if cls.kind == "contamination":
-            bound = (1.0 - cls.epsilon) * as_grid(cls.upper, Fg.n_lambda).values
+        gaps.append(float(np.max(np.clip(
+            -np.linalg.eigvalsh(Fg.values - lower_field).min(axis=1), 0, None))))
+        if upper_field is not None:
             gaps.append(float(np.max(np.clip(
-                -np.linalg.eigvalsh(Fg.values - bound).min(axis=1), 0, None))))
-        else:
-            lo = as_grid(cls.lower, Fg.n_lambda).values
-            hi = as_grid(cls.upper, Fg.n_lambda).values
-            gaps.append(float(np.max(np.clip(
-                -np.linalg.eigvalsh(Fg.values - lo).min(axis=1), 0, None))))
-            gaps.append(float(np.max(np.clip(
-                -np.linalg.eigvalsh(hi - Fg.values).min(axis=1), 0, None))))
+                -np.linalg.eigvalsh(upper_field - Fg.values).min(axis=1), 0, None))))
         if cls.power is not None:
             gaps.append(float(np.max(np.abs(
                 spec.channel_weight * np.mean(Fg.values, axis=0)
@@ -484,19 +504,19 @@ class RobustAnchor:
 
 
 def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
-    """Solve every channel at (F0, G0) and cache the linearization data."""
+    """Solve every channel at (F0, G0) and cache the linearization data.
+
+    The operators and (F0 + G0)^{-1} are assembled once and shared by all
+    channels; the grid functions A and C come from the channel solves.
+    """
     Fg = as_grid(F0)
     Gg = as_grid(G0, Fg.n_lambda) if G0 is not None else None
-    n = Fg.n_lambda
-    total = Fg.values + (Gg.values if Gg is not None else 0.0)
-    inv_total = np.linalg.inv(total)
+    ops = assemble_operators(Fg, Gg, window=window)
     channels = {}
     delta = 0.0
     for key, a in functionals.items():
-        sol = solve_channel(Fg, Gg, a, window=window)
+        sol, A, C = _solve_assembled(ops, Fg, Gg, _pad_functional(a, window, Fg.K))
         a_arr = np.atleast_2d(np.asarray(a, dtype=complex))
-        A = _functional_on_grid(a_arr, n)
-        C = _functional_on_grid(sol.coefficients, n)
         if Gg is not None:
             rG = np.einsum("tk,tkn->tn", A, Gg.values) + C
         else:
@@ -507,7 +527,7 @@ def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
             "delta": sol.delta, "solution": sol,
         }
         delta += sol.delta
-    return RobustAnchor(F0=Fg, G0=Gg, channels=channels, inv_total=inv_total,
+    return RobustAnchor(F0=Fg, G0=Gg, channels=channels, inv_total=ops.inv_total,
                         delta=float(delta), window=window)
 
 
@@ -665,16 +685,11 @@ def _active_masks_signal(cls, F_values, tol):
     n, K = F_values.shape[0], F_values.shape[1]
     lower_field, upper_field = _signal_bounds(cls, n, K)
     if cls.variant == "matrix":
-        if cls.kind == "contamination":
-            bound = (1.0 - cls.epsilon) * as_grid(cls.upper, n).values
-            gap = np.linalg.eigvalsh(F_values - bound).min(axis=1)
-            scale = max(float(np.abs(F_values).max()), 1e-300)
-            return gap <= tol * scale, None
-        lo = as_grid(cls.lower, n).values
-        hi = as_grid(cls.upper, n).values
         scale = max(float(np.abs(F_values).max()), 1e-300)
-        low_gap = np.linalg.eigvalsh(F_values - lo).min(axis=1)
-        up_gap = np.linalg.eigvalsh(hi - F_values).min(axis=1)
+        low_gap = np.linalg.eigvalsh(F_values - lower_field).min(axis=1)
+        if upper_field is None:
+            return low_gap <= tol * scale, None
+        up_gap = np.linalg.eigvalsh(upper_field - F_values).min(axis=1)
         return low_gap <= tol * scale, up_gap <= tol * scale
     t = _field(F_values, cls.variant, cls.weight)
     scale = max(float(np.abs(t).max()), 1e-300)
@@ -932,14 +947,9 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
         delta = 0.0
         for a in functionals.values():
             a_arr = np.atleast_2d(np.asarray(a, dtype=complex))
-            J = a_arr.shape[0]
-            conv = np.zeros((J, K), dtype=complex)
-            for j in range(J):
-                upto = min(J - j, fac.coefficients.shape[0])
-                for p in range(upto):
-                    conv[j] += fac.coefficients[p].T @ a_arr[p + j]
+            conv = _factor_convolution(fac.coefficients, a_arr)
             delta += float(np.sum(np.abs(conv) ** 2))
-            S = evaluate_lag_series(conv, np.arange(J), n)
+            S = evaluate_lag_series(conv, np.arange(a_arr.shape[0]), n)
             L_F += np.einsum("tk,tn->tkn", np.conj(S), S)
         T_inv = np.linalg.inv(T)
         M_F = T_inv @ L_F @ np.conj(np.swapaxes(T_inv, 1, 2))
@@ -957,7 +967,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
         L_F += np.einsum("tk,tn->tkn", np.conj(data["rG"]), data["rG"])
         L_G += np.einsum("tk,tn->tkn", np.conj(data["rF"]), data["rF"])
     total = Fg.values + (anchor.G0.values if anchor.G0 is not None else 0.0)
-    T_inv = np.linalg.inv(total)
+    T_inv = anchor.inv_total
     M_F = T_inv @ L_F @ T_inv
     model_F, mult_F = _signal_model(M_F, spec.signal, Fg.values, tol=active_tol)
     residual_F = _relative_model_residual(L_F, model_F, total, total)

@@ -76,13 +76,19 @@ def evaluate_lag_series(coefficients, lags, n_lambda):
     """Evaluate sum_d c_d exp(i*d*lambda) on the standard grid.
 
     ``coefficients`` has shape (len(lags), ...); result (n_lambda, ...).
+    Computed as one zero-padded inverse FFT: on the grid,
+    exp(i*d*lambda_t) = (-1)^d exp(2*pi*i*(d mod N)*t / N), so each
+    coefficient is scattered to bin ``d mod N`` with the sign (-1)^d.  Exact
+    on the grid for any integer lags, including negative lags and lags that
+    coincide mod N (their coefficients add up in one bin).
     """
     coefficients = np.asarray(coefficients, dtype=complex)
     lags = np.asarray(lags, dtype=int)
-    lam = lambda_grid(n_lambda)
-    phases = np.exp(1j * np.outer(lam, lags))
+    signs = np.where(lags % 2 == 0, 1.0, -1.0)
     flat = coefficients.reshape(len(lags), -1)
-    out = phases @ flat
+    bins = np.zeros((n_lambda, flat.shape[1]), dtype=complex)
+    np.add.at(bins, lags % n_lambda, flat * signs[:, None])
+    out = np.fft.ifft(bins, axis=0) * n_lambda
     return out.reshape((n_lambda,) + coefficients.shape[1:])
 
 
@@ -254,7 +260,10 @@ class OperatorSet:
     B, D, R are (window*K, window*K); the (s, j) block of each is the
     transposed Fourier coefficient at lag ``j - s`` of its symbol.  B and R
     are Hermitian; B is positive definite whenever the minimality condition
-    holds.
+    holds.  ``cond_B`` is the larger of the 2-norm condition numbers of B and
+    of F + G at its worst grid node.  ``inv_total`` is the pointwise inverse
+    (F + G)^{-1} on the grid, shape (n_lambda, K, K), from which the symbols
+    were built; solvers reuse it instead of inverting F + G again.
     """
 
     B: np.ndarray
@@ -263,20 +272,38 @@ class OperatorSet:
     window: int
     K: int
     cond_B: float
+    inv_total: np.ndarray = None
 
 
 def _block_toeplitz(coeffs, lags, window, K):
-    """Assemble blocks M(s, j) = coeffs[j - s] into a (wK, wK) matrix."""
-    by_lag = {int(d): coeffs[i] for i, d in enumerate(lags)}
-    out = np.zeros((window * K, window * K), dtype=complex)
-    for s in range(window):
-        for j in range(window):
-            out[s * K:(s + 1) * K, j * K:(j + 1) * K] = by_lag[j - s]
-    return out
+    """Assemble blocks M(s, j) = coeffs[j - s] into a (wK, wK) matrix.
+
+    ``lags`` must be consecutive integers covering -(window-1) .. window-1.
+    """
+    offsets = np.arange(window)
+    blocks = coeffs[offsets[None, :] - offsets[:, None] - lags[0]]  # (w, w, K, K)
+    return blocks.transpose(0, 2, 1, 3).reshape(window * K, window * K)
+
+
+def _condition_from_eigenvalues(eigvals):
+    """2-norm condition numbers of Hermitian matrices from their eigenvalues.
+
+    Reduces the last axis; a zero eigenvalue gives ``inf``.
+    """
+    mags = np.abs(eigvals)
+    largest, smallest = mags.max(axis=-1), mags.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(smallest > 0, largest / smallest, np.inf)
+
+
+def _pointwise_condition(values):
+    """2-norm condition number of the Hermitian part of each grid sample."""
+    hermitian = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
+    return _condition_from_eigenvalues(np.linalg.eigvalsh(hermitian))
 
 
 def _pointwise_inverse(values, cond_ceiling, lam):
-    conds = np.linalg.cond(values)
+    conds = _pointwise_condition(values)
     worst = int(np.argmax(conds))
     if not np.isfinite(conds[worst]) or conds[worst] > cond_ceiling:
         raise MinimalityViolation(
@@ -321,23 +348,25 @@ def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):
         D = np.eye(window * K, dtype=complex)
         R = np.zeros((window * K, window * K), dtype=complex)
     else:
-        sym_D = np.swapaxes(Fg.values @ inv_total, 1, 2)
-        coeff_D = fourier_coefficients(sym_D, lags)
+        f_inv = Fg.values @ inv_total
+        coeff_D = fourier_coefficients(np.swapaxes(f_inv, 1, 2), lags)
         D = _block_toeplitz(coeff_D, lags, window, K)
-        sym_R = np.swapaxes(Fg.values @ inv_total @ Gg.values, 1, 2)
+        sym_R = np.swapaxes(f_inv @ Gg.values, 1, 2)
         coeff_R = fourier_coefficients(sym_R, lags)
         R = _block_toeplitz(coeff_R, lags, window, K)
         R = (R + R.conj().T) / 2
 
-    eig_min = float(np.linalg.eigvalsh(B).min())
+    eigs_B = np.linalg.eigvalsh(B)
+    eig_min = float(eigs_B.min())
     if eig_min <= 0:
         warnings.warn(
             f"assembled B is not positive definite (min eigenvalue {eig_min:.3e}); "
             "density pair is badly conditioned",
             RuntimeWarning,
         )
-    cond_B = float(np.linalg.cond(B))
-    return OperatorSet(B=B, D=D, R=R, window=window, K=K, cond_B=max(cond_B, max_cond))
+    cond_B = float(_condition_from_eigenvalues(eigs_B))
+    return OperatorSet(B=B, D=D, R=R, window=window, K=K,
+                       cond_B=max(cond_B, max_cond), inv_total=inv_total)
 
 
 @dataclass
@@ -355,7 +384,7 @@ class MinimalityReport:
 
 def _masked_trace_integral(values, cond_ceiling):
     lam = lambda_grid(values.shape[0])
-    conds = np.linalg.cond(values)
+    conds = _pointwise_condition(values)
     good = np.isfinite(conds) & (conds <= cond_ceiling)
     singular = [float(x) for x in lam[~good]]
     if good.any():

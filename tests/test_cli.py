@@ -124,6 +124,63 @@ class TestSolve:
         assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
 
 
+def _set(path, value):
+    """Return an edit that sets ``payload[path[0]][path[1]]...`` to value."""
+    def edit(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+class TestSolverIntegers:
+    @pytest.mark.parametrize("edits, message", [
+        pytest.param([_set(("solver", "window"), "abc")],
+                     "solver.window must be an integer", id="window-string"),
+        pytest.param([_set(("solver", "window"), 2.5)],
+                     "solver.window must be an integer", id="window-fraction"),
+        pytest.param([_set(("solver", "window"), True)],
+                     "solver.window must be an integer", id="window-bool"),
+        pytest.param([_set(("solver", "window"), 0)],
+                     "solver.window must be >= 1", id="window-zero"),
+        pytest.param([_set(("solver", "window"), 40), _set(("solver", "n_lambda"), 64)],
+                     "solver.window 40 too large for n_lambda 64", id="window-vs-grid"),
+        pytest.param([_set(("solver", "window"), 1)],
+                     "functional support 2 exceeds solver.window 1", id="window-vs-support"),
+        pytest.param([_set(("solver", "j_past"), "x")],
+                     "solver.j_past must be an integer", id="j_past-string"),
+        pytest.param([_set(("solver", "j_past"), 0)],
+                     "solver.j_past must be >= 1", id="j_past-zero"),
+        pytest.param([_set(("solver", "n_lambda"), "abc")],
+                     "solver.n_lambda must be an integer", id="n_lambda-string"),
+        pytest.param([_set(("solver", "n_lambda"), None)],
+                     "solver.n_lambda must be an integer", id="n_lambda-null"),
+        pytest.param([_set(("channels", 0, "m"), "zero")],
+                     "channels[0].m must be an integer", id="m-string"),
+        pytest.param([_set(("simulation", "n_trials"), "many")],
+                     "simulation.n_trials must be an integer", id="n_trials-string"),
+    ])
+    def test_bad_integer_exits_3_with_one_line(self, tmp_path, capsys, edits, message):
+        prob = white_problem()
+        for edit in edits:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("schema error:")
+        assert message in err
+        assert not out.exists()
+
+    def test_integral_float_accepted(self, tmp_path):
+        prob = white_problem()
+        prob["solver"]["window"] = 32.0
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_OK
+
+
 class TestValidate:
     def test_white_fixture_agrees(self, tmp_path):
         path = write_problem(tmp_path, white_problem())
@@ -232,6 +289,41 @@ class TestMinimax:
         report = json.loads((out / "minimax.json").read_text())
         assert report["status"] == "NOT_CONVERGED"
         assert len(report["objective_history"]) >= 1
+
+
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matrix_band_class_has_no_complex_cast(self, tmp_path):
+        # parsed powers and radii arrive as complex arrays; none of them may
+        # be cast to real with a silent loss of the imaginary part
+        K = 2
+
+        def constant(matrix):
+            L = np.linalg.cholesky(np.asarray(matrix, dtype=complex))
+            return {"type": "rational", "denominator": [1.0],
+                    "numerator": np.stack([L.real, L.imag], axis=-1)[None].tolist()}
+
+        nominal = constant(0.25 * np.eye(K))
+        prob = {
+            "version": "1",
+            "solver": {"window": 16, "n_lambda": 128},
+            "channels": [{"m": 0, "l": 1, "F": constant(np.eye(K)), "G": nominal,
+                          "a": [[1.0, 0.2], [0.3, -0.4]]}],
+            "class_spec": {
+                "family": "band", "variant": "matrix",
+                "lower": constant(0.3 * np.eye(K)),
+                "upper": constant([[2.0, 0.2], [0.2, 2.0]]),
+                "signal_power": np.eye(K).tolist(),
+                "noise_nominal": nominal,
+                "noise_radius": np.full((K, K), 0.15).tolist(),
+                "max_iter": 2, "tol": 1e-9,
+            },
+        }
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["minimax", "--input", str(path), "--output", str(out)]) \
+            in (EXIT_OK, EXIT_NOT_CONVERGED)
+        assert (out / "g0.csv").exists()
 
 
 class TestOtherCommands:

@@ -12,6 +12,7 @@ from pcfield.extrapolate import (
     solve_channel,
     solve_noiseless,
     spectral_factorize,
+    _factor_convolution,
 )
 from pcfield.harmonics import harmonic_count
 from pcfield.spectral import (
@@ -273,6 +274,21 @@ class TestFactorizationSolve:
             s_sys = solve_noiseless(F, a, window=96)
             assert abs(s_fac.delta - s_sys.delta) / s_sys.delta < 1e-6
             assert np.max(np.abs(s_fac.h_grid - s_sys.h_grid)) < 1e-6
+
+
+class TestFactorConvolution:
+    @pytest.mark.parametrize("J, U", [(1, 4), (3, 2), (5, 5), (6, 9)])
+    def test_matches_term_by_term_sum(self, J, U):
+        rng = np.random.default_rng(J * 10 + U)
+        K = 2
+        d = rng.normal(size=(U, K, K)) + 1j * rng.normal(size=(U, K, K))
+        a = rng.normal(size=(J, K)) + 1j * rng.normal(size=(J, K))
+        expect = np.zeros((J, K), dtype=complex)
+        for j in range(J):
+            for p in range(U):
+                if p + j < J:
+                    expect[j] += d[p].T @ a[p + j]
+        assert np.max(np.abs(_factor_convolution(d, a) - expect)) < 1e-12
 
 
 class TestAggregate:

@@ -16,6 +16,7 @@ from pcfield.spectral import (
     fourier_coefficients,
     lambda_grid,
     matrix_fourier_coefficient,
+    _pointwise_condition,
 )
 
 
@@ -64,6 +65,22 @@ class TestFourierCoefficients:
         vals = evaluate_lag_series(coeffs, lags_in, 64)
         got = fourier_coefficients(vals, -lags_in)
         assert np.max(np.abs(got - coeffs)) < 1e-13
+
+    @pytest.mark.parametrize("lags", [
+        pytest.param([-5, -1, 0, 3], id="negative"),
+        pytest.param([0, 31, 32, 40, 63], id="beyond-half-grid"),
+        pytest.param([-70, -6, 2, 58, 66, 130], id="repeat-mod-n"),
+    ])
+    def test_lag_series_matches_direct_sum(self, lags):
+        # sum_d c_d exp(i d lambda) evaluated term by term on a 64-point grid
+        rng = np.random.default_rng(17)
+        n = 64
+        lam = lambda_grid(n)
+        coeffs = rng.normal(size=(len(lags), 2, 3)) + 1j * rng.normal(size=(len(lags), 2, 3))
+        direct = sum(np.exp(1j * d * lam)[:, None, None] * c for d, c in zip(lags, coeffs))
+        fast = evaluate_lag_series(coeffs, lags, n)
+        assert fast.shape == (n, 2, 3)
+        assert np.max(np.abs(fast - direct)) < 1e-12
 
     def test_aliasing_guard(self):
         grid = SpectralDensityGrid.white(1, 1.0, 64)
@@ -214,6 +231,40 @@ class TestAssembleOperators:
             residuals.append(np.max(np.abs(row - expect)))
         assert residuals[0] > residuals[1] > residuals[2]
 
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_matches_loop_built_block_toeplitz(self, K):
+        # reference: the symbols' coefficients placed block by block
+        rng = np.random.default_rng(30 + K)
+        n, window = 256, 5
+        F = as_grid(random_trig_poly_density(rng, K, 2), n)
+        G = as_grid(random_trig_poly_density(rng, K, 1), n)
+        inv = np.linalg.inv(F.values + G.values)
+        lags = np.arange(-(window - 1), window)
+
+        def loop_built(symbol):
+            coeffs = fourier_coefficients(np.swapaxes(symbol, 1, 2), lags)
+            out = np.zeros((window * K, window * K), dtype=complex)
+            for s in range(window):
+                for j in range(window):
+                    out[s * K:(s + 1) * K, j * K:(j + 1) * K] = coeffs[j - s + window - 1]
+            return out
+
+        B = loop_built(inv)
+        R = loop_built(F.values @ inv @ G.values)
+        ops = assemble_operators(F, G, window=window)
+        assert np.array_equal(ops.B, (B + B.conj().T) / 2)
+        assert np.array_equal(ops.D, loop_built(F.values @ inv))
+        assert np.array_equal(ops.R, (R + R.conj().T) / 2)
+        assert np.array_equal(ops.inv_total, inv)
+
+    def test_cond_b_is_two_norm_condition(self):
+        rng = np.random.default_rng(33)
+        F = as_grid(random_trig_poly_density(rng, 2, 2), 256)
+        ops = assemble_operators(F, None, window=6)
+        pointwise = np.linalg.cond(F.values).max()
+        expect = max(np.linalg.cond(ops.B), pointwise)
+        assert ops.cond_B == pytest.approx(expect, rel=1e-8)
+
     def test_singular_pair_raises_with_location(self):
         F = RationalDensity.ma([1.0, -1.0])  # vanishes at lambda = 0
         with pytest.raises(MinimalityViolation) as err:
@@ -228,6 +279,28 @@ class TestAssembleOperators:
         text = path.read_text().splitlines()
         assert text[0] == "operator,row,col,re,im"
         assert len(text) == 1 + 3 * 4
+
+
+class TestPointwiseCondition:
+    def test_matches_svd_condition_on_hermitian_pd_samples(self):
+        rng = np.random.default_rng(41)
+        for K in (1, 2, 4):
+            X = rng.normal(size=(200, K, K)) + 1j * rng.normal(size=(200, K, K))
+            scales = np.exp(rng.uniform(-6, 0, size=(200, 1, 1)))
+            values = X @ np.conj(np.swapaxes(X, 1, 2)) + scales * np.eye(K)
+            got = _pointwise_condition(values)
+            expect = np.linalg.cond(values)
+            assert np.max(np.abs(got / expect - 1)) < 1e-8
+
+    def test_zero_eigenvalue_is_infinite(self):
+        values = np.array([np.diag([1.0, 0.0]), np.zeros((2, 2)), np.eye(2)], dtype=complex)
+        assert list(_pointwise_condition(values)) == [np.inf, np.inf, 1.0]
+
+    def test_check_minimality_reports_svd_condition(self):
+        rng = np.random.default_rng(43)
+        F = as_grid(random_trig_poly_density(rng, 3, 2), 256)
+        report = check_minimality(F)
+        assert report.max_condition == pytest.approx(np.linalg.cond(F.values).max(), rel=1e-8)
 
 
 class TestCheckMinimality:
