@@ -6,12 +6,12 @@ result artifacts (JSON + CSV) into the output directory.  Outputs embed
 the SHA-256 of the input file and every effective tolerance; identical
 inputs produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 minimality failure, 3 schema error,
-4 least-favorable search did not converge, 5 validation disagreement.
+Exit codes: 0 success, 2 minimality or factorization failure, 3 schema
+error or infeasible class, 4 least-favorable search did not converge,
+5 validation disagreement.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -23,12 +23,14 @@ import numpy as np
 from . import __version__
 from .blocking import BlockingConfig, functional_to_spec, read_samples_csv
 from .extrapolate import (
+    FactorizationError,
     oracle_solve,
     solve_channel,
     spectral_factorize,
 )
 from .minimax import (
     DensityClassSpec,
+    InfeasibleClassError,
     NoiseClass,
     SignalClass,
     find_least_favorable,
@@ -316,30 +318,40 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_vector_grid_csv(path, values, n_lambda):
-    """CSV of a (N, K) complex grid function: lambda, k, re, im."""
-    lam = lambda_grid(n_lambda)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "k", "re", "im"])
-        for t in range(values.shape[0]):
-            for k in range(values.shape[1]):
-                v = values[t, k]
-                writer.writerow([repr(float(lam[t])), k + 1,
-                                 repr(float(v.real)), repr(float(v.imag))])
+_CSV_BLOCK = 1024   # rows converted to Python objects at a time
 
 
-def _write_matrix_grid_csv(path, values, n_lambda):
-    lam = lambda_grid(n_lambda)
+def _write_csv(path, header, columns):
+    """CSV of equal-length columns, each cell the ``repr`` of its value.
+
+    Columns go through ``tolist``, so integer columns give ints and the
+    others floats; the bytes match a ``csv.writer`` (``\r\n`` line ends)
+    fed ``repr(float(x))`` cells.  Rows are converted in blocks, so the
+    Python objects alive at once stay few however long the file.
+    """
+    columns = [np.asarray(column) for column in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "row", "col", "re", "im"])
-        for t in range(values.shape[0]):
-            for r in range(values.shape[1]):
-                for c in range(values.shape[2]):
-                    v = values[t, r, c]
-                    writer.writerow([repr(float(lam[t])), r + 1, c + 1,
-                                     repr(float(v.real)), repr(float(v.imag))])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = zip(*(column[start:start + _CSV_BLOCK].tolist() for column in columns))
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def _entry_columns(values):
+    """One row per entry of a complex array, in C order: its index (the
+    first axis 0-based, the others 1-based), then re and im."""
+    index = np.indices(values.shape).reshape(values.ndim, -1)
+    index[1:] += 1
+    return [*index, values.real.ravel(), values.imag.ravel()]
+
+
+def _write_grid_csv(path, values, n_lambda):
+    """CSV of an (N, K) vector or (N, K, K) matrix grid function, one row
+    per entry: lambda, k (or row, col), re, im."""
+    columns = _entry_columns(values)
+    columns[0] = lambda_grid(n_lambda)[columns[0]]
+    names = ["k"] if values.ndim == 2 else ["row", "col"]
+    _write_csv(path, ["lambda", *names, "re", "im"], columns)
 
 
 def _meta(problem):
@@ -391,13 +403,26 @@ def cmd_solve(problem, out_dir, args):
     payload["delta_total"] = total
     _write_json(out_dir / "results.json", payload)
     for entry, sol in zip(problem.channels, sols):
-        _write_vector_grid_csv(
-            out_dir / f"h_{entry['m']}_{entry['l']}.csv",
-            sol.h_grid, problem.n_lambda)
+        _write_grid_csv(out_dir / f"h_{entry['m']}_{entry['l']}.csv",
+                        sol.h_grid, problem.n_lambda)
     return EXIT_OK
 
 
+def _check_oracle_lags(problem):
+    """The oracle's covariances reach lag j_past + support; reject lags the
+    grid aliases (|lag| >= n_lambda // 2)."""
+    limit = problem.n_lambda // 2
+    for i, entry in enumerate(problem.channels):
+        support = entry["a"].shape[0]
+        if problem.j_past + support >= limit:
+            raise SchemaError(
+                f"channels[{i}]: solver.j_past {problem.j_past} plus functional "
+                f"support {support} must stay below n_lambda // 2 = {limit}"
+            )
+
+
 def cmd_oracle(problem, out_dir, args):
+    _check_oracle_lags(problem)
     payload = {"command": "oracle", "meta": _meta(problem), "channels": []}
     total = 0.0
     for entry in problem.channels:
@@ -424,20 +449,12 @@ def cmd_factorize(problem, out_dir, args):
         rows.append((entry, fac))
     _write_json(out_dir / "factorization.json", payload)
     for entry, fac in rows:
-        path = out_dir / f"factor_{entry['m']}_{entry['l']}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "row", "col", "re", "im"])
-            d = fac.coefficients
-            keep = np.nonzero(np.linalg.norm(d, axis=(1, 2))
-                              > 1e-14 * np.linalg.norm(d[0]))[0]
-            upto = int(keep[-1]) + 1 if keep.size else 1
-            for u in range(upto):
-                for r in range(d.shape[1]):
-                    for c in range(d.shape[2]):
-                        writer.writerow([u, r + 1, c + 1,
-                                         repr(float(d[u, r, c].real)),
-                                         repr(float(d[u, r, c].imag))])
+        d = fac.coefficients
+        keep = np.nonzero(np.linalg.norm(d, axis=(1, 2))
+                          > 1e-14 * np.linalg.norm(d[0]))[0]
+        upto = int(keep[-1]) + 1 if keep.size else 1
+        _write_csv(out_dir / f"factor_{entry['m']}_{entry['l']}.csv",
+                   ["u", "row", "col", "re", "im"], _entry_columns(d[:upto]))
     return EXIT_OK
 
 
@@ -457,14 +474,8 @@ def cmd_simulate(problem, out_dir, args):
             "lag0_covariance_re": cov0.real.tolist(),
             "lag0_covariance_im": cov0.imag.tolist(),
         })
-        with open(out_dir / f"path_{entry['m']}_{entry['l']}.csv", "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "k", "re", "im"])
-            for j in range(path.shape[0]):
-                for k in range(path.shape[1]):
-                    writer.writerow([j, k + 1, repr(float(path[j, k].real)),
-                                     repr(float(path[j, k].imag))])
+        _write_csv(out_dir / f"path_{entry['m']}_{entry['l']}.csv",
+                   ["j", "k", "re", "im"], _entry_columns(path))
     _write_json(out_dir / "simulation.json", payload)
     return EXIT_OK
 
@@ -472,6 +483,7 @@ def cmd_simulate(problem, out_dir, args):
 def cmd_validate(problem, out_dir, args):
     if problem.simulation is None:
         raise SchemaError("validate needs a simulation section")
+    _check_oracle_lags(problem)
     sols = _solve_all(problem, args.threads)
     cfg = problem.simulation
     rows = []
@@ -485,20 +497,15 @@ def cmd_validate(problem, out_dir, args):
                            as_grid(G_true, problem.n_lambda) if G_true is not None else None,
                            entry["a"], cfg, keep_trials=problem.keep_trials)
         if problem.keep_trials:
-            trial_path = out_dir / f"trials_{entry['m']}_{entry['l']}.csv"
-            with open(trial_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["trial", "realized_re", "realized_im",
-                                 "estimated_re", "estimated_im", "squared_error"])
-                for i in range(mc.n_trials):
-                    writer.writerow([
-                        i,
-                        repr(float(mc.realized[i].real)),
-                        repr(float(mc.realized[i].imag)),
-                        repr(float(mc.estimated[i].real)),
-                        repr(float(mc.estimated[i].imag)),
-                        repr(float(abs(mc.realized[i] - mc.estimated[i]) ** 2)),
-                    ])
+            realized, estimated = mc.realized, mc.estimated
+            # scalar abs and pow: numpy's vectorized complex abs rounds some
+            # values differently, which would change the artifact's bytes
+            squared = [abs(z) ** 2 for z in (realized - estimated).tolist()]
+            _write_csv(out_dir / f"trials_{entry['m']}_{entry['l']}.csv",
+                       ["trial", "realized_re", "realized_im",
+                        "estimated_re", "estimated_im", "squared_error"],
+                       [np.arange(mc.n_trials), realized.real, realized.imag,
+                        estimated.real, estimated.imag, squared])
         rel = abs(sol.delta - mse_oracle) / max(abs(mse_oracle), 1e-300)
         oracle_ok = rel <= problem.tolerances["oracle_rel"]
         sigmas = abs(mc.mse - sol.delta) / max(mc.stderr, 1e-300)
@@ -566,13 +573,12 @@ def cmd_minimax(problem, out_dir, args):
         },
     }
     _write_json(out_dir / "minimax.json", payload)
-    _write_matrix_grid_csv(out_dir / "f0.csv", result.F0.values, problem.n_lambda)
+    _write_grid_csv(out_dir / "f0.csv", result.F0.values, problem.n_lambda)
     if result.G0 is not None:
-        _write_matrix_grid_csv(out_dir / "g0.csv", result.G0.values, problem.n_lambda)
+        _write_grid_csv(out_dir / "g0.csv", result.G0.values, problem.n_lambda)
     for (m, l), a in functionals.items():
         sol = solve_channel(result.F0, result.G0, a, window=problem.window)
-        _write_vector_grid_csv(out_dir / f"h0_{m}_{l}.csv", sol.h_grid,
-                               problem.n_lambda)
+        _write_grid_csv(out_dir / f"h0_{m}_{l}.csv", sol.h_grid, problem.n_lambda)
     if not result.converged:
         print("minimax: search did not converge; artifacts carry the best iterate",
               file=sys.stderr)
@@ -646,8 +652,14 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except InfeasibleClassError as exc:
+        print(f"infeasible class: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except MinimalityViolation as exc:
         print(f"minimality failure: {exc}", file=sys.stderr)
+        return EXIT_MINIMALITY
+    except FactorizationError as exc:
+        print(f"factorization failure: {exc}", file=sys.stderr)
         return EXIT_MINIMALITY
 
 

@@ -4,14 +4,17 @@ The admissible sets come in eight pairs.  The signal side is either a
 contamination class (a pointwise lower bound at a ``1 - epsilon`` fraction
 of a reference density, plus a fixed total power) or a band class (a
 two-sided pointwise bound plus a fixed total power).  The noise side is
-either a fixed-power class or an L1 ball around a nominal density.  Each
-of the four structural variants measures the pointwise quantities
-differently:
+either a fixed-power class or an L1 ball around a nominal density.  The
+four structural variants share two constraint structures.  Three of them
+constrain the scalar fields Re Tr(W_j X(lambda)) of a stack of Hermitian
+weights W_j:
 
-    trace      scalar trace field Tr X(lambda)
-    component  the K diagonal entries X_kk(lambda)
-    weighted   the weighted field <B, X(lambda)> = Tr(B X)
-    matrix     the full matrix X(lambda) in the Loewner order
+    trace      W = [I]                            the trace field Tr X
+    component  W = [e_1 e_1^T, ..., e_K e_K^T]    the K diagonal entries X_kk
+    weighted   W = [B]                            the weighted field Tr(B X)
+
+and ``matrix`` constrains the full matrix X(lambda): its bounds and power
+hold in the Loewner order, its L1 ball entrywise.
 
 The search for the least favorable pair is projected supergradient ascent
 on the concave functional (F, G) -> delta(F, G): at the current anchor the
@@ -35,7 +38,13 @@ from .extrapolate import (
     _pad_functional,
     _solve_assembled,
 )
-from .spectral import SpectralDensityGrid, as_grid, assemble_operators, evaluate_lag_series
+from .spectral import (
+    MinimalityViolation,
+    SpectralDensityGrid,
+    as_grid,
+    assemble_operators,
+    evaluate_lag_series,
+)
 
 SIGNAL_KINDS = ("contamination", "band")
 NOISE_KINDS = ("power", "l1_ball")
@@ -65,8 +74,7 @@ class SignalClass:
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal class kind {self.kind!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        field_variant = _is_field_variant(self.variant, self.weight)
         if self.kind == "contamination":
             if self.upper is None:
                 raise ValueError("contamination class needs a reference density")
@@ -74,12 +82,8 @@ class SignalClass:
                 raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.kind == "band" and (self.upper is None or self.lower is None):
             raise ValueError("band class needs both lower and upper densities")
-        if self.variant != "matrix":
+        if field_variant:
             self.power = _real_parameter(self.power, "signal power")
-        if self.variant == "weighted":
-            if self.weight is None:
-                raise ValueError("weighted variant needs the weight matrix")
-            self.weight = _check_weight(self.weight)
 
 
 @dataclass
@@ -96,19 +100,14 @@ class NoiseClass:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise class kind {self.kind!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        field_variant = _is_field_variant(self.variant, self.weight)
         if self.kind == "power" and self.power is None:
             raise ValueError("power class needs the power value")
         if self.kind == "l1_ball" and (self.nominal is None or self.radius is None):
             raise ValueError("l1 class needs a nominal density and a radius")
-        if self.variant != "matrix":
+        if field_variant:
             self.power = _real_parameter(self.power, "noise power")
         self.radius = _real_parameter(self.radius, "noise radius")
-        if self.variant == "weighted":
-            if self.weight is None:
-                raise ValueError("weighted variant needs the weight matrix")
-            self.weight = _check_weight(self.weight)
 
 
 @dataclass
@@ -176,34 +175,32 @@ def _check_weight(weight):
 
 
 # ---------------------------------------------------------------------------
-# pointwise fields and projections
+# constraint structures: weight-stack fields and the Loewner order
 
 
-def _field(values, variant, weight):
-    """Per-node constraint field of a matrix density sample array."""
+def _weight_stack(variant, weight, K):
+    """Hermitian weights W_j whose fields Re Tr(W_j X) a variant constrains.
+
+    Returns an (m, K, K) stack, or None for the ``matrix`` variant, which
+    constrains X itself.  This is the one place that tells the variants
+    apart.
+    """
+    if variant == "matrix":
+        return None
     if variant == "trace":
-        return np.trace(values, axis1=1, axis2=2).real
+        return np.eye(K)[None]
     if variant == "component":
-        return np.diagonal(values, axis1=1, axis2=2).real.copy()
+        return np.eye(K)[:, :, None] * np.eye(K)[:, None, :]
     if variant == "weighted":
-        return np.einsum("kn,tnk->t", weight, values).real
-    return values  # matrix variant
+        if weight is None:
+            raise ValueError("weighted variant needs the weight matrix")
+        return _check_weight(weight)[None]
+    raise ValueError(f"unknown variant {variant!r}")
 
 
-def _apply_field_delta(values, delta, variant, weight):
-    """Add the Euclidean-projection direction realizing a field change."""
-    K = values.shape[1]
-    if variant == "trace":
-        return values + (delta / K)[:, None, None] * np.eye(K)
-    if variant == "component":
-        out = values.copy()
-        idx = np.arange(K)
-        out[:, idx, idx] += delta
-        return out
-    if variant == "weighted":
-        norm = float(np.real(np.trace(weight @ weight)))
-        return values + (delta / norm)[:, None, None] * weight
-    return values + delta
+def _is_field_variant(variant, weight):
+    """Validate a variant (and its weight); False for the matrix variant."""
+    return _weight_stack(variant, weight, 1) is not None
 
 
 def _psd_clip(values, floor=0.0):
@@ -217,16 +214,6 @@ def _psd_clip(values, floor=0.0):
         return values
     eigvals = np.maximum(eigvals, floor)
     return eigvecs @ (eigvals[..., None] * np.conj(np.swapaxes(eigvecs, 1, 2)))
-
-
-def _loewner_clip_above(values, bound):
-    """Project onto {X : X <= bound} in the Loewner order."""
-    diff = _psd_clip(bound - values)
-    return bound - diff
-
-
-def _loewner_clip_below(values, bound):
-    return bound + _psd_clip(values - bound)
 
 
 def _clipped_shift(t, lo, hi, target_mean):
@@ -295,122 +282,287 @@ def _soft_threshold_to_radius(dev, radius):
     return dev * np.maximum(1.0 - tau / np.maximum(mags, 1e-300), 0.0)
 
 
-def _signal_bounds(cls, n_lambda, K):
-    """Lower / upper fields of the signal class on the grid.
+class _Constraints:
+    """One side of a class on one grid, in the coordinates of its structure.
 
-    For the matrix variant the fields are the bound matrices themselves
-    (Loewner-order bounds); ``upper`` is None for the contamination kind.
+    The signal side holds the rasterized ``lower`` / ``upper`` bounds
+    (``upper`` is None for the contamination kind), the noise side either
+    the power alone or the ``nominal`` centre and ``radius`` of its L1
+    ball; ``power`` is the class power and ``target`` its per-node level
+    ``power / channel_weight``.  Absent constraints are None.  Subclasses
+    set the ``shape`` and ``dtype`` of a node's coordinates and supply the
+    coordinates (``coords``, ``lift``, ``slack``), the bound and ball steps
+    of the projection, and the multiplier fit.
     """
-    upper = as_grid(cls.upper, n_lambda).values if cls.upper is not None else None
-    if cls.kind == "contamination":
-        lower_field = (1.0 - cls.epsilon) * _field(upper, cls.variant, cls.weight)
-        upper_field = None
-    else:
-        lower = as_grid(cls.lower, n_lambda).values
-        lower_field = _field(lower, cls.variant, cls.weight)
-        upper_field = _field(upper, cls.variant, cls.weight)
-    return lower_field, upper_field
 
+    def __init__(self, cls, n_lambda, channel_weight):
+        def rasterized(density):
+            return self.coords(as_grid(density, n_lambda).values)
 
-def _project_signal(values, cls, channel_weight, n_iter=80):
-    variant = cls.variant
-    K = values.shape[1]
-    lower_field, upper_field = _signal_bounds(cls, values.shape[0], K)
-    target = None
-    if cls.power is not None:
-        # the matrix variant's power is a Hermitian matrix, the others' real
-        dtype = complex if variant == "matrix" else float
-        target = np.asarray(cls.power, dtype=dtype) / channel_weight
+        self.cw = channel_weight
+        self.lower = self.upper = self.power = self.target = None
+        self.nominal = self.radius = None
+        if cls.kind == "contamination":
+            self.lower = (1.0 - cls.epsilon) * rasterized(cls.upper)
+        elif cls.kind == "band":
+            self.lower, self.upper = rasterized(cls.lower), rasterized(cls.upper)
+        elif cls.kind == "l1_ball":
+            self.nominal = rasterized(cls.nominal)
+            radius = np.asarray(cls.radius, dtype=float)
+            if radius.shape != self.shape:
+                radius = np.full(self.shape, float(np.ravel(radius)[0]))
+            self.radius = radius
+        if cls.power is not None and cls.kind != "l1_ball":
+            self.power = np.broadcast_to(np.asarray(cls.power, dtype=self.dtype), self.shape)
+            self.target = self.power / channel_weight
 
-    out = values.copy()
-    for _ in range(n_iter):
-        prev = out
-        if variant == "matrix":
-            out = _loewner_clip_below(out, lower_field)
-            if upper_field is not None:
-                out = _loewner_clip_above(out, upper_field)
-            if target is not None:
-                out = out + (target - np.mean(out, axis=0))
-        else:
-            t = _field(out, variant, cls.weight)
-            hi = upper_field if upper_field is not None else np.inf
-            if target is not None:
-                if variant == "component":
-                    new_t = np.column_stack([
-                        _clipped_shift(t[:, k],
-                                       lower_field[:, k] if lower_field.ndim == 2 else lower_field,
-                                       hi[:, k] if np.ndim(hi) == 2 else hi,
-                                       float(np.atleast_1d(target)[k]))
-                        for k in range(K)
-                    ])
-                else:
-                    new_t = _clipped_shift(t, lower_field, hi, float(target))
-            else:
-                new_t = np.clip(t, lower_field, hi if np.ndim(hi) else None)
-            out = _apply_field_delta(out, new_t - t, variant, cls.weight)
-        out = _psd_clip(out)
-        if np.max(np.abs(out - prev)) < 1e-13 * max(1.0, np.max(np.abs(out))):
-            break
-    return out
-
-
-def _project_noise(values, cls, channel_weight, n_iter=80):
-    variant = cls.variant
-    K = values.shape[1]
-    n = values.shape[0]
-    out = values.copy()
-    if cls.kind == "power":
-        dtype = complex if variant == "matrix" else float
-        target = np.asarray(cls.power, dtype=dtype) / channel_weight
+    def project(self, values, n_iter=80):
+        """Apply the constraints and positivity cyclically until stationary."""
+        step = (self._shrink if self.radius is not None
+                else self._clip if self.lower is not None else self._shift)
+        out = values
         for _ in range(n_iter):
             prev = out
-            if variant == "matrix":
-                out = out + (target - np.mean(out, axis=0))
-            else:
-                t = _field(out, variant, cls.weight)
-                # constant shift of the field to hit the power target exactly
-                shift = np.broadcast_to(target - t.mean(axis=0), t.shape)
-                out = _apply_field_delta(out, shift, variant, cls.weight)
-            out = _psd_clip(out)
+            out = _psd_clip(step(out))
             if np.max(np.abs(out - prev)) < 1e-13 * max(1.0, np.max(np.abs(out))):
                 break
         return out
 
-    nominal = as_grid(cls.nominal, n).values
-    radius = np.asarray(cls.radius, dtype=float)
-    if variant == "matrix":
-        if radius.shape != (K, K):
-            radius = np.full((K, K), float(np.ravel(radius)[0]))
-    else:
-        t_nom = _field(nominal, variant, cls.weight)
-    for _ in range(n_iter):
-        prev = out
-        if variant == "matrix":
-            dev = out - nominal
-            new_dev = dev.copy()
-            for k in range(K):
-                for j in range(k, K):
-                    eps = radius[k, j] / channel_weight
-                    shrunk = _soft_threshold_to_radius(dev[:, k, j], eps)
-                    new_dev[:, k, j] = shrunk
-                    new_dev[:, j, k] = np.conj(shrunk)
-            out = nominal + new_dev
+    def _shift(self, values):
+        """Constant shift onto the power target."""
+        return self.lift(values, self.target - self.coords(values).mean(axis=0))
+
+    def gap(self, values):
+        """Worst violation of the side's constraints."""
+        x = self.coords(values)
+        gaps = [0.0]
+        if self.lower is not None:
+            gaps.append(float(np.max(np.clip(-self.slack(x, self.lower), 0, None))))
+        if self.upper is not None:
+            gaps.append(float(np.max(np.clip(-self.slack(self.upper, x), 0, None))))
+        if self.power is not None:
+            gaps.append(float(np.max(np.abs(self.cw * x.mean(axis=0) - self.power))))
+        if self.radius is not None:
+            ell = self.cw * np.abs(x - self.nominal).mean(axis=0)
+            gaps.append(float(np.max(np.clip(ell - self.radius, 0, None))))
+        return max(gaps)
+
+    def _active(self, values, tol):
+        """Masks where the lower and upper bounds are active."""
+        x = self.coords(values)
+        level = tol * max(float(np.abs(x).max()), 1e-300)
+        upper = None if self.upper is None else self.slack(self.upper, x) <= level
+        return self.slack(x, self.lower) <= level, upper
+
+
+class _FieldConstraints(_Constraints):
+    """Constraints on the fields Re Tr(W_j X) of an orthogonal weight stack."""
+
+    dtype = float
+
+    def __init__(self, weights, cls, n_lambda, channel_weight):
+        self.weights = weights
+        self.norm_sq = np.array([float(np.real(np.trace(W @ W))) for W in weights])
+        self.shape = (len(weights),)
+        super().__init__(cls, n_lambda, channel_weight)
+
+    def coords(self, values):
+        return np.einsum("jkn,tnk->tj", self.weights, values).real
+
+    def synth(self, c):
+        """sum_j c_j W_j for per-weight coefficients c of shape (..., m)."""
+        return sum(c[..., j, None, None] * W for j, W in enumerate(self.weights))
+
+    def lift(self, values, delta):
+        """X + sum_j delta_j W_j / |W_j|^2, the least change moving field j by delta_j."""
+        return values + self.synth(delta / self.norm_sq)
+
+    @staticmethod
+    def slack(a, b):
+        return a - b
+
+    def _clip(self, values):
+        t = self.coords(values)
+        if self.target is None:
+            new = np.clip(t, self.lower, self.upper)
         else:
-            t = _field(out, variant, cls.weight)
-            dev = t - t_nom
-            if variant == "component":
-                radii = np.broadcast_to(radius, (K,))
-                new_dev = np.column_stack([
-                    _soft_threshold_to_radius(dev[:, k], radii[k] / channel_weight)
-                    for k in range(K)
-                ])
+            new = np.column_stack([
+                _clipped_shift(t[:, j], self.lower[:, j],
+                               np.inf if self.upper is None else self.upper[:, j],
+                               float(self.target[j]))
+                for j in range(t.shape[1])
+            ])
+        return self.lift(values, new - t)
+
+    def _shrink(self, values):
+        dev = self.coords(values) - self.nominal
+        new = np.column_stack([
+            _soft_threshold_to_radius(dev[:, j], self.radius[j] / self.cw)
+            for j in range(dev.shape[1])
+        ])
+        return self.lift(values, new - dev)
+
+    def fit(self, M, values, tol):
+        """Fit one scalar multiplier profile per weight to the transformed
+        stationarity field M; the model is sum_j profile_j W_j.
+
+        On the noise side, where the density sits on the positive-
+        semidefinite boundary the stationarity equation relaxes to an
+        inequality (the cone contributes a one-sided multiplier), so the
+        fitted profile may drop below its level there.
+        """
+        # coefficients of M's orthogonal projection onto span{W_j}
+        m = np.einsum("tkn,jkn->tj", M, self.weights.conj()).real / self.norm_sq
+        columns = range(m.shape[1])
+        if self.lower is not None:
+            lower, upper = self._active(values, tol)
+            profiles, alpha_sq, gamma, gamma_upper = zip(*(
+                _fit_scalar_profile(m[:, j], lower[:, j],
+                                    None if upper is None else upper[:, j])
+                for j in columns))
+            mult = {"alpha_sq": _per_weight(alpha_sq), "gamma": _per_weight(gamma),
+                    "active_lower_fraction": float(lower.mean())}
+            if upper is not None:
+                mult.update(gamma_upper=_per_weight(gamma_upper),
+                            active_upper_fraction=float(upper.mean()))
+            return self.synth(np.stack(profiles, axis=-1)), mult
+
+        g = self.coords(values)
+        boundary = g <= tol * max(float(np.abs(g).max()), 1e-300)
+        if self.radius is None:
+            profiles, beta_sq, _, _ = zip(*(
+                _fit_scalar_profile(m[:, j], boundary[:, j], None) for j in columns))
+            mult = {"boundary_fraction": float(boundary.mean())}
+        else:
+            dev = g - self.nominal
+            sign = np.where(np.abs(dev) > tol * max(float(np.abs(dev).max()), 1e-300),
+                            np.sign(dev), 0.0)
+            profiles, beta_sq = zip(*(
+                _fit_l1_profile(m[:, j], sign[:, j], boundary[:, j]) for j in columns))
+            mult = {"sign_fraction": float(np.mean(sign != 0))}
+        mult["beta_sq"] = _per_weight(beta_sq)
+        return self.synth(np.stack(profiles, axis=-1)), mult
+
+
+class _LoewnerConstraints(_Constraints):
+    """Constraints on the matrix X itself: Loewner-order bounds, a matrix
+    power and an entrywise L1 ball."""
+
+    dtype = complex
+
+    def __init__(self, K, cls, n_lambda, channel_weight):
+        self.shape = (K, K)
+        super().__init__(cls, n_lambda, channel_weight)
+
+    @staticmethod
+    def coords(values):
+        return values
+
+    @staticmethod
+    def lift(values, delta):
+        return values + delta
+
+    @staticmethod
+    def slack(a, b):
+        """Smallest eigenvalue of a - b at each node."""
+        return np.linalg.eigvalsh(a - b).min(axis=1)
+
+    def _clip(self, values):
+        """Clip into lower <= X <= upper in the Loewner order, then shift."""
+        out = self.lower + _psd_clip(values - self.lower)
+        if self.upper is not None:
+            out = self.upper - _psd_clip(self.upper - out)
+        return out if self.target is None else self._shift(out)
+
+    def _shrink(self, values):
+        dev = values - self.nominal
+        new_dev = dev.copy()
+        K = dev.shape[1]
+        for k in range(K):
+            for j in range(k, K):
+                shrunk = _soft_threshold_to_radius(dev[:, k, j], self.radius[k, j] / self.cw)
+                new_dev[:, k, j] = shrunk
+                new_dev[:, j, k] = np.conj(shrunk)
+        return self.nominal + new_dev
+
+    def fit(self, M, values, tol):
+        """Fit a constant rank-1 PSD level plus cone-constrained slack
+        matrices to the transformed stationarity field M."""
+        if self.lower is not None:
+            lower, upper = self._active(values, tol)
+            interior = ~lower if upper is None else ~(lower | upper)
+            R0 = _fit_rank1_psd(np.mean(M[interior] if interior.any() else M, axis=0))
+            slack = M - R0
+            gamma = np.zeros_like(M)
+            mult = {"alpha_outer": R0}
+            if upper is None:
+                gamma[lower] = _nsd_projection(slack[lower])
+                mult["gamma_max_norm"] = float(
+                    np.max(np.linalg.norm(gamma, axis=(1, 2))) if lower.any() else 0.0)
             else:
-                new_dev = _soft_threshold_to_radius(dev, float(radius) / channel_weight)
-            out = _apply_field_delta(out, new_dev - dev, variant, cls.weight)
-        out = _psd_clip(out)
-        if np.max(np.abs(out - prev)) < 1e-13 * max(1.0, np.max(np.abs(out))):
-            break
-    return out
+                only_low, only_up, both = lower & ~upper, upper & ~lower, lower & upper
+                gamma[only_low] = _nsd_projection(slack[only_low])
+                gamma[only_up] = _psd_clip(slack[only_up])
+                gamma[both] = slack[both]
+                mult["active_upper_fraction"] = float(upper.mean())
+            mult["active_lower_fraction"] = float(lower.mean())
+            return R0 + gamma, mult
+
+        if self.radius is None:
+            eig_min = np.linalg.eigvalsh(values).min(axis=1)
+            on_edge = eig_min <= tol * max(float(np.abs(values).max()), 1e-300)
+            R0 = _fit_rank1_psd(np.mean(M[~on_edge] if (~on_edge).any() else M, axis=0))
+            slack = np.zeros_like(M)
+            slack[on_edge] = _nsd_projection(M[on_edge] - R0)
+            return R0 + slack, {"beta_outer": R0, "boundary_fraction": float(on_edge.mean())}
+
+        # entrywise: W_kj * phase(dev_kj) off the dead zone, magnitude capped
+        # by |W_kj| on it; W = beta beta* is a constant rank-1 PSD matrix
+        dev = values - self.nominal
+        off_zone = np.abs(dev) > tol * max(float(np.abs(dev).max()), 1e-300)
+        sign_field = np.where(off_zone, dev / np.maximum(np.abs(dev), 1e-300), 0.0)
+        ratio = np.where(off_zone, M * np.conj(sign_field), 0.0)
+        counts = np.maximum(off_zone.sum(axis=0), 1)
+        W = _fit_rank1_psd(ratio.sum(axis=0) / counts)
+        cap = np.minimum(1.0, np.abs(W) / np.maximum(np.abs(M), 1e-300))
+        model = np.where(off_zone, W * sign_field, M * cap)
+        return model, {"beta_outer": W, "sign_fraction": float(off_zone.mean())}
+
+
+def _constraints(cls, n_lambda, K, channel_weight):
+    """The constraints of one class side on an ``n_lambda`` grid."""
+    weights = _weight_stack(cls.variant, cls.weight, K)
+    if weights is None:
+        return _LoewnerConstraints(K, cls, n_lambda, channel_weight)
+    return _FieldConstraints(weights, cls, n_lambda, channel_weight)
+
+
+def _class_constraints(spec, n_lambda, K, noisy):
+    """Signal and noise constraints of a class, built once per grid.
+
+    The noise side is None for noiseless specs and when ``noisy`` is False.
+    """
+    signal = _constraints(spec.signal, n_lambda, K, spec.channel_weight)
+    if not noisy or spec.noise is None:
+        return signal, None
+    return signal, _constraints(spec.noise, n_lambda, K, spec.channel_weight)
+
+
+def _project(F, G, constraints):
+    signal, noise = constraints
+    f_out = SpectralDensityGrid(signal.project(F.values), check=False)
+    if noise is None:
+        return f_out, None
+    g_vals = noise.project(as_grid(G, F.n_lambda).values)
+    return f_out, SpectralDensityGrid(g_vals, check=False)
+
+
+def _gap(F, G, constraints):
+    signal, noise = constraints
+    gap = signal.gap(F.values)
+    if noise is None:
+        return gap
+    return max(gap, noise.gap(as_grid(G, F.n_lambda).values))
 
 
 def project_onto_class(pair, spec, n_lambda=None):
@@ -423,68 +575,14 @@ def project_onto_class(pair, spec, n_lambda=None):
     """
     F, G = pair
     Fg = as_grid(F, n_lambda)
-    f_vals = _project_signal(Fg.values, spec.signal, spec.channel_weight)
-    f_out = SpectralDensityGrid(f_vals, check=False)
-    if spec.noise is None or G is None:
-        return f_out, None
-    Gg = as_grid(G, Fg.n_lambda)
-    g_vals = _project_noise(Gg.values, spec.noise, spec.channel_weight)
-    return f_out, SpectralDensityGrid(g_vals, check=False)
+    return _project(Fg, G, _class_constraints(spec, Fg.n_lambda, Fg.K, G is not None))
 
 
 def feasibility_gap(pair, spec, n_lambda=None):
     """Worst violation of class constraints, for tests and diagnostics."""
     F, G = pair
     Fg = as_grid(F, n_lambda)
-    gaps = [0.0]
-    cls = spec.signal
-    lower_field, upper_field = _signal_bounds(cls, Fg.n_lambda, Fg.K)
-    if cls.variant == "matrix":
-        gaps.append(float(np.max(np.clip(
-            -np.linalg.eigvalsh(Fg.values - lower_field).min(axis=1), 0, None))))
-        if upper_field is not None:
-            gaps.append(float(np.max(np.clip(
-                -np.linalg.eigvalsh(upper_field - Fg.values).min(axis=1), 0, None))))
-        if cls.power is not None:
-            gaps.append(float(np.max(np.abs(
-                spec.channel_weight * np.mean(Fg.values, axis=0)
-                - np.asarray(cls.power, dtype=complex)))))
-    else:
-        t = _field(Fg.values, cls.variant, cls.weight)
-        gaps.append(float(np.max(np.clip(lower_field - t, 0, None))))
-        if upper_field is not None:
-            gaps.append(float(np.max(np.clip(t - upper_field, 0, None))))
-        if cls.power is not None:
-            power = spec.channel_weight * t.mean(axis=0)
-            gaps.append(float(np.max(np.abs(power - np.asarray(cls.power, dtype=float)))))
-    if spec.noise is not None and G is not None:
-        Gg = as_grid(G, Fg.n_lambda)
-        ncls = spec.noise
-        if ncls.kind == "power":
-            t = _field(Gg.values, ncls.variant, ncls.weight)
-            if ncls.variant == "matrix":
-                gaps.append(float(np.max(np.abs(
-                    spec.channel_weight * np.mean(Gg.values, axis=0)
-                    - np.asarray(ncls.power, dtype=complex)))))
-            else:
-                power = spec.channel_weight * t.mean(axis=0)
-                gaps.append(float(np.max(np.abs(power - np.asarray(ncls.power, dtype=float)))))
-        else:
-            nominal = as_grid(ncls.nominal, Fg.n_lambda).values
-            if ncls.variant == "matrix":
-                dev = np.abs(Gg.values - nominal)
-                radius = np.asarray(ncls.radius, dtype=float)
-                if radius.shape != dev.shape[1:]:
-                    radius = np.full(dev.shape[1:], float(np.ravel(ncls.radius)[0]))
-                gaps.append(float(np.max(np.clip(
-                    spec.channel_weight * dev.mean(axis=0) - radius, 0, None))))
-            else:
-                dev = np.abs(_field(Gg.values, ncls.variant, ncls.weight)
-                             - _field(nominal, ncls.variant, ncls.weight))
-                ell = spec.channel_weight * dev.mean(axis=0)
-                gaps.append(float(np.max(np.abs(np.clip(
-                    ell - np.asarray(ncls.radius, dtype=float), 0, None)))))
-    return max(gaps)
+    return _gap(Fg, G, _class_constraints(spec, Fg.n_lambda, Fg.K, G is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +696,9 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
         G = None
     elif G is None:
         raise ValueError("noisy class needs an initial noise density")
-    F, G = project_onto_class((F, G), spec, n_lambda=n_lambda)
+    Fg = as_grid(F, n_lambda)
+    constraints = _class_constraints(spec, Fg.n_lambda, Fg.K, G is not None)
+    F, G = _project(Fg, G, constraints)
 
     anchor = build_anchor(F, G, functionals, window=window)
     history = [anchor.delta]
@@ -621,10 +721,10 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
             F_try = SpectralDensityGrid(F.values + step * dir_F, check=False)
             G_try = (SpectralDensityGrid(G.values + step * dir_G, check=False)
                      if G is not None else None)
-            F_try, G_try = project_onto_class((F_try, G_try), spec)
+            F_try, G_try = _project(F_try, G_try, constraints)
             try:
                 trial = build_anchor(F_try, G_try, functionals, window=window)
-            except Exception:
+            except (MinimalityViolation, np.linalg.LinAlgError):
                 step *= 0.5
                 continue
             if trial.delta > anchor.delta * (1 + 1e-14):
@@ -680,26 +780,6 @@ class SaddleReport:
     mode: str
 
 
-def _active_masks_signal(cls, F_values, tol):
-    """Masks where the signal-side pointwise constraints are active."""
-    n, K = F_values.shape[0], F_values.shape[1]
-    lower_field, upper_field = _signal_bounds(cls, n, K)
-    if cls.variant == "matrix":
-        scale = max(float(np.abs(F_values).max()), 1e-300)
-        low_gap = np.linalg.eigvalsh(F_values - lower_field).min(axis=1)
-        if upper_field is None:
-            return low_gap <= tol * scale, None
-        up_gap = np.linalg.eigvalsh(upper_field - F_values).min(axis=1)
-        return low_gap <= tol * scale, up_gap <= tol * scale
-    t = _field(F_values, cls.variant, cls.weight)
-    scale = max(float(np.abs(t).max()), 1e-300)
-    lower_mask = t <= lower_field + tol * scale
-    upper_mask = None
-    if upper_field is not None:
-        upper_mask = t >= upper_field - tol * scale
-    return lower_mask, upper_mask
-
-
 def _fit_scalar_profile(m, lower_mask, upper_mask):
     """Fit alpha^2 + (sign-constrained) slack terms to a scalar field.
 
@@ -721,6 +801,20 @@ def _fit_scalar_profile(m, lower_mask, upper_mask):
     return model, alpha_sq, gamma_low, gamma_up
 
 
+def _fit_l1_profile(m, sign, boundary):
+    """Fit beta^2 * sign(deviation) to a scalar field, with magnitude capped
+    by beta^2 on the dead zone (sign 0).
+
+    Returns (model_field, beta_sq).  The level comes from the positive
+    deviations; on the positivity boundary of the noise density the
+    equation relaxes downward, so the model may drop to the field there.
+    """
+    plus = sign > 0
+    beta_sq = max(float(m[plus].mean()) if plus.any() else float(np.abs(m).max()), 0.0)
+    model = np.where(sign != 0, beta_sq * sign, np.clip(m, -beta_sq, beta_sq))
+    return np.where(boundary, np.minimum(model, m), model), beta_sq
+
+
 def _fit_rank1_psd(mean_matrix):
     sym = (mean_matrix + mean_matrix.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(sym)
@@ -733,180 +827,10 @@ def _nsd_projection(values):
     return -_psd_clip(-values)
 
 
-def _signal_model(M, cls, F_values, tol=1e-6):
-    """Structured multiplier fit of the transformed F-stationarity field."""
-    K = M.shape[1]
-    lower_mask, upper_mask = _active_masks_signal(cls, F_values, tol)
-    multipliers = {}
-    if cls.variant == "matrix":
-        interior = ~lower_mask if upper_mask is None else ~(lower_mask | upper_mask)
-        base_pool = M[interior] if interior.any() else M
-        R0 = _fit_rank1_psd(np.mean(base_pool, axis=0))
-        model = np.broadcast_to(R0, M.shape).copy()
-        slack = M - R0
-        if upper_mask is None:
-            gamma = np.zeros_like(M)
-            gamma[lower_mask] = _nsd_projection(slack[lower_mask])
-            model = model + gamma
-            multipliers.update(alpha_outer=R0, gamma_max_norm=float(
-                np.max(np.linalg.norm(gamma, axis=(1, 2))) if lower_mask.any() else 0.0))
-        else:
-            gamma = np.zeros_like(M)
-            only_low = lower_mask & ~upper_mask
-            only_up = upper_mask & ~lower_mask
-            both = lower_mask & upper_mask
-            gamma[only_low] = _nsd_projection(slack[only_low])
-            gamma[only_up] = _psd_clip(slack[only_up])
-            gamma[both] = slack[both]
-            model = model + gamma
-            multipliers.update(alpha_outer=R0)
-        multipliers.update(active_lower_fraction=float(lower_mask.mean()))
-        if upper_mask is not None:
-            multipliers.update(active_upper_fraction=float(upper_mask.mean()))
-        return model, multipliers
-
-    if cls.variant == "component":
-        m = np.stack([M[:, k, k].real for k in range(K)], axis=1)
-        models = np.zeros_like(m)
-        alpha = np.zeros(K)
-        for k in range(K):
-            lm = lower_mask[:, k] if lower_mask.ndim == 2 else lower_mask
-            um = None if upper_mask is None else (
-                upper_mask[:, k] if upper_mask.ndim == 2 else upper_mask)
-            models[:, k], alpha[k], g_lo, g_up = _fit_scalar_profile(m[:, k], lm, um)
-        multipliers.update(alpha_sq=alpha,
-                           active_lower_fraction=float(np.mean(lower_mask)))
-        model = np.zeros_like(M)
-        idx = np.arange(K)
-        model[:, idx, idx] = models
-        return model, multipliers
-
-    if cls.variant == "weighted":
-        Bt = cls.weight.T
-        denom = float(np.real(np.trace(Bt @ Bt.conj().T)))
-        m = np.einsum("tkn,nk->t", M, np.conj(Bt)).real / denom
-    else:
-        m = np.trace(M, axis1=1, axis2=2).real / K
-    model_field, alpha_sq, gamma_low, gamma_up = _fit_scalar_profile(
-        m, lower_mask, upper_mask)
-    multipliers.update(alpha_sq=alpha_sq, gamma=gamma_low,
-                       active_lower_fraction=float(lower_mask.mean()))
-    if gamma_up is not None:
-        multipliers.update(gamma_upper=gamma_up,
-                           active_upper_fraction=float(upper_mask.mean()))
-    direction = cls.weight.T if cls.variant == "weighted" else np.eye(K)
-    model = model_field[:, None, None] * direction
-    return model, multipliers
-
-
-def _noise_model(M, cls, G_values, channel_weight, tol=1e-6):
-    """Structured multiplier fit of the transformed G-stationarity field.
-
-    Where the noise density sits on the positive-semidefinite boundary the
-    stationarity equation relaxes to an inequality (the cone contributes a
-    one-sided multiplier), so the fitted profile is allowed to drop below
-    its nominal level there.
-    """
-    K = M.shape[1]
-    multipliers = {}
-    g_field = _field(G_values, cls.variant if cls.variant != "matrix" else "trace",
-                     cls.weight)
-    g_scale = max(float(np.abs(g_field).max()), 1e-300)
-    boundary = g_field <= tol * g_scale
-    if cls.kind == "power":
-        if cls.variant == "matrix":
-            eig_min = np.linalg.eigvalsh(G_values).min(axis=1)
-            on_edge = eig_min <= tol * max(float(np.abs(G_values).max()), 1e-300)
-            interior = ~on_edge
-            pool = M[interior] if interior.any() else M
-            R0 = _fit_rank1_psd(np.mean(pool, axis=0))
-            model = np.broadcast_to(R0, M.shape).copy()
-            slack = np.zeros_like(M)
-            slack[on_edge] = _nsd_projection(M[on_edge] - R0)
-            multipliers.update(beta_outer=R0,
-                               boundary_fraction=float(on_edge.mean()))
-            return model + slack, multipliers
-        if cls.variant == "component":
-            m = np.stack([M[:, k, k].real for k in range(K)], axis=1)
-            beta = np.zeros(K)
-            model_field = np.zeros_like(m)
-            for k in range(K):
-                interior = ~boundary[:, k]
-                beta[k] = max(float(m[interior, k].mean()) if interior.any()
-                              else float(m[:, k].max()), 0.0)
-                model_field[:, k] = beta[k] + np.where(
-                    boundary[:, k], np.minimum(m[:, k] - beta[k], 0.0), 0.0)
-            multipliers.update(beta_sq=beta,
-                               boundary_fraction=float(boundary.mean()))
-            model = np.zeros_like(M)
-            idx = np.arange(K)
-            model[:, idx, idx] = model_field
-            return model, multipliers
-        if cls.variant == "weighted":
-            Bt = cls.weight.T
-            denom = float(np.real(np.trace(Bt @ Bt.conj().T)))
-            m = np.einsum("tkn,nk->t", M, np.conj(Bt)).real / denom
-            direction = Bt
-        else:
-            m = np.trace(M, axis1=1, axis2=2).real / K
-            direction = np.eye(K)
-        interior = ~boundary
-        beta_sq = max(float(m[interior].mean()) if interior.any() else float(m.max()),
-                      0.0)
-        model_field = beta_sq + np.where(boundary, np.minimum(m - beta_sq, 0.0), 0.0)
-        multipliers.update(beta_sq=beta_sq, boundary_fraction=float(boundary.mean()))
-        return model_field[:, None, None] * direction, multipliers
-
-    # L1-ball class: multiplier profile is beta^2 * sign(deviation), with
-    # magnitude capped by beta^2 on the dead zone.
-    nominal = as_grid(cls.nominal, M.shape[0]).values
-    if cls.variant == "matrix":
-        # entrywise: W_kj * phase(dev_kj) off the dead zone, magnitude capped
-        # by |W_kj| on it; W = beta beta* is a constant rank-1 PSD matrix
-        dev = G_values - nominal
-        scale = max(float(np.abs(dev).max()), 1e-300)
-        off_zone = np.abs(dev) > tol * scale
-        sign_field = np.where(off_zone, dev / np.maximum(np.abs(dev), 1e-300), 0.0)
-        ratio = np.where(off_zone, M * np.conj(sign_field), 0.0)
-        counts = np.maximum(off_zone.sum(axis=0), 1)
-        W = _fit_rank1_psd(ratio.sum(axis=0) / counts)
-        cap = np.minimum(1.0, np.abs(W) / np.maximum(np.abs(M), 1e-300))
-        model = np.where(off_zone, W * sign_field, M * cap)
-        multipliers.update(beta_outer=W, sign_fraction=float(off_zone.mean()))
-        return model, multipliers
-    if cls.variant == "component":
-        m = np.stack([M[:, k, k].real for k in range(K)], axis=1)
-        t = np.stack([(G_values[:, k, k] - nominal[:, k, k]).real for k in range(K)], axis=1)
-    elif cls.variant == "weighted":
-        Bt = cls.weight.T
-        denom = float(np.real(np.trace(Bt @ Bt.conj().T)))
-        m = np.einsum("tkn,nk->t", M, np.conj(Bt)).real / denom
-        t = (_field(G_values, "weighted", cls.weight)
-             - _field(nominal, "weighted", cls.weight))
-    else:
-        m = np.trace(M, axis1=1, axis2=2).real / K
-        t = (_field(G_values, "trace", None) - _field(nominal, "trace", None))
-    scale = max(float(np.abs(t).max()), 1e-300)
-    sign = np.where(np.abs(t) > tol * scale, np.sign(t), 0.0)
-    plus = sign > 0
-    if plus.any():
-        beta_sq = max(float(m[plus].mean()), 0.0)
-    else:
-        beta_sq = max(float(np.abs(m).max()), 0.0)
-    model_field = np.where(sign != 0, beta_sq * sign,
-                           np.clip(m, -beta_sq, beta_sq))
-    # positivity boundary of the noise density relaxes the equation downward
-    model_field = np.where(boundary, np.minimum(model_field, m), model_field)
-    multipliers.update(beta_sq=beta_sq, sign_fraction=float(np.mean(sign != 0)))
-    if cls.variant == "component":
-        model = np.zeros_like(M)
-        idx = np.arange(K)
-        model[:, idx, idx] = model_field
-    elif cls.variant == "weighted":
-        model = model_field[:, None, None] * cls.weight.T
-    else:
-        model = model_field[:, None, None] * np.eye(K)
-    return model, multipliers
+def _per_weight(items):
+    """A multiplier per weight: the bare item for a single weight, the
+    items stacked along a last axis for a stack."""
+    return items[0] if len(items) == 1 else np.stack(items, axis=-1)
 
 
 def _relative_model_residual(L, model, T, T_star):
@@ -938,6 +862,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
     Fg = as_grid(F0)
     n = Fg.n_lambda
     K = Fg.K
+    signal, noise = _class_constraints(spec, n, K, mode == "noisy")
 
     if mode == "factorized":
         fac = spectral_factorize(Fg)
@@ -953,7 +878,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
             L_F += np.einsum("tk,tn->tkn", np.conj(S), S)
         T_inv = np.linalg.inv(T)
         M_F = T_inv @ L_F @ np.conj(np.swapaxes(T_inv, 1, 2))
-        model_F, mult_F = _signal_model(M_F, spec.signal, Fg.values, tol=active_tol)
+        model_F, mult_F = signal.fit(M_F, Fg.values, active_tol)
         residual_F = _relative_model_residual(L_F, model_F, T, T_star)
         return SaddleReport(objective=delta, residual_F=residual_F,
                             residual_G=None, multipliers={"F": mult_F},
@@ -969,14 +894,13 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
     total = Fg.values + (anchor.G0.values if anchor.G0 is not None else 0.0)
     T_inv = anchor.inv_total
     M_F = T_inv @ L_F @ T_inv
-    model_F, mult_F = _signal_model(M_F, spec.signal, Fg.values, tol=active_tol)
+    model_F, mult_F = signal.fit(M_F, Fg.values, active_tol)
     residual_F = _relative_model_residual(L_F, model_F, total, total)
     residual_G = None
     multipliers = {"F": mult_F}
     if mode == "noisy":
         M_G = T_inv @ L_G @ T_inv
-        model_G, mult_G = _noise_model(M_G, spec.noise, anchor.G0.values,
-                                       spec.channel_weight, tol=active_tol)
+        model_G, mult_G = noise.fit(M_G, anchor.G0.values, active_tol)
         residual_G = _relative_model_residual(L_G, model_G, total, total)
         multipliers["G"] = mult_G
     return SaddleReport(objective=anchor.delta, residual_F=residual_F,
@@ -986,7 +910,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
 
 def sample_feasible(spec, rng, n_lambda, base_scale=1.0, degree=2):
     """Random member of the class: a random PD density projected onto it."""
-    K = as_grid(spec.signal.upper, n_lambda).K if spec.signal.upper is not None else 1
+    K = spec.signal.upper.K if spec.signal.upper is not None else 1
     def random_density():
         from .spectral import lambda_grid
 
@@ -1002,8 +926,9 @@ def sample_feasible(spec, rng, n_lambda, base_scale=1.0, degree=2):
 
     F = random_density()
     G = random_density() if spec.noise is not None else None
-    F_proj, G_proj = project_onto_class((F, G), spec, n_lambda=n_lambda)
-    gap = feasibility_gap((F_proj, G_proj), spec)
+    constraints = _class_constraints(spec, n_lambda, K, G is not None)
+    F_proj, G_proj = _project(F, G, constraints)
+    gap = _gap(F_proj, G_proj, constraints)
     if gap > 1e-6:
         raise InfeasibleClassError(f"projection left a feasibility gap of {gap:.3e}")
     return F_proj, G_proj

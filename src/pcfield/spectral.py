@@ -480,7 +480,13 @@ def density_from_spec(spec):
                                        where="numerator")
         den = complex_tensor_from_json(spec.get("denominator", [1.0]),
                                        base_ndim=(1,), where="denominator")
-        return RationalDensity(num, den)
+        density = RationalDensity(num, den)
+        # a pole within 1e-8 of the unit circle spans more dynamic range
+        # than double precision resolves
+        roots = np.roots(density.denominator[::-1])
+        if np.any(np.abs(np.abs(roots) - 1.0) < 1e-8):
+            raise ValueError("denominator has a root on the unit circle")
+        return density
     if kind == "grid":
         values = complex_tensor_from_json(spec["values"], base_ndim=(3,),
                                           where="grid values")

@@ -181,6 +181,89 @@ class TestSolverIntegers:
         assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_OK
 
 
+_ALIASED_PAST = [_set(("solver", "window"), 8), _set(("solver", "j_past"), 40),
+                 _set(("solver", "n_lambda"), 64)]
+_INFEASIBLE_BAND = {
+    "family": "band", "variant": "trace", "noiseless": True,
+    "lower": {"type": "rational", "numerator": [0.5], "denominator": [1.0]},
+    "upper": {"type": "rational", "numerator": [1.0], "denominator": [1.0]},
+    "signal_power": 5.0,
+}
+
+
+class TestRuntimeFailures:
+    """Inputs that parse but cannot be computed exit with a documented code
+    and one line on stderr, never with a traceback."""
+
+    @pytest.mark.parametrize("command, edits, code, prefix", [
+        pytest.param("oracle", _ALIASED_PAST, EXIT_SCHEMA,
+                     "schema error: channels[0]: solver.j_past 40", id="oracle-lag-aliases"),
+        pytest.param("validate", _ALIASED_PAST, EXIT_SCHEMA,
+                     "schema error: channels[0]: solver.j_past 40", id="validate-lag-aliases"),
+        pytest.param("solve", [_set(("channels", 0, "F", "denominator"), [1.0, -1.0])],
+                     EXIT_SCHEMA, "schema error: channels[0].F: denominator has a root "
+                     "on the unit circle", id="denominator-root-on-circle"),
+        pytest.param("minimax", [_set(("class_spec",), _INFEASIBLE_BAND)], EXIT_SCHEMA,
+                     "infeasible class: power target", id="infeasible-class-power"),
+        pytest.param("factorize", [_set(("channels", 0, "F", "numerator"), [0.0])],
+                     EXIT_MINIMALITY, "factorization failure: cannot factorize the zero "
+                     "density", id="factorize-zero-density"),
+    ])
+    def test_exit_code_with_one_line(self, tmp_path, capsys, command, edits, code, prefix):
+        prob = white_problem()
+        for edit in edits:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main([command, "--input", str(path), "--output", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(prefix)
+
+
+class TestCsvWriter:
+    def test_matches_csv_module_reference(self, tmp_path):
+        import csv
+
+        from pcfield.cli import _write_csv
+
+        # more rows than one conversion block, so block edges are covered
+        index = np.resize([0, 1, 2, 3, 2**40, 7], 2500)
+        values = np.resize([-0.0, 1e-300, 5e-324, 3.0, -1.7976931348623157e308, 1e22], 2500)
+        other = np.resize([0.1, -2.5e-310, 1e308, -0.0, 12345678901234.5, -7.0, 0.3], 2500)
+        header = ["i", "a", "b"]
+        _write_csv(tmp_path / "mine.csv", header, [index, values, other])
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i, a, b in zip(index, values, other):
+                writer.writerow([int(i), repr(float(a)), repr(float(b))])
+        mine = (tmp_path / "mine.csv").read_bytes()
+        assert mine == (tmp_path / "ref.csv").read_bytes()
+        assert b"-0.0," in mine and b"5e-324" in mine and b"\r\n" in mine
+
+    @pytest.mark.parametrize("shape", [(8, 3), (8, 2, 2)])
+    def test_grid_rows_match_loop_reference(self, tmp_path, shape):
+        import csv
+
+        from pcfield.cli import _write_grid_csv
+        from pcfield.spectral import lambda_grid
+
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values[0, 0] = -0.0
+        _write_grid_csv(tmp_path / "mine.csv", values, shape[0])
+        lam = lambda_grid(shape[0])
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["lambda", "k", "re", "im"] if len(shape) == 2
+                            else ["lambda", "row", "col", "re", "im"])
+            for index in np.ndindex(*shape):
+                v = values[index]
+                writer.writerow([repr(float(lam[index[0]])), *(i + 1 for i in index[1:]),
+                                 repr(float(v.real)), repr(float(v.imag))])
+        assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestValidate:
     def test_white_fixture_agrees(self, tmp_path):
         path = write_problem(tmp_path, white_problem())

@@ -422,3 +422,74 @@ class TestBandNoiselessFactorized:
         # interior optimum: both slack profiles vanish identically
         assert np.max(np.abs(rep_nl.multipliers["F"]["gamma"])) <= 1e-9
         assert np.max(np.abs(rep_nl.multipliers["F"]["gamma_upper"])) <= 1e-9
+
+
+class TestMultiplierFits:
+    """The per-weight multiplier fits rebuild the model along the same
+    weights they read the coefficients from."""
+
+    def test_weighted_fit_matches_stationary_field_complex_weight(self):
+        from pcfield.minimax import _class_constraints
+
+        B = np.array([[1.5, 0.3j], [-0.3j, 1.0]])
+        K = 2
+        spec = band_pair("weighted", lower=SpectralDensityGrid.white(K, 0.2, N),
+                         upper=SpectralDensityGrid.white(K, 3.0, N),
+                         signal_power=None,
+                         noise_nominal=SpectralDensityGrid.white(K, 0.3, N),
+                         noise_radius=0.1, weight_signal=B, weight_noise=B)
+        signal, _ = _class_constraints(spec, N, K, True)
+        # interior signal: both bounds slack everywhere
+        F = SpectralDensityGrid.white(K, 1.0, N).values
+        M = np.broadcast_to(0.7 * B, (N, K, K))
+        model, mult = signal.fit(M, F, 1e-6)
+        assert mult["alpha_sq"] == pytest.approx(0.7, abs=1e-12)
+        assert np.max(np.abs(model - M)) <= 1e-12
+
+        noise_spec = contamination_pair("weighted", upper=SpectralDensityGrid.white(K, 1.0, N),
+                                        epsilon=0.3, signal_power=None, noise_power=1.0,
+                                        weight_signal=B, weight_noise=B)
+        _, noise = _class_constraints(noise_spec, N, K, True)
+        model, mult = noise.fit(M, SpectralDensityGrid.white(K, 0.4, N).values, 1e-6)
+        assert mult["beta_sq"] == pytest.approx(0.7, abs=1e-12)
+        assert np.max(np.abs(model - M)) <= 1e-12
+
+    def test_component_l1_fit_has_one_level_per_component(self):
+        from pcfield.minimax import _class_constraints
+
+        K = 2
+        nominal = SpectralDensityGrid.white(K, 0.3, N)
+        spec = band_pair("component", lower=SpectralDensityGrid.white(K, 0.2, N),
+                         upper=SpectralDensityGrid.white(K, 3.0, N),
+                         signal_power=np.full(K, 1.0), noise_nominal=nominal,
+                         noise_radius=np.full(K, 0.05))
+        _, noise = _class_constraints(spec, N, K, True)
+        # deviation from the nominal is positive on both diagonals
+        G = nominal.values + 0.1 * np.eye(K)
+        M = np.broadcast_to(np.diag([1.0, 3.0]).astype(complex), (N, K, K))
+        model, mult = noise.fit(M, G, 1e-6)
+        np.testing.assert_allclose(mult["beta_sq"], [1.0, 3.0], rtol=0, atol=1e-12)
+        assert np.max(np.abs(model - M)) <= 1e-12
+
+
+class TestBacktracking:
+    def test_programming_error_in_trial_propagates(self, monkeypatch):
+        import pcfield.minimax as minimax
+
+        calls = []
+        real_build = minimax.build_anchor
+
+        def build(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:  # the first trial step of the ascent
+                raise TypeError("bug in the anchor solve")
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(minimax, "build_anchor", build)
+        spec = fixed_power_class(1.0)
+        init = SpectralDensityGrid.from_scalar_function(
+            lambda lam: 1.0 + 0.5 * np.cos(lam), N)
+        with pytest.raises(TypeError, match="bug in the anchor solve"):
+            find_least_favorable(spec, np.array([[1.0]]), (init, None),
+                                 max_iter=5, window=16, n_lambda=N)
+        assert len(calls) == 2
