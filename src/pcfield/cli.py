@@ -534,6 +534,19 @@ def cmd_validate(problem, out_dir, args):
     return EXIT_OK
 
 
+def _multiplier_levels(mult):
+    """The scalar multipliers and per-weight levels of one side of a saddle
+    report; a complex level is written as [re, im], and the per-node
+    profiles (``gamma``, ``gamma_upper``) stay out of the artifact."""
+    levels = {}
+    for key, value in mult.items():
+        if key in ("alpha_outer", "beta_outer"):
+            levels[key] = [value.real, value.imag]
+        elif key in ("alpha_sq", "beta_sq") or isinstance(value, (int, float, bool)):
+            levels[key] = value
+    return levels
+
+
 def cmd_minimax(problem, out_dir, args):
     spec = problem.class_spec()
     raw = problem.class_spec_raw
@@ -566,11 +579,8 @@ def cmd_minimax(problem, out_dir, args):
         "objective_history": result.objective_history,
         "residual_F": report.residual_F,
         "residual_G": report.residual_G,
-        "multipliers": {
-            side: {k: v for k, v in mult.items()
-                   if isinstance(v, (int, float, bool))}
-            for side, mult in report.multipliers.items()
-        },
+        "multipliers": {side: _multiplier_levels(mult)
+                        for side, mult in report.multipliers.items()},
     }
     _write_json(out_dir / "minimax.json", payload)
     _write_grid_csv(out_dir / "f0.csv", result.F0.values, problem.n_lambda)

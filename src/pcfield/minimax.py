@@ -46,6 +46,8 @@ from .spectral import (
     evaluate_lag_series,
 )
 
+_PROJECTION_SWEEPS = 80   # cap of _Constraints.project, met only at K >= 2
+
 SIGNAL_KINDS = ("contamination", "band")
 NOISE_KINDS = ("power", "l1_ball")
 VARIANTS = ("trace", "component", "weighted", "matrix")
@@ -203,25 +205,29 @@ def _is_field_variant(variant, weight):
     return _weight_stack(variant, weight, 1) is not None
 
 
-def _psd_clip(values, floor=0.0):
+def _psd_clip(values):
     values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
     if values.shape[0] == 0:
         return values
     if values.shape[1] == 1:
-        return np.maximum(values.real, floor).astype(complex)
+        return np.maximum(values.real, 0.0).astype(complex)
     eigvals, eigvecs = np.linalg.eigh(values)
-    if eigvals.min() >= floor:
+    if eigvals.min() >= 0.0:
         return values
-    eigvals = np.maximum(eigvals, floor)
+    eigvals = np.maximum(eigvals, 0.0)
     return eigvecs @ (eigvals[..., None] * np.conj(np.swapaxes(eigvecs, 1, 2)))
 
 
 def _clipped_shift(t, lo, hi, target_mean):
     """Project a field onto {lo <= t <= hi, mean t = target} exactly.
 
-    The projection is a clipped constant shift; the shift is found by
-    bisection on the monotone map shift -> mean(clip(t + shift, lo, hi)).
-    Either bound may be infinite.
+    The projection is clip(t + s, lo, hi) for the shift s that meets the
+    target.  The map s -> mean(clip(t + s, lo, hi)) is nondecreasing and
+    piecewise linear with kinks at lo - t (a node starts to move) and
+    hi - t (it stops), so s is found by a breakpoint search: sort the
+    kinks, accumulate the slopes and the values at the kinks, and solve
+    the linear piece that holds the target.  ``lo`` must be finite; ``hi``
+    may be infinite.
     """
     lo_arr = np.broadcast_to(np.asarray(lo, dtype=float), t.shape)
     hi_arr = np.broadcast_to(np.asarray(hi, dtype=float), t.shape)
@@ -235,50 +241,32 @@ def _clipped_shift(t, lo, hi, target_mean):
             f"[{lo_mean:.6g}, {hi_mean:.6g}]"
         )
 
-    def mean_at(shift):
-        return float(np.clip(t + shift, lo_arr, hi_arr).mean())
-
-    d_lo = d_hi = target_mean - float(t.mean())
-    step = max(1.0, abs(d_lo))
-    for _ in range(80):
-        if mean_at(d_lo) <= target_mean:
-            break
-        d_lo -= step
-        step *= 2.0
-    step = max(1.0, abs(d_hi))
-    for _ in range(80):
-        if mean_at(d_hi) >= target_mean:
-            break
-        d_hi += step
-        step *= 2.0
-    # ~60 halvings reach double precision on any reasonable bracket
-    for _ in range(60):
-        mid = 0.5 * (d_lo + d_hi)
-        if mean_at(mid) < target_mean:
-            d_lo = mid
-        else:
-            d_hi = mid
-        if d_hi - d_lo < 1e-15 * max(1.0, abs(d_hi) + abs(d_lo)):
-            break
-    return np.clip(t + 0.5 * (d_lo + d_hi), lo_arr, hi_arr)
+    kinks = np.concatenate([lo_arr - t, hi_arr - t])
+    order = np.argsort(kinks, kind="stable")
+    order = order[np.isfinite(kinks[order])]   # an infinite hi never stops a node
+    kinks = kinks[order]
+    # the map's slope on [kinks[i], kinks[i + 1]] and its value at kinks[i]
+    slope = np.cumsum(np.where(order < t.size, 1.0, -1.0)) / t.size
+    at_kinks = lo_mean + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(kinks))])
+    i = max(int(np.searchsorted(at_kinks, target_mean, side="right")) - 1, 0)
+    shift = kinks[i]
+    if slope[i] > 0:
+        shift += (target_mean - at_kinks[i]) / slope[i]
+    return np.clip(t + shift, lo_arr, hi_arr)
 
 
 def _soft_threshold_to_radius(dev, radius):
-    """Shrink a deviation field so its grid-mean absolute value is radius."""
+    """Shrink a deviation field so its grid-mean absolute value is radius.
+
+    The result is dev * max(1 - tau / |dev|, 0) with the threshold
+    tau = max_j (sum of the j largest |dev| - n * radius) / j, which is
+    the root of the piecewise-linear sum(max(|dev| - tau, 0)) = n * radius.
+    """
     mags = np.abs(dev)
-    current = float(mags.mean())
-    if current <= radius:
+    if float(mags.mean()) <= radius:
         return dev
-    lo, hi = 0.0, float(mags.max())
-    for _ in range(60):
-        tau = 0.5 * (lo + hi)
-        if np.maximum(mags - tau, 0.0).mean() > radius:
-            lo = tau
-        else:
-            hi = tau
-        if hi - lo < 1e-15 * max(hi, 1.0):
-            break
-    tau = 0.5 * (lo + hi)
+    top = np.cumsum(np.sort(mags)[::-1])
+    tau = float(np.max((top - mags.size * radius) / np.arange(1, mags.size + 1)))
     return dev * np.maximum(1.0 - tau / np.maximum(mags, 1e-300), 0.0)
 
 
@@ -316,21 +304,19 @@ class _Constraints:
             self.power = np.broadcast_to(np.asarray(cls.power, dtype=self.dtype), self.shape)
             self.target = self.power / channel_weight
 
-    def project(self, values, n_iter=80):
-        """Apply the constraints and positivity cyclically until stationary."""
-        step = (self._shrink if self.radius is not None
-                else self._clip if self.lower is not None else self._shift)
+    def project(self, values):
+        """Alternate the side's exact step (``_shrink`` onto an L1 ball,
+        ``_clip`` otherwise) with the PSD clip until stationary: exact after
+        one sweep at K = 1 and for diagonal iterates, while at K >= 2 the
+        PSD coupling can stop at the cap short of the projection."""
+        step = self._shrink if self.radius is not None else self._clip
         out = values
-        for _ in range(n_iter):
+        for _ in range(_PROJECTION_SWEEPS):
             prev = out
             out = _psd_clip(step(out))
             if np.max(np.abs(out - prev)) < 1e-13 * max(1.0, np.max(np.abs(out))):
                 break
         return out
-
-    def _shift(self, values):
-        """Constant shift onto the power target."""
-        return self.lift(values, self.target - self.coords(values).mean(axis=0))
 
     def gap(self, values):
         """Worst violation of the side's constraints."""
@@ -382,14 +368,19 @@ class _FieldConstraints(_Constraints):
         return a - b
 
     def _clip(self, values):
+        """Exact projection of each field onto its bounds and power.
+
+        Every weight is PSD, so each field of a PSD density is nonnegative:
+        zero is the lower bound of a side that has none (the power kind).
+        """
         t = self.coords(values)
+        lower = np.zeros_like(t) if self.lower is None else self.lower
+        upper = np.full_like(t, np.inf) if self.upper is None else self.upper
         if self.target is None:
-            new = np.clip(t, self.lower, self.upper)
+            new = np.clip(t, lower, upper)
         else:
             new = np.column_stack([
-                _clipped_shift(t[:, j], self.lower[:, j],
-                               np.inf if self.upper is None else self.upper[:, j],
-                               float(self.target[j]))
+                _clipped_shift(t[:, j], lower[:, j], upper[:, j], float(self.target[j]))
                 for j in range(t.shape[1])
             ])
         return self.lift(values, new - t)
@@ -468,11 +459,12 @@ class _LoewnerConstraints(_Constraints):
         return np.linalg.eigvalsh(a - b).min(axis=1)
 
     def _clip(self, values):
-        """Clip into lower <= X <= upper in the Loewner order, then shift."""
-        out = self.lower + _psd_clip(values - self.lower)
+        """Clip into lower <= X <= upper in the Loewner order, then shift
+        the mean onto the power target."""
+        out = values if self.lower is None else self.lower + _psd_clip(values - self.lower)
         if self.upper is not None:
             out = self.upper - _psd_clip(self.upper - out)
-        return out if self.target is None else self._shift(out)
+        return out if self.target is None else out + (self.target - out.mean(axis=0))
 
     def _shrink(self, values):
         dev = values - self.nominal
@@ -568,10 +560,15 @@ def _gap(F, G, constraints):
 def project_onto_class(pair, spec, n_lambda=None):
     """Grid-L2 projection of a density pair onto the admissible class.
 
-    ``pair`` is (F, G); G is ignored for noiseless specs.  Bound, power and
-    positivity constraints are applied cyclically until the iterate is
-    stationary, which leaves feasible inputs untouched.  Infeasible
-    parameter combinations raise :class:`InfeasibleClassError`.
+    ``pair`` is (F, G); G is ignored for noiseless specs.  Each side
+    alternates one exact step onto its own constraints (a clipped shift
+    onto the bounds and the power, or a soft threshold onto the L1 ball)
+    with the projection onto the PSD cone, until the iterate is
+    stationary; feasible inputs come back untouched.  At K = 1, and for
+    the diagonal iterates of the component variant, the result is the
+    exact projection.  At K >= 2 the PSD cone couples the constraints and
+    the alternation may stop at its sweep cap short of the projection.
+    Infeasible parameter combinations raise :class:`InfeasibleClassError`.
     """
     F, G = pair
     Fg = as_grid(F, n_lambda)

@@ -408,6 +408,59 @@ class TestMinimax:
             in (EXIT_OK, EXIT_NOT_CONVERGED)
         assert (out / "g0.csv").exists()
 
+    @staticmethod
+    def run_band(tmp_path, variant, signal_power, noise_radius):
+        """A short K=2 band minimax run; returns the minimax.json multipliers."""
+        K = 2
+
+        def constant(matrix):
+            L = np.linalg.cholesky(np.asarray(matrix, dtype=complex))
+            return {"type": "rational", "denominator": [1.0],
+                    "numerator": np.stack([L.real, L.imag], axis=-1)[None].tolist()}
+
+        nominal = constant(0.25 * np.eye(K))
+        prob = {
+            "version": "1",
+            "solver": {"window": 16, "n_lambda": 128},
+            "channels": [{"m": 0, "l": 1, "F": constant(np.eye(K)), "G": nominal,
+                          "a": [[1.0, 0.2], [0.3, -0.4]]}],
+            "class_spec": {
+                "family": "band", "variant": variant,
+                "lower": constant(0.3 * np.eye(K)),
+                "upper": constant([[2.0, 0.2], [0.2, 2.0]]),
+                "signal_power": signal_power, "noise_nominal": nominal,
+                "noise_radius": noise_radius, "max_iter": 2, "tol": 1e-9,
+            },
+        }
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["minimax", "--input", str(path), "--output", str(out)]) \
+            in (EXIT_OK, EXIT_NOT_CONVERGED)
+        return json.loads((out / "minimax.json").read_text())["multipliers"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_component_levels_reach_the_artifact(self, tmp_path):
+        mult = self.run_band(tmp_path, "component", [1.0, 1.0], [0.15, 0.15])
+        for side, level in (("F", "alpha_sq"), ("G", "beta_sq")):
+            values = np.array(mult[side][level])
+            assert values.shape == (2,)
+            assert np.all(np.isfinite(values)) and np.all(values >= 0)
+        assert "gamma" not in mult["F"] and "gamma_upper" not in mult["F"]
+        assert "active_upper_fraction" in mult["F"] and "sign_fraction" in mult["G"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matrix_levels_reach_the_artifact(self, tmp_path):
+        mult = self.run_band(tmp_path, "matrix", np.eye(2).tolist(),
+                             np.full((2, 2), 0.15).tolist())
+        for side, level in (("F", "alpha_outer"), ("G", "beta_outer")):
+            re, im = np.array(mult[side][level])
+            level_matrix = re + 1j * im
+            assert level_matrix.shape == (2, 2)
+            # a fitted level is a rank-1 PSD matrix
+            assert np.max(np.abs(level_matrix - level_matrix.conj().T)) <= 1e-12
+            assert np.linalg.eigvalsh(level_matrix).min() >= -1e-12
+        assert "gamma" not in mult["F"]
+
 
 class TestOtherCommands:
     def test_oracle_command(self, tmp_path):

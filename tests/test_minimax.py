@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pcfield.extrapolate import solve_channel, solve_noiseless
 from pcfield.minimax import (
@@ -20,8 +21,10 @@ from pcfield.minimax import (
     project_onto_class,
     saddle_point_residual,
     sample_feasible,
+    _clipped_shift,
+    _soft_threshold_to_radius,
 )
-from pcfield.spectral import RationalDensity, SpectralDensityGrid, as_grid
+from pcfield.spectral import RationalDensity, SpectralDensityGrid, as_grid, lambda_grid
 
 N = 512
 
@@ -145,6 +148,37 @@ class TestProjection:
         F, G = sample_feasible(spec, rng, N)
         assert feasibility_gap((F, G), spec) < 1e-6
 
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("variant", ["trace", "component"])
+    def test_power_side_reaches_the_class_at_higher_K(self, variant, K):
+        # a PSD noise input with mean trace 55 against a power target of
+        # 1.8: the clipped shift keeps every field nonnegative, so the
+        # alternation with the PSD clip ends feasible
+        n = 256
+        rng = np.random.default_rng(K)
+        U = as_grid(RationalDensity(
+            0.4 * (rng.normal(size=(2, K, K)) + 1j * rng.normal(size=(2, K, K)))
+            + np.concatenate([np.eye(K)[None] * 2, np.zeros((1, K, K))])), n)
+        if variant == "trace":
+            signal_power, noise_power = 1.1 * U.trace_integral(), 1.8
+        else:
+            signal_power = 1.1 * np.mean(np.diagonal(U.values, axis1=1, axis2=2).real,
+                                         axis=0)
+            noise_power = np.full(K, 1.8 / K)
+        spec = contamination_pair(variant, upper=U, epsilon=0.3,
+                                  signal_power=signal_power, noise_power=noise_power)
+        z = np.exp(-1j * lambda_grid(n))
+
+        def random_psd(mean_trace):
+            num = rng.normal(size=(3, K, K)) + 1j * rng.normal(size=(3, K, K))
+            P = sum((z ** u)[:, None, None] * num[u] for u in range(3))
+            vals = P @ np.conj(np.swapaxes(P, 1, 2))
+            vals *= mean_trace / np.mean(np.trace(vals, axis1=1, axis2=2).real)
+            return SpectralDensityGrid(vals, check=False)
+
+        F, G = random_psd(5.0), random_psd(55.0)
+        assert feasibility_gap(project_onto_class((F, G), spec), spec) < 1e-10
+
     def test_infeasible_power_target_raises(self):
         spec = DensityClassSpec(signal=SignalClass(
             kind="band", variant="trace",
@@ -153,6 +187,98 @@ class TestProjection:
             power=5.0))
         with pytest.raises(InfeasibleClassError):
             project_onto_class((SpectralDensityGrid.white(1, 1.5, N), None), spec)
+
+
+def _brentq_shift(t, lo, hi, target):
+    """Reference clipped shift: a bracketed root of the monotone mean map."""
+    def excess(shift):
+        return float(np.clip(t + shift, lo, hi).mean()) - target
+
+    span = 10.0 * (1.0 + np.max(np.abs(t)) + np.max(np.abs(lo)))
+    return np.clip(t + brentq(excess, -span, span, xtol=1e-14, rtol=1e-15), lo, hi)
+
+
+class TestExactSteps:
+    """Each projection step against a root of the same monotone map found
+    by scipy's brentq."""
+
+    @pytest.mark.parametrize("case", ["finite", "infinite", "at_lower", "at_upper",
+                                      "tied"])
+    def test_clipped_shift_matches_root(self, case):
+        rng = np.random.default_rng(3)
+        n = 64
+        t = 2.0 * rng.normal(size=n)
+        lo = np.abs(rng.normal(size=n))
+        hi = lo + np.abs(rng.normal(size=n))
+        target = 0.5 * (lo.mean() + hi.mean())
+        if case == "infinite":
+            hi = np.where(np.arange(n) % 2 == 0, np.inf, hi)
+            target = lo.mean() + 1.5
+        elif case == "at_lower":
+            target = lo.mean()
+        elif case == "at_upper":
+            target = hi.mean()
+        elif case == "tied":
+            # equal kinks lo - t and hi - t over blocks of nodes, and nodes
+            # whose two kinks coincide (lo = hi)
+            t = np.repeat(t[:8], 8)
+            lo = np.repeat(lo[:8], 8)
+            hi = np.where(np.arange(n) % 3 == 0, lo, np.repeat(hi[:8], 8))
+            target = 0.5 * (lo.mean() + hi.mean())
+        out = _clipped_shift(t, lo, hi, target)
+        assert np.max(np.abs(out - _brentq_shift(t, lo, hi, target))) <= 1e-12
+        assert out.mean() == pytest.approx(target, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["generic", "complex", "tied"])
+    def test_soft_threshold_matches_root(self, case):
+        rng = np.random.default_rng(4)
+        dev = rng.normal(size=200)
+        if case == "complex":
+            dev = dev + 1j * rng.normal(size=200)
+        elif case == "tied":
+            dev = np.repeat(dev[:10], 20) * np.tile([1.0, -1.0], 100)
+        mags = np.abs(dev)
+        radius = 0.3 * mags.mean()
+        tau = brentq(lambda x: np.maximum(mags - x, 0.0).mean() - radius,
+                     0.0, mags.max(), xtol=1e-14, rtol=1e-15)
+        ref = dev * np.maximum(1.0 - tau / mags, 0.0)
+        out = _soft_threshold_to_radius(dev, radius)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        assert np.abs(out).mean() == pytest.approx(radius, abs=1e-12)
+
+    def test_soft_threshold_edge_radii(self):
+        dev = np.array([0.5, -2.0, 2.0, 1e-3, 0.0, -0.7])
+        assert np.all(_soft_threshold_to_radius(dev, 0.0) == 0.0)
+        inside = _soft_threshold_to_radius(dev, np.abs(dev).mean())
+        assert np.array_equal(inside, dev)
+
+    @pytest.mark.parametrize("kind", ["contamination", "band", "power"])
+    def test_k1_projection_is_the_closed_form(self, kind):
+        # at K = 1 the projection onto {max(lower, 0) <= f <= upper,
+        # mean f = target} is one clipped shift of the input
+        U = as_grid(RationalDensity.ar1(0.5), N)
+        u = U.values[:, 0, 0].real
+        t = 1.5 * np.cos(3 * lambda_grid(N)) + 0.2  # negative in places
+        start = SpectralDensityGrid(t.astype(complex)[:, None, None], check=False)
+        if kind == "power":
+            spec = contamination_pair("trace", upper=U, epsilon=0.3,
+                                      signal_power=1.2 * u.mean(), noise_power=0.9)
+            out = project_onto_class((U, start), spec)[1]
+            lower, upper, target = np.zeros(N), np.inf, 0.9
+        elif kind == "contamination":
+            spec = DensityClassSpec(signal=SignalClass(
+                kind="contamination", variant="trace", upper=U, epsilon=0.3,
+                power=u.mean()))
+            out = project_onto_class((start, None), spec)[0]
+            lower, upper, target = (1.0 - 0.3) * u, np.inf, u.mean()
+        else:
+            spec = DensityClassSpec(signal=SignalClass(
+                kind="band", variant="trace", lower=SpectralDensityGrid(0.6 * U.values),
+                upper=SpectralDensityGrid(1.4 * U.values), power=u.mean()))
+            out = project_onto_class((start, None), spec)[0]
+            lower, upper, target = 0.6 * u, 1.4 * u, u.mean()
+        ref = _brentq_shift(t, lower, upper, target)
+        assert np.max(np.abs(out.values[:, 0, 0] - ref)) <= 1e-12
 
 
 class TestLeastFavorable:
