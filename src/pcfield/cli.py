@@ -6,12 +6,13 @@ result artifacts (JSON + CSV) into the output directory.  Outputs embed
 the SHA-256 of the input file and every effective tolerance; identical
 inputs produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 minimality or factorization failure, 3 schema
-error or infeasible class, 4 least-favorable search did not converge,
-5 validation disagreement.
+Exit codes: 0 success, 2 minimality or factorization failure, 3 usage
+error, schema error or infeasible class, 4 least-favorable search did not
+converge, 5 validation disagreement.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -438,8 +439,14 @@ def cmd_oracle(problem, out_dir, args):
 def cmd_factorize(problem, out_dir, args):
     payload = {"command": "factorize", "meta": _meta(problem), "channels": []}
     rows = []
-    for entry in problem.channels:
+    tol = problem.tolerances["factorization"]
+    for i, entry in enumerate(problem.channels):
         fac = spectral_factorize(entry["F"], n_lambda=problem.n_lambda)
+        if fac.relative_residual > tol:
+            raise FactorizationError(
+                f"channels[{i}]: relative residual {fac.relative_residual:.3e} "
+                f"exceeds solver.tolerances.factorization {tol:.3e}"
+            )
         payload["channels"].append({
             "m": entry["m"], "l": entry["l"],
             "residual": fac.residual,
@@ -458,16 +465,22 @@ def cmd_factorize(problem, out_dir, args):
     return EXIT_OK
 
 
-def cmd_simulate(problem, out_dir, args):
+def _simulation(problem, args):
+    """The problem's simulation section with the ``--seed`` override applied."""
     if problem.simulation is None:
-        raise SchemaError("simulate needs a simulation section")
-    cfg = problem.simulation
-    seed = cfg.seed if args.seed is None else args.seed
+        raise SchemaError(f"{args.command} needs a simulation section")
+    if args.seed is None:
+        return problem.simulation
+    return dataclasses.replace(problem.simulation, seed=args.seed)
+
+
+def cmd_simulate(problem, out_dir, args):
+    cfg = _simulation(problem, args)
     payload = {"command": "simulate", "meta": _meta(problem),
-               "seed": seed, "n_steps": cfg.n_steps, "channels": []}
+               "seed": cfg.seed, "n_steps": cfg.n_steps, "channels": []}
     for entry in problem.channels:
         path = simulate_channel(as_grid(entry["F"], problem.n_lambda),
-                                cfg.n_steps, seed=seed)
+                                cfg.n_steps, seed=cfg.seed)
         cov0 = np.einsum("tk,tn->kn", path, np.conj(path)) / path.shape[0]
         payload["channels"].append({
             "m": entry["m"], "l": entry["l"],
@@ -481,11 +494,9 @@ def cmd_simulate(problem, out_dir, args):
 
 
 def cmd_validate(problem, out_dir, args):
-    if problem.simulation is None:
-        raise SchemaError("validate needs a simulation section")
+    cfg = _simulation(problem, args)
     _check_oracle_lags(problem)
     sols = _solve_all(problem, args.threads)
-    cfg = problem.simulation
     rows = []
     all_ok = True
     for entry, sol in zip(problem.channels, sols):
@@ -586,8 +597,7 @@ def cmd_minimax(problem, out_dir, args):
     _write_grid_csv(out_dir / "f0.csv", result.F0.values, problem.n_lambda)
     if result.G0 is not None:
         _write_grid_csv(out_dir / "g0.csv", result.G0.values, problem.n_lambda)
-    for (m, l), a in functionals.items():
-        sol = solve_channel(result.F0, result.G0, a, window=problem.window)
+    for (m, l), sol in result.anchor.solutions.items():
         _write_grid_csv(out_dir / f"h0_{m}_{l}.csv", sol.h_grid, problem.n_lambda)
     if not result.converged:
         print("minimax: search did not converge; artifacts carry the best iterate",
@@ -629,8 +639,27 @@ _COMMANDS = {
 }
 
 
+class _UsageError(Exception):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`_UsageError` where argparse would exit with status 2,
+    the minimality code; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _seed(text):
+    """A ``--seed`` value: a nonnegative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcfield",
         description="Optimal and minimax-robust extrapolation of periodically "
                     "correlated isotropic random fields",
@@ -638,13 +667,17 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--input", required=True, help="problem file (JSON)")
     parser.add_argument("--output", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="override the simulation seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for channel solves")
     parser.add_argument("--strict", action="store_true",
                         help="reject unknown fields in the problem file")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
     try:
         problem = Problem(args.input, strict=args.strict)

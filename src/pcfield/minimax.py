@@ -17,12 +17,14 @@ and ``matrix`` constrains the full matrix X(lambda): its bounds and power
 hold in the Loewner order, its L1 ball entrywise.
 
 The search for the least favorable pair is projected supergradient ascent
-on the concave functional (F, G) -> delta(F, G): at the current anchor the
-worst-case error is linear in (F, G), its gradient is an explicit pair of
-PSD matrix fields, and each accepted step re-solves the anchor.  The
-stationarity equations of each class then serve as an a-posteriori check:
-``saddle_point_residual`` fits the (sign-constrained) Lagrange multiplier
-profile by least squares and reports the relative defect.
+on the concave functional (F, G) -> delta(F, G).  A solved anchor
+(``build_anchor``) carries the gradient fields grad_F and grad_G, an
+explicit pair of PSD matrix fields, and the robust objective is their
+linear functional mean Re Tr(grad_F F) + mean Re Tr(grad_G G); each
+accepted step re-solves the anchor.  The stationarity equations of each
+class then serve as an a-posteriori check on the same fields: the saddle
+report fits the (sign-constrained) Lagrange multiplier profile by least
+squares and gives the relative defect.
 """
 
 import warnings
@@ -588,18 +590,27 @@ def feasibility_gap(pair, spec, n_lambda=None):
 
 @dataclass
 class RobustAnchor:
-    """Solved reference pair: everything needed to linearize the error."""
+    """Solved reference pair and the linearization of the error there.
+
+    At the anchor the worst-case error of its estimate is the linear
+    functional mean Re Tr(grad_F F) + mean Re Tr(grad_G G) of (F, G).  The
+    PSD gradient fields are sums over the channels of u u^H, with
+    u = (F0 + G0)^{-1} conj(r): r_G = A^T G0 + C for ``grad_F`` and
+    r_F = A^T F0 - C for ``grad_G``.  ``grad_G`` is kept for a noiseless
+    anchor too, where it prices an added noise density.
+    """
 
     F0: SpectralDensityGrid
     G0: SpectralDensityGrid          # None for the noiseless problem
-    channels: dict                   # key -> dict(a, A, C, rF, rG, delta)
-    inv_total: np.ndarray
+    solutions: dict                  # key -> EstimateSolution at (F0, G0)
+    grad_F: np.ndarray
+    grad_G: np.ndarray
     delta: float
     window: int
 
 
 def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
-    """Solve every channel at (F0, G0) and cache the linearization data.
+    """Solve every channel at (F0, G0) and form the gradient fields.
 
     The operators and (F0 + G0)^{-1} are assembled once and shared by all
     channels; the grid functions A and C come from the channel solves.
@@ -607,58 +618,38 @@ def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
     Fg = as_grid(F0)
     Gg = as_grid(G0, Fg.n_lambda) if G0 is not None else None
     ops = assemble_operators(Fg, Gg, window=window)
-    channels = {}
+    grad_F = np.zeros((Fg.n_lambda, Fg.K, Fg.K), dtype=complex)
+    grad_G = np.zeros_like(grad_F)
+    solutions = {}
     delta = 0.0
     for key, a in functionals.items():
         sol, A, C = _solve_assembled(ops, Fg, Gg, _pad_functional(a, window, Fg.K))
-        a_arr = np.atleast_2d(np.asarray(a, dtype=complex))
-        if Gg is not None:
-            rG = np.einsum("tk,tkn->tn", A, Gg.values) + C
-        else:
-            rG = C
+        rG = C if Gg is None else np.einsum("tk,tkn->tn", A, Gg.values) + C
         rF = np.einsum("tk,tkn->tn", A, Fg.values) - C
-        channels[key] = {
-            "a": a_arr, "A": A, "C": C, "rF": rF, "rG": rG,
-            "delta": sol.delta, "solution": sol,
-        }
+        for grad, r in ((grad_F, rG), (grad_G, rF)):
+            u = np.einsum("tkn,tn->tk", ops.inv_total, np.conj(r))
+            grad += np.einsum("tk,tn->tkn", u, np.conj(u))
+        solutions[key] = sol
         delta += sol.delta
-    return RobustAnchor(F0=Fg, G0=Gg, channels=channels, inv_total=ops.inv_total,
-                        delta=float(delta), window=window)
+    return RobustAnchor(F0=Fg, G0=Gg, solutions=solutions, grad_F=grad_F,
+                        grad_G=grad_G, delta=float(delta), window=window)
 
 
 def evaluate_robust_objective(F, G, anchor):
     """Worst-case error of the anchored estimate under densities (F, G).
 
-    Linear in (F, G); at the anchor pair it reproduces the anchor's own
-    error.  ``G`` may be None when the anchor is noiseless.
+    The linear functional mean Re Tr(grad_F F) + mean Re Tr(grad_G G) of
+    the anchor's gradient fields; at the anchor pair it reproduces the
+    anchor's own error.  ``G`` may be None when the anchor is noiseless.
     """
-    Fg = as_grid(F, anchor.F0.n_lambda)
-    Gv = as_grid(G, anchor.F0.n_lambda).values if G is not None else None
-    total = 0.0
-    for data in anchor.channels.values():
-        uG = np.einsum("tkn,tn->tk", anchor.inv_total, np.conj(data["rG"]))
-        total += float(np.mean(np.einsum(
-            "tk,tkn,tn->t", np.conj(uG), Fg.values, uG).real))
-        if Gv is not None:
-            uF = np.einsum("tkn,tn->tk", anchor.inv_total, np.conj(data["rF"]))
-            total += float(np.mean(np.einsum(
-                "tk,tkn,tn->t", np.conj(uF), Gv, uF).real))
+    def pairing(grad, density):
+        values = as_grid(density, anchor.F0.n_lambda).values
+        return float(np.mean(np.einsum("tkn,tnk->t", grad, values).real))
+
+    total = pairing(anchor.grad_F, F)
+    if G is not None:
+        total += pairing(anchor.grad_G, G)
     return total
-
-
-def _objective_gradients(anchor):
-    """PSD matrix fields d(objective)/dF and d(objective)/dG."""
-    n = anchor.F0.n_lambda
-    K = anchor.F0.K
-    grad_F = np.zeros((n, K, K), dtype=complex)
-    grad_G = np.zeros((n, K, K), dtype=complex) if anchor.G0 is not None else None
-    for data in anchor.channels.values():
-        uG = np.einsum("tkn,tn->tk", anchor.inv_total, np.conj(data["rG"]))
-        grad_F += np.einsum("tk,tn->tkn", uG, np.conj(uG))
-        if grad_G is not None:
-            uF = np.einsum("tkn,tn->tk", anchor.inv_total, np.conj(data["rF"]))
-            grad_G += np.einsum("tk,tn->tkn", uF, np.conj(uF))
-    return grad_F, grad_G
 
 
 @dataclass
@@ -669,6 +660,7 @@ class LeastFavorableResult:
     converged: bool
     iterations: int
     objective_history: list
+    anchor: RobustAnchor             # the solved final pair
 
 
 def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
@@ -681,9 +673,10 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
     objective sequence is non-decreasing: a step is accepted only if the
     re-solved error improves, with the step halved otherwise.
 
-    Returns a :class:`LeastFavorableResult` whose ``report`` carries the
-    saddle residuals at the final pair; ``converged=False`` flags a run
-    that stalled before reaching the relative-gain tolerance.
+    Returns a :class:`LeastFavorableResult` whose ``anchor`` is the solved
+    final pair and whose ``report`` carries the saddle residuals there;
+    ``converged=False`` flags a run that stalled before reaching the
+    relative-gain tolerance.
     """
     if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
         functionals = {(0, 1): np.asarray(functionals)}
@@ -702,7 +695,7 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad_F, grad_G = _objective_gradients(anchor)
+        grad_F, grad_G = anchor.grad_F, anchor.grad_G
         scale_F = max(float(np.mean(np.trace(F.values, axis1=1, axis2=2).real)), 1e-12)
         norm_F = max(float(np.max(np.linalg.norm(grad_F, axis=(1, 2)))), 1e-300)
         dir_F = grad_F / norm_F * scale_F
@@ -740,10 +733,7 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
             converged = True
             break
 
-    report = saddle_point_residual(
-        F, G, spec, functionals,
-        mode="noiseless" if noiseless else "noisy", window=window,
-    )
+    report = _saddle_report(anchor, constraints, active_tol=1e-6)
     if not converged:
         warnings.warn(
             f"least-favorable search did not converge in {max_iter} iterations "
@@ -751,7 +741,8 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
             RuntimeWarning,
         )
     return LeastFavorableResult(F0=F, G0=G, report=report, converged=converged,
-                                iterations=iterations, objective_history=history)
+                                iterations=iterations, objective_history=history,
+                                anchor=anchor)
 
 
 def minimax_characteristic(F0, G0, a, window=DEFAULT_WINDOW):
@@ -837,6 +828,29 @@ def _relative_model_residual(L, model, T, T_star):
     return num / den
 
 
+def _saddle_report(anchor, constraints, active_tol):
+    """Stationarity check at a solved anchor.
+
+    Each side's multiplier model is fitted to its gradient field M; the
+    defect is measured on L = T M T with T = F0 + G0, the form in which
+    the stationarity equations are stated.  The noise side is checked when
+    ``constraints`` carries one (mode "noisy"), else only the signal side
+    ("noiseless").
+    """
+    signal, noise = constraints
+    total = anchor.F0.values + (anchor.G0.values if anchor.G0 is not None else 0.0)
+    sides = [("F", signal, anchor.grad_F, anchor.F0)]
+    if noise is not None:
+        sides.append(("G", noise, anchor.grad_G, anchor.G0))
+    residuals, multipliers = {}, {}
+    for side, constraint, M, density in sides:
+        model, multipliers[side] = constraint.fit(M, density.values, active_tol)
+        residuals[side] = _relative_model_residual(total @ M @ total, model, total, total)
+    return SaddleReport(objective=anchor.delta, residual_F=residuals["F"],
+                        residual_G=residuals.get("G"), multipliers=multipliers,
+                        mode="noiseless" if noise is None else "noisy")
+
+
 def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
                           window=DEFAULT_WINDOW, active_tol=1e-6):
     """Check the stationarity equations of the class at (F0, G0).
@@ -845,14 +859,17 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
     full pair, "noiseless" for observation without noise, "factorized" for
     the noiseless equations written through the canonical factor.  The
     Lagrange multiplier profiles are fitted subject to their sign
-    constraints; the report carries the relative sup-norm defects.
+    constraints; the report carries the relative sup-norm defects.  The
+    "noisy" and "noiseless" modes fit the gradient fields of the anchor
+    solved at (F0, G0); "factorized" is the independent reference route.
     """
     if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
         functionals = {(0, 1): np.asarray(functionals)}
     if mode not in ("noisy", "noiseless", "factorized"):
         raise ClassModeError(f"unknown mode {mode!r}")
-    if mode == "noisy" and spec.noise is None:
-        raise ClassModeError("noisy mode needs a class with a noise side")
+    if mode == "noisy" and (spec.noise is None or G0 is None):
+        raise ClassModeError("noisy mode needs a class with a noise side and a "
+                             "noise density")
     if mode in ("noiseless", "factorized") and spec.noise is not None and G0 is not None:
         raise ClassModeError(f"{mode} mode applies to the noiseless problem only")
 
@@ -883,26 +900,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
 
     anchor = build_anchor(Fg, G0 if mode == "noisy" else None, functionals,
                           window=window)
-    L_F = np.zeros((n, K, K), dtype=complex)
-    L_G = np.zeros((n, K, K), dtype=complex)
-    for data in anchor.channels.values():
-        L_F += np.einsum("tk,tn->tkn", np.conj(data["rG"]), data["rG"])
-        L_G += np.einsum("tk,tn->tkn", np.conj(data["rF"]), data["rF"])
-    total = Fg.values + (anchor.G0.values if anchor.G0 is not None else 0.0)
-    T_inv = anchor.inv_total
-    M_F = T_inv @ L_F @ T_inv
-    model_F, mult_F = signal.fit(M_F, Fg.values, active_tol)
-    residual_F = _relative_model_residual(L_F, model_F, total, total)
-    residual_G = None
-    multipliers = {"F": mult_F}
-    if mode == "noisy":
-        M_G = T_inv @ L_G @ T_inv
-        model_G, mult_G = noise.fit(M_G, anchor.G0.values, active_tol)
-        residual_G = _relative_model_residual(L_G, model_G, total, total)
-        multipliers["G"] = mult_G
-    return SaddleReport(objective=anchor.delta, residual_F=residual_F,
-                        residual_G=residual_G, multipliers=multipliers,
-                        mode=mode)
+    return _saddle_report(anchor, (signal, noise), active_tol)
 
 
 def sample_feasible(spec, rng, n_lambda, base_scale=1.0, degree=2):

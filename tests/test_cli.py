@@ -183,6 +183,13 @@ class TestSolverIntegers:
 
 _ALIASED_PAST = [_set(("solver", "window"), 8), _set(("solver", "j_past"), 40),
                  _set(("solver", "n_lambda"), 64)]
+# white_problem's flat density factorizes exactly, so a sloped one gives
+# the factorization a rounding-level residual to exceed
+_OVER_FACTORIZATION_TOLERANCE = [
+    _set(("channels", 0, "F", "numerator"), [1.0, 0.5]),
+    _set(("solver", "tolerances"), {"factorization": 1e-30}),
+]
+
 _INFEASIBLE_BAND = {
     "family": "band", "variant": "trace", "noiseless": True,
     "lower": {"type": "rational", "numerator": [0.5], "denominator": [1.0]},
@@ -208,6 +215,9 @@ class TestRuntimeFailures:
         pytest.param("factorize", [_set(("channels", 0, "F", "numerator"), [0.0])],
                      EXIT_MINIMALITY, "factorization failure: cannot factorize the zero "
                      "density", id="factorize-zero-density"),
+        pytest.param("factorize", _OVER_FACTORIZATION_TOLERANCE, EXIT_MINIMALITY,
+                     "factorization failure: channels[0]: relative residual",
+                     id="factorize-over-tolerance"),
     ])
     def test_exit_code_with_one_line(self, tmp_path, capsys, command, edits, code, prefix):
         prob = white_problem()
@@ -218,6 +228,72 @@ class TestRuntimeFailures:
         assert main([command, "--input", str(path), "--output", str(out)]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(prefix)
+
+    def test_factorize_over_tolerance_writes_nothing(self, tmp_path):
+        prob = white_problem()
+        for edit in _OVER_FACTORIZATION_TOLERANCE:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["factorize", "--input", str(path), "--output", str(out)]) \
+            == EXIT_MINIMALITY
+        assert not any(out.iterdir())
+        # the same file within the default tolerance factorizes
+        prob["solver"].pop("tolerances")
+        path = write_problem(tmp_path, prob)
+        assert main(["factorize", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert (out / "factorization.json").exists()
+
+
+class TestUsageErrors:
+    """A command line that does not parse exits 3 (not argparse's 2, the
+    minimality code) with one ``usage error:`` line and no outputs."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["bogus", "--input", "{input}", "--output", "{output}"],
+                     "argument command: invalid choice: 'bogus'", id="unknown-command"),
+        pytest.param(["solve", "--input", "{input}"],
+                     "the following arguments are required: --output", id="missing-output"),
+        pytest.param(["simulate", "--input", "{input}", "--output", "{output}",
+                      "--seed", "abc"],
+                     "argument --seed: must be a nonnegative integer", id="seed-not-integer"),
+        pytest.param(["simulate", "--input", "{input}", "--output", "{output}",
+                      "--seed", "-4"],
+                     "argument --seed: must be a nonnegative integer", id="seed-negative"),
+        pytest.param(["solve", "--input", "{input}", "--output", "{output}", "--frob"],
+                     "unrecognized arguments: --frob", id="unknown-option"),
+    ])
+    def test_exit_3_with_one_line(self, tmp_path, capsys, argv, message):
+        path = write_problem(tmp_path, white_problem())
+        out = tmp_path / "out"
+        argv = [arg.format(input=path, output=out) for arg in argv]
+        assert main(argv) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: pcfield" in capsys.readouterr().out
+
+    def test_process_status(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        result = subprocess.run([sys.executable, "-m", "pcfield", "solve", "--input",
+                                 str(tmp_path / "p.json")], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == EXIT_SCHEMA
+        assert result.stderr == ("usage error: the following arguments are "
+                                 "required: --output\n")
 
 
 class TestCsvWriter:
@@ -290,6 +366,18 @@ class TestValidate:
             == EXIT_VALIDATION
         report = json.loads((out / "validation.json").read_text())
         assert report["all_ok"] is False
+
+    def test_seed_flag_changes_the_draw_and_is_recorded(self, tmp_path):
+        path = write_problem(tmp_path, ar1_problem())
+        mse = {}
+        for seed in ("5", "6"):
+            out = tmp_path / f"o{seed}"
+            assert main(["validate", "--input", str(path), "--output", str(out),
+                         "--seed", seed]) == EXIT_OK
+            rows = json.loads((out / "validation.json").read_text())["channels"]
+            assert [row["seed"] for row in rows] == [int(seed)]
+            mse[seed] = rows[0]["mse_empirical"]
+        assert mse["5"] != mse["6"]
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_problem(tmp_path, ar1_problem())

@@ -425,6 +425,15 @@ class TestSaddleResidual:
             saddle_point_residual(F0, None, fixed_power_class(1.0),
                                   np.array([[1.0]]), mode="noisy")
 
+    def test_noisy_mode_needs_a_noise_density(self):
+        U = as_grid(RationalDensity.ar1(0.3), N)
+        spec = contamination_pair("trace", upper=U, epsilon=0.3,
+                                  signal_power=1.2 * U.trace_integral(),
+                                  noise_power=0.4)
+        with pytest.raises(ClassModeError, match="noise density"):
+            saddle_point_residual(SpectralDensityGrid.white(1, 1.0, N), None, spec,
+                                  np.array([[1.0]]), mode="noisy")
+
 
 class TestDominance:
     def test_sampled_saddle_dominance_contamination(self):
@@ -619,3 +628,134 @@ class TestBacktracking:
             find_least_favorable(spec, np.array([[1.0]]), (init, None),
                                  max_iter=5, window=16, n_lambda=N)
         assert len(calls) == 2
+
+
+def _cnormal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _random_density(rng, K, degree=2):
+    num = 0.5 * _cnormal(rng, (degree + 1, K, K))
+    num[0] += (2 + K) * np.eye(K)
+    return as_grid(RationalDensity(num), N)
+
+
+def _max_rel(x, ref):
+    x, ref = np.asarray(x), np.asarray(ref)
+    return float(np.max(np.abs(x - ref))) / max(float(np.max(np.abs(ref))), 1e-300)
+
+
+class TestAnchorLinearization:
+    """The anchor's gradient fields against the per-channel formulas they
+    replaced: u u^H with u = (F+G)^{-1} conj(r), and (F+G)^{-1} L (F+G)^{-1}
+    with L = conj(r) r^T, where r_G = A^T G + C and r_F = A^T F - C."""
+
+    WINDOW = 16
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_fields_and_objective_match_per_channel_formulas(self, seed):
+        from pcfield.extrapolate import _functional_on_grid
+
+        rng = np.random.default_rng(seed)
+        K = 2
+        F, G = _random_density(rng, K), _random_density(rng, K)
+        functionals = {(0, 1): _cnormal(rng, (3, K)), (1, 2): _cnormal(rng, (2, K))}
+        anchor = build_anchor(F, G, functionals, window=self.WINDOW)
+
+        inv_total = np.linalg.inv(F.values + G.values)
+        outer_F = np.zeros((N, K, K), dtype=complex)
+        outer_G = np.zeros_like(outer_F)
+        L_F = np.zeros_like(outer_F)
+        L_G = np.zeros_like(outer_F)
+        us = []
+        for key, a in functionals.items():
+            a_pad = np.zeros((self.WINDOW, K), dtype=complex)
+            a_pad[:a.shape[0]] = a
+            A = _functional_on_grid(a_pad, N)
+            C = _functional_on_grid(anchor.solutions[key].coefficients, N)
+            rG = np.einsum("tk,tkn->tn", A, G.values) + C
+            rF = np.einsum("tk,tkn->tn", A, F.values) - C
+            uG = np.einsum("tkn,tn->tk", inv_total, np.conj(rG))
+            uF = np.einsum("tkn,tn->tk", inv_total, np.conj(rF))
+            outer_F += np.einsum("tk,tn->tkn", uG, np.conj(uG))
+            outer_G += np.einsum("tk,tn->tkn", uF, np.conj(uF))
+            L_F += np.einsum("tk,tn->tkn", np.conj(rG), rG)
+            L_G += np.einsum("tk,tn->tkn", np.conj(rF), rF)
+            us.append((uG, uF))
+            assert np.array_equal(anchor.solutions[key].h_grid,
+                                  solve_channel(F, G, a, window=self.WINDOW).h_grid)
+        assert _max_rel(anchor.grad_F, outer_F) <= 1e-12
+        assert _max_rel(anchor.grad_G, outer_G) <= 1e-12
+        assert _max_rel(anchor.grad_F, inv_total @ L_F @ inv_total) <= 1e-12
+        assert _max_rel(anchor.grad_G, inv_total @ L_G @ inv_total) <= 1e-12
+
+        for Fx, Gx in ((F, G), (_random_density(rng, K), _random_density(rng, K))):
+            loop = 0.0
+            for uG, uF in us:
+                loop += float(np.mean(np.einsum(
+                    "tk,tkn,tn->t", np.conj(uG), Fx.values, uG).real))
+                loop += float(np.mean(np.einsum(
+                    "tk,tkn,tn->t", np.conj(uF), Gx.values, uF).real))
+            assert evaluate_robust_objective(Fx, Gx, anchor) == pytest.approx(
+                loop, rel=1e-12, abs=0)
+        assert evaluate_robust_objective(F, G, anchor) == pytest.approx(
+            anchor.delta, rel=1e-10)
+
+    def test_noiseless_anchor_prices_an_added_noise_density(self):
+        rng = np.random.default_rng(3)
+        F, G = _random_density(rng, 2), _random_density(rng, 2)
+        a = {(0, 1): _cnormal(rng, (2, 2))}
+        anchor = build_anchor(F, None, a, window=self.WINDOW)
+        assert anchor.G0 is None
+        added = evaluate_robust_objective(F, G, anchor) - evaluate_robust_objective(
+            F, None, anchor)
+        expected = float(np.mean(np.einsum("tkn,tnk->t", anchor.grad_G, G.values).real))
+        assert added == pytest.approx(expected, rel=1e-12)
+        assert added > 0
+
+    @pytest.mark.parametrize("case", ["matrix-band-K2", "component-contamination-K2",
+                                      "trace-noiseless-K1"])
+    def test_search_report_is_the_saddle_residual_at_the_final_pair(self, case):
+        if case == "trace-noiseless-K1":
+            spec = fixed_power_class(1.0)
+            functionals = {(0, 1): np.array([[1.0], [0.4]])}
+            init = (SpectralDensityGrid.from_scalar_function(
+                lambda lam: 1.0 + 0.5 * np.cos(lam), N), None)
+            mode = "noiseless"
+        else:
+            K = 2
+            functionals = {(0, 1): np.array([[1.0, 0.2], [0.3, -0.4]]),
+                           (1, 2): np.array([[0.5, 1.0]])}
+            G1 = SpectralDensityGrid.constant(0.25 * np.eye(K), N)
+            init = (SpectralDensityGrid.constant(np.eye(K), N), G1)
+            mode = "noisy"
+            if case == "matrix-band-K2":
+                spec = band_pair("matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
+                                 upper=SpectralDensityGrid.constant(2.0 * np.eye(K), N),
+                                 signal_power=np.eye(K), noise_nominal=G1,
+                                 noise_radius=np.full((K, K), 0.1))
+            else:
+                spec = contamination_pair(
+                    "component", upper=SpectralDensityGrid.constant(np.eye(K), N),
+                    epsilon=0.3, signal_power=np.full(K, 1.2), noise_power=np.full(K, 0.25))
+        res = find_least_favorable(spec, functionals, init, max_iter=4, tol=1e-12,
+                                   window=self.WINDOW, n_lambda=N)
+        assert res.anchor.F0 is res.F0 and res.anchor.delta == res.objective_history[-1]
+        ref = saddle_point_residual(res.F0, res.G0, spec, functionals, mode=mode,
+                                    window=self.WINDOW)
+        rep = res.report
+        assert rep.mode == ref.mode == mode
+        assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
+        assert rep.residual_F == pytest.approx(ref.residual_F, rel=1e-12)
+        if mode == "noisy":
+            assert rep.residual_G == pytest.approx(ref.residual_G, rel=1e-12)
+        else:
+            assert rep.residual_G is ref.residual_G is None
+        assert rep.multipliers.keys() == ref.multipliers.keys()
+        for side, levels in ref.multipliers.items():
+            assert rep.multipliers[side].keys() == levels.keys()
+            for key, value in levels.items():
+                assert _max_rel(rep.multipliers[side][key], value) <= 1e-12, (side, key)
+        for key, a in functionals.items():
+            assert np.array_equal(res.anchor.solutions[key].h_grid,
+                                  solve_channel(res.F0, res.G0, a, window=self.WINDOW).h_grid)
