@@ -5,7 +5,8 @@ Each harmonic channel is an independent stationary vector sequence; the
 field is rebuilt by reconstructing every channel over its periods and
 summing the harmonics.  Conjugate pairing of the +/- frequency components
 makes the synthesized samples real, and the whole pipeline inverts back to
-the channel coefficients.
+the channel coefficients.  Each density is factorized once; every path
+drawn from it reuses that factor.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from pcfield import (
     decompose_field,
     gauss_legendre_grid,
     simulate_channel,
+    spectral_factorize,
     synthesize_sphere_field,
 )
 from pcfield.harmonics import flat_index
@@ -30,19 +32,19 @@ n_periods = 6
 # one density per degree: lower degrees carry more power (isotropic decay)
 paths = {}
 for m in range(m_max + 1):
-    density = RationalDensity(np.eye(3)[None] / (1 + m) ** 2, [1.0, -0.4])
+    factor = spectral_factorize(
+        RationalDensity(np.eye(3)[None] / (1 + m) ** 2, [1.0, -0.4]))
     for l in range(1, 2 * m + 2):
         seed = 100 * m + l
-        paths[(m, l)] = simulate_channel(density, n_periods, seed=seed)
+        paths[(m, l)] = simulate_channel(factor, n_periods, seed=seed)
 
 field = synthesize_sphere_field(paths, cfg, grid, m_max)
 print(f"synthesized field: {field.shape[0]} time samples x "
       f"{field.shape[1]} sphere nodes, real = {np.isrealobj(field)}")
 print(f"sample values at the first node: {np.round(field[:4, 0], 4)}")
 
-# invert: decompose each time sample, then block each channel series
-coeff_series = np.array([decompose_field(field[t], m_max, grid)
-                         for t in range(field.shape[0])])
+# invert: decompose all time samples at once, then block each channel series
+coeff_series = decompose_field(field, m_max, grid)
 worst = 0.0
 for (m, l), v in paths.items():
     rebuilt = block_coefficients(coeff_series[:, flat_index(m, l)], cfg)
@@ -56,9 +58,9 @@ n_trials = 2000
 t1, s1 = 2, 7
 S = cfg.samples_per_period
 vals_0, vals_T = [], []
-density = RationalDensity(np.eye(3)[None], [1.0, -0.4])
+factor = spectral_factorize(RationalDensity(np.eye(3)[None], [1.0, -0.4]))
 for trial in range(n_trials):
-    p = simulate_channel(density, 3, seed=5000 + trial)
+    p = simulate_channel(factor, 3, seed=5000 + trial)
     p = _pair_conjugate(p, cfg)
     series = synthesize_sphere_field({(1, 2): p}, cfg, grid, m_max)[:, 0]
     vals_0.append(series[t1] * series[s1])

@@ -52,12 +52,12 @@ from .minimax import (
     evaluate_robust_objective,
     feasibility_gap,
     find_least_favorable,
-    minimax_characteristic,
     project_onto_class,
     saddle_point_residual,
     sample_feasible,
 )
 from .simulate import (
+    PastWindowError,
     SimulationConfig,
     TrialSummary,
     empirical_lag_covariance,

@@ -36,7 +36,13 @@ from .minimax import (
     SignalClass,
     find_least_favorable,
 )
-from .simulate import SimulationConfig, empirical_mse, simulate_channel
+from .simulate import (
+    PastWindowError,
+    SimulationConfig,
+    empirical_lag_covariance,
+    empirical_mse,
+    simulate_channel,
+)
 from .spectral import (
     MinimalityViolation,
     as_grid,
@@ -481,7 +487,7 @@ def cmd_simulate(problem, out_dir, args):
     for entry in problem.channels:
         path = simulate_channel(as_grid(entry["F"], problem.n_lambda),
                                 cfg.n_steps, seed=cfg.seed)
-        cov0 = np.einsum("tk,tn->kn", path, np.conj(path)) / path.shape[0]
+        cov0 = empirical_lag_covariance(path, 0)
         payload["channels"].append({
             "m": entry["m"], "l": entry["l"],
             "lag0_covariance_re": cov0.real.tolist(),
@@ -499,14 +505,17 @@ def cmd_validate(problem, out_dir, args):
     sols = _solve_all(problem, args.threads)
     rows = []
     all_ok = True
-    for entry, sol in zip(problem.channels, sols):
+    for i, (entry, sol) in enumerate(zip(problem.channels, sols)):
         F_true = entry["reference_F"] if entry["reference_F"] is not None else entry["F"]
         G_true = entry["reference_G"] if entry["reference_G"] is not None else entry["G"]
         mse_oracle = oracle_solve(F_true, G_true, entry["a"],
                                   j_past=problem.j_past, n_lambda=problem.n_lambda)
-        mc = empirical_mse(sol, as_grid(F_true, problem.n_lambda),
-                           as_grid(G_true, problem.n_lambda) if G_true is not None else None,
-                           entry["a"], cfg, keep_trials=problem.keep_trials)
+        G_grid = as_grid(G_true, problem.n_lambda) if G_true is not None else None
+        try:
+            mc = empirical_mse(sol, as_grid(F_true, problem.n_lambda), G_grid,
+                               entry["a"], cfg, keep_trials=problem.keep_trials)
+        except PastWindowError as exc:
+            raise SchemaError(f"channels[{i}]: simulation.n_steps: {exc}") from None
         if problem.keep_trials:
             realized, estimated = mc.realized, mc.estimated
             # scalar abs and pow: numpy's vectorized complex abs rounds some

@@ -266,7 +266,8 @@ class FactorizationResult:
     with positive diagonal; ``factor_grid`` is P sampled on the frequency
     grid; ``residual`` is the sup-norm reconstruction gap of F - P P*, and
     ``density_sup`` the sup-norm of F itself (their ratio is the
-    scale-free quality measure).
+    scale-free quality measure).  ``converged`` tells whether that ratio,
+    for the factor returned, is within the requested tolerance.
     """
 
     coefficients: np.ndarray
@@ -320,7 +321,10 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
     Converges quadratically for densities bounded away from singularity.
 
     Raises :class:`FactorizationError` for rank-deficient densities or when
-    the residual fails to reach ``tol`` within ``max_iter`` sweeps.
+    the residual fails to reach ``tol`` within ``max_iter`` sweeps.  The
+    sweeps stop on the iterate's residual; the returned coefficients are
+    its first n/2 Fourier terms, whose residual can be larger when the
+    factor decays slowly, so ``converged`` is judged on them.
     """
     Fg = as_grid(F, n_lambda)
     values = Fg.values
@@ -388,7 +392,7 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
         residual=residual,
         density_sup=sup_f,
         iterations=iterations,
-        converged=converged,
+        converged=residual / sup_f <= tol,
     )
 
 

@@ -2,8 +2,8 @@
 
 Dimension counts of harmonic spaces in ambient dimension ``n >= 3``,
 Gegenbauer polynomials, real orthonormal harmonics on the 2-sphere
-(``n = 3``), and quadrature-based analysis / synthesis of band-limited
-fields.
+(``n = 3``) from one broadcast kernel, and quadrature-based analysis /
+synthesis of band-limited fields, batched over leading axes.
 
 Conventions
 -----------
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv, roots_legendre
+from scipy.special import factorial, lpmv, roots_legendre
 
 
 class GridResolutionError(ValueError):
@@ -107,6 +107,22 @@ def n_harmonics(m_max):
     return (m_max + 1) ** 2
 
 
+def _harmonic_values(m, l, theta, phi):
+    """Real orthonormal harmonics (m, l) at points (theta, phi), broadcast:
+    one ``lpmv`` call and one cosine / sine select (the zonal harmonic takes
+    the cosine branch, where cos(0 * phi) = 1)."""
+    order = l // 2
+    norm = np.sqrt((2 * m + 1) / (4.0 * math.pi)
+                   * np.asarray(factorial(m - order, exact=True), dtype=float)
+                   / np.asarray(factorial(m + order, exact=True), dtype=float))
+    scale = np.where(order == 0, norm, math.sqrt(2.0) * norm)
+    # lpmv carries the Condon-Shortley factor (-1)^order; remove it.
+    leg = lpmv(order, m, np.cos(theta)) * np.where(order % 2 == 0, 1.0, -1.0)
+    angle = order * np.asarray(phi, dtype=float)
+    trig = np.where((l % 2 == 0) | (order == 0), np.cos(angle), np.sin(angle))
+    return scale * leg * trig
+
+
 def evaluate_harmonic(idx, theta, phi):
     """Real orthonormal spherical harmonic at points of the 2-sphere.
 
@@ -114,27 +130,8 @@ def evaluate_harmonic(idx, theta, phi):
     Gegenbauer values are available for general ``n``.
     """
     if idx.n != 3:
-        raise ValueError(
-            f"point evaluation is implemented for n = 3 only, got n = {idx.n}"
-        )
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    m = idx.m
-    if idx.l == 1:
-        order = 0
-    else:
-        order = idx.l // 2
-    norm = math.sqrt(
-        (2 * m + 1) / (4.0 * math.pi)
-        * math.factorial(m - order) / math.factorial(m + order)
-    )
-    # lpmv carries the Condon-Shortley factor (-1)^order; remove it.
-    leg = lpmv(order, m, np.cos(theta)) * (-1.0) ** order
-    if order == 0:
-        return norm * leg
-    if idx.l % 2 == 0:
-        return math.sqrt(2.0) * norm * leg * np.cos(order * phi)
-    return math.sqrt(2.0) * norm * leg * np.sin(order * phi)
+        raise ValueError(f"point evaluation is implemented for n = 3 only, got n = {idx.n}")
+    return _harmonic_values(idx.m, idx.l, theta, phi)
 
 
 @dataclass
@@ -218,11 +215,9 @@ def gauss_legendre_grid(m_max):
 
 def design_matrix(m_max, grid):
     """Matrix of harmonic values, shape (n_nodes, (m_max + 1)^2)."""
-    cols = []
-    for m in range(m_max + 1):
-        for l in range(1, 2 * m + 2):
-            cols.append(evaluate_harmonic(HarmonicIndex(m, l), grid.theta, grid.phi))
-    return np.column_stack(cols)
+    m = np.repeat(np.arange(m_max + 1), 2 * np.arange(m_max + 1) + 1)
+    l = np.arange(n_harmonics(m_max)) - m * m + 1
+    return _harmonic_values(m, l, grid.theta[:, None], grid.phi[:, None])
 
 
 def _check_resolution(grid, m_max):
@@ -241,32 +236,28 @@ def _check_resolution(grid, m_max):
 
 
 def decompose_field(samples, m_max, grid):
-    """Project field samples onto harmonics of degree <= m_max.
+    """Project field samples (..., n_nodes) onto harmonics of degree <= m_max.
 
-    Returns the coefficient vector in degree-major order (use
-    :func:`flat_index` to address a single (m, l) entry).  The grid must
-    resolve degree ``m_max``; products of two band-limited factors are then
-    integrated exactly and analysis inverts :func:`synthesize_field` up to
-    rounding.
+    Returns coefficients (..., (m_max + 1)^2) in degree-major order (use
+    :func:`flat_index` to address a single (m, l) entry), from one design
+    matrix for the whole batch.  The grid must resolve degree ``m_max``;
+    products of two band-limited factors are then integrated exactly and
+    analysis inverts :func:`synthesize_field` up to rounding.
     """
     samples = np.asarray(samples)
-    if samples.shape != (grid.n_nodes,):
-        raise ValueError(
-            f"samples shape {samples.shape} does not match grid ({grid.n_nodes},)"
-        )
+    if samples.shape[-1:] != (grid.n_nodes,):
+        raise ValueError(f"samples shape {samples.shape} does not match grid "
+                         f"(..., {grid.n_nodes})")
     _check_resolution(grid, m_max)
-    design = design_matrix(m_max, grid)
-    return design.T @ (grid.weights * samples)
+    return (grid.weights * samples) @ design_matrix(m_max, grid)
 
 
 def synthesize_field(coefficients, m_max, grid):
-    """Evaluate the band-limited field with the given harmonic coefficients."""
+    """Band-limited field samples (..., n_nodes) from harmonic coefficients
+    (..., (m_max + 1)^2), with one design matrix for the whole batch."""
     coefficients = np.asarray(coefficients)
     expected = n_harmonics(m_max)
-    if coefficients.shape != (expected,):
-        raise ValueError(
-            f"expected {expected} coefficients for m_max={m_max}, "
-            f"got shape {coefficients.shape}"
-        )
-    design = design_matrix(m_max, grid)
-    return design @ coefficients
+    if coefficients.shape[-1:] != (expected,):
+        raise ValueError(f"expected {expected} coefficients for m_max={m_max}, "
+                         f"got shape {coefficients.shape}")
+    return coefficients @ design_matrix(m_max, grid).T

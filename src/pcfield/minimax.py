@@ -34,7 +34,6 @@ import numpy as np
 
 from .extrapolate import (
     DEFAULT_WINDOW,
-    solve_channel,
     spectral_factorize,
     _factor_convolution,
     _pad_functional,
@@ -743,14 +742,6 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
     return LeastFavorableResult(F0=F, G0=G, report=report, converged=converged,
                                 iterations=iterations, objective_history=history,
                                 anchor=anchor)
-
-
-def minimax_characteristic(F0, G0, a, window=DEFAULT_WINDOW):
-    """Spectral characteristic of the robust estimate: the optimal solve at
-    the least favorable pair, tagged as minimax."""
-    sol = solve_channel(F0, G0, a, window=window)
-    sol.diagnostics["minimax"] = True
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,31 @@ exp(-i*u*l), the sequence
     zeta(j) = sum_{u >= 0} d(u) w(j - u)
 
 driven by circular complex Gaussian innovations w has spectral density F.
+A draw takes a density or its :class:`FactorizationResult` (factorize once,
+draw many paths), and refuses a factor whose relative residual exceeds
+``FACTORIZATION_TOL``: its paths would have another density.
 ``empirical_mse`` replays the solved estimator on simulated paths and
-compares the sample mean-square error with the theoretical value.
+compares the sample mean-square error with the theoretical value;
+``synthesize_field`` makes real field samples in one batched synthesis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import harmonics
 from .blocking import _basis_matrix
-from .extrapolate import spectral_factorize
-from .harmonics import design_matrix, flat_index
+from .extrapolate import (
+    FACTORIZATION_TOL,
+    FactorizationError,
+    FactorizationResult,
+    spectral_factorize,
+)
 from .spectral import as_grid
+
+
+class PastWindowError(ValueError):
+    """The simulated past window cannot hold the estimator's weights."""
 
 
 @dataclass(frozen=True)
@@ -53,12 +66,16 @@ class TrialSummary:
         return np.abs(self.realized - self.estimated) ** 2
 
 
-def _ma_coefficients(F, tail_tol=1e-13):
-    """Causal coefficients of the density's factor, tail-trimmed."""
-    fac = spectral_factorize(as_grid(F))
+def _ma_coefficients(F):
+    """Causal coefficients of the factor of ``F`` (a density or its
+    :class:`FactorizationResult`), tail-trimmed and residual-checked."""
+    fac = F if isinstance(F, FactorizationResult) else spectral_factorize(as_grid(F))
+    if fac.relative_residual > FACTORIZATION_TOL:
+        raise FactorizationError(f"cannot sample: factor's relative residual "
+                                 f"{fac.relative_residual:.3e} exceeds {FACTORIZATION_TOL:.1e}")
     d = fac.coefficients
     norms = np.linalg.norm(d, axis=(1, 2))
-    keep = np.nonzero(norms > tail_tol * norms[0])[0]
+    keep = np.nonzero(norms > 1e-13 * norms[0])[0]   # drop the negligible tail
     upto = int(keep[-1]) + 1 if keep.size else 1
     return d[:upto]
 
@@ -81,13 +98,14 @@ def _ma_filter(d, w, n_out):
     return out
 
 
-def simulate_channel(F, n_steps, seed, tail_tol=1e-13):
+def simulate_channel(F, n_steps, seed):
     """One sample path of the stationary vector sequence with density F.
 
-    Fixed ``seed`` gives a byte-identical path.  The empirical lag-0
-    covariance converges to the density's covariance as ``n_steps`` grows.
+    ``F`` may be the density's :class:`FactorizationResult`: same path, no
+    refactorization.  Fixed ``seed`` gives a byte-identical path.  The
+    empirical lag-0 covariance converges to the density's covariance.
     """
-    d = _ma_coefficients(F, tail_tol)
+    d = _ma_coefficients(F)
     rng = np.random.default_rng(seed)
     w = _complex_innovations(rng, (n_steps + d.shape[0] - 1, d.shape[1]))
     return _ma_filter(d, w, n_steps)
@@ -103,57 +121,38 @@ def empirical_lag_covariance(path, lag):
     return np.einsum("tk,tn->kn", lead, np.conj(base)) / (n - lag)
 
 
-def synthesize_field(channel_paths, cfg, grid, m_max, enforce_real=True):
-    """Field samples from per-channel blocked coefficient paths.
+def synthesize_field(channel_paths, cfg, grid, m_max):
+    """Real field samples (n_periods * S, n_nodes) from blocked channel paths.
 
-    ``channel_paths`` maps (m, l) to (n_periods, K) coefficient arrays.
-    Each channel is reconstructed over its periods and combined with its
-    spherical harmonic; the result has shape (n_periods * S, n_nodes).
-
-    With ``enforce_real`` the +/- frequency components of every channel
-    are conjugate-paired first, so the field samples come out real (the
-    channel model itself is complex valued; reality is a property of the
-    synthesized field only).
+    ``channel_paths`` maps (m, l) to (n_periods, K) coefficient arrays.  The
+    +/- frequency components are conjugate-paired (reality is a property of
+    the field, not of the complex channel model), and the channels' series
+    form one coefficient series for one batched harmonic synthesis.
     """
     if not channel_paths:
         raise ValueError("no channels supplied")
-    basis = _basis_matrix(cfg)
-    n_periods = None
-    series = {}
-    for key, values in channel_paths.items():
-        values = np.asarray(values, dtype=complex)
-        if n_periods is None:
-            n_periods = values.shape[0]
-        elif values.shape[0] != n_periods:
-            raise ValueError("all channels need the same number of periods")
-        if enforce_real:
-            values = _pair_conjugate(values.copy(), cfg)
-        series[key] = (values @ basis.T).reshape(-1)
-
-    m_keys = sorted(series)
-    design_full = design_matrix(m_max, grid)
-    field = np.zeros((n_periods * cfg.samples_per_period, grid.n_nodes),
-                     dtype=complex)
-    for (m, l) in m_keys:
-        col = design_full[:, flat_index(m, l)]
-        field += np.outer(series[(m, l)], col)
-    if enforce_real:
-        return field.real
-    return field
+    if len({np.shape(v)[0] for v in channel_paths.values()}) > 1:
+        raise ValueError("all channels need the same number of periods")
+    values = np.array(list(channel_paths.values()), dtype=complex)
+    # (channels, periods, S) -> one time series per channel
+    series = (_pair_conjugate(values, cfg) @ _basis_matrix(cfg).T).reshape(len(values), -1)
+    coefficients = np.zeros((series.shape[1], harmonics.n_harmonics(m_max)))
+    coefficients[:, [harmonics.flat_index(m, l) for m, l in channel_paths]] = series.real.T
+    return harmonics.synthesize_field(coefficients, m_max, grid)
 
 
 def _pair_conjugate(values, cfg):
-    """Project coefficients onto the real-field constraint."""
+    """Project coefficients (..., K) onto the real-field constraint, in place."""
     K = cfg.n_components
-    values[:, 0] = values[:, 0].real
+    values[..., 0] = values[..., 0].real
     for o in range(1, (K - 1) // 2 + 1):
         plus, minus = 2 * o - 1, 2 * o
-        mean = 0.5 * (values[:, plus] + np.conj(values[:, minus]))
-        values[:, plus] = mean
-        values[:, minus] = np.conj(mean)
+        mean = 0.5 * (values[..., plus] + np.conj(values[..., minus]))
+        values[..., plus] = mean
+        values[..., minus] = np.conj(mean)
     if K % 2 == 0 and K > 1:
         # unpaired highest frequency cannot appear in a real field
-        values[:, K - 1] = 0.0
+        values[..., K - 1] = 0.0
     return values
 
 
@@ -164,19 +163,24 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
     its noise, applies the estimator's time-domain weights to the
     simulated past, and compares with the realized functional.  Returns a
     :class:`TrialSummary` with the sample mean and its standard error.
+    ``F`` and ``G`` are densities or their factors.  :class:`PastWindowError`
+    means ``config.n_steps`` is too short for the estimator's memory, or
+    2 * n_steps reaches half the solution's frequency grid.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     J, K = a.shape
     L = config.n_steps
-    extended = solution.h_lag_coefficients(2 * L)
+    try:
+        extended = solution.h_lag_coefficients(2 * L)
+    except ValueError as exc:
+        raise PastWindowError(
+            f"{L} steps read the estimator's weights to lag {2 * L}: {exc}") from None
     weights = extended[:L]
     total_mass = float(np.sum(np.abs(extended) ** 2))
     tail_mass = float(np.sum(np.abs(extended[L:]) ** 2))
     if total_mass > 0 and tail_mass / total_mass > 1e-6:
-        raise ValueError(
-            f"estimator keeps {tail_mass / total_mass:.2e} of its weight beyond "
-            f"the simulated past window; increase n_steps above {L}"
-        )
+        raise PastWindowError(f"estimator keeps {tail_mass / total_mass:.2e} of its weight "
+                              f"beyond the simulated past window; increase n_steps above {L}")
 
     d_sig = _ma_coefficients(F)
     d_noise = _ma_coefficients(G) if G is not None else None

@@ -190,6 +190,28 @@ _OVER_FACTORIZATION_TOLERANCE = [
     _set(("solver", "tolerances"), {"factorization": 1e-30}),
 ]
 
+# the replay reads the estimator's weights to lag 2 * n_steps = 128, which
+# aliases on a 256-point grid
+_ALIASED_SIMULATION = [
+    _set(("solver", "n_lambda"), 256), _set(("solver", "window"), 16),
+    _set(("channels", 0, "F", "denominator"), [1.0, -0.5]),
+    _set(("channels", 0, "G"), {"type": "rational", "numerator": [0.5]}),
+    _set(("simulation", "n_steps"), 64),
+]
+# a pole at 0.97 keeps the estimator's memory far beyond 4 steps
+_SHORT_SIMULATION = [
+    _set(("solver", "n_lambda"), 1024), _set(("solver", "window"), 48),
+    _set(("channels", 0, "F", "denominator"), [1.0, -0.97]),
+    _set(("channels", 0, "G"), {"type": "rational", "numerator": [1.0]}),
+    _set(("simulation", "n_steps"), 4),
+]
+
+# at n_lambda 1024 the factor of a pole at 0.995 misses its density by 15 %
+_UNSAMPLEABLE_SIGNAL = [
+    _set(("solver", "n_lambda"), 1024),
+    _set(("channels", 0, "F", "denominator"), [1.0, -0.995]),
+]
+
 _INFEASIBLE_BAND = {
     "family": "band", "variant": "trace", "noiseless": True,
     "lower": {"type": "rational", "numerator": [0.5], "denominator": [1.0]},
@@ -207,6 +229,15 @@ class TestRuntimeFailures:
                      "schema error: channels[0]: solver.j_past 40", id="oracle-lag-aliases"),
         pytest.param("validate", _ALIASED_PAST, EXIT_SCHEMA,
                      "schema error: channels[0]: solver.j_past 40", id="validate-lag-aliases"),
+        pytest.param("validate", _ALIASED_SIMULATION, EXIT_SCHEMA,
+                     "schema error: channels[0]: simulation.n_steps: 64 steps read the "
+                     "estimator's weights to lag 128", id="validate-n-steps-aliases"),
+        pytest.param("validate", _SHORT_SIMULATION, EXIT_SCHEMA,
+                     "schema error: channels[0]: simulation.n_steps: estimator keeps",
+                     id="validate-n-steps-too-short"),
+        pytest.param("validate", _UNSAMPLEABLE_SIGNAL, EXIT_MINIMALITY,
+                     "factorization failure: cannot sample: factor's relative residual",
+                     id="validate-factor-over-tolerance"),
         pytest.param("solve", [_set(("channels", 0, "F", "denominator"), [1.0, -1.0])],
                      EXIT_SCHEMA, "schema error: channels[0].F: denominator has a root "
                      "on the unit circle", id="denominator-root-on-circle"),

@@ -17,8 +17,7 @@ SRC = DEMOS.parent / "src"
     "03_spectral_factorization.py",
     "04_minimax_robust.py",
     "05_monte_carlo_validation.py",
-    pytest.param("06_field_on_the_sphere.py", marks=pytest.mark.skip(
-        reason="runs for minutes (188 s on a 2-core machine), too slow for the suite")),
+    "06_field_on_the_sphere.py",
 ])
 def test_demo_exits_cleanly(script, tmp_path):
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)

@@ -157,6 +157,13 @@ class TestEvaluation:
         gram = design.T @ (grid.weights[:, None] * design)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-8
 
+    @pytest.mark.parametrize("m_max", [0, 1, 4, 8])
+    def test_design_matrix_is_the_per_index_evaluation(self, m_max):
+        grid = gauss_legendre_grid(m_max)
+        columns = [evaluate_harmonic(HarmonicIndex(m, l), grid.theta, grid.phi)
+                   for m in range(m_max + 1) for l in range(1, 2 * m + 2)]
+        assert np.array_equal(design_matrix(m_max, grid), np.column_stack(columns))
+
     def test_specific_cross_orthogonality(self):
         grid = gauss_legendre_grid(4)
         s11 = evaluate_harmonic(HarmonicIndex(1, 1), grid.theta, grid.phi)
@@ -207,6 +214,23 @@ class TestDecomposition:
         back = decompose_field(field, m_max, grid)
         assert np.max(np.abs(back - coeffs)) < 1e-8
 
+    def test_batched_transforms_match_per_sample_calls(self):
+        m_max = 4
+        grid = gauss_legendre_grid(m_max)
+        rng = np.random.default_rng(11)
+        coeffs = rng.normal(size=(2, 3, n_harmonics(m_max)))
+        fields = synthesize_field(coeffs, m_max, grid)
+        assert fields.shape == (2, 3, grid.n_nodes)
+        one_by_one = np.array([[synthesize_field(c, m_max, grid) for c in row]
+                               for row in coeffs])
+        assert np.max(np.abs(fields - one_by_one)) <= 1e-14 * np.max(np.abs(one_by_one))
+        back = decompose_field(fields, m_max, grid)
+        assert back.shape == coeffs.shape
+        one_by_one = np.array([[decompose_field(f, m_max, grid) for f in row]
+                               for row in fields])
+        assert np.max(np.abs(back - one_by_one)) <= 1e-14 * np.max(np.abs(one_by_one))
+        assert np.max(np.abs(back - coeffs)) < 1e-10
+
     def test_under_resolved_grid_reports_requirement(self):
         grid = gauss_legendre_grid(2)
         with pytest.raises(GridResolutionError, match="n_theta >= 6"):
@@ -217,4 +241,8 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_field(np.zeros(grid.n_nodes + 1), 2, grid)
         with pytest.raises(ValueError):
+            decompose_field(np.zeros((4, grid.n_nodes + 1)), 2, grid)
+        with pytest.raises(ValueError):
             synthesize_field(np.zeros(3), 2, grid)
+        with pytest.raises(ValueError):
+            synthesize_field(np.zeros((4, 3)), 2, grid)

@@ -17,7 +17,6 @@ from pcfield.minimax import (
     evaluate_robust_objective,
     feasibility_gap,
     find_least_favorable,
-    minimax_characteristic,
     project_onto_class,
     saddle_point_residual,
     sample_feasible,
@@ -452,14 +451,6 @@ class TestDominance:
             Fs, Gs = sample_feasible(spec, rng, N)
             val = evaluate_robust_objective(Fs, Gs, anchor)
             assert val <= anchor.delta * (1 + 1e-3)
-
-    def test_minimax_characteristic_tagged(self):
-        F0 = as_grid(RationalDensity.ar1(0.4), N)
-        G0 = SpectralDensityGrid.white(1, 0.3, N)
-        sol = minimax_characteristic(F0, G0, np.array([[1.0]]), window=48)
-        assert sol.diagnostics["minimax"] is True
-        direct = solve_channel(F0, G0, np.array([[1.0]]), window=48)
-        assert sol.delta == pytest.approx(direct.delta, rel=1e-12)
 
 
 class TestStructuredVariants:

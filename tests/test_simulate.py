@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from pcfield.blocking import BlockingConfig, block_coefficients
-from pcfield.extrapolate import solve_channel, solve_noiseless
-from pcfield.harmonics import decompose_field, flat_index, gauss_legendre_grid
+from pcfield.blocking import BlockingConfig, _basis_matrix, block_coefficients
+from pcfield.extrapolate import (
+    FACTORIZATION_TOL,
+    FactorizationError,
+    solve_channel,
+    solve_noiseless,
+    spectral_factorize,
+)
+from pcfield.harmonics import decompose_field, design_matrix, flat_index, gauss_legendre_grid
 from pcfield.simulate import (
+    PastWindowError,
     SimulationConfig,
     _pair_conjugate,
     empirical_lag_covariance,
@@ -38,6 +45,12 @@ class TestChannelSimulation:
         band = 3.0 / np.sqrt(20000)
         assert abs(c1 / c0 - phi) < band * 2
         assert abs(c0 - 4.0 / 3.0) < 0.05
+
+    def test_factor_input_draws_the_density_path(self):
+        F = RationalDensity(np.array([[[1.0, 0.2], [0.0, 0.8]]]), [1.0, -0.6])
+        fac = spectral_factorize(F)
+        assert simulate_channel(fac, 300, seed=4).tobytes() == \
+            simulate_channel(F, 300, seed=4).tobytes()
 
     def test_signal_and_noise_streams_uncorrelated(self):
         # empirical_mse draws the two streams from one generator; check the
@@ -116,6 +129,45 @@ class TestEmpiricalMse:
             empirical_mse(sol, F, None, a,
                           SimulationConfig(seed=3, n_trials=100, n_steps=2))
 
+    def test_aliased_weight_lags_rejected(self):
+        # the replay reads weights to lag 2 * n_steps = 128 on a 256-point grid
+        F = as_grid(RationalDensity.ar1(0.5), 256)
+        a = np.array([[1.0]])
+        sol = solve_noiseless(F, a, window=16)
+        with pytest.raises(PastWindowError, match="lag 128 aliases"):
+            empirical_mse(sol, F, None, a,
+                          SimulationConfig(seed=3, n_trials=100, n_steps=64))
+
+
+class TestFactorResidualGuard:
+    """Paths are drawn only from a factor that reproduces its density."""
+
+    def test_slow_pole_on_a_coarse_grid_is_refused(self):
+        fac = spectral_factorize(RationalDensity.ar1(0.995).rasterize(1024))
+        assert fac.relative_residual > FACTORIZATION_TOL
+        assert fac.converged is False
+        with pytest.raises(FactorizationError, match="relative residual"):
+            simulate_channel(fac, 10, seed=1)
+        with pytest.raises(FactorizationError, match="relative residual"):
+            simulate_channel(RationalDensity.ar1(0.995).rasterize(1024), 10, seed=1)
+
+    def test_slow_pole_on_a_fine_grid_is_drawn(self):
+        fac = spectral_factorize(RationalDensity.ar1(0.995).rasterize(16384))
+        assert fac.converged is True
+        assert simulate_channel(fac, 10, seed=1).shape == (10, 1)
+
+
+def _outer_product_field(paths, cfg, grid, m_max):
+    """Reference synthesis: one design-matrix column per channel, summed as
+    outer products with the channel's reconstructed series."""
+    basis = _basis_matrix(cfg)
+    design = design_matrix(m_max, grid)
+    field = 0.0
+    for (m, l), values in paths.items():
+        series = (_pair_conjugate(np.array(values, dtype=complex), cfg) @ basis.T).reshape(-1)
+        field = field + np.outer(series, design[:, flat_index(m, l)])
+    return field.real
+
 
 class TestFieldSynthesis:
     def setup_method(self):
@@ -159,6 +211,30 @@ class TestFieldSynthesis:
         assert err < 1e-8
         assert np.isrealobj(field)
 
+    def test_matches_outer_product_reference(self):
+        rng = np.random.default_rng(8)
+        m_max = 3
+        grid = gauss_legendre_grid(m_max)
+        paths = {(m, l): rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+                 for m in range(m_max + 1) for l in range(1, 2 * m + 2)
+                 if (m + l) % 3}
+        field = synthesize_field(paths, self.cfg, grid, m_max)
+        reference = _outer_product_field(paths, self.cfg, grid, m_max)
+        assert field.shape == reference.shape == (5 * self.cfg.samples_per_period,
+                                                  grid.n_nodes)
+        assert np.max(np.abs(field - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_inputs_left_unpaired(self):
+        v = np.random.default_rng(2).normal(size=(2, 3)) + 0j
+        before = v.copy()
+        synthesize_field({(1, 3): v}, self.cfg, self.grid, 2)
+        assert np.array_equal(v, before)
+
+    def test_period_counts_must_agree(self):
+        paths = {(0, 1): np.zeros((2, 3)), (1, 1): np.zeros((3, 3))}
+        with pytest.raises(ValueError, match="same number of periods"):
+            synthesize_field(paths, self.cfg, self.grid, 2)
+
     def test_unpaired_component_zeroed_for_real_field(self):
         cfg = BlockingConfig(period=1.0, n_components=4, dt=1.0 / 12)
         rng = np.random.default_rng(1)
@@ -174,10 +250,11 @@ class TestPeriodicCorrelation:
         cfg = BlockingConfig(period=1.0, n_components=3, dt=1.0 / 8)
         # three-component vector sequence of independent AR(1) coordinates
         F = as_grid(RationalDensity(np.eye(3)[None], [1.0, -0.5]), 256)
+        factor = spectral_factorize(F)
         n_trials = 4000
         n_periods = 4
         S = cfg.samples_per_period
-        rng_paths = [simulate_channel(F, n_periods, seed=1000 + i)
+        rng_paths = [simulate_channel(factor, n_periods, seed=1000 + i)
                      for i in range(n_trials)]
         basis = np.exp(2j * np.pi * np.outer(
             cfg.dt * np.arange(S), [0, 1, -1]) / cfg.period) / np.sqrt(cfg.period)
