@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Replay the solved estimator on simulated paths.
 
-Channels are synthesized through the causal factor of their density, the
-estimator's time-domain weights are applied to the simulated past, and the
-sample mean-square error is compared with the theoretical value.
+A channel path is synthesized through the causal factor of its density.
+The error check draws the observed past and the signal future jointly,
+from one Cholesky factor of their covariance, applies the estimator's
+time-domain weights to the simulated past, and compares the sample
+mean-square error with the theoretical value.
 """
 
 import numpy as np

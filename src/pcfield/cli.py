@@ -15,11 +15,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .blocking import BlockingConfig, functional_to_spec, read_samples_csv
@@ -57,6 +59,10 @@ EXIT_MINIMALITY = 2
 EXIT_SCHEMA = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_VALIDATION = 5
+
+# environment variables that set the BLAS and OpenMP thread counts
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 class SchemaError(ValueError):
@@ -370,6 +376,9 @@ def _meta(problem):
         "n_lambda": problem.n_lambda,
         "rng": "numpy.random.default_rng (PCG64, SeedSequence substreams)",
         "package_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "thread_env": {var: os.environ.get(var) for var in THREAD_ENV_VARS},
     }
 
 
@@ -425,6 +434,22 @@ def _check_oracle_lags(problem):
             raise SchemaError(
                 f"channels[{i}]: solver.j_past {problem.j_past} plus functional "
                 f"support {support} must stay below n_lambda // 2 = {limit}"
+            )
+
+
+def _check_simulation_lags(problem, cfg):
+    """The Monte Carlo replay reads the estimator's weights to lag
+    2 * n_steps and the joint covariances to lag n_steps + support - 1;
+    reject lags the grid aliases (|lag| >= n_lambda // 2)."""
+    limit = problem.n_lambda // 2
+    L = cfg.n_steps
+    for i, entry in enumerate(problem.channels):
+        reach = L + entry["a"].shape[0] - 1
+        if max(2 * L, reach) >= limit:
+            raise SchemaError(
+                f"channels[{i}]: simulation.n_steps: {L} steps read the estimator's "
+                f"weights to lag {2 * L} and the covariances to lag {reach}; both must "
+                f"stay below n_lambda // 2 = {limit}"
             )
 
 
@@ -502,6 +527,7 @@ def cmd_simulate(problem, out_dir, args):
 def cmd_validate(problem, out_dir, args):
     cfg = _simulation(problem, args)
     _check_oracle_lags(problem)
+    _check_simulation_lags(problem, cfg)
     sols = _solve_all(problem, args.threads)
     rows = []
     all_ok = True

@@ -10,9 +10,17 @@ driven by circular complex Gaussian innovations w has spectral density F.
 A draw takes a density or its :class:`FactorizationResult` (factorize once,
 draw many paths), and refuses a factor whose relative residual exceeds
 ``FACTORIZATION_TOL``: its paths would have another density.
-``empirical_mse`` replays the solved estimator on simulated paths and
-compares the sample mean-square error with the theoretical value;
 ``synthesize_field`` makes real field samples in one batched synthesis.
+
+``empirical_mse`` replays the solved estimator on simulated paths and
+compares the sample mean-square error with the theoretical value.  It does
+not factorize: each trial is one draw of the joint vector of the observed
+past (zeta + theta)(-L .. -1) and the signal future zeta(0 .. J-1), whose
+block-Toeplitz covariance comes from ``covariance_from_density`` and is
+factored by one Cholesky decomposition.  That matrix holds
+((L + J) * K)^2 entries, so memory grows with the square of ``n_steps``.
+``covariance_from_density`` is the one routine this check shares with the
+covariance oracle; it shares none with the operator route it checks.
 """
 
 from dataclasses import dataclass
@@ -27,7 +35,7 @@ from .extrapolate import (
     FactorizationResult,
     spectral_factorize,
 )
-from .spectral import as_grid
+from .spectral import as_grid, covariance_from_density
 
 
 class PastWindowError(ValueError):
@@ -156,15 +164,41 @@ def _pair_conjugate(values, cfg):
     return values
 
 
+def _joint_covariance(F, G, L, J):
+    """Covariance of the joint vector: the observed past (zeta + theta) at
+    times -L .. -1, then the signal future zeta at times 0 .. J-1, each a
+    K-vector.  Block (s, t) is E[x(s) x(t)^*] = K_F(s - t), plus K_G(s - t)
+    when both times are observed; signal and noise are independent."""
+    n = L + J
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    blocks = covariance_from_density(F, n - 1).matrices[lag + n - 1]
+    if G is not None:
+        blocks[:L, :L] += covariance_from_density(G, L - 1).matrices[lag[:L, :L] + L - 1]
+    K = blocks.shape[-1]
+    return blocks.transpose(0, 2, 1, 3).reshape(n * K, n * K)
+
+
+def _covariance_factor(cov):
+    """C with C C^* = cov: the Cholesky factor, or for a singular covariance
+    (a signal density of reduced rank) the eigenvector square root."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh(cov)
+        return V * np.sqrt(np.clip(w, 0.0, None))
+
+
 def empirical_mse(solution, F, G, a, config, keep_trials=False):
     """Monte Carlo mean-square error of the solved estimator.
 
-    Draws ``config.n_trials`` independent joint paths of the channel and
-    its noise, applies the estimator's time-domain weights to the
-    simulated past, and compares with the realized functional.  Returns a
+    Draws ``config.n_trials`` independent joint vectors of the observed
+    past and the signal future from one Cholesky factor of their
+    covariance (an eigenvector square root when the signal density has
+    reduced rank), applies the estimator's time-domain weights to the past,
+    and compares with the realized functional.  Returns a
     :class:`TrialSummary` with the sample mean and its standard error.
-    ``F`` and ``G`` are densities or their factors.  :class:`PastWindowError`
-    means ``config.n_steps`` is too short for the estimator's memory, or
+    ``F`` and ``G`` are densities.  :class:`PastWindowError` means
+    ``config.n_steps`` is too short for the estimator's memory, or
     2 * n_steps reaches half the solution's frequency grid.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
@@ -182,8 +216,10 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
         raise PastWindowError(f"estimator keeps {tail_mass / total_mass:.2e} of its weight "
                               f"beyond the simulated past window; increase n_steps above {L}")
 
-    d_sig = _ma_coefficients(F)
-    d_noise = _ma_coefficients(G) if G is not None else None
+    factor = _covariance_factor(_joint_covariance(F, G, L, J))
+    # weights row i applies at time -(i+1), i.e. past position L-1-i
+    past_weights = weights[::-1].ravel()
+    future_weights = a.ravel()
 
     seeds = np.random.SeedSequence(config.seed)
     n_batches = (config.n_trials + config.batch_size - 1) // config.batch_size
@@ -195,19 +231,9 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
     for batch_seed in children:
         b = min(config.batch_size, config.n_trials - done)
         rng = np.random.default_rng(batch_seed)
-        t_total = L + J
-        w_sig = _complex_innovations(rng, (b, t_total + d_sig.shape[0] - 1, K))
-        zeta = _ma_filter(d_sig, w_sig, t_total)   # times -L .. J-1
-        obs = zeta[:, :L, :].copy()                # times -L .. -1
-        if d_noise is not None:
-            w_noise = _complex_innovations(rng, (b, L + d_noise.shape[0] - 1, K))
-            obs += _ma_filter(d_noise, w_noise, L)
-        target = np.einsum("jk,bjk->b", a, zeta[:, L:, :])
-        # weights row i applies at time -(i+1), i.e. observation column L-1-i
-        past = obs[:, ::-1, :]
-        estimate = np.einsum("ik,bik->b", weights, past)
-        realized[done:done + b] = target
-        estimated[done:done + b] = estimate
+        joint = _complex_innovations(rng, (b, factor.shape[0])) @ factor.T
+        realized[done:done + b] = joint[:, L * K:] @ future_weights
+        estimated[done:done + b] = joint[:, :L * K] @ past_weights
         done += b
 
     sq = np.abs(realized - estimated) ** 2

@@ -1,8 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
+import scipy
 
+from pcfield import cli
 from pcfield.cli import (
     EXIT_MINIMALITY,
     EXIT_NOT_CONVERGED,
@@ -206,7 +209,9 @@ _SHORT_SIMULATION = [
     _set(("simulation", "n_steps"), 4),
 ]
 
-# at n_lambda 1024 the factor of a pole at 0.995 misses its density by 15 %
+# at n_lambda 1024 the factor of a pole at 0.995 misses its density by 15 %:
+# simulate refuses to draw from it; validate draws from covariances and
+# reports the solver's disagreement with the oracle on so coarse a grid
 _UNSAMPLEABLE_SIGNAL = [
     _set(("solver", "n_lambda"), 1024),
     _set(("channels", 0, "F", "denominator"), [1.0, -0.995]),
@@ -235,8 +240,11 @@ class TestRuntimeFailures:
         pytest.param("validate", _SHORT_SIMULATION, EXIT_SCHEMA,
                      "schema error: channels[0]: simulation.n_steps: estimator keeps",
                      id="validate-n-steps-too-short"),
-        pytest.param("validate", _UNSAMPLEABLE_SIGNAL, EXIT_MINIMALITY,
+        pytest.param("simulate", _UNSAMPLEABLE_SIGNAL, EXIT_MINIMALITY,
                      "factorization failure: cannot sample: factor's relative residual",
+                     id="simulate-factor-over-tolerance"),
+        pytest.param("validate", _UNSAMPLEABLE_SIGNAL, EXIT_VALIDATION,
+                     "validate: disagreement beyond tolerance",
                      id="validate-factor-over-tolerance"),
         pytest.param("solve", [_set(("channels", 0, "F", "denominator"), [1.0, -1.0])],
                      EXIT_SCHEMA, "schema error: channels[0].F: denominator has a root "
@@ -259,6 +267,33 @@ class TestRuntimeFailures:
         assert main([command, "--input", str(path), "--output", str(out)]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(prefix)
+
+    @pytest.mark.parametrize("edits, prefix", [
+        pytest.param(_ALIASED_SIMULATION, "simulation.n_steps: 64 steps read the "
+                     "estimator's weights to lag 128", id="weight-lags"),
+        # 2 * n_steps = 40 stays below 64, but the 45-step functional takes
+        # the joint covariances to lag 20 + 45 - 1 = 64
+        pytest.param([_set(("solver", "n_lambda"), 128), _set(("solver", "window"), 48),
+                      _set(("solver", "j_past"), 8),
+                      _set(("channels", 0, "a"), [[1.0]] * 45),
+                      _set(("simulation", "n_steps"), 20)],
+                     "simulation.n_steps: 20 steps read the estimator's weights to lag 40 "
+                     "and the covariances to lag 64", id="covariance-lags"),
+    ])
+    def test_validate_rejects_aliasing_n_steps_before_solving(self, tmp_path, capsys,
+                                                               monkeypatch, edits, prefix):
+        def no_solve(*args):
+            raise AssertionError("validate solved before checking simulation.n_steps")
+
+        monkeypatch.setattr(cli, "_solve_all", no_solve)
+        prob = white_problem()
+        for edit in edits:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("schema error: channels[0]: " + prefix)
 
     def test_factorize_over_tolerance_writes_nothing(self, tmp_path):
         prob = white_problem()
@@ -397,6 +432,31 @@ class TestValidate:
             == EXIT_VALIDATION
         report = json.loads((out / "validation.json").read_text())
         assert report["all_ok"] is False
+
+    def test_unsampleable_factor_does_not_stop_validate(self, tmp_path):
+        # validate draws from covariances, so a density whose factor misses
+        # it still validates; here the oracle disagrees with the solver
+        prob = white_problem()
+        for edit in _UNSAMPLEABLE_SIGNAL:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["validate", "--input", str(path), "--output", str(out)]) \
+            == EXIT_VALIDATION
+        row = json.loads((out / "validation.json").read_text())["channels"][0]
+        assert row["oracle_ok"] is False
+
+    def test_meta_records_the_run_environment(self, tmp_path):
+        path = write_problem(tmp_path, white_problem())
+        out = tmp_path / "out"
+        assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        meta = json.loads((out / "validation.json").read_text())["meta"]
+        assert meta["numpy_version"] == np.__version__
+        assert meta["scipy_version"] == scipy.__version__
+        assert sorted(meta["thread_env"]) == sorted(cli.THREAD_ENV_VARS)
+        assert {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"} <= set(meta["thread_env"])
+        for var, value in meta["thread_env"].items():
+            assert value == os.environ.get(var)
 
     def test_seed_flag_changes_the_draw_and_is_recorded(self, tmp_path):
         path = write_problem(tmp_path, ar1_problem())

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from pcfield import simulate
 from pcfield.blocking import BlockingConfig, _basis_matrix, block_coefficients
 from pcfield.extrapolate import (
     FACTORIZATION_TOL,
     FactorizationError,
+    functional_variance,
     solve_channel,
     solve_noiseless,
     spectral_factorize,
@@ -13,13 +15,19 @@ from pcfield.harmonics import decompose_field, design_matrix, flat_index, gauss_
 from pcfield.simulate import (
     PastWindowError,
     SimulationConfig,
+    _joint_covariance,
     _pair_conjugate,
     empirical_lag_covariance,
     empirical_mse,
     simulate_channel,
     synthesize_field,
 )
-from pcfield.spectral import RationalDensity, SpectralDensityGrid, as_grid
+from pcfield.spectral import (
+    RationalDensity,
+    SpectralDensityGrid,
+    as_grid,
+    covariance_from_density,
+)
 
 
 class TestChannelSimulation:
@@ -51,18 +59,6 @@ class TestChannelSimulation:
         fac = spectral_factorize(F)
         assert simulate_channel(fac, 300, seed=4).tobytes() == \
             simulate_channel(F, 300, seed=4).tobytes()
-
-    def test_signal_and_noise_streams_uncorrelated(self):
-        # empirical_mse draws the two streams from one generator; check the
-        # same construction at the path level
-        rng_seed = 1234
-        F = SpectralDensityGrid.white(1, 1.0, 256)
-        n = 20000
-        rng = np.random.default_rng(rng_seed)
-        w1 = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) / np.sqrt(2)
-        w2 = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) / np.sqrt(2)
-        cross = np.abs(np.mean(w1 * np.conj(w2)))
-        assert cross < 3.0 / np.sqrt(n)
 
 
 class TestEmpiricalMse:
@@ -117,6 +113,61 @@ class TestEmpiricalMse:
         assert res.realized.shape == (100,)
         assert np.all(res.squared_errors >= 0)
         assert res.mse == pytest.approx(float(res.squared_errors.mean()))
+
+    def test_draws_without_factorizing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("empirical_mse factorized a density")
+
+        monkeypatch.setattr(simulate, "spectral_factorize", refuse)
+        F, G = RationalDensity.ar1(0.5), RationalDensity.ma([0.7])
+        a = np.array([[1.0], [0.5]])
+        sol = solve_channel(F, G, a, window=48)
+        res = empirical_mse(sol, F, G, a, SimulationConfig(seed=4, n_trials=500, n_steps=48))
+        assert res.n_trials == 500
+
+    def test_realized_functional_has_the_functional_variance(self):
+        rng = np.random.default_rng(6)
+        num = 0.5 * (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
+        num[0] += 2 * np.eye(2)
+        F = RationalDensity(num, [1.0, -0.6])
+        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        G = RationalDensity(0.5 * np.eye(2)[None])
+        sol = solve_channel(F, G, a, window=64)
+        n = 8000
+        res = empirical_mse(sol, F, G, a,
+                            SimulationConfig(seed=31, n_trials=n, n_steps=64),
+                            keep_trials=True)
+        # the functional is circular complex Gaussian, so |X|^2 has mean
+        # Var X and standard deviation Var X
+        sample = float(np.mean(np.abs(res.realized) ** 2))
+        variance = functional_variance(F, a)
+        assert abs(sample - variance) <= 4 * variance / np.sqrt(n)
+
+    def test_reduced_rank_signal_is_drawn(self):
+        # the second component carries noise only, so the joint covariance
+        # is singular and has no Cholesky factor
+        F = RationalDensity(np.diag([1.0, 0.0])[None].astype(complex), [1.0, -0.5])
+        G = RationalDensity(0.5 * np.eye(2)[None])
+        a = np.array([[1.0, 1.0]])
+        sol = solve_channel(F, G, a, window=48)
+        res = empirical_mse(sol, F, G, a, SimulationConfig(seed=8, n_trials=4000, n_steps=48))
+        assert abs(res.mse - sol.delta) <= 3 * res.stderr
+
+    def test_joint_covariance_keeps_noise_off_the_future(self):
+        # observed past (signal + noise) then signal future; the noise is
+        # independent of the signal, so it enters the past-past block only
+        F = RationalDensity(np.array([[[1.0, 0.2], [0.0, 0.8]]]), [1.0, -0.6])
+        G = RationalDensity(0.4 * np.eye(2)[None])
+        L, J, K = 5, 3, 2
+        cov = _joint_covariance(F, G, L, J).reshape(L + J, K, L + J, K)
+        KF = covariance_from_density(F, L + J - 1)
+        KG = covariance_from_density(G, L + J - 1)
+        for s in range(L + J):
+            for t in range(L + J):
+                expected = KF[s - t] + (KG[s - t] if max(s, t) < L else 0.0)
+                assert np.allclose(cov[s, :, t, :], expected, atol=1e-14)
+        flat = cov.reshape((L + J) * K, -1)
+        assert np.allclose(flat, flat.conj().T, atol=1e-14)
 
     def test_short_past_window_rejected(self):
         # a moving-average density with a zero near the circle makes the
