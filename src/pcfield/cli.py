@@ -15,13 +15,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .blocking import BlockingConfig, functional_to_spec, read_samples_csv
@@ -41,6 +39,7 @@ from .minimax import (
 from .simulate import (
     PastWindowError,
     SimulationConfig,
+    check_joint_size,
     empirical_lag_covariance,
     empirical_mse,
     simulate_channel,
@@ -59,10 +58,6 @@ EXIT_MINIMALITY = 2
 EXIT_SCHEMA = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_VALIDATION = 5
-
-# environment variables that set the BLAS and OpenMP thread counts
-THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 class SchemaError(ValueError):
@@ -376,9 +371,6 @@ def _meta(problem):
         "n_lambda": problem.n_lambda,
         "rng": "numpy.random.default_rng (PCG64, SeedSequence substreams)",
         "package_version": __version__,
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
-        "thread_env": {var: os.environ.get(var) for var in THREAD_ENV_VARS},
     }
 
 
@@ -440,7 +432,8 @@ def _check_oracle_lags(problem):
 def _check_simulation_lags(problem, cfg):
     """The Monte Carlo replay reads the estimator's weights to lag
     2 * n_steps and the joint covariances to lag n_steps + support - 1;
-    reject lags the grid aliases (|lag| >= n_lambda // 2)."""
+    reject lags the grid aliases (|lag| >= n_lambda // 2) and a joint
+    vector above ``MAX_JOINT_SIZE``."""
     limit = problem.n_lambda // 2
     L = cfg.n_steps
     for i, entry in enumerate(problem.channels):
@@ -451,6 +444,10 @@ def _check_simulation_lags(problem, cfg):
                 f"weights to lag {2 * L} and the covariances to lag {reach}; both must "
                 f"stay below n_lambda // 2 = {limit}"
             )
+        try:
+            check_joint_size(L, *entry["a"].shape)
+        except PastWindowError as exc:
+            raise SchemaError(f"channels[{i}]: simulation.n_steps: {exc}") from None
 
 
 def cmd_oracle(problem, out_dir, args):

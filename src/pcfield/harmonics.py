@@ -20,7 +20,6 @@ longitude phi in [0, 2*pi).
 """
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
@@ -215,21 +214,10 @@ def gauss_legendre_grid(m_max):
 
 
 def design_matrix(m_max, grid):
-    """Matrix of harmonic values, shape (n_nodes, (m_max + 1)^2).
-
-    Built once per degree and node set, keyed by the nodes' values, and
-    shared read-only by later calls.
-    """
-    return _design_matrix(m_max, grid.theta.tobytes(), grid.phi.tobytes())
-
-
-@functools.lru_cache(maxsize=4)
-def _design_matrix(m_max, theta, phi):
+    """Matrix of harmonic values, shape (n_nodes, (m_max + 1)^2)."""
     m = np.repeat(np.arange(m_max + 1), 2 * np.arange(m_max + 1) + 1)
     l = np.arange(n_harmonics(m_max)) - m * m + 1
-    matrix = _harmonic_values(m, l, np.frombuffer(theta)[:, None], np.frombuffer(phi)[:, None])
-    matrix.flags.writeable = False
-    return matrix
+    return _harmonic_values(m, l, grid.theta[:, None], grid.phi[:, None])
 
 
 def _check_resolution(grid, m_max):

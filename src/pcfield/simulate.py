@@ -18,7 +18,8 @@ not factorize: each trial is one draw of the joint vector of the observed
 past (zeta + theta)(-L .. -1) and the signal future zeta(0 .. J-1), whose
 block-Toeplitz covariance comes from ``covariance_from_density`` and is
 factored by one Cholesky decomposition.  That matrix holds
-((L + J) * K)^2 entries, so memory grows with the square of ``n_steps``.
+((L + J) * K)^2 entries, so memory grows with the square of ``n_steps``;
+``check_joint_size`` refuses a joint vector longer than ``MAX_JOINT_SIZE``.
 ``covariance_from_density`` is the one routine this check shares with the
 covariance oracle; it shares none with the operator route it checks.
 """
@@ -40,6 +41,23 @@ from .spectral import as_grid, covariance_from_density
 
 class PastWindowError(ValueError):
     """The simulated past window cannot hold the estimator's weights."""
+
+
+# Largest joint vector (n_steps + J) * K that ``empirical_mse`` draws: its
+# covariance and Cholesky factor are dense complex matrices of 16 * size^2
+# bytes each, 64 MiB at this limit.
+MAX_JOINT_SIZE = 2048
+
+
+def check_joint_size(n_steps, J, K):
+    """Raise :class:`PastWindowError` when ``n_steps`` past and ``J`` future
+    K-vectors make a joint vector longer than ``MAX_JOINT_SIZE``."""
+    size = (n_steps + J) * K
+    if size > MAX_JOINT_SIZE:
+        raise PastWindowError(
+            f"{n_steps} past and {J} future steps of {K} components make a joint vector "
+            f"of {size} entries, whose covariance would take {16 * size ** 2 / 2 ** 20:.0f} "
+            f"MiB; the limit is {MAX_JOINT_SIZE} entries")
 
 
 @dataclass(frozen=True)
@@ -178,32 +196,24 @@ def _joint_covariance(F, G, L, J):
     return blocks.transpose(0, 2, 1, 3).reshape(n * K, n * K)
 
 
-def _covariance_factor(cov):
-    """C with C C^* = cov: the Cholesky factor, or for a singular covariance
-    (a signal density of reduced rank) the eigenvector square root."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(cov)
-        return V * np.sqrt(np.clip(w, 0.0, None))
-
-
 def empirical_mse(solution, F, G, a, config, keep_trials=False):
     """Monte Carlo mean-square error of the solved estimator.
 
     Draws ``config.n_trials`` independent joint vectors of the observed
     past and the signal future from one Cholesky factor of their
-    covariance (an eigenvector square root when the signal density has
-    reduced rank), applies the estimator's time-domain weights to the past,
+    covariance, applies the estimator's time-domain weights to the past,
     and compares with the realized functional.  Returns a
     :class:`TrialSummary` with the sample mean and its standard error.
     ``F`` and ``G`` are densities.  :class:`PastWindowError` means
-    ``config.n_steps`` is too short for the estimator's memory, or
-    2 * n_steps reaches half the solution's frequency grid.
+    ``config.n_steps`` is too short for the estimator's memory, 2 * n_steps
+    reaches half the solution's frequency grid, or the joint vector exceeds
+    ``MAX_JOINT_SIZE``.  :class:`FactorizationError` means the covariance is
+    singular, as for a signal density of reduced rank.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     J, K = a.shape
     L = config.n_steps
+    check_joint_size(L, J, K)
     try:
         extended = solution.h_lag_coefficients(2 * L)
     except ValueError as exc:
@@ -216,10 +226,16 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
         raise PastWindowError(f"estimator keeps {tail_mass / total_mass:.2e} of its weight "
                               f"beyond the simulated past window; increase n_steps above {L}")
 
-    factor = _covariance_factor(_joint_covariance(F, G, L, J))
-    # weights row i applies at time -(i+1), i.e. past position L-1-i
-    past_weights = weights[::-1].ravel()
-    future_weights = a.ravel()
+    try:
+        factor = np.linalg.cholesky(_joint_covariance(F, G, L, J))
+    except np.linalg.LinAlgError:
+        raise FactorizationError("cannot sample: the joint covariance of the observed past "
+                                 "and the signal future is singular") from None
+    # with joint = innovations @ factor.T, each functional of the joint
+    # vector is one product with the innovations; weights row i applies at
+    # time -(i+1), i.e. past position L-1-i
+    past = factor[:L * K].T @ weights[::-1].ravel()
+    future = factor[L * K:].T @ a.ravel()
 
     seeds = np.random.SeedSequence(config.seed)
     n_batches = (config.n_trials + config.batch_size - 1) // config.batch_size
@@ -231,9 +247,9 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
     for batch_seed in children:
         b = min(config.batch_size, config.n_trials - done)
         rng = np.random.default_rng(batch_seed)
-        joint = _complex_innovations(rng, (b, factor.shape[0])) @ factor.T
-        realized[done:done + b] = joint[:, L * K:] @ future_weights
-        estimated[done:done + b] = joint[:, :L * K] @ past_weights
+        innovations = _complex_innovations(rng, (b, factor.shape[0]))
+        realized[done:done + b] = innovations @ future
+        estimated[done:done + b] = innovations @ past
         done += b
 
     sq = np.abs(realized - estimated) ** 2

@@ -1,9 +1,7 @@
 import json
-import os
 
 import numpy as np
 import pytest
-import scipy
 
 from pcfield import cli
 from pcfield.cli import (
@@ -279,8 +277,14 @@ class TestRuntimeFailures:
                       _set(("simulation", "n_steps"), 20)],
                      "simulation.n_steps: 20 steps read the estimator's weights to lag 40 "
                      "and the covariances to lag 64", id="covariance-lags"),
+        # the lags fit a 16384 grid, but (2047 + 2) * 1 entries exceed the
+        # joint size limit of 2048
+        pytest.param([_set(("solver", "n_lambda"), 16384),
+                      _set(("simulation", "n_steps"), 2047)],
+                     "simulation.n_steps: 2047 past and 2 future steps of 1 components "
+                     "make a joint vector of 2049 entries", id="joint-size"),
     ])
-    def test_validate_rejects_aliasing_n_steps_before_solving(self, tmp_path, capsys,
+    def test_validate_rejects_unusable_n_steps_before_solving(self, tmp_path, capsys,
                                                                monkeypatch, edits, prefix):
         def no_solve(*args):
             raise AssertionError("validate solved before checking simulation.n_steps")
@@ -445,18 +449,6 @@ class TestValidate:
             == EXIT_VALIDATION
         row = json.loads((out / "validation.json").read_text())["channels"][0]
         assert row["oracle_ok"] is False
-
-    def test_meta_records_the_run_environment(self, tmp_path):
-        path = write_problem(tmp_path, white_problem())
-        out = tmp_path / "out"
-        assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_OK
-        meta = json.loads((out / "validation.json").read_text())["meta"]
-        assert meta["numpy_version"] == np.__version__
-        assert meta["scipy_version"] == scipy.__version__
-        assert sorted(meta["thread_env"]) == sorted(cli.THREAD_ENV_VARS)
-        assert {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"} <= set(meta["thread_env"])
-        for var, value in meta["thread_env"].items():
-            assert value == os.environ.get(var)
 
     def test_seed_flag_changes_the_draw_and_is_recorded(self, tmp_path):
         path = write_problem(tmp_path, ar1_problem())

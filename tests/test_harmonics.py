@@ -8,7 +8,6 @@ from pcfield.harmonics import (
     GridResolutionError,
     HarmonicIndex,
     SphereGrid,
-    _harmonic_values,
     decompose_field,
     design_matrix,
     evaluate_harmonic,
@@ -164,29 +163,6 @@ class TestEvaluation:
         columns = [evaluate_harmonic(HarmonicIndex(m, l), grid.theta, grid.phi)
                    for m in range(m_max + 1) for l in range(1, 2 * m + 2)]
         assert np.array_equal(design_matrix(m_max, grid), np.column_stack(columns))
-
-    def test_design_matrix_is_shared_read_only(self):
-        grid = gauss_legendre_grid(4)
-        design = design_matrix(4, grid)
-        m = np.repeat(np.arange(5), 2 * np.arange(5) + 1)
-        fresh = _harmonic_values(m, np.arange(25) - m * m + 1,
-                                 grid.theta[:, None], grid.phi[:, None])
-        assert np.array_equal(design, fresh)
-        assert not design.flags.writeable
-        with pytest.raises(ValueError):
-            design[0, 0] = 1.0
-        assert design_matrix(4, gauss_legendre_grid(4)) is design
-
-    def test_design_matrix_follows_the_nodes(self):
-        grid = gauss_legendre_grid(3)
-        before = design_matrix(3, grid)
-        moved = SphereGrid(grid.theta + 0.1, grid.phi, grid.weights,
-                           n_theta=grid.n_theta, n_phi=grid.n_phi)
-        after = design_matrix(3, moved)
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after, np.column_stack(
-            [evaluate_harmonic(HarmonicIndex(m, l), moved.theta, moved.phi)
-             for m in range(4) for l in range(1, 2 * m + 2)]))
 
     def test_specific_cross_orthogonality(self):
         grid = gauss_legendre_grid(4)

@@ -143,15 +143,27 @@ class TestEmpiricalMse:
         variance = functional_variance(F, a)
         assert abs(sample - variance) <= 4 * variance / np.sqrt(n)
 
-    def test_reduced_rank_signal_is_drawn(self):
-        # the second component carries noise only, so the joint covariance
-        # is singular and has no Cholesky factor
+    def test_reduced_rank_signal_is_refused(self):
+        # the second component carries noise only, so the signal future's
+        # covariance is singular and has no Cholesky factor
         F = RationalDensity(np.diag([1.0, 0.0])[None].astype(complex), [1.0, -0.5])
         G = RationalDensity(0.5 * np.eye(2)[None])
         a = np.array([[1.0, 1.0]])
         sol = solve_channel(F, G, a, window=48)
-        res = empirical_mse(sol, F, G, a, SimulationConfig(seed=8, n_trials=4000, n_steps=48))
-        assert abs(res.mse - sol.delta) <= 3 * res.stderr
+        with pytest.raises(FactorizationError, match="cannot sample: the joint covariance"):
+            empirical_mse(sol, F, G, a, SimulationConfig(seed=8, n_trials=100, n_steps=48))
+
+    def test_joint_size_limit_checked_before_drawing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("empirical_mse built the joint covariance")
+
+        monkeypatch.setattr(simulate, "MAX_JOINT_SIZE", 40)
+        monkeypatch.setattr(simulate, "_joint_covariance", refuse)
+        F = RationalDensity.ar1(0.5)
+        a = np.array([[1.0], [0.5]])
+        sol = solve_channel(F, None, a, window=48)
+        with pytest.raises(PastWindowError, match="joint vector of 50 entries"):
+            empirical_mse(sol, F, None, a, SimulationConfig(seed=1, n_trials=10, n_steps=48))
 
     def test_joint_covariance_keeps_noise_off_the_future(self):
         # observed past (signal + noise) then signal future; the noise is
