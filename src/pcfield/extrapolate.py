@@ -32,9 +32,9 @@ from .spectral import (
     DEFAULT_COND_CEILING,
     as_grid,
     assemble_operators,
-    covariance_from_density,
     evaluate_lag_series,
     fourier_coefficients,
+    joint_covariance,
     lambda_grid,
 )
 
@@ -120,32 +120,23 @@ def _functional_on_grid(a, n_lambda):
     return evaluate_lag_series(a, np.arange(J), n_lambda)
 
 
-def _causal_leakage(h_grid):
-    """Energy fraction of h at nonnegative lags (should vanish)."""
-    n = h_grid.shape[0]
-    coeffs = np.fft.fft(h_grid, axis=0) / n
+def _lag_energy_share(values, negative):
+    """Share of the energy of ``values`` (n, K) at negative lags, or at
+    nonnegative lags when ``negative`` is False.
+
+    The causal leakage of h is its share at nonnegative lags; the
+    orthogonality residual is the root of the share of (A - h)^T F - h^T G
+    at negative lags.  Both vanish for the optimal characteristic.
+    """
+    n = values.shape[0]
+    coeffs = np.fft.fft(values, axis=0) / n
     energy = np.sum(np.abs(coeffs) ** 2, axis=1)
     half = n // 2
     total = float(energy.sum())
     if total < 1e-300:
         return 0.0
     # bins 0 .. half-1 hold lags 0 .. half-1, the rest are negative lags
-    return float(energy[:half].sum() / total)
-
-
-def _orthogonality_residual(A, h, Fv, Gv):
-    """Relative weight of negative-lag content in (A - h)^T F - h^T G."""
-    r = np.einsum("tk,tkn->tn", A - h, Fv)
-    if Gv is not None:
-        r = r - np.einsum("tk,tkn->tn", h, Gv)
-    n = r.shape[0]
-    coeffs = np.fft.fft(r, axis=0) / n
-    energy = np.sum(np.abs(coeffs) ** 2, axis=1)
-    half = n // 2
-    total = float(energy.sum())
-    if total < 1e-300:
-        return 0.0
-    return float(np.sqrt(energy[half:].sum() / total))
+    return float((energy[half:] if negative else energy[:half]).sum() / total)
 
 
 def _solve_pd(B, rhs):
@@ -232,15 +223,16 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
     else:
         numer = C
     h = A - np.einsum("tn,tnk->tk", numer, ops.inv_total)
+    r = np.einsum("tk,tkn->tn", A - h, Fg.values)
+    if Gg is not None:
+        r = r - np.einsum("tk,tkn->tn", h, Gg.values)
 
     delta = float(np.real(a_vec.conj() @ (ops.R @ a_vec) + c_vec.conj() @ (ops.B @ c_vec)))
     diagnostics = {
         "window": window,
         "cond_B": ops.cond_B,
-        "causal_leakage": _causal_leakage(h),
-        "orthogonality_residual": _orthogonality_residual(
-            A, h, Fg.values, Gg.values if Gg is not None else None
-        ),
+        "causal_leakage": _lag_energy_share(h, negative=False),
+        "orthogonality_residual": float(np.sqrt(_lag_energy_share(r, negative=True))),
         "noisy": Gg is not None,
     }
     sol = EstimateSolution(coefficients=c, h_grid=h, delta=delta,
@@ -367,10 +359,8 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
         )
 
     # causal coefficients of psi: d(u) is the coefficient of exp(-i u lambda)
-    gamma = np.fft.ifft(psi, axis=0)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    gamma = gamma * signs[:, None, None]
-    d = gamma[: n // 2].copy()
+    lags = np.arange(n // 2)
+    d = fourier_coefficients(psi, lags)
 
     # rotate so d(0) is lower triangular with positive diagonal
     q, r = np.linalg.qr(d[0].conj().T)
@@ -378,12 +368,9 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
     sign_fix[sign_fix == 0] = 1.0
     q = q * sign_fix
     d = d @ q
-    psi = psi @ q
 
     # residual of the reconstruction actually returned (from coefficients)
-    padded = np.zeros((n, K, K), dtype=complex)
-    padded[: d.shape[0]] = d * signs[: d.shape[0], None, None]
-    p_from_d = np.fft.fft(padded, axis=0)
+    p_from_d = evaluate_lag_series(d, -lags, n)
     recon = p_from_d @ np.conj(np.swapaxes(p_from_d, 1, 2))
     residual = float(np.max(np.linalg.norm(values - recon, axis=(1, 2))))
     return FactorizationResult(
@@ -409,8 +396,7 @@ def _factor_convolution(d, a):
     return np.einsum("pkn,pjk->jn", d[:P], shifted)
 
 
-def solve_by_factorization(fac, a, n_lambda=None,
-                           factorization_tol=FACTORIZATION_TOL):
+def solve_by_factorization(fac, a):
     """Noiseless extrapolation through the canonical factorization.
 
     The error needs only the causal coefficients d(u):
@@ -423,10 +409,10 @@ def solve_by_factorization(fac, a, n_lambda=None,
     while delta is still returned.  The quality gate compares the
     reconstruction residual relative to the density's own scale.
     """
-    if fac.relative_residual > factorization_tol:
+    if fac.relative_residual > FACTORIZATION_TOL:
         raise FactorizationError(
             f"relative factorization residual {fac.relative_residual:.3e} "
-            f"exceeds tolerance {factorization_tol:.1e}"
+            f"exceeds tolerance {FACTORIZATION_TOL:.1e}"
         )
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     J, K = a.shape
@@ -453,11 +439,11 @@ def solve_by_factorization(fac, a, n_lambda=None,
                                 window=J, diagnostics=diagnostics)
     h = A - np.einsum("tnk,tn->tk", q, S)
     Fv = fac.factor_grid @ np.conj(np.swapaxes(fac.factor_grid, 1, 2))
-    diagnostics["causal_leakage"] = _causal_leakage(h)
-    diagnostics["orthogonality_residual"] = _orthogonality_residual(A, h, Fv, None)
+    Ct = np.einsum("tk,tkn->tn", A - h, Fv)
+    diagnostics["causal_leakage"] = _lag_energy_share(h, negative=False)
+    diagnostics["orthogonality_residual"] = float(np.sqrt(_lag_energy_share(Ct, negative=True)))
     # recover the window coefficients from C = (A - h)^T F for completeness;
     # the series coefficient of exp(i*j*lambda) integrates against exp(-i*j*lambda)
-    Ct = np.einsum("tk,tkn->tn", A - h, Fv)
     c = fourier_coefficients(Ct, -np.arange(J))
     return EstimateSolution(coefficients=c, h_grid=h, delta=delta,
                             window=J, diagnostics=diagnostics)
@@ -514,11 +500,11 @@ def functional_variance(F, a):
     return float(np.mean(vals.real))
 
 
-def oracle_solve(F, G, a, j_past=64, n_lambda=None, ridge=0.0):
+def oracle_solve(F, G, a, j_past=64, n_lambda=None):
     """Brute-force finite-past projection error, from covariances alone.
 
-    Builds the joint second-moment matrix of the functional and the
-    observations at times -1 .. -j_past and evaluates
+    Reads the second moments of the functional and of the observations at
+    times -j_past .. -1 from their joint covariance and evaluates
 
         Var(A) - rho* Gram^{-1} rho.
 
@@ -527,54 +513,27 @@ def oracle_solve(F, G, a, j_past=64, n_lambda=None, ridge=0.0):
     ridge-stabilized and the shift reported through a warning.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
-    J, K = a.shape
+    J = a.shape[0]
     Fg = as_grid(F, n_lambda)
     Gg = as_grid(G, Fg.n_lambda) if G is not None else None
-    max_lag = j_past + J
-    cov_f = covariance_from_density(Fg, max_lag)
-    cov_total = cov_f.matrices.copy()
-    if Gg is not None:
-        cov_total = cov_total + covariance_from_density(Gg, max_lag).matrices
-    center = max_lag
-
-    def gamma_f(d):
-        return cov_f.matrices[center + d]
-
-    def gamma_o(d):
-        return cov_total[center + d]
-
-    var = 0.0j
-    for j1 in range(J):
-        for j2 in range(J):
-            var += a[j1] @ gamma_f(j1 - j2) @ np.conj(a[j2])
-    var = float(np.real(var))
-
-    times = -np.arange(1, j_past + 1)
-    dim = j_past * K
-    gram = np.zeros((dim, dim), dtype=complex)
-    for i1, s1 in enumerate(times):
-        for i2, s2 in enumerate(times):
-            gram[i1 * K:(i1 + 1) * K, i2 * K:(i2 + 1) * K] = gamma_o(s1 - s2)
-    cross = np.zeros(dim, dtype=complex)
-    for i, s in enumerate(times):
-        acc = np.zeros(K, dtype=complex)
-        for j in range(J):
-            acc += gamma_f(j - s).T @ a[j]
-        cross[i * K:(i + 1) * K] = acc
-
-    gram = (gram + gram.conj().T) / 2
-    shift = ridge
+    cov = joint_covariance(Fg, Gg, j_past, J)
+    P = j_past * Fg.K
+    a_vec = a.ravel()
+    var = float(np.real(a_vec @ cov[P:, P:] @ np.conj(a_vec)))
+    cross = cov[P:, :P].T @ a_vec
+    gram = (cov[:P, :P] + cov[:P, :P].conj().T) / 2
+    shift = 0.0
     while True:
         try:
             solved = scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(gram + shift * np.eye(dim)), np.conj(cross)
+                scipy.linalg.cho_factor(gram + shift * np.eye(P)), np.conj(cross)
             )
             break
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             shift = max(shift * 10, 1e-12 * max(1.0, float(np.abs(gram).max())))
             if shift > 1e-2:
                 raise
-    if shift > ridge:
+    if shift > 0.0:
         warnings.warn(
             f"observation Gram matrix singular; ridge-stabilized with shift {shift:.3e}",
             RuntimeWarning,

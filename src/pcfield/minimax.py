@@ -41,6 +41,7 @@ from .extrapolate import (
 )
 from .spectral import (
     MinimalityViolation,
+    RationalDensity,
     SpectralDensityGrid,
     as_grid,
     assemble_operators,
@@ -898,15 +899,9 @@ def sample_feasible(spec, rng, n_lambda, base_scale=1.0, degree=2):
     """Random member of the class: a random PD density projected onto it."""
     K = spec.signal.upper.K if spec.signal.upper is not None else 1
     def random_density():
-        from .spectral import lambda_grid
-
         num = rng.normal(size=(degree + 1, K, K)) + 1j * rng.normal(size=(degree + 1, K, K))
         num[0] += (1.5 + K) * np.eye(K)
-        z = np.exp(-1j * lambda_grid(n_lambda))
-        N = np.zeros((n_lambda, K, K), dtype=complex)
-        for u in range(degree + 1):
-            N += (z ** u)[:, None, None] * num[u]
-        vals = N @ np.conj(np.swapaxes(N, 1, 2)) * base_scale
+        vals = RationalDensity(num).rasterize(n_lambda).values
         vals /= max(float(np.mean(np.trace(vals, axis1=1, axis2=2).real)), 1e-12)
         return SpectralDensityGrid(vals * base_scale, check=False)
 

@@ -16,12 +16,13 @@ draw many paths), and refuses a factor whose relative residual exceeds
 compares the sample mean-square error with the theoretical value.  It does
 not factorize: each trial is one draw of the joint vector of the observed
 past (zeta + theta)(-L .. -1) and the signal future zeta(0 .. J-1), whose
-block-Toeplitz covariance comes from ``covariance_from_density`` and is
-factored by one Cholesky decomposition.  That matrix holds
-((L + J) * K)^2 entries, so memory grows with the square of ``n_steps``;
+block-Toeplitz covariance ``spectral.joint_covariance`` builds and one
+Cholesky decomposition factors.  That matrix holds ((L + J) * K)^2
+entries, so memory grows with the square of ``n_steps``;
 ``check_joint_size`` refuses a joint vector longer than ``MAX_JOINT_SIZE``.
-``covariance_from_density`` is the one routine this check shares with the
-covariance oracle; it shares none with the operator route it checks.
+``joint_covariance`` is what this check shares with the covariance oracle,
+which reads three of its blocks; neither shares code with the operator
+route it checks.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .extrapolate import (
     FactorizationResult,
     spectral_factorize,
 )
-from .spectral import as_grid, covariance_from_density
+from .spectral import as_grid, joint_covariance
 
 
 class PastWindowError(ValueError):
@@ -182,20 +183,6 @@ def _pair_conjugate(values, cfg):
     return values
 
 
-def _joint_covariance(F, G, L, J):
-    """Covariance of the joint vector: the observed past (zeta + theta) at
-    times -L .. -1, then the signal future zeta at times 0 .. J-1, each a
-    K-vector.  Block (s, t) is E[x(s) x(t)^*] = K_F(s - t), plus K_G(s - t)
-    when both times are observed; signal and noise are independent."""
-    n = L + J
-    lag = np.subtract.outer(np.arange(n), np.arange(n))
-    blocks = covariance_from_density(F, n - 1).matrices[lag + n - 1]
-    if G is not None:
-        blocks[:L, :L] += covariance_from_density(G, L - 1).matrices[lag[:L, :L] + L - 1]
-    K = blocks.shape[-1]
-    return blocks.transpose(0, 2, 1, 3).reshape(n * K, n * K)
-
-
 def empirical_mse(solution, F, G, a, config, keep_trials=False):
     """Monte Carlo mean-square error of the solved estimator.
 
@@ -227,7 +214,7 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
                               f"beyond the simulated past window; increase n_steps above {L}")
 
     try:
-        factor = np.linalg.cholesky(_joint_covariance(F, G, L, J))
+        factor = np.linalg.cholesky(joint_covariance(F, G, L, J))
     except np.linalg.LinAlgError:
         raise FactorizationError("cannot sample: the joint covariance of the observed past "
                                  "and the signal future is singular") from None

@@ -253,6 +253,27 @@ def covariance_from_density(density, max_lag, n_lambda=None):
     return CovarianceSequence(max_lag=max_lag, matrices=mats)
 
 
+def joint_covariance(F, G, n_past, n_future):
+    """Covariance of the observed past (zeta + theta) at times -n_past .. -1
+    followed by the signal future zeta at times 0 .. n_future-1, each a
+    K-vector, as one ((n_past + n_future) * K)-square matrix.
+
+    Block (s, t) is E[x(s) x(t)^*] = K_F(s - t), plus K_G(s - t) when both
+    times are observed; signal and noise are independent.  ``G`` may be
+    None.  This is the one layout the covariance checks (the finite-past
+    oracle and the Monte Carlo draw) share; it uses nothing from the
+    operator route they check.
+    """
+    n = n_past + n_future
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    blocks = covariance_from_density(F, n - 1).matrices[lag + n - 1]
+    if G is not None:
+        noise = covariance_from_density(G, n_past - 1).matrices
+        blocks[:n_past, :n_past] += noise[lag[:n_past, :n_past] + n_past - 1]
+    K = blocks.shape[-1]
+    return blocks.transpose(0, 2, 1, 3).reshape(n * K, n * K)
+
+
 @dataclass
 class OperatorSet:
     """Truncated prediction operators on a ``window``-period horizon.
@@ -525,17 +546,3 @@ def complex_tensor_from_json(data, base_ndim, where="array"):
         f"{where}: expected an array of rank {options} (real) or rank+1 with a "
         f"trailing [re, im] axis, got shape {arr.shape}"
     )
-
-
-def export_operators_csv(ops, path):
-    """Write the assembled operators as one CSV for inspection."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["operator", "row", "col", "re", "im"])
-        for name, mat in (("B", ops.B), ("D", ops.D), ("R", ops.R)):
-            for r in range(mat.shape[0]):
-                for c in range(mat.shape[1]):
-                    v = mat[r, c]
-                    writer.writerow([name, r, c, repr(v.real), repr(v.imag)])

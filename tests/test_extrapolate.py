@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pcfield.extrapolate import (
     FactorizationError,
@@ -19,6 +20,7 @@ from pcfield.spectral import (
     RationalDensity,
     SpectralDensityGrid,
     as_grid,
+    covariance_from_density,
     lambda_grid,
 )
 
@@ -36,6 +38,36 @@ def kolmogorov_one_step_error(density, n_lambda=8192):
     grid = as_grid(density, n_lambda)
     logs = np.log(grid.values[:, 0, 0].real)
     return float(np.exp(np.mean(logs)))
+
+
+def _oracle_by_loops(F, G, a, j_past, n_lambda):
+    """Reference finite-past oracle: the variance, cross and Gram terms
+    gathered block by block from the covariances of F and F + G, with the
+    observations ordered -1 .. -j_past."""
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    J, K = a.shape
+    max_lag = j_past + J
+    cov_f = covariance_from_density(as_grid(F, n_lambda), max_lag).matrices
+    cov_o = cov_f.copy()
+    if G is not None:
+        cov_o = cov_o + covariance_from_density(as_grid(G, n_lambda), max_lag).matrices
+
+    var = 0.0j
+    for j1 in range(J):
+        for j2 in range(J):
+            var += a[j1] @ cov_f[max_lag + j1 - j2] @ np.conj(a[j2])
+    times = -np.arange(1, j_past + 1)
+    gram = np.zeros((j_past * K, j_past * K), dtype=complex)
+    for i1, s1 in enumerate(times):
+        for i2, s2 in enumerate(times):
+            gram[i1 * K:(i1 + 1) * K, i2 * K:(i2 + 1) * K] = cov_o[max_lag + s1 - s2]
+    cross = np.zeros(j_past * K, dtype=complex)
+    for i, s in enumerate(times):
+        for j in range(J):
+            cross[i * K:(i + 1) * K] += cov_f[max_lag + j - s].T @ a[j]
+    gram = (gram + gram.conj().T) / 2
+    solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), np.conj(cross))
+    return float(np.real(var)) - float(np.real(cross @ solved))
 
 
 class TestWhiteNoise:
@@ -197,6 +229,28 @@ class TestOracle:
         sol = solve_channel(as_grid(F, 2048), as_grid(G, 2048), a, window=96)
         mse = oracle_solve(F, G, a, j_past=64, n_lambda=2048)
         assert abs(sol.delta - mse) / mse < 1e-5
+
+    @pytest.mark.parametrize("j_past", [8, 64])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_matches_loop_reference(self, K, noisy, j_past):
+        rng = np.random.default_rng(70 + 2 * K + noisy)
+        F = random_rational(rng, K, pole=0.6)
+        G = random_rational(rng, K, degree=1) if noisy else None
+        a = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
+        got = oracle_solve(F, G, a, j_past=j_past, n_lambda=1024)
+        expect = _oracle_by_loops(F, G, a, j_past, 1024)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
+    def test_singular_gram_is_ridge_stabilized(self):
+        # a constant rank-1 density v v* makes the observed components
+        # linearly dependent, and its white past says nothing about the
+        # future: the error is the functional's variance |a . v|^2 = 2
+        v = np.array([1.0, 0.5j])
+        F = SpectralDensityGrid.constant(np.outer(v, v.conj()))
+        with pytest.warns(RuntimeWarning, match="ridge-stabilized"):
+            got = oracle_solve(F, None, np.array([[1.0, 2.0]]), j_past=8)
+        assert got == pytest.approx(2.0, rel=1e-12)
 
     def test_discrepancy_decreases_in_past_window(self):
         rng = np.random.default_rng(9)

@@ -15,7 +15,6 @@ from pcfield.harmonics import decompose_field, design_matrix, flat_index, gauss_
 from pcfield.simulate import (
     PastWindowError,
     SimulationConfig,
-    _joint_covariance,
     _pair_conjugate,
     empirical_lag_covariance,
     empirical_mse,
@@ -26,7 +25,6 @@ from pcfield.spectral import (
     RationalDensity,
     SpectralDensityGrid,
     as_grid,
-    covariance_from_density,
 )
 
 
@@ -158,28 +156,12 @@ class TestEmpiricalMse:
             raise AssertionError("empirical_mse built the joint covariance")
 
         monkeypatch.setattr(simulate, "MAX_JOINT_SIZE", 40)
-        monkeypatch.setattr(simulate, "_joint_covariance", refuse)
+        monkeypatch.setattr(simulate, "joint_covariance", refuse)
         F = RationalDensity.ar1(0.5)
         a = np.array([[1.0], [0.5]])
         sol = solve_channel(F, None, a, window=48)
         with pytest.raises(PastWindowError, match="joint vector of 50 entries"):
             empirical_mse(sol, F, None, a, SimulationConfig(seed=1, n_trials=10, n_steps=48))
-
-    def test_joint_covariance_keeps_noise_off_the_future(self):
-        # observed past (signal + noise) then signal future; the noise is
-        # independent of the signal, so it enters the past-past block only
-        F = RationalDensity(np.array([[[1.0, 0.2], [0.0, 0.8]]]), [1.0, -0.6])
-        G = RationalDensity(0.4 * np.eye(2)[None])
-        L, J, K = 5, 3, 2
-        cov = _joint_covariance(F, G, L, J).reshape(L + J, K, L + J, K)
-        KF = covariance_from_density(F, L + J - 1)
-        KG = covariance_from_density(G, L + J - 1)
-        for s in range(L + J):
-            for t in range(L + J):
-                expected = KF[s - t] + (KG[s - t] if max(s, t) < L else 0.0)
-                assert np.allclose(cov[s, :, t, :], expected, atol=1e-14)
-        flat = cov.reshape((L + J) * K, -1)
-        assert np.allclose(flat, flat.conj().T, atol=1e-14)
 
     def test_short_past_window_rejected(self):
         # a moving-average density with a zero near the circle makes the

@@ -12,8 +12,8 @@ from pcfield.spectral import (
     density_from_spec,
     density_to_spec,
     evaluate_lag_series,
-    export_operators_csv,
     fourier_coefficients,
+    joint_covariance,
     lambda_grid,
     matrix_fourier_coefficient,
     _pointwise_condition,
@@ -271,15 +271,6 @@ class TestAssembleOperators:
             assemble_operators(as_grid(F, 512), None, window=2)
         assert err.value.lambda_value == pytest.approx(0.0, abs=1e-12)
 
-    def test_csv_export(self, tmp_path):
-        F = SpectralDensityGrid.white(1, 1.0, 64)
-        ops = assemble_operators(F, None, window=2)
-        path = tmp_path / "ops.csv"
-        export_operators_csv(ops, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "operator,row,col,re,im"
-        assert len(text) == 1 + 3 * 4
-
 
 class TestPointwiseCondition:
     def test_matches_svd_condition_on_hermitian_pd_samples(self):
@@ -354,3 +345,19 @@ class TestCovariance:
         cov = covariance_from_density(SpectralDensityGrid.white(1, 1.0, 64), 2)
         with pytest.raises(IndexError):
             cov[3]
+
+    def test_joint_covariance_keeps_noise_off_the_future(self):
+        # observed past (signal + noise) then signal future; the noise is
+        # independent of the signal, so it enters the past-past block only
+        F = RationalDensity(np.array([[[1.0, 0.2], [0.0, 0.8]]]), [1.0, -0.6])
+        G = RationalDensity(0.4 * np.eye(2)[None])
+        L, J, K = 5, 3, 2
+        cov = joint_covariance(F, G, L, J).reshape(L + J, K, L + J, K)
+        KF = covariance_from_density(F, L + J - 1)
+        KG = covariance_from_density(G, L + J - 1)
+        for s in range(L + J):
+            for t in range(L + J):
+                expected = KF[s - t] + (KG[s - t] if max(s, t) < L else 0.0)
+                assert np.allclose(cov[s, :, t, :], expected, atol=1e-14)
+        flat = cov.reshape((L + J) * K, -1)
+        assert np.allclose(flat, flat.conj().T, atol=1e-14)
