@@ -35,7 +35,6 @@ from .spectral import (
     evaluate_lag_series,
     fourier_coefficients,
     joint_covariance,
-    lambda_grid,
 )
 
 DEFAULT_WINDOW = 96
@@ -285,7 +284,6 @@ def _causal_half(values):
     plus(g) + plus(g)^* = g holds exactly for Hermitian-symmetric g.
     """
     n = values.shape[0]
-    lam = lambda_grid(n)
     # coefficient of exp(-i u lambda): gamma_u = (-1)^u ifft-bin u
     gamma = np.fft.ifft(values, axis=0)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)

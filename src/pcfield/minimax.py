@@ -207,12 +207,50 @@ def _is_field_variant(variant, weight):
     return _weight_stack(variant, weight, 1) is not None
 
 
+def _eig2_range(values):
+    """Smallest and largest eigenvalue at each node of an (n, 2, 2)
+    Hermitian stack, and their half-distance.
+
+    With mid = (a + d)/2 and rad = hypot((a - d)/2, |b|) the eigenvalues
+    are mid -/+ rad.  Like ``eigvalsh``, it reads the real diagonal and the
+    lower triangle.
+    """
+    a, d = values[:, 0, 0].real, values[:, 1, 1].real
+    mid = (a + d) / 2
+    rad = np.hypot((a - d) / 2, np.abs(values[:, 1, 0]))
+    return mid - rad, mid + rad, rad
+
+
 def _psd_clip(values):
+    """Projection of each node of a Hermitian stack onto the PSD cone.
+
+    The input is symmetrized first, and an all-PSD stack comes back as the
+    symmetrized input.  K = 1 clips the real part at zero.  K = 2 is closed
+    form (``_eig2_range``): a node with eigenvalues low < 0 becomes
+    max(high, 0) (X - low I) / (high - low), the clipped top eigenvalue
+    times the projector onto its eigenvector, and PSD nodes are left as
+    they are.  K >= 3 clips the eigenvalues of a batched ``eigh``.
+    """
     values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
     if values.shape[0] == 0:
         return values
     if values.shape[1] == 1:
         return np.maximum(values.real, 0.0).astype(complex)
+    if values.shape[1] == 2:
+        low, high, rad = _eig2_range(values)
+        neg = low < 0.0
+        if not neg.any():
+            return values
+        low, high, rad = low[neg], high[neg], rad[neg]
+        # high > 0 > low implies rad > 0; elsewhere the node goes to zero
+        up = high > 0.0
+        coef = np.zeros_like(high)
+        coef[up] = high[up] / (2.0 * rad[up])
+        shifted = values[neg]
+        shifted[:, 0, 0] -= low
+        shifted[:, 1, 1] -= low
+        values[neg] = coef[:, None, None] * shifted
+        return values
     eigvals, eigvecs = np.linalg.eigh(values)
     if eigvals.min() >= 0.0:
         return values
@@ -290,6 +328,7 @@ class _Constraints:
             return self.coords(as_grid(density, n_lambda).values)
 
         self.cw = channel_weight
+        self.name = f"{cls.variant} {cls.kind}"
         self.lower = self.upper = self.power = self.target = None
         self.nominal = self.radius = None
         if cls.kind == "contamination":
@@ -310,14 +349,23 @@ class _Constraints:
         """Alternate the side's exact step (``_shrink`` onto an L1 ball,
         ``_clip`` otherwise) with the PSD clip until stationary: exact after
         one sweep at K = 1 and for diagonal iterates, while at K >= 2 the
-        PSD coupling can stop at the cap short of the projection."""
+        PSD coupling can stop at the cap short of the projection, which
+        warns with a ``RuntimeWarning``."""
         step = self._shrink if self.radius is not None else self._clip
         out = values
         for _ in range(_PROJECTION_SWEEPS):
             prev = out
             out = _psd_clip(step(out))
-            if np.max(np.abs(out - prev)) < 1e-13 * max(1.0, np.max(np.abs(out))):
-                break
+            change = np.max(np.abs(out - prev))
+            level = 1e-13 * max(1.0, np.max(np.abs(out)))
+            if change < level:
+                return out
+        warnings.warn(
+            f"projection onto the {self.name} side (K={values.shape[1]}) stopped "
+            f"at its {_PROJECTION_SWEEPS}-sweep cap with a last step of "
+            f"{change:.3e} (stop level {level:.3e})",
+            RuntimeWarning,
+        )
         return out
 
     def gap(self, values):
@@ -458,7 +506,10 @@ class _LoewnerConstraints(_Constraints):
     @staticmethod
     def slack(a, b):
         """Smallest eigenvalue of a - b at each node."""
-        return np.linalg.eigvalsh(a - b).min(axis=1)
+        x = a - b
+        if x.shape[1] == 2:
+            return _eig2_range(x)[0]
+        return np.linalg.eigvalsh(x).min(axis=1)
 
     def _clip(self, values):
         """Clip into lower <= X <= upper in the Loewner order, then shift
@@ -569,7 +620,8 @@ def project_onto_class(pair, spec, n_lambda=None):
     stationary; feasible inputs come back untouched.  At K = 1, and for
     the diagonal iterates of the component variant, the result is the
     exact projection.  At K >= 2 the PSD cone couples the constraints and
-    the alternation may stop at its sweep cap short of the projection.
+    the alternation may stop at its sweep cap short of the projection,
+    with a ``RuntimeWarning`` that names the side, K and the last step.
     Infeasible parameter combinations raise :class:`InfeasibleClassError`.
     """
     F, G = pair
@@ -895,15 +947,19 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
     return _saddle_report(anchor, (signal, noise), active_tol)
 
 
-def sample_feasible(spec, rng, n_lambda, base_scale=1.0, degree=2):
-    """Random member of the class: a random PD density projected onto it."""
+def sample_feasible(spec, rng, n_lambda):
+    """Random member of the class: a random PD density projected onto it.
+
+    The density is a degree-2 moving average with complex Gaussian
+    coefficients, scaled to unit mean trace before the projection.
+    """
     K = spec.signal.upper.K if spec.signal.upper is not None else 1
     def random_density():
-        num = rng.normal(size=(degree + 1, K, K)) + 1j * rng.normal(size=(degree + 1, K, K))
+        num = rng.normal(size=(3, K, K)) + 1j * rng.normal(size=(3, K, K))
         num[0] += (1.5 + K) * np.eye(K)
         vals = RationalDensity(num).rasterize(n_lambda).values
         vals /= max(float(np.mean(np.trace(vals, axis1=1, axis2=2).real)), 1e-12)
-        return SpectralDensityGrid(vals * base_scale, check=False)
+        return SpectralDensityGrid(vals, check=False)
 
     F = random_density()
     G = random_density() if spec.noise is not None else None

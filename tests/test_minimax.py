@@ -20,7 +20,9 @@ from pcfield.minimax import (
     project_onto_class,
     saddle_point_residual,
     sample_feasible,
+    _LoewnerConstraints,
     _clipped_shift,
+    _psd_clip,
     _soft_threshold_to_radius,
 )
 from pcfield.spectral import RationalDensity, SpectralDensityGrid, as_grid, lambda_grid
@@ -70,6 +72,39 @@ class TestRobustObjective:
         f = SpectralDensityGrid.from_scalar_function(lambda lam: 1.0 + np.cos(lam), N)
         assert evaluate_robust_objective(f, None, anchor) == pytest.approx(1.0,
                                                                            abs=1e-12)
+
+
+def _higher_k_power_case(variant, K, n=256):
+    """A contamination x power class and PSD inputs, the noise input with
+    mean trace 55 against a power target of 1.8.  The weighted variant
+    takes a fixed 3 x 3 weight, so it needs K = 3."""
+    rng = np.random.default_rng(K)
+    U = as_grid(RationalDensity(
+        0.4 * (rng.normal(size=(2, K, K)) + 1j * rng.normal(size=(2, K, K)))
+        + np.concatenate([np.eye(K)[None] * 2, np.zeros((1, K, K))])), n)
+    weight = None
+    if variant == "trace":
+        signal_power, noise_power = 1.1 * U.trace_integral(), 1.8
+    elif variant == "component":
+        signal_power = 1.1 * np.mean(np.diagonal(U.values, axis1=1, axis2=2).real, axis=0)
+        noise_power = np.full(K, 1.8 / K)
+    else:
+        weight = np.array([[2, .3, .1], [.3, 1, .2], [.1, .2, 1.5]], dtype=complex)
+        signal_power = 1.1 * float(np.mean(np.einsum("kn,tnk->t", weight, U.values).real))
+        noise_power = 1.8
+    spec = contamination_pair(variant, upper=U, epsilon=0.3, signal_power=signal_power,
+                              noise_power=noise_power, weight_signal=weight,
+                              weight_noise=weight)
+    z = np.exp(-1j * lambda_grid(n))
+
+    def random_psd(mean_trace):
+        num = rng.normal(size=(3, K, K)) + 1j * rng.normal(size=(3, K, K))
+        P = sum((z ** u)[:, None, None] * num[u] for u in range(3))
+        vals = P @ np.conj(np.swapaxes(P, 1, 2))
+        vals *= mean_trace / np.mean(np.trace(vals, axis1=1, axis2=2).real)
+        return SpectralDensityGrid(vals, check=False)
+
+    return spec, random_psd(5.0), random_psd(55.0)
 
 
 class TestProjection:
@@ -150,32 +185,9 @@ class TestProjection:
     @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("variant", ["trace", "component"])
     def test_power_side_reaches_the_class_at_higher_K(self, variant, K):
-        # a PSD noise input with mean trace 55 against a power target of
-        # 1.8: the clipped shift keeps every field nonnegative, so the
+        # the clipped shift keeps every field nonnegative, so the
         # alternation with the PSD clip ends feasible
-        n = 256
-        rng = np.random.default_rng(K)
-        U = as_grid(RationalDensity(
-            0.4 * (rng.normal(size=(2, K, K)) + 1j * rng.normal(size=(2, K, K)))
-            + np.concatenate([np.eye(K)[None] * 2, np.zeros((1, K, K))])), n)
-        if variant == "trace":
-            signal_power, noise_power = 1.1 * U.trace_integral(), 1.8
-        else:
-            signal_power = 1.1 * np.mean(np.diagonal(U.values, axis1=1, axis2=2).real,
-                                         axis=0)
-            noise_power = np.full(K, 1.8 / K)
-        spec = contamination_pair(variant, upper=U, epsilon=0.3,
-                                  signal_power=signal_power, noise_power=noise_power)
-        z = np.exp(-1j * lambda_grid(n))
-
-        def random_psd(mean_trace):
-            num = rng.normal(size=(3, K, K)) + 1j * rng.normal(size=(3, K, K))
-            P = sum((z ** u)[:, None, None] * num[u] for u in range(3))
-            vals = P @ np.conj(np.swapaxes(P, 1, 2))
-            vals *= mean_trace / np.mean(np.trace(vals, axis1=1, axis2=2).real)
-            return SpectralDensityGrid(vals, check=False)
-
-        F, G = random_psd(5.0), random_psd(55.0)
+        spec, F, G = _higher_k_power_case(variant, K)
         assert feasibility_gap(project_onto_class((F, G), spec), spec) < 1e-10
 
     def test_infeasible_power_target_raises(self):
@@ -750,3 +762,120 @@ class TestAnchorLinearization:
         for key, a in functionals.items():
             assert np.array_equal(res.anchor.solutions[key].h_grid,
                                   solve_channel(res.F0, res.G0, a, window=self.WINDOW).h_grid)
+
+
+def _hermitian(x):
+    return (x + np.conj(np.swapaxes(x, 1, 2))) / 2
+
+
+def _eigh_clip(values):
+    """The PSD clip by a batched eigh: the route K >= 3 takes."""
+    w, U = np.linalg.eigh(_hermitian(values))
+    return U @ (np.maximum(w, 0.0)[..., None] * np.conj(np.swapaxes(U, 1, 2)))
+
+
+def _node_rel(x, ref, scale):
+    """Worst node error of x against ref, relative to each node's scale."""
+    err = np.max(np.abs(x - ref), axis=(1, 2))
+    return float(np.max(err / np.maximum(np.max(np.abs(scale), axis=(1, 2)), 1e-300)))
+
+
+def _special_2x2():
+    """Diagonal (b = 0), a = d, -c I, 0, rank-1 PSD and rank-1 NSD nodes."""
+    v = np.array([0.6, 0.8j])
+    rank1 = np.outer(v, v.conj())
+    return np.array([
+        [[1.5, 0.0], [0.0, -2.0]], [[-0.5, 0.0], [0.0, 3.0]],
+        [[-1.0, 0.0], [0.0, -1.0e-3]], [[0.7, 0.4 - 0.3j], [0.4 + 0.3j, 0.7]],
+        [[-0.7, 2.0j], [-2.0j, -0.7]], -3.0 * np.eye(2), -np.eye(2),
+        np.zeros((2, 2)), rank1, -rank1, 2.5 * rank1,
+    ], dtype=complex)
+
+
+class TestPsdClip2x2:
+    """The closed-form K = 2 cone step against the eigh route."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_batches_match_eigh(self, seed, scale):
+        X = scale * _hermitian(_cnormal(np.random.default_rng(seed), (512, 2, 2)))
+        out = _psd_clip(X)
+        assert np.all(np.isfinite(out))
+        assert _node_rel(out, _eigh_clip(X), X) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_special_nodes_match_eigh(self, scale):
+        X = scale * _special_2x2()
+        out = _psd_clip(X)
+        assert np.all(np.isfinite(out))
+        assert _node_rel(out, _eigh_clip(X), X) <= 1e-12
+        # -c I, -I and the rank-1 NSD node leave nothing; 0 stays 0
+        assert np.all(out[[5, 6, 7, 9]] == 0.0)
+        diagonal = scale * np.array([np.diag([1.5, 0.0]), np.diag([0.0, 3.0])])
+        assert _node_rel(out[:2], diagonal, X[:2]) <= 1e-15
+
+    def test_non_hermitian_input_is_symmetrized_first(self):
+        X = _cnormal(np.random.default_rng(5), (64, 2, 2))
+        assert _node_rel(_psd_clip(X), _eigh_clip(X), X) <= 1e-12
+
+    def test_psd_batch_comes_back_unchanged(self):
+        A = _cnormal(np.random.default_rng(3), (512, 2, 2))
+        X = A @ np.conj(np.swapaxes(A, 1, 2)) + 0.1 * np.eye(2)
+        X = _hermitian(X)
+        np.testing.assert_array_equal(_psd_clip(X), X)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_output_is_psd_and_idempotent(self, scale):
+        rng = np.random.default_rng(7)
+        X = scale * np.concatenate([_hermitian(_cnormal(rng, (256, 2, 2))),
+                                    _special_2x2()])
+        out = _psd_clip(X)
+        again = _psd_clip(out)
+        assert np.all(np.isfinite(out)) and np.all(np.isfinite(again))
+        low = np.linalg.eigvalsh(out / scale).min(axis=1)
+        assert low.min() >= -1e-12 * np.max(np.abs(X / scale))
+        assert _node_rel(again, out, X) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_slack_matches_eigvalsh(self, scale):
+        rng = np.random.default_rng(11)
+        a = scale * np.concatenate([_hermitian(_cnormal(rng, (256, 2, 2))),
+                                    _special_2x2()])
+        b = scale * _hermitian(_cnormal(rng, a.shape))
+        ref = np.linalg.eigvalsh(a - b).min(axis=1)
+        got = _LoewnerConstraints.slack(a, b)
+        norm = np.max(np.abs(a - b), axis=(1, 2))
+        assert np.max(np.abs(got - ref) / norm) <= 1e-12
+
+    def test_k3_keeps_the_eigh_route(self):
+        X = _hermitian(_cnormal(np.random.default_rng(2), (64, 3, 3)))
+        np.testing.assert_array_equal(_psd_clip(X), _eigh_clip(X))
+
+
+class TestProjectionSweepCap:
+    def test_weighted_k3_contamination_warns_at_the_cap(self):
+        # the alternation with the PSD clip stalls short of the weighted
+        # noise class and must say so
+        spec, F, G = _higher_k_power_case("weighted", 3)
+        with pytest.warns(RuntimeWarning, match=r"weighted power side \(K=3\) stopped "
+                                                r"at its 80-sweep cap with a last step"):
+            project_onto_class((F, G), spec)
+
+    def test_benchmark_band_class_warns_nothing(self):
+        # the matrix band x L1 class of the minimax_search benchmark; its
+        # projections end within 41 of the 80 sweeps
+        K = 2
+        G1 = SpectralDensityGrid.constant(0.25 * np.eye(K), N)
+        spec = band_pair("matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
+                         upper=SpectralDensityGrid.constant([[2.0, 0.2], [0.2, 2.0]], N),
+                         signal_power=np.eye(K), noise_nominal=G1,
+                         noise_radius=np.full((K, K), 0.15))
+        init = (SpectralDensityGrid.constant(np.eye(K), N), G1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            find_least_favorable(spec, {(0, 1): np.array([[1.0, 0.2], [0.3, -0.4]])},
+                                 init, max_iter=8, tol=1e-9, window=32, n_lambda=N)
+            rng = np.random.default_rng(1)
+            for _ in range(5):
+                sample_feasible(spec, rng, N)
+        assert not [w for w in caught if "sweep cap" in str(w.message)]
