@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -606,12 +607,16 @@ def cmd_minimax(problem, out_dir, args):
         init_G = None
     init = (as_grid(init_F, problem.n_lambda),
             as_grid(init_G, problem.n_lambda) if init_G is not None else None)
-    result = find_least_favorable(
-        spec, functionals, init,
-        max_iter=int(raw.get("max_iter", 500)),
-        tol=float(raw.get("tol", 1e-6)),
-        window=problem.window, n_lambda=problem.n_lambda,
-    )
+    with warnings.catch_warnings():
+        # a non-converged search is reported once, by the line below
+        warnings.filterwarnings("ignore", message="least-favorable search did not converge",
+                                category=RuntimeWarning)
+        result = find_least_favorable(
+            spec, functionals, init,
+            max_iter=int(raw.get("max_iter", 500)),
+            tol=float(raw.get("tol", 1e-6)),
+            window=problem.window, n_lambda=problem.n_lambda,
+        )
     report = result.report
     payload = {
         "command": "minimax", "meta": _meta(problem),

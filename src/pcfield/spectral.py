@@ -95,9 +95,11 @@ def evaluate_lag_series(coefficients, lags, n_lambda):
 class SpectralDensityGrid:
     """Hermitian PSD matrix density sampled on the uniform grid.
 
-    ``values`` has shape (n_lambda, K, K).  Hermitian symmetry is enforced
-    to 1e-12 and eigenvalues may dip no lower than -1e-10 (numerical
-    noise), matching how densities come out of quadrature and arithmetic.
+    ``values`` has shape (n_lambda, K, K).  Values must be finite, Hermitian
+    symmetry is enforced to 1e-12 and eigenvalues may dip no lower than
+    -1e-10 (numerical noise), matching how densities come out of quadrature
+    and arithmetic.  ``check=False`` skips these checks, for values that
+    satisfy them by construction.
     """
 
     def __init__(self, values, check=True):
@@ -111,6 +113,8 @@ class SpectralDensityGrid:
             self._validate()
 
     def _validate(self):
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("density has non-finite values")
         herm_gap = np.max(np.abs(self.values - np.conj(np.swapaxes(self.values, 1, 2))))
         scale = max(1.0, float(np.max(np.abs(self.values)) or 0.0))
         if herm_gap > 1e-12 * scale:
@@ -161,7 +165,7 @@ class RationalDensity:
     numerator ``N(lambda) = sum_u N_u exp(-i*u*lambda)`` and a scalar
     denominator polynomial ``den(lambda) = sum_v den_v exp(-i*v*lambda)``.
     Hermitian and PSD by construction; rasterizes to any grid size, so
-    refinement diagnostics stay available.
+    refinement diagnostics stay available.  Coefficients must be finite.
     """
 
     def __init__(self, numerator, denominator=(1.0,)):
@@ -176,6 +180,8 @@ class RationalDensity:
         self.denominator = np.asarray(denominator, dtype=complex).ravel()
         if self.denominator.size == 0:
             raise ValueError("denominator needs at least one coefficient")
+        if not (np.all(np.isfinite(numerator)) and np.all(np.isfinite(self.denominator))):
+            raise ValueError("numerator and denominator coefficients must be finite")
 
     @property
     def K(self):
@@ -194,8 +200,9 @@ class RationalDensity:
             bad = lam[int(np.argmin(np.abs(den)))]
             raise ValueError(f"denominator vanishes near lambda = {bad:.6f}")
         values = num @ np.conj(np.swapaxes(num, 1, 2)) / (np.abs(den) ** 2)[:, None, None]
+        # N N^* / |den|^2, symmetrized exactly: Hermitian and PSD as built
         values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
-        return SpectralDensityGrid(values)
+        return SpectralDensityGrid(values, check=False)
 
     @classmethod
     def ar1(cls, phi, sigma=1.0):
@@ -317,10 +324,14 @@ def _condition_from_eigenvalues(eigvals):
         return np.where(smallest > 0, largest / smallest, np.inf)
 
 
+def _hermitian_eigenvalues(values):
+    """Eigenvalues of the Hermitian part of each grid sample, ascending."""
+    return np.linalg.eigvalsh((values + np.conj(np.swapaxes(values, 1, 2))) / 2)
+
+
 def _pointwise_condition(values):
     """2-norm condition number of the Hermitian part of each grid sample."""
-    hermitian = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
-    return _condition_from_eigenvalues(np.linalg.eigvalsh(hermitian))
+    return _condition_from_eigenvalues(_hermitian_eigenvalues(values))
 
 
 def _pointwise_inverse(values, cond_ceiling, lam):
@@ -403,22 +414,26 @@ class MinimalityReport:
     refinement_growth: float | None = None
 
 
-def _masked_trace_integral(values, cond_ceiling):
-    lam = lambda_grid(values.shape[0])
-    conds = _pointwise_condition(values)
-    good = np.isfinite(conds) & (conds <= cond_ceiling)
-    singular = [float(x) for x in lam[~good]]
-    if good.any():
-        inv = np.linalg.inv(values[good])
-        # sum over non-singular nodes against the full grid measure
-        integral = float(np.sum(np.trace(inv, axis1=1, axis2=2).real) / values.shape[0])
-        max_cond = float(conds[good].max())
-    else:
-        integral = float("inf")
-        max_cond = float("inf")
-    if singular:
-        max_cond = float("inf")
-    return integral, max_cond, singular
+def _node_traces(values, cond_ceiling):
+    """Tr (F+G)^{-1} and the 2-norm condition number at each grid node.
+
+    One batched ``eigvalsh`` gives both: the trace is the sum of the inverse
+    eigenvalues.  Returns (traces, conds, regular); ``regular`` marks the
+    nodes with a finite condition number within ``cond_ceiling``, and the
+    trace is 0 elsewhere.
+    """
+    eigs = _hermitian_eigenvalues(values)
+    conds = _condition_from_eigenvalues(eigs)
+    regular = np.isfinite(conds) & (conds <= cond_ceiling)
+    inverse = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=regular[:, None])
+    return inverse.sum(axis=1), conds, regular
+
+
+def _masked_integral(traces, regular):
+    """Sum of the regular nodes' traces against the full grid measure."""
+    if not regular.any():
+        return float("inf")
+    return float(np.sum(traces[regular]) / traces.shape[0])
 
 
 def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
@@ -428,8 +443,12 @@ def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
     The trace integral (1/2pi) int Tr[(F+G)^{-1}] is computed with exactly
     singular nodes masked and reported.  For parametric densities a refined
     grid (2 * n_lambda) is also evaluated: growth above 10% between the two
-    resolutions marks a divergent integral.  Passing requires no singular
-    nodes, a condition number below ``cond_ceiling``, and no divergence.
+    resolutions marks a divergent integral.  The base grid is the refined
+    grid's even nodes, bit for bit, so the pair is rasterized and
+    eigen-decomposed once, at 2 * n_lambda.  Singular nodes are listed base
+    nodes first, then the refined grid's other nodes.  Passing requires no
+    singular nodes, a condition number below ``cond_ceiling``, and no
+    divergence.
     """
 
     def total_at(n):
@@ -441,18 +460,21 @@ def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
             raise ValueError("F and G sampled on different grids")
         return Fg.values + Gg.values
 
-    base = total_at(n_lambda)
-    integral, max_cond, singular = _masked_trace_integral(base, cond_ceiling)
+    refined = (refine and isinstance(F, RationalDensity)
+               and (G is None or isinstance(G, RationalDensity)))
+    total = total_at(2 * n_lambda if refined else n_lambda)
+    traces, conds, regular = _node_traces(total, cond_ceiling)
+    lam = lambda_grid(total.shape[0])
+    step = 2 if refined else 1
+    base = slice(None, None, step)
+    integral = _masked_integral(traces[base], regular[base])
+    singular = lam[base][~regular[base]].tolist()
+    max_cond = float(conds.max()) if regular.all() else float("inf")
     refined_integral = None
     growth = None
-    can_refine = isinstance(F, RationalDensity) and (G is None or isinstance(G, RationalDensity))
-    if refine and can_refine:
-        fine = as_grid(F, 2 * base.shape[0]).values
-        if G is not None:
-            fine = fine + as_grid(G, 2 * base.shape[0]).values
-        refined_integral, fine_cond, fine_singular = _masked_trace_integral(fine, cond_ceiling)
-        singular = singular + [x for x in fine_singular if x not in singular]
-        max_cond = max(max_cond, fine_cond)
+    if refined:
+        refined_integral = _masked_integral(traces, regular)
+        singular += lam[1::2][~regular[1::2]].tolist()
         if integral > 0 and np.isfinite(integral) and np.isfinite(refined_integral):
             growth = float(refined_integral / integral - 1.0)
         else:
@@ -468,7 +490,7 @@ def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
         max_condition=max_cond,
         passed=passed,
         singular_lambdas=singular,
-        n_lambda=base.shape[0],
+        n_lambda=total.shape[0] // step,
         refined_integral=refined_integral,
         refinement_growth=growth,
     )

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,12 @@ _UNSAMPLEABLE_SIGNAL = [
     _set(("channels", 0, "F", "denominator"), [1.0, -0.995]),
 ]
 
+# a white noise grid with one infinite node, written as JSON's Infinity
+_INFINITE_GRID_NOISE = [_set(("channels", 0, "G"), {
+    "type": "grid", "K": 1, "n_lambda": 512,
+    "values": [[[float("inf") if t == 7 else 0.5]] for t in range(512)],
+})]
+
 _INFEASIBLE_BAND = {
     "family": "band", "variant": "trace", "noiseless": True,
     "lower": {"type": "rational", "numerator": [0.5], "denominator": [1.0]},
@@ -247,6 +254,18 @@ class TestRuntimeFailures:
         pytest.param("solve", [_set(("channels", 0, "F", "denominator"), [1.0, -1.0])],
                      EXIT_SCHEMA, "schema error: channels[0].F: denominator has a root "
                      "on the unit circle", id="denominator-root-on-circle"),
+        pytest.param("solve", [_set(("channels", 0, "F", "numerator"), [1.0, float("nan")])],
+                     EXIT_SCHEMA, "schema error: channels[0].F: numerator and denominator "
+                     "coefficients must be finite", id="solve-nan-numerator"),
+        pytest.param("check", [_set(("channels", 0, "F", "numerator"), [1.0, float("nan")])],
+                     EXIT_SCHEMA, "schema error: channels[0].F: numerator and denominator "
+                     "coefficients must be finite", id="check-nan-numerator"),
+        pytest.param("solve", _INFINITE_GRID_NOISE, EXIT_SCHEMA,
+                     "schema error: channels[0].G: density has non-finite values",
+                     id="solve-infinite-grid-value"),
+        pytest.param("check", _INFINITE_GRID_NOISE, EXIT_SCHEMA,
+                     "schema error: channels[0].G: density has non-finite values",
+                     id="check-infinite-grid-value"),
         pytest.param("minimax", [_set(("class_spec",), _INFEASIBLE_BAND)], EXIT_SCHEMA,
                      "infeasible class: power target", id="infeasible-class-power"),
         pytest.param("factorize", [_set(("channels", 0, "F", "numerator"), [0.0])],
@@ -544,6 +563,17 @@ class TestMinimax:
         assert report["status"] == "NOT_CONVERGED"
         assert len(report["objective_history"]) >= 1
 
+    def test_non_convergence_is_reported_once(self, tmp_path, capsys):
+        # the CLI's own line replaces the library's RuntimeWarning
+        path = write_problem(tmp_path, self.fixed_power_fixture(max_iter=1))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["minimax", "--input", str(path), "--output", str(out)])
+        assert code == EXIT_NOT_CONVERGED
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "minimax: search did not converge; artifacts carry the best iterate\n")
 
     @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

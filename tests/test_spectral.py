@@ -20,6 +20,20 @@ from pcfield.spectral import (
 )
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that its calls are counted; returns the list
+    that receives one entry per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_trig_poly_density(rng, K, degree, diag_boost=None):
     """Random PD trigonometric-polynomial density via an MA square."""
     num = rng.normal(size=(degree + 1, K, K)) + 1j * rng.normal(size=(degree + 1, K, K))
@@ -106,6 +120,45 @@ class TestDensityTypes:
         lam = grid.lam
         expect = 1.0 / np.abs(1 - phi * np.exp(1j * lam)) ** 2
         assert np.max(np.abs(grid.values[:, 0, 0] - expect)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_grid_values(self, bad):
+        vals = np.ones((8, 1, 1), dtype=complex)
+        vals[3, 0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralDensityGrid(vals)
+
+    @pytest.mark.parametrize("numerator, denominator", [
+        ([1.0, np.nan], [1.0]),
+        ([[[1.0, 0.0], [np.inf, 1.0]]], [1.0]),
+        ([1.0], [1.0, np.nan]),
+        ([1.0], [complex(1.0, np.inf)]),
+    ])
+    def test_rational_rejects_non_finite_coefficients(self, numerator, denominator):
+        with pytest.raises(ValueError, match="finite"):
+            RationalDensity(numerator, denominator)
+
+    def test_rasterized_grids_pass_validation(self, monkeypatch):
+        # rasterize skips the grid checks because N N^* / |den|^2, symmetrized
+        # exactly, is Hermitian and PSD as built; the checks must agree
+        eigvalsh_calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        rng = np.random.default_rng(101)
+        grids = []
+        for K in (1, 2, 3):
+            for degree in (0, 1, 2):
+                for _ in range(4):
+                    num = rng.normal(size=(degree + 1, K, K)) \
+                        + 1j * rng.normal(size=(degree + 1, K, K))
+                    if rng.random() < 0.5:
+                        num[:, :, -1] = 0.0  # rank-deficient at every node
+                    poles = rng.uniform(0.0, 0.95, size=2) \
+                        * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+                    den = np.poly(poles)[::-1] * rng.uniform(0.1, 10.0)
+                    grids.append(RationalDensity(num, den).rasterize(256))
+        assert eigvalsh_calls == []
+        for grid in grids:
+            grid._validate()
+        assert len(eigvalsh_calls) == len(grids) == 36
 
     def test_denominator_root_on_circle_rejected(self):
         with pytest.raises(ValueError, match="vanishes"):
@@ -318,6 +371,71 @@ class TestCheckMinimality:
         report = check_minimality(RationalDensity.ar1(0.5), n_lambda=1024)
         assert report.passed
         assert abs(report.refinement_growth) < 1e-10
+
+    @staticmethod
+    def separate_grid_report(F, G, n, cond_ceiling=1e10):
+        """The refined report from two separate rasterizations, at n and 2n,
+        each inverted node by node and its singular nodes merged by value."""
+
+        def masked(total):
+            conds = _pointwise_condition(total)
+            good = np.isfinite(conds) & (conds <= cond_ceiling)
+            inv = np.linalg.inv(total[good])
+            integral = np.sum(np.trace(inv, axis1=1, axis2=2).real) / len(total)
+            max_cond = conds.max() if good.all() else np.inf
+            return integral, max_cond, list(lambda_grid(len(total))[~good])
+
+        def total(m):
+            return as_grid(F, m).values + (0.0 if G is None else as_grid(G, m).values)
+
+        integral, cond, singular = masked(total(n))
+        refined, fine_cond, fine_singular = masked(total(2 * n))
+        singular += [x for x in fine_singular if x not in singular]
+        return integral, refined, max(cond, fine_cond), singular
+
+    @pytest.mark.parametrize("F, G", [
+        pytest.param(RationalDensity.ar1(0.5), RationalDensity([[[0.6]]]), id="ar1-white"),
+        pytest.param(RationalDensity.ma([1.0, -1.0]), None, id="ma-zero-at-0"),
+        pytest.param(RationalDensity(np.array([[[1.0, 0.3j], [0.2, 0.8]], [[0.4, 0.0], [0.1, -0.5]]]),
+                                     [1.0, -0.6]),
+                     RationalDensity(0.1 * np.eye(2)[None]), id="K2"),
+    ])
+    def test_nested_grid_matches_separate_grids(self, monkeypatch, F, G):
+        integral, refined, cond, singular = self.separate_grid_report(F, G, 1024)
+        eigvalsh_calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        inv_calls = count_calls(monkeypatch, np.linalg, "inv")
+        report = check_minimality(F, G, n_lambda=1024)
+        assert len(eigvalsh_calls) == 1 and inv_calls == []
+        assert report.n_lambda == 1024
+        assert report.trace_integral == pytest.approx(integral, rel=1e-12)
+        assert report.refined_integral == pytest.approx(refined, rel=1e-12)
+        assert report.max_condition == cond
+        assert report.singular_lambdas == singular
+
+    def test_grid_pair_takes_one_eigenvalue_pass(self, monkeypatch):
+        F = RationalDensity.ar1(0.5).rasterize(512)
+        G = SpectralDensityGrid.white(1, 0.5, 512)
+        eigvalsh_calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        inv_calls = count_calls(monkeypatch, np.linalg, "inv")
+        report = check_minimality(F, G)
+        assert len(eigvalsh_calls) == 1 and inv_calls == []
+        assert report.passed and report.refined_integral is None
+        direct = np.mean(1.0 / (F.values[:, 0, 0].real + 0.5))
+        assert report.trace_integral == pytest.approx(direct, rel=1e-12)
+
+    def test_all_singular_report(self):
+        # every node of both grids is singular; the base nodes are listed
+        # first, then the refined grid's odd nodes, and the merge is linear
+        n = 16384
+        report = check_minimality(RationalDensity([[[0.0]]]), n_lambda=n)
+        assert not report.passed
+        assert report.trace_integral == np.inf
+        assert report.refined_integral == np.inf
+        assert report.refinement_growth == np.inf
+        assert report.max_condition == np.inf
+        assert report.n_lambda == n
+        assert report.singular_lambdas == (lambda_grid(n).tolist()
+                                           + lambda_grid(2 * n)[1::2].tolist())
 
 
 class TestCovariance:
