@@ -396,7 +396,7 @@ class TestCheckMinimality:
     @pytest.mark.parametrize("F, G", [
         pytest.param(RationalDensity.ar1(0.5), RationalDensity([[[0.6]]]), id="ar1-white"),
         pytest.param(RationalDensity.ma([1.0, -1.0]), None, id="ma-zero-at-0"),
-        pytest.param(RationalDensity(np.array([[[1.0, 0.3j], [0.2, 0.8]], [[0.4, 0.0], [0.1, -0.5]]]),
+        pytest.param(RationalDensity([[[1.0, 0.3j], [0.2, 0.8]], [[0.4, 0.0], [0.1, -0.5]]],
                                      [1.0, -0.6]),
                      RationalDensity(0.1 * np.eye(2)[None]), id="K2"),
     ])
