@@ -17,7 +17,6 @@ import hashlib
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,7 @@ from .simulate import (
 )
 from .spectral import (
     MinimalityViolation,
+    NonFiniteDensityError,
     as_grid,
     check_minimality,
     complex_tensor_from_json,
@@ -375,19 +375,13 @@ def _meta(problem):
     }
 
 
-def _solve_all(problem, threads):
-    def one(entry):
+def _solve_all(problem):
+    sols = []
+    for entry in problem.channels:
         F = as_grid(entry["F"], problem.n_lambda)
         G = as_grid(entry["G"], problem.n_lambda) if entry["G"] is not None else None
-        sol = solve_channel(F, G, entry["a"], window=problem.window,
-                            cond_ceiling=problem.tolerances["cond_ceiling"])
-        return sol
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sols = list(pool.map(one, problem.channels))
-    else:
-        sols = [one(entry) for entry in problem.channels]
+        sols.append(solve_channel(F, G, entry["a"], window=problem.window,
+                                  cond_ceiling=problem.tolerances["cond_ceiling"]))
     return sols
 
 
@@ -396,7 +390,7 @@ def _solve_all(problem, threads):
 
 
 def cmd_solve(problem, out_dir, args):
-    sols = _solve_all(problem, args.threads)
+    sols = _solve_all(problem)
     payload = {"command": "solve", "meta": _meta(problem), "channels": []}
     total = 0.0
     for entry, sol in zip(problem.channels, sols):
@@ -526,7 +520,7 @@ def cmd_validate(problem, out_dir, args):
     cfg = _simulation(problem, args)
     _check_oracle_lags(problem)
     _check_simulation_lags(problem, cfg)
-    sols = _solve_all(problem, args.threads)
+    sols = _solve_all(problem)
     rows = []
     all_ok = True
     for i, (entry, sol) in enumerate(zip(problem.channels, sols)):
@@ -706,8 +700,6 @@ def main(argv=None):
     parser.add_argument("--output", required=True, help="output directory")
     parser.add_argument("--seed", type=_seed, default=None,
                         help="override the simulation seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for channel solves")
     parser.add_argument("--strict", action="store_true",
                         help="reject unknown fields in the problem file")
     try:
@@ -729,7 +721,7 @@ def main(argv=None):
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](problem, out_dir, args)
-    except SchemaError as exc:
+    except (SchemaError, NonFiniteDensityError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except InfeasibleClassError as exc:

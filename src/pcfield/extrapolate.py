@@ -35,6 +35,7 @@ from .spectral import (
     evaluate_lag_series,
     fourier_coefficients,
     joint_covariance,
+    _node_matmul,
 )
 
 DEFAULT_WINDOW = 96
@@ -309,6 +310,9 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
     the Cholesky factor of the lag-0 covariance, each step multiplies the
     current factor by the causal half of ``psi^{-1} F psi^{-*} + I``.
     Converges quadratically for densities bounded away from singularity.
+    The starting factor is one K x K matrix broadcast over the grid, so
+    the first sweep inverts it once instead of at every node; later sweeps
+    take one batched inverse of the per-node factor.
 
     Raises :class:`FactorizationError` for rank-deficient densities or when
     the residual fails to reach ``tol`` within ``max_iter`` sweeps.  The
@@ -332,7 +336,8 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
 
     gamma0 = np.mean(values, axis=0)
     gamma0 = (gamma0 + gamma0.conj().T) / 2
-    psi = np.broadcast_to(np.linalg.cholesky(gamma0), (n, K, K)).copy()
+    # one node that broadcasts over the grid: the first sweep inverts it once
+    psi = np.linalg.cholesky(gamma0)[None]
     ident = np.eye(K)
 
     sup_f = float(np.max(np.linalg.norm(values, axis=(1, 2))))
@@ -340,12 +345,13 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
     iterations = 0
     for iterations in range(1, max_iter + 1):
         psi_inv = np.linalg.inv(psi)
-        g = psi_inv @ values @ np.conj(np.swapaxes(psi_inv, 1, 2)) + ident
+        g = _node_matmul(_node_matmul(psi_inv, values),
+                         np.conj(np.swapaxes(psi_inv, 1, 2))) + ident
         g_plus, g0 = _causal_half(g)
         s = np.triu(g0, k=1)
         s = s - s.conj().T
-        psi = psi @ (g_plus + s)
-        recon = psi @ np.conj(np.swapaxes(psi, 1, 2))
+        psi = _node_matmul(psi, g_plus + s)
+        recon = _node_matmul(psi, np.conj(np.swapaxes(psi, 1, 2)))
         residual = float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup_f
         if residual <= tol:
             converged = True
@@ -369,7 +375,7 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
 
     # residual of the reconstruction actually returned (from coefficients)
     p_from_d = evaluate_lag_series(d, -lags, n)
-    recon = p_from_d @ np.conj(np.swapaxes(p_from_d, 1, 2))
+    recon = _node_matmul(p_from_d, np.conj(np.swapaxes(p_from_d, 1, 2)))
     residual = float(np.max(np.linalg.norm(values - recon, axis=(1, 2))))
     return FactorizationResult(
         coefficients=d,
@@ -436,7 +442,7 @@ def solve_by_factorization(fac, a):
         return EstimateSolution(coefficients=None, h_grid=None, delta=delta,
                                 window=J, diagnostics=diagnostics)
     h = A - np.einsum("tnk,tn->tk", q, S)
-    Fv = fac.factor_grid @ np.conj(np.swapaxes(fac.factor_grid, 1, 2))
+    Fv = _node_matmul(fac.factor_grid, np.conj(np.swapaxes(fac.factor_grid, 1, 2)))
     Ct = np.einsum("tk,tkn->tn", A - h, Fv)
     diagnostics["causal_leakage"] = _lag_energy_share(h, negative=False)
     diagnostics["orthogonality_residual"] = float(np.sqrt(_lag_energy_share(Ct, negative=True)))

@@ -46,6 +46,7 @@ from .spectral import (
     as_grid,
     assemble_operators,
     evaluate_lag_series,
+    _node_matmul,
 )
 
 _PROJECTION_SWEEPS = 80   # cap of _Constraints.project, met only at K >= 2
@@ -255,7 +256,7 @@ def _psd_clip(values):
     if eigvals.min() >= 0.0:
         return values
     eigvals = np.maximum(eigvals, 0.0)
-    return eigvecs @ (eigvals[..., None] * np.conj(np.swapaxes(eigvecs, 1, 2)))
+    return _node_matmul(eigvecs, eigvals[..., None] * np.conj(np.swapaxes(eigvecs, 1, 2)))
 
 
 def _clipped_shift(t, lo, hi, target_mean):
@@ -866,7 +867,7 @@ def _per_weight(items):
 
 
 def _relative_model_residual(L, model, T, T_star):
-    recon = T @ model @ T_star
+    recon = _node_matmul(_node_matmul(T, model), T_star)
     num = float(np.max(np.linalg.norm(L - recon, axis=(1, 2))))
     den = max(float(np.max(np.linalg.norm(L, axis=(1, 2)))), 1e-300)
     return num / den
@@ -889,7 +890,8 @@ def _saddle_report(anchor, constraints, active_tol):
     residuals, multipliers = {}, {}
     for side, constraint, M, density in sides:
         model, multipliers[side] = constraint.fit(M, density.values, active_tol)
-        residuals[side] = _relative_model_residual(total @ M @ total, model, total, total)
+        L = _node_matmul(_node_matmul(total, M), total)
+        residuals[side] = _relative_model_residual(L, model, total, total)
     return SaddleReport(objective=anchor.delta, residual_F=residuals["F"],
                         residual_G=residuals.get("G"), multipliers=multipliers,
                         mode="noiseless" if noise is None else "noisy")
@@ -935,7 +937,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
             S = evaluate_lag_series(conv, np.arange(a_arr.shape[0]), n)
             L_F += np.einsum("tk,tn->tkn", np.conj(S), S)
         T_inv = np.linalg.inv(T)
-        M_F = T_inv @ L_F @ np.conj(np.swapaxes(T_inv, 1, 2))
+        M_F = _node_matmul(_node_matmul(T_inv, L_F), np.conj(np.swapaxes(T_inv, 1, 2)))
         model_F, mult_F = signal.fit(M_F, Fg.values, active_tol)
         residual_F = _relative_model_residual(L_F, model_F, T, T_star)
         return SaddleReport(objective=delta, residual_F=residual_F,

@@ -28,6 +28,10 @@ import numpy as np
 
 DEFAULT_N_LAMBDA = 4096
 DEFAULT_COND_CEILING = 1e10
+# Largest K for which _node_matmul expands the product over its entries.
+# Batched ``@`` pays a fixed cost per small matrix; the entry loop's cost
+# grows as K^3 and meets it at K = 4.
+_ENTRY_LOOP_MAX_K = 3
 
 
 class MinimalityViolation(RuntimeError):
@@ -37,6 +41,30 @@ class MinimalityViolation(RuntimeError):
         super().__init__(message)
         self.lambda_value = lambda_value
         self.condition_number = condition_number
+
+
+class NonFiniteDensityError(ValueError):
+    """A density's coefficients are finite but its grid values are not."""
+
+
+def _node_matmul(A, B):
+    """Per-node product of two (..., K, K) stacks; leading axes broadcast.
+
+    For K <= 3 each of the K^2 output entries is the sum over k of the node
+    vectors A[..., i, k] * B[..., k, j], added in ascending k; this avoids
+    the fixed per-matrix cost of batched ``@``.  Larger K returns ``A @ B``.
+    """
+    K = A.shape[-1]
+    if K > _ENTRY_LOOP_MAX_K:
+        return A @ B
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
+    for i in range(K):
+        for j in range(K):
+            acc = A[..., i, 0] * B[..., 0, j]
+            for k in range(1, K):
+                acc += A[..., i, k] * B[..., k, j]
+            out[..., i, j] = acc
+    return out
 
 
 def lambda_grid(n_lambda):
@@ -165,7 +193,9 @@ class RationalDensity:
     numerator ``N(lambda) = sum_u N_u exp(-i*u*lambda)`` and a scalar
     denominator polynomial ``den(lambda) = sum_v den_v exp(-i*v*lambda)``.
     Hermitian and PSD by construction; rasterizes to any grid size, so
-    refinement diagnostics stay available.  Coefficients must be finite.
+    refinement diagnostics stay available.  Coefficients must be finite,
+    and ``rasterize`` raises :class:`NonFiniteDensityError` when the grid
+    values overflow.
     """
 
     def __init__(self, numerator, denominator=(1.0,)):
@@ -199,9 +229,16 @@ class RationalDensity:
         if np.min(np.abs(den)) < 1e-14:
             bad = lam[int(np.argmin(np.abs(den)))]
             raise ValueError(f"denominator vanishes near lambda = {bad:.6f}")
-        values = num @ np.conj(np.swapaxes(num, 1, 2)) / (np.abs(den) ** 2)[:, None, None]
-        # N N^* / |den|^2, symmetrized exactly: Hermitian and PSD as built
-        values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (_node_matmul(num, np.conj(np.swapaxes(num, 1, 2)))
+                      / (np.abs(den) ** 2)[:, None, None])
+            # N N^* / |den|^2, symmetrized exactly: Hermitian and PSD as built
+            values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteDensityError(
+                f"rational density overflows on the {n_lambda}-point grid "
+                "(non-finite values); rescale its coefficients"
+            )
         return SpectralDensityGrid(values, check=False)
 
     @classmethod
@@ -380,10 +417,10 @@ def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):
         D = np.eye(window * K, dtype=complex)
         R = np.zeros((window * K, window * K), dtype=complex)
     else:
-        f_inv = Fg.values @ inv_total
+        f_inv = _node_matmul(Fg.values, inv_total)
         coeff_D = fourier_coefficients(np.swapaxes(f_inv, 1, 2), lags)
         D = _block_toeplitz(coeff_D, lags, window, K)
-        sym_R = np.swapaxes(f_inv @ Gg.values, 1, 2)
+        sym_R = np.swapaxes(_node_matmul(f_inv, Gg.values), 1, 2)
         coeff_R = fourier_coefficients(sym_R, lags)
         R = _block_toeplitz(coeff_R, lags, window, K)
         R = (R + R.conj().T) / 2

@@ -115,16 +115,6 @@ class TestSolve:
         assert main(["solve", "--input", str(path), "--output", str(out)]) \
             == EXIT_MINIMALITY
 
-    def test_threads_flag_gives_same_results(self, tmp_path):
-        prob = ar1_problem()
-        prob["channels"].append(dict(prob["channels"][0], m=1))
-        path = write_problem(tmp_path, prob)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["solve", "--input", str(path), "--output", str(out1)]) == EXIT_OK
-        assert main(["solve", "--input", str(path), "--output", str(out2),
-                     "--threads", "2"]) == EXIT_OK
-        assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
-
 
 def _set(path, value):
     """Return an edit that sets ``payload[path[0]][path[1]]...`` to value."""
@@ -222,6 +212,9 @@ _INFINITE_GRID_NOISE = [_set(("channels", 0, "G"), {
     "values": [[[float("inf") if t == 7 else 0.5]] for t in range(512)],
 })]
 
+# finite coefficients whose square overflows on the grid
+_OVERFLOWING_NUMERATOR = [_set(("channels", 0, "F", "numerator"), [1e200])]
+
 _INFEASIBLE_BAND = {
     "family": "band", "variant": "trace", "noiseless": True,
     "lower": {"type": "rational", "numerator": [0.5], "denominator": [1.0]},
@@ -266,6 +259,13 @@ class TestRuntimeFailures:
         pytest.param("check", _INFINITE_GRID_NOISE, EXIT_SCHEMA,
                      "schema error: channels[0].G: density has non-finite values",
                      id="check-infinite-grid-value"),
+        pytest.param("solve", _OVERFLOWING_NUMERATOR, EXIT_SCHEMA,
+                     "schema error: rational density overflows", id="solve-overflowing-numerator"),
+        pytest.param("check", _OVERFLOWING_NUMERATOR, EXIT_SCHEMA,
+                     "schema error: rational density overflows", id="check-overflowing-numerator"),
+        pytest.param("factorize", _OVERFLOWING_NUMERATOR, EXIT_SCHEMA,
+                     "schema error: rational density overflows",
+                     id="factorize-overflowing-numerator"),
         pytest.param("minimax", [_set(("class_spec",), _INFEASIBLE_BAND)], EXIT_SCHEMA,
                      "infeasible class: power target", id="infeasible-class-power"),
         pytest.param("factorize", [_set(("channels", 0, "F", "numerator"), [0.0])],
@@ -351,6 +351,9 @@ class TestUsageErrors:
                      "argument --seed: must be a nonnegative integer", id="seed-negative"),
         pytest.param(["solve", "--input", "{input}", "--output", "{output}", "--frob"],
                      "unrecognized arguments: --frob", id="unknown-option"),
+        pytest.param(["solve", "--input", "{input}", "--output", "{output}",
+                      "--threads", "2"],
+                     "unrecognized arguments: --threads 2", id="threads-removed"),
     ])
     def test_exit_3_with_one_line(self, tmp_path, capsys, argv, message):
         path = write_problem(tmp_path, white_problem())

@@ -276,7 +276,7 @@ class TestFactorization:
 
     def test_reconstruction_residual_random_matrix_density(self):
         rng = np.random.default_rng(13)
-        for K in (2, 3):
+        for K in (2, 3, 4):
             F = as_grid(random_rational(rng, K, degree=3), 1024)
             fac = spectral_factorize(F)
             assert fac.residual <= 1e-8
@@ -285,6 +285,22 @@ class TestFactorization:
             diag = np.diag(d0)
             assert np.max(np.abs(diag.imag)) < 1e-10
             assert np.all(diag.real > 0)
+
+    @pytest.mark.parametrize("K", [1, 3, 4])
+    def test_first_sweep_inverts_one_matrix(self, monkeypatch, K):
+        # the starting factor is one Cholesky factor broadcast over the grid
+        shapes = []
+        inv = np.linalg.inv
+
+        def recorded(a):
+            shapes.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recorded)
+        F = as_grid(random_rational(np.random.default_rng(5), K), 512)
+        fac = spectral_factorize(F)
+        assert fac.converged and fac.iterations >= 2
+        assert shapes == [(1, K, K)] + [(512, K, K)] * (fac.iterations - 1)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(FactorizationError, match="rank deficient"):

@@ -25,7 +25,13 @@ from pcfield.minimax import (
     _psd_clip,
     _soft_threshold_to_radius,
 )
-from pcfield.spectral import RationalDensity, SpectralDensityGrid, as_grid, lambda_grid
+from pcfield.spectral import (
+    RationalDensity,
+    SpectralDensityGrid,
+    _node_matmul,
+    as_grid,
+    lambda_grid,
+)
 
 N = 512
 
@@ -769,9 +775,10 @@ def _hermitian(x):
 
 
 def _eigh_clip(values):
-    """The PSD clip by a batched eigh: the route K >= 3 takes."""
+    """The PSD clip by a batched eigh: the route K >= 3 takes, with its
+    reconstruction formed by the per-node product kernel."""
     w, U = np.linalg.eigh(_hermitian(values))
-    return U @ (np.maximum(w, 0.0)[..., None] * np.conj(np.swapaxes(U, 1, 2)))
+    return _node_matmul(U, np.maximum(w, 0.0)[..., None] * np.conj(np.swapaxes(U, 1, 2)))
 
 
 def _node_rel(x, ref, scale):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pcfield.spectral import (
     MinimalityViolation,
+    NonFiniteDensityError,
     RationalDensity,
     SpectralDensityGrid,
     as_grid,
@@ -16,6 +19,7 @@ from pcfield.spectral import (
     joint_covariance,
     lambda_grid,
     matrix_fourier_coefficient,
+    _node_matmul,
     _pointwise_condition,
 )
 
@@ -160,6 +164,19 @@ class TestDensityTypes:
             grid._validate()
         assert len(eigvalsh_calls) == len(grids) == 36
 
+    @pytest.mark.parametrize("numerator", [
+        [1e200],
+        [[[1.0, 0.0], [1e160, 1e160]], [[0.0, 1e160], [0.0, 1.0]]],
+    ])
+    def test_overflowing_grid_is_refused(self, numerator):
+        # finite coefficients, but N N^* overflows: a typed error, no numpy warning
+        density = RationalDensity(numerator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDensityError, match="overflows"):
+                density.rasterize(64)
+        assert issubclass(NonFiniteDensityError, ValueError)
+
     def test_denominator_root_on_circle_rejected(self):
         with pytest.raises(ValueError, match="vanishes"):
             RationalDensity([1.0], [1.0, -1.0]).rasterize(256)
@@ -284,7 +301,7 @@ class TestAssembleOperators:
             residuals.append(np.max(np.abs(row - expect)))
         assert residuals[0] > residuals[1] > residuals[2]
 
-    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("K", [2, 3, 4])
     def test_matches_loop_built_block_toeplitz(self, K):
         # reference: the symbols' coefficients placed block by block
         rng = np.random.default_rng(30 + K)
@@ -302,11 +319,13 @@ class TestAssembleOperators:
                     out[s * K:(s + 1) * K, j * K:(j + 1) * K] = coeffs[j - s + window - 1]
             return out
 
+        # the symbols are formed by the per-node kernel; placement is the subject
+        f_inv = _node_matmul(F.values, inv)
         B = loop_built(inv)
-        R = loop_built(F.values @ inv @ G.values)
+        R = loop_built(_node_matmul(f_inv, G.values))
         ops = assemble_operators(F, G, window=window)
         assert np.array_equal(ops.B, (B + B.conj().T) / 2)
-        assert np.array_equal(ops.D, loop_built(F.values @ inv))
+        assert np.array_equal(ops.D, loop_built(f_inv))
         assert np.array_equal(ops.R, (R + R.conj().T) / 2)
         assert np.array_equal(ops.inv_total, inv)
 
@@ -323,6 +342,63 @@ class TestAssembleOperators:
         with pytest.raises(MinimalityViolation) as err:
             assemble_operators(as_grid(F, 512), None, window=2)
         assert err.value.lambda_value == pytest.approx(0.0, abs=1e-12)
+
+
+def _operand(rng, K, kind, n=257):
+    """An (n, K, K) stack: real, complex, or a non-contiguous conj-transposed
+    view of a complex stack."""
+    real = rng.normal(size=(2 * n, K, K))
+    if kind == "real":
+        return real[:n]
+    values = real + 1j * rng.normal(size=real.shape)
+    if kind == "complex":
+        return values[:n]
+    return np.swapaxes(values.conj(), 1, 2)[::2]
+
+
+class TestNodeMatmul:
+    """The per-node product kernel against batched ``@``."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kinds", [
+        ("real", "complex"), ("complex", "real"), ("complex", "complex"),
+        ("view", "complex"), ("complex", "view"), ("view", "view"), ("real", "real"),
+    ])
+    def test_matches_matmul(self, K, kinds):
+        rng = np.random.default_rng(K)
+        A, B = (_operand(rng, K, kind) for kind in kinds)
+        got = _node_matmul(A, B)
+        ref = A @ B
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        if K == 4:
+            assert np.array_equal(got, ref)
+        else:
+            bound = 2 * K * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
+            assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_leading_axes_broadcast(self, K):
+        rng = np.random.default_rng(10 + K)
+        one = _operand(rng, K, "complex", n=1)
+        stack = _operand(rng, K, "view")
+        for A, B in ((one, stack), (stack, one)):
+            got = _node_matmul(A, B)
+            assert got.shape == stack.shape
+            bound = 2 * K * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
+            assert np.all(np.abs(got - A @ B) <= bound)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_gram_is_hermitian_to_rounding(self, K):
+        # numpy's complex multiply may fuse a multiply-add (FMA), so the
+        # imaginary parts of a_ik conj(a_jk) and a_jk conj(a_ik) need not
+        # cancel exactly; they cancel to the products' rounding
+        A = _operand(np.random.default_rng(20 + K), K, "complex")
+        H = _node_matmul(A, np.conj(np.swapaxes(A, 1, 2)))
+        abs_gram = np.abs(A) @ np.abs(np.swapaxes(A, 1, 2))
+        bound = 2 * K * np.finfo(float).eps * abs_gram
+        assert np.all(np.abs(H - np.conj(np.swapaxes(H, 1, 2))) <= bound)
+        diagonal = np.diagonal(H, axis1=1, axis2=2)
+        assert np.all(np.abs(diagonal.imag) <= np.diagonal(bound, axis1=1, axis2=2))
 
 
 class TestPointwiseCondition:
