@@ -391,14 +391,12 @@ class TestNodeMatmul:
     def test_gram_is_hermitian_to_rounding(self, K):
         # numpy's complex multiply may fuse a multiply-add (FMA), so the
         # imaginary parts of a_ik conj(a_jk) and a_jk conj(a_ik) need not
-        # cancel exactly; they cancel to the products' rounding
+        # cancel exactly; they cancel to the products' rounding (on the
+        # diagonal this bounds twice the imaginary part)
         A = _operand(np.random.default_rng(20 + K), K, "complex")
         H = _node_matmul(A, np.conj(np.swapaxes(A, 1, 2)))
-        abs_gram = np.abs(A) @ np.abs(np.swapaxes(A, 1, 2))
-        bound = 2 * K * np.finfo(float).eps * abs_gram
+        bound = 2 * K * np.finfo(float).eps * (np.abs(A) @ np.abs(np.swapaxes(A, 1, 2)))
         assert np.all(np.abs(H - np.conj(np.swapaxes(H, 1, 2))) <= bound)
-        diagonal = np.diagonal(H, axis1=1, axis2=2)
-        assert np.all(np.abs(diagonal.imag) <= np.diagonal(bound, axis1=1, axis2=2))
 
 
 class TestPointwiseCondition:
