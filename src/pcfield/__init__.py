@@ -12,13 +12,9 @@ from .blocking import (
     reconstruct_segment,
 )
 from .extrapolate import (
-    AggregateResult,
     EstimateSolution,
     FactorizationError,
     FactorizationResult,
-    FunctionalSpec,
-    aggregate,
-    channel_variance_bound,
     functional_variance,
     oracle_solve,
     solve_by_factorization,
@@ -33,9 +29,7 @@ from .harmonics import (
     decompose_field,
     evaluate_harmonic,
     gauss_legendre_grid,
-    gegenbauer,
     harmonic_count,
-    surface_area,
     synthesize_field,
 )
 from .minimax import (
@@ -75,7 +69,6 @@ from .spectral import (
     assemble_operators,
     check_minimality,
     covariance_from_density,
-    matrix_fourier_coefficient,
 )
 
 __version__ = "0.1.0"

@@ -84,7 +84,6 @@ class ChannelVectorSequence:
 
     values: np.ndarray
     config: BlockingConfig
-    j_start: int = 0
     discarded_energy: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -101,33 +100,8 @@ class ChannelVectorSequence:
     def n_periods(self):
         return self.values.shape[0]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "k", "re", "im"])
-            for row, j in enumerate(range(self.j_start, self.j_start + self.n_periods)):
-                for k in range(self.config.n_components):
-                    v = self.values[row, k]
-                    writer.writerow([j, k + 1, repr(float(v.real)), repr(float(v.imag))])
 
-    @classmethod
-    def from_csv(cls, path, config):
-        entries = {}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                entries[(int(row["j"]), int(row["k"]))] = complex(
-                    float(row["re"]), float(row["im"])
-                )
-        js = sorted({j for j, _ in entries})
-        values = np.zeros((len(js), config.n_components), dtype=complex)
-        for row, j in enumerate(js):
-            for k in range(1, config.n_components + 1):
-                values[row, k - 1] = entries[(j, k)]
-        return cls(values, config, j_start=js[0] if js else 0)
-
-
-def block_coefficients(samples, cfg, j_start=0):
+def block_coefficients(samples, cfg):
     """Project sampled periods onto the retained basis functions.
 
     ``samples`` covers consecutive periods at spacing ``cfg.dt``; its length
@@ -153,8 +127,7 @@ def block_coefficients(samples, cfg, j_start=0):
     kept = np.sum(np.abs(values) ** 2, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         discarded = np.where(total > 0, np.clip(1.0 - kept / total, 0.0, None), 0.0)
-    return ChannelVectorSequence(values, cfg, j_start=j_start,
-                                 discarded_energy=discarded)
+    return ChannelVectorSequence(values, cfg, discarded_energy=discarded)
 
 
 def reconstruct_segment(vector, cfg):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .harmonics import harmonic_count
 from .spectral import (
     DEFAULT_COND_CEILING,
     as_grid,
@@ -40,48 +39,13 @@ from .spectral import (
 
 DEFAULT_WINDOW = 96
 FACTORIZATION_TOL = 1e-8
+_FACTORIZE_TOL = 1e-10          # relative residual at which the sweeps stop
+_FACTORIZE_MAX_SWEEPS = 200
+_FACTORIZE_PD_FLOOR = 1e-10     # smallest eigenvalue relative to sup |F|
 
 
 class FactorizationError(RuntimeError):
     """Canonical factorization failed or is unavailable."""
-
-
-@dataclass
-class FunctionalSpec:
-    """Coefficient vectors a(j) for every harmonic channel (m, l)."""
-
-    channels: dict  # (m, l) -> complex array (J, K)
-
-    def __post_init__(self):
-        if not self.channels:
-            raise ValueError("functional needs at least one channel")
-        cleaned = {}
-        K = None
-        for key, arr in self.channels.items():
-            arr = np.atleast_2d(np.asarray(arr, dtype=complex))
-            if K is None:
-                K = arr.shape[1]
-            elif arr.shape[1] != K:
-                raise ValueError("all channels must share the component count K")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"channel {key} has non-finite coefficients")
-            cleaned[key] = arr
-        self.channels = cleaned
-
-    @property
-    def K(self):
-        return next(iter(self.channels.values())).shape[1]
-
-    def summability(self):
-        """The two summability diagnostics (finite by construction)."""
-        total = 0.0
-        weighted = 0.0
-        for arr in self.channels.values():
-            norms = np.linalg.norm(arr, axis=1)
-            j = np.arange(arr.shape[0])
-            total += norms.sum()
-            weighted += ((j + 1) * norms**2).sum()
-        return float(total), float(weighted)
 
 
 @dataclass
@@ -240,14 +204,13 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
     return sol, A, C
 
 
-def solve_noiseless(F, a, window=DEFAULT_WINDOW,
-                    cond_ceiling=DEFAULT_COND_CEILING):
+def solve_noiseless(F, a, window=DEFAULT_WINDOW):
     """Optimal estimate from noise-free observations of the channel.
 
     Same contract as :func:`solve_channel` with G = 0; the error reduces
     to the real inner product of c with a.
     """
-    return solve_channel(F, None, a, window=window, cond_ceiling=cond_ceiling)
+    return solve_channel(F, None, a, window=window)
 
 
 @dataclass
@@ -259,7 +222,7 @@ class FactorizationResult:
     grid; ``residual`` is the sup-norm reconstruction gap of F - P P*, and
     ``density_sup`` the sup-norm of F itself (their ratio is the
     scale-free quality measure).  ``converged`` tells whether that ratio,
-    for the factor returned, is within the requested tolerance.
+    for the factor returned, is within ``_FACTORIZE_TOL``.
     """
 
     coefficients: np.ndarray
@@ -302,8 +265,7 @@ def _causal_half(values):
     return plus, gamma0
 
 
-def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
-                       pd_floor=1e-10):
+def spectral_factorize(F, n_lambda=None):
     """Canonical (causal) factorization of a Hermitian PD matrix density.
 
     Newton-type fixed-point iteration on the frequency grid: starting from
@@ -314,10 +276,12 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
     the first sweep inverts it once instead of at every node; later sweeps
     take one batched inverse of the per-node factor.
 
-    Raises :class:`FactorizationError` for rank-deficient densities or when
-    the residual fails to reach ``tol`` within ``max_iter`` sweeps.  The
-    sweeps stop on the iterate's residual; the returned coefficients are
-    its first n/2 Fourier terms, whose residual can be larger when the
+    Raises :class:`FactorizationError` for densities whose smallest
+    eigenvalue is below ``_FACTORIZE_PD_FLOOR`` times the largest modulus
+    of their entries (rank deficient), or when the relative residual fails
+    to reach ``_FACTORIZE_TOL`` within ``_FACTORIZE_MAX_SWEEPS`` sweeps.
+    The sweeps stop on the iterate's residual; the returned coefficients
+    are its first n/2 Fourier terms, whose residual can be larger when the
     factor decays slowly, so ``converged`` is judged on them.
     """
     Fg = as_grid(F, n_lambda)
@@ -328,7 +292,7 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
     if scale == 0.0:
         raise FactorizationError("cannot factorize the zero density")
     eig_min = float(np.linalg.eigvalsh(values).min())
-    if eig_min < pd_floor * scale:
+    if eig_min < _FACTORIZE_PD_FLOOR * scale:
         raise FactorizationError(
             f"density is rank deficient on the grid (min eigenvalue {eig_min:.3e}); "
             "reduced-rank factorization is not supported"
@@ -343,7 +307,8 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
     sup_f = float(np.max(np.linalg.norm(values, axis=(1, 2))))
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    residual = float("inf")
+    for iterations in range(1, _FACTORIZE_MAX_SWEEPS + 1):
         psi_inv = np.linalg.inv(psi)
         g = _node_matmul(_node_matmul(psi_inv, values),
                          np.conj(np.swapaxes(psi_inv, 1, 2))) + ident
@@ -353,12 +318,12 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
         psi = _node_matmul(psi, g_plus + s)
         recon = _node_matmul(psi, np.conj(np.swapaxes(psi, 1, 2)))
         residual = float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup_f
-        if residual <= tol:
+        if residual <= _FACTORIZE_TOL:
             converged = True
             break
     if not converged:
         raise FactorizationError(
-            f"factorization did not converge in {max_iter} iterations "
+            f"factorization did not converge in {_FACTORIZE_MAX_SWEEPS} iterations "
             f"(last relative residual {residual:.3e})"
         )
 
@@ -383,7 +348,7 @@ def spectral_factorize(F, n_lambda=None, tol=1e-10, max_iter=200,
         residual=residual,
         density_sup=sup_f,
         iterations=iterations,
-        converged=residual / sup_f <= tol,
+        converged=residual / sup_f <= _FACTORIZE_TOL,
     )
 
 
@@ -451,48 +416,6 @@ def solve_by_factorization(fac, a):
     c = fourier_coefficients(Ct, -np.arange(J))
     return EstimateSolution(coefficients=c, h_grid=h, delta=delta,
                             window=J, diagnostics=diagnostics)
-
-
-def aggregate(solutions, n=3, tail_bounds=None):
-    """Combine per-channel solutions into the total mean-square error.
-
-    ``solutions`` maps either (m, l) pairs or plain degrees m to
-    :class:`EstimateSolution`.  Integer keys stand for a full degree of
-    identical channels and are weighted by the harmonic count h(m, n).
-    ``tail_bounds`` (optional) is an iterable of variance bounds for the
-    channels dropped by the degree cutoff; their sum is reported as the
-    truncation tail.
-    """
-    if not solutions:
-        raise ValueError("nothing to aggregate")
-    total = 0.0
-    per_channel = {}
-    for key, sol in solutions.items():
-        if isinstance(key, tuple):
-            weight = 1
-        else:
-            weight = harmonic_count(key, n)
-        contribution = weight * sol.delta
-        per_channel[key] = contribution
-        total += contribution
-    tail = float(sum(tail_bounds)) if tail_bounds is not None else 0.0
-    return AggregateResult(delta_total=float(total), per_channel=per_channel,
-                           tail_bound=tail)
-
-
-@dataclass
-class AggregateResult:
-    delta_total: float
-    per_channel: dict
-    tail_bound: float
-
-
-def channel_variance_bound(F, a):
-    """Upper bound on one channel's functional variance, for tail reports."""
-    Fg = as_grid(F)
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    sup_norm = float(np.max(np.linalg.norm(Fg.values, axis=(1, 2))))
-    return sup_norm * float(np.sum(np.abs(a) ** 2))
 
 
 def functional_variance(F, a):

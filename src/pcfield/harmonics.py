@@ -1,9 +1,10 @@
 """Spherical-harmonic machinery on the unit sphere.
 
-Dimension counts of harmonic spaces in ambient dimension ``n >= 3``,
-Gegenbauer polynomials, real orthonormal harmonics on the 2-sphere
-(``n = 3``) from one broadcast kernel, and quadrature-based analysis /
-synthesis of band-limited fields, batched over leading axes.
+Dimension counts of harmonic spaces in ambient dimension ``n >= 3``, real
+orthonormal harmonics on the 2-sphere (``n = 3``) from one broadcast
+kernel, and quadrature-based analysis / synthesis of band-limited fields,
+batched over leading axes.  Gegenbauer polynomials for general ``n`` are
+``scipy.special.eval_gegenbauer``.
 
 Conventions
 -----------
@@ -19,7 +20,6 @@ All sphere points are (theta, phi) with colatitude theta in [0, pi] and
 longitude phi in [0, 2*pi).
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -29,13 +29,6 @@ from scipy.special import factorial, lpmv, roots_legendre
 
 class GridResolutionError(ValueError):
     """Raised when a sphere grid cannot resolve the requested degree."""
-
-
-def surface_area(n):
-    """Surface measure of the unit sphere embedded in ``R^n``."""
-    if n < 3:
-        raise ValueError(f"ambient dimension must be >= 3, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def harmonic_count(m, n):
@@ -52,29 +45,6 @@ def harmonic_count(m, n):
     return (2 * m + n - 2) * math.factorial(m + n - 3) // (
         math.factorial(n - 2) * math.factorial(m)
     )
-
-
-def gegenbauer(m, alpha, z):
-    """Evaluate the Gegenbauer polynomial ``C_m^alpha`` at ``z``.
-
-    Uses the three-term recurrence
-
-        j * C_j = 2 z (j + alpha - 1) C_{j-1} - (j + 2 alpha - 2) C_{j-2},
-
-    which is exact for ``m`` in {0, 1} and numerically stable on [-1, 1].
-    Accepts scalar or array ``z``.
-    """
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
-    z = np.asarray(z, dtype=float)
-    c_prev = np.ones_like(z)
-    if m == 0:
-        return c_prev[()]
-    c = 2.0 * alpha * z
-    for j in range(2, m + 1):
-        c, c_prev = (2.0 * z * (j + alpha - 1.0) * c
-                     - (j + 2.0 * alpha - 2.0) * c_prev) / j, c
-    return c[()]
 
 
 @dataclass(frozen=True)
@@ -126,8 +96,9 @@ def _harmonic_values(m, l, theta, phi):
 def evaluate_harmonic(idx, theta, phi):
     """Real orthonormal spherical harmonic at points of the 2-sphere.
 
-    Only ``n = 3`` is supported for point evaluation; counts and
-    Gegenbauer values are available for general ``n``.
+    Only ``n = 3`` is supported for point evaluation; counts are available
+    for general ``n``, and Gegenbauer values are
+    ``scipy.special.eval_gegenbauer``.
     """
     if idx.n != 3:
         raise ValueError(f"point evaluation is implemented for n = 3 only, got n = {idx.n}")
@@ -174,24 +145,6 @@ class SphereGrid:
         while (m + 2) * (2 * m + 3) <= self.n_nodes:
             m += 1
         return m
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "phi", "weight"])
-            for t, p, w in zip(self.theta, self.phi, self.weights):
-                writer.writerow([repr(float(t)), repr(float(p)), repr(float(w))])
-
-    @classmethod
-    def from_csv(cls, path):
-        theta, phi, weights = [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                theta.append(float(row["theta"]))
-                phi.append(float(row["phi"]))
-                weights.append(float(row["weight"]))
-        return cls(np.array(theta), np.array(phi), np.array(weights))
 
 
 def gauss_legendre_grid(m_max):

@@ -50,6 +50,8 @@ from .spectral import (
 )
 
 _PROJECTION_SWEEPS = 80   # cap of _Constraints.project, met only at K >= 2
+_ASCENT_STEP0 = 1.0       # first trial step of each ascent iteration
+_ACTIVE_TOL = 1e-6        # slack, relative to the density's scale, of an active bound
 
 SIGNAL_KINDS = ("contamination", "band")
 NOISE_KINDS = ("power", "l1_ball")
@@ -611,7 +613,7 @@ def _gap(F, G, constraints):
     return max(gap, noise.gap(as_grid(G, F.n_lambda).values))
 
 
-def project_onto_class(pair, spec, n_lambda=None):
+def project_onto_class(pair, spec):
     """Grid-L2 projection of a density pair onto the admissible class.
 
     ``pair`` is (F, G); G is ignored for noiseless specs.  Each side
@@ -626,14 +628,14 @@ def project_onto_class(pair, spec, n_lambda=None):
     Infeasible parameter combinations raise :class:`InfeasibleClassError`.
     """
     F, G = pair
-    Fg = as_grid(F, n_lambda)
+    Fg = as_grid(F)
     return _project(Fg, G, _class_constraints(spec, Fg.n_lambda, Fg.K, G is not None))
 
 
-def feasibility_gap(pair, spec, n_lambda=None):
+def feasibility_gap(pair, spec):
     """Worst violation of class constraints, for tests and diagnostics."""
     F, G = pair
-    Fg = as_grid(F, n_lambda)
+    Fg = as_grid(F)
     return _gap(Fg, G, _class_constraints(spec, Fg.n_lambda, Fg.K, G is not None))
 
 
@@ -717,19 +719,21 @@ class LeastFavorableResult:
 
 
 def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
-                         window=DEFAULT_WINDOW, n_lambda=None, step0=1.0):
+                         window=DEFAULT_WINDOW, n_lambda=None):
     """Projected ascent to the least favorable pair of the class.
 
     ``functionals`` maps channel keys to (J, K) coefficient arrays (a bare
     array is treated as a single channel); ``init`` is a density pair
     (F, G) which is projected onto the class before the first solve.  The
-    objective sequence is non-decreasing: a step is accepted only if the
-    re-solved error improves, with the step halved otherwise.
+    objective sequence is non-decreasing: each iteration first tries the
+    step ``_ASCENT_STEP0`` along the scaled gradient, and a step is
+    accepted only if the re-solved error improves, with the step halved
+    otherwise.
 
     Returns a :class:`LeastFavorableResult` whose ``anchor`` is the solved
-    final pair and whose ``report`` carries the saddle residuals there;
-    ``converged=False`` flags a run that stalled before reaching the
-    relative-gain tolerance.
+    final pair and whose ``report`` carries the saddle residuals there,
+    fitted on the active sets read at ``_ACTIVE_TOL``; ``converged=False``
+    flags a run that stalled before reaching the relative-gain tolerance.
     """
     if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
         functionals = {(0, 1): np.asarray(functionals)}
@@ -758,7 +762,7 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
             norm_G = max(float(np.max(np.linalg.norm(grad_G, axis=(1, 2)))), 1e-300)
             dir_G = grad_G / norm_G * scale_G
 
-        step = step0
+        step = _ASCENT_STEP0
         improved = False
         for _ in range(40):
             F_try = SpectralDensityGrid(F.values + step * dir_F, check=False)
@@ -786,7 +790,7 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
             converged = True
             break
 
-    report = _saddle_report(anchor, constraints, active_tol=1e-6)
+    report = _saddle_report(anchor, constraints)
     if not converged:
         warnings.warn(
             f"least-favorable search did not converge in {max_iter} iterations "
@@ -873,7 +877,7 @@ def _relative_model_residual(L, model, T, T_star):
     return num / den
 
 
-def _saddle_report(anchor, constraints, active_tol):
+def _saddle_report(anchor, constraints):
     """Stationarity check at a solved anchor.
 
     Each side's multiplier model is fitted to its gradient field M; the
@@ -889,7 +893,7 @@ def _saddle_report(anchor, constraints, active_tol):
         sides.append(("G", noise, anchor.grad_G, anchor.G0))
     residuals, multipliers = {}, {}
     for side, constraint, M, density in sides:
-        model, multipliers[side] = constraint.fit(M, density.values, active_tol)
+        model, multipliers[side] = constraint.fit(M, density.values, _ACTIVE_TOL)
         L = _node_matmul(_node_matmul(total, M), total)
         residuals[side] = _relative_model_residual(L, model, total, total)
     return SaddleReport(objective=anchor.delta, residual_F=residuals["F"],
@@ -898,14 +902,15 @@ def _saddle_report(anchor, constraints, active_tol):
 
 
 def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
-                          window=DEFAULT_WINDOW, active_tol=1e-6):
+                          window=DEFAULT_WINDOW):
     """Check the stationarity equations of the class at (F0, G0).
 
     ``mode`` selects which form of the equations is used: "noisy" for the
     full pair, "noiseless" for observation without noise, "factorized" for
     the noiseless equations written through the canonical factor.  The
     Lagrange multiplier profiles are fitted subject to their sign
-    constraints; the report carries the relative sup-norm defects.  The
+    constraints, on active sets read at ``_ACTIVE_TOL``; the report
+    carries the relative sup-norm defects.  The
     "noisy" and "noiseless" modes fit the gradient fields of the anchor
     solved at (F0, G0); "factorized" is the independent reference route.
     """
@@ -938,7 +943,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
             L_F += np.einsum("tk,tn->tkn", np.conj(S), S)
         T_inv = np.linalg.inv(T)
         M_F = _node_matmul(_node_matmul(T_inv, L_F), np.conj(np.swapaxes(T_inv, 1, 2)))
-        model_F, mult_F = signal.fit(M_F, Fg.values, active_tol)
+        model_F, mult_F = signal.fit(M_F, Fg.values, _ACTIVE_TOL)
         residual_F = _relative_model_residual(L_F, model_F, T, T_star)
         return SaddleReport(objective=delta, residual_F=residual_F,
                             residual_G=None, multipliers={"F": mult_F},
@@ -946,7 +951,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
 
     anchor = build_anchor(Fg, G0 if mode == "noisy" else None, functionals,
                           window=window)
-    return _saddle_report(anchor, (signal, noise), active_tol)
+    return _saddle_report(anchor, (signal, noise))
 
 
 def sample_feasible(spec, rng, n_lambda):

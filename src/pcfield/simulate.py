@@ -86,12 +86,6 @@ class TrialSummary:
     realized: np.ndarray = None
     estimated: np.ndarray = None
 
-    @property
-    def squared_errors(self):
-        if self.realized is None:
-            return None
-        return np.abs(self.realized - self.estimated) ** 2
-
 
 def _ma_coefficients(F):
     """Causal coefficients of the factor of ``F`` (a density or its

@@ -20,7 +20,6 @@ so that the normal equations of one-sided linear estimation read
 ``B c = D a`` and the error is ``a* R a + c* B c``.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -93,11 +92,6 @@ def fourier_coefficients(values, lags):
     signs = np.where(lags % 2 == 0, 1.0, -1.0)
     out = spectrum[lags % n]
     return out * signs.reshape((-1,) + (1,) * (values.ndim - 1))
-
-
-def matrix_fourier_coefficient(values, d):
-    """Single matrix Fourier coefficient at lag ``d``."""
-    return fourier_coefficients(values, [d])[0]
 
 
 def evaluate_lag_series(coefficients, lags, n_lambda):
@@ -474,12 +468,13 @@ def _masked_integral(traces, regular):
 
 
 def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
-                     n_lambda=DEFAULT_N_LAMBDA, refine=True):
+                     n_lambda=DEFAULT_N_LAMBDA):
     """Report whether (F + G)^{-1} has an integrable trace on the grid.
 
     The trace integral (1/2pi) int Tr[(F+G)^{-1}] is computed with exactly
-    singular nodes masked and reported.  For parametric densities a refined
-    grid (2 * n_lambda) is also evaluated: growth above 10% between the two
+    singular nodes masked and reported.  For parametric densities (F
+    rational, and G rational or absent) a refined grid (2 * n_lambda) is
+    always evaluated as well: growth above 10% between the two
     resolutions marks a divergent integral.  The base grid is the refined
     grid's even nodes, bit for bit, so the pair is rasterized and
     eigen-decomposed once, at 2 * n_lambda.  Singular nodes are listed base
@@ -497,7 +492,7 @@ def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
             raise ValueError("F and G sampled on different grids")
         return Fg.values + Gg.values
 
-    refined = (refine and isinstance(F, RationalDensity)
+    refined = (isinstance(F, RationalDensity)
                and (G is None or isinstance(G, RationalDensity)))
     total = total_at(2 * n_lambda if refined else n_lambda)
     traces, conds, regular = _node_traces(total, cond_ceiling)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from pcfield.blocking import (
     BlockingConfig,
     BlockingError,
-    ChannelVectorSequence,
     basis_frequency,
     block_coefficients,
     functional_to_spec,
@@ -106,18 +105,6 @@ class TestBlockCoefficients:
         seq2 = block_coefficients(smooth, cfg)
         total2 = cfg.dt * np.sum(np.abs(smooth) ** 2)
         assert abs(np.sum(np.abs(seq2.values[0]) ** 2) - total2) < 1e-8
-
-    def test_csv_roundtrip(self, cfg, tmp_path):
-        rng = np.random.default_rng(5)
-        values = rng.normal(size=(3, cfg.n_components)) \
-            + 1j * rng.normal(size=(3, cfg.n_components))
-        seq = ChannelVectorSequence(values, cfg, j_start=-2)
-        path = tmp_path / "seq.csv"
-        seq.to_csv(path)
-        loaded = ChannelVectorSequence.from_csv(path, cfg)
-        assert loaded.j_start == -2
-        assert np.array_equal(loaded.values, seq.values)
-
 
 class TestFunctionalToSpec:
     def test_zero_function(self, cfg):

@@ -1,12 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from pcfield.extrapolate import (
     FactorizationError,
-    FunctionalSpec,
-    aggregate,
-    channel_variance_bound,
     functional_variance,
     oracle_solve,
     solve_by_factorization,
@@ -15,7 +14,6 @@ from pcfield.extrapolate import (
     spectral_factorize,
     _factor_convolution,
 )
-from pcfield.harmonics import harmonic_count
 from pcfield.spectral import (
     RationalDensity,
     SpectralDensityGrid,
@@ -184,19 +182,11 @@ class TestSolveChannelContracts:
         sol = solve_channel(F, None, a, window=48)
         var = functional_variance(F, a)
         assert -1e-10 <= sol.delta <= var * (1 + 1e-12)
-        assert var <= channel_variance_bound(F, a) * (1 + 1e-12)
 
     def test_functional_wider_than_window_rejected(self):
         F = SpectralDensityGrid.white(1, 1.0, 256)
         with pytest.raises(ValueError, match="window"):
             solve_channel(F, None, np.ones((9, 1)), window=8)
-
-    def test_functional_spec_diagnostics(self):
-        spec = FunctionalSpec({(0, 1): np.array([[1.0], [0.5]]),
-                               (1, 1): np.array([[2.0], [0.0]])})
-        total, weighted = spec.summability()
-        assert total == pytest.approx(1.5 + 2.0)
-        assert weighted == pytest.approx(1.0 + 2 * 0.25 + 4.0)
 
     def test_blocked_functional_pipes_into_solver(self):
         from pcfield.blocking import BlockingConfig, functional_to_spec
@@ -310,6 +300,15 @@ class TestFactorization:
         with pytest.raises(FactorizationError):
             spectral_factorize(SpectralDensityGrid.zero(2, 128))
 
+    @pytest.mark.parametrize("sweeps, residual", [(1, "4.263e+00"), (0, "inf")])
+    def test_sweep_cap_raises_not_converged(self, monkeypatch, sweeps, residual):
+        # AR(1) 0.9 needs more than one sweep; a cap of 0 runs none, and the
+        # message still reports a residual
+        monkeypatch.setattr("pcfield.extrapolate._FACTORIZE_MAX_SWEEPS", sweeps)
+        with pytest.raises(FactorizationError,
+                           match=f"did not converge .*residual {re.escape(residual)}"):
+            spectral_factorize(RationalDensity.ar1(0.9), n_lambda=256)
+
 
 class TestFactorizationSolve:
     def test_white_matches_direct(self):
@@ -360,30 +359,3 @@ class TestFactorConvolution:
                     expect[j] += d[p].T @ a[p + j]
         assert np.max(np.abs(_factor_convolution(d, a) - expect)) < 1e-12
 
-
-class TestAggregate:
-    def test_single_channel(self):
-        sol = solve_noiseless(SpectralDensityGrid.white(1, 1.0, 256),
-                              np.array([[1.0]]), window=8)
-        agg = aggregate({(0, 1): sol})
-        assert agg.delta_total == sol.delta
-
-    def test_two_identical_channels(self):
-        sol = solve_noiseless(SpectralDensityGrid.white(1, 1.0, 256),
-                              np.array([[1.0]]), window=8)
-        agg = aggregate({(0, 1): sol, (1, 1): sol})
-        assert agg.delta_total == pytest.approx(2 * sol.delta)
-
-    def test_isotropic_degree_weighting(self):
-        sol = solve_noiseless(SpectralDensityGrid.white(1, 1.0, 256),
-                              np.array([[1.0]]), window=8)
-        agg = aggregate({m: sol for m in range(4)})
-        expect = sum((2 * m + 1) * sol.delta for m in range(4))
-        assert agg.delta_total == pytest.approx(expect)
-        assert sum(harmonic_count(m, 3) for m in range(4)) == 16
-
-    def test_tail_bound_reported(self):
-        sol = solve_noiseless(SpectralDensityGrid.white(1, 1.0, 256),
-                              np.array([[1.0]]), window=8)
-        agg = aggregate({(0, 1): sol}, tail_bounds=[0.25, 0.5])
-        assert agg.tail_bound == pytest.approx(0.75)

@@ -7,16 +7,13 @@ import pytest
 from pcfield.harmonics import (
     GridResolutionError,
     HarmonicIndex,
-    SphereGrid,
     decompose_field,
     design_matrix,
     evaluate_harmonic,
     flat_index,
     gauss_legendre_grid,
-    gegenbauer,
     harmonic_count,
     n_harmonics,
-    surface_area,
     synthesize_field,
 )
 
@@ -77,53 +74,6 @@ class TestHarmonicCount:
             harmonic_count(-1, 3)
 
 
-class TestGegenbauer:
-    def test_degree_zero_is_one(self):
-        assert gegenbauer(0, 0.5, 0.3) == 1.0
-
-    def test_degree_one(self):
-        assert gegenbauer(1, 1.0, 0.5) == pytest.approx(1.0, abs=1e-15)
-
-    def test_value_at_one_is_binomial(self):
-        # C_m^alpha(1) = binom(m + 2 alpha - 1, m)
-        assert gegenbauer(2, 0.5, 1.0) == pytest.approx(1.0, abs=1e-14)
-        for m in range(5):
-            expect = math.comb(m + 2 - 1, m)  # alpha = 1
-            assert gegenbauer(m, 1.0, 1.0) == pytest.approx(expect, rel=1e-13)
-
-    def test_matches_explicit_polynomials(self):
-        # expansions up to degree 4, independent of the recurrence
-        rng = np.random.default_rng(0)
-        z = rng.uniform(-1, 1, size=25)
-        for alpha in (0.5, 1.0, 1.7):
-            explicit = {
-                0: np.ones_like(z),
-                1: 2 * alpha * z,
-                2: -alpha + 2 * alpha * (1 + alpha) * z**2,
-                3: -2 * alpha * (1 + alpha) * z
-                   + 4 / 3 * alpha * (1 + alpha) * (2 + alpha) * z**3,
-                4: alpha * (1 + alpha) / 2
-                   - 2 * alpha * (1 + alpha) * (2 + alpha) * z**2
-                   + 2 / 3 * alpha * (1 + alpha) * (2 + alpha) * (3 + alpha) * z**4,
-            }
-            for m, expect in explicit.items():
-                got = gegenbauer(m, alpha, z)
-                assert np.max(np.abs(got - expect)) < 1e-12
-
-    def test_against_scipy(self):
-        from scipy.special import eval_gegenbauer
-
-        rng = np.random.default_rng(1)
-        z = rng.uniform(-1, 1, size=10)
-        for m in range(8):
-            got = gegenbauer(m, 0.5, z)
-            assert np.allclose(got, eval_gegenbauer(m, 0.5, z), atol=1e-12)
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            gegenbauer(-1, 0.5, 0.0)
-
-
 class TestHarmonicIndex:
     def test_order_range_enforced(self):
         HarmonicIndex(2, 5, 3)
@@ -174,18 +124,7 @@ class TestEvaluation:
 class TestSphereGrid:
     def test_weights_sum_to_sphere_area(self):
         grid = gauss_legendre_grid(5)
-        assert grid.area == pytest.approx(surface_area(3), rel=1e-10)
-        assert surface_area(3) == pytest.approx(4 * math.pi, rel=1e-15)
-
-    def test_csv_roundtrip(self, tmp_path):
-        grid = gauss_legendre_grid(3)
-        path = tmp_path / "grid.csv"
-        grid.to_csv(path)
-        loaded = SphereGrid.from_csv(path)
-        assert np.array_equal(loaded.theta, grid.theta)
-        assert np.array_equal(loaded.phi, grid.phi)
-        assert np.array_equal(loaded.weights, grid.weights)
-
+        assert grid.area == pytest.approx(4 * math.pi, rel=1e-10)
 
 class TestDecomposition:
     def test_constant_field(self):

@@ -109,8 +109,9 @@ class TestEmpiricalMse:
                             SimulationConfig(seed=1, n_trials=100, n_steps=16),
                             keep_trials=True)
         assert res.realized.shape == (100,)
-        assert np.all(res.squared_errors >= 0)
-        assert res.mse == pytest.approx(float(res.squared_errors.mean()))
+        sq_errors = np.abs(res.realized - res.estimated) ** 2
+        assert np.all(sq_errors >= 0)
+        assert res.mse == pytest.approx(float(sq_errors.mean()))
 
     def test_draws_without_factorizing(self, monkeypatch):
         def refuse(*args, **kwargs):

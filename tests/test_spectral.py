@@ -18,7 +18,6 @@ from pcfield.spectral import (
     fourier_coefficients,
     joint_covariance,
     lambda_grid,
-    matrix_fourier_coefficient,
     _node_matmul,
     _pointwise_condition,
 )
@@ -48,17 +47,17 @@ def random_trig_poly_density(rng, K, degree, diag_boost=None):
 class TestFourierCoefficients:
     def test_identity_lag_zero(self):
         grid = SpectralDensityGrid.white(3, 1.0, 256)
-        assert np.allclose(matrix_fourier_coefficient(grid.values, 0), np.eye(3))
+        assert np.allclose(fourier_coefficients(grid.values, [0])[0], np.eye(3))
 
     def test_identity_nonzero_lag_vanishes(self):
         grid = SpectralDensityGrid.white(3, 1.0, 256)
-        assert np.max(np.abs(matrix_fourier_coefficient(grid.values, 3))) < 1e-14
+        assert np.max(np.abs(fourier_coefficients(grid.values, [3])[0])) < 1e-14
 
     def test_scalar_cosine(self):
         lam = lambda_grid(512)
         vals = (2.0 + 2.0 * np.cos(lam))[:, None, None]
         for d in (1, -1):
-            got = matrix_fourier_coefficient(vals, d)[0, 0]
+            got = fourier_coefficients(vals, [d])[0, 0, 0]
             assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_riemann_sum(self):
@@ -71,7 +70,7 @@ class TestFourierCoefficients:
         vals = evaluate_lag_series(coeffs, lags_in, n)
         for d in (-3, -1, 0, 2):
             direct = np.mean(vals * np.exp(1j * d * lam)[:, None, None], axis=0)
-            fast = matrix_fourier_coefficient(vals, d)
+            fast = fourier_coefficients(vals, [d])[0]
             assert np.max(np.abs(fast - direct)) < 1e-12
 
     def test_exact_on_trig_polynomials(self):
@@ -103,7 +102,7 @@ class TestFourierCoefficients:
     def test_aliasing_guard(self):
         grid = SpectralDensityGrid.white(1, 1.0, 64)
         with pytest.raises(ValueError, match="alias"):
-            matrix_fourier_coefficient(grid.values, 32)
+            fourier_coefficients(grid.values, [32])
 
 
 class TestDensityTypes:
