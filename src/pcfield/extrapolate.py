@@ -219,10 +219,11 @@ class FactorizationResult:
 
     ``coefficients`` holds d(u) for u = 0 .. U-1 with d(0) lower triangular
     with positive diagonal; ``factor_grid`` is P sampled on the frequency
-    grid; ``residual`` is the sup-norm reconstruction gap of F - P P*, and
-    ``density_sup`` the sup-norm of F itself (their ratio is the
-    scale-free quality measure).  ``converged`` tells whether that ratio,
-    for the factor returned, is within ``_FACTORIZE_TOL``.
+    grid; ``residual`` is the sup-norm reconstruction gap of F - P P* for
+    this factor, and ``density_sup`` the sup-norm of F itself.  Their ratio,
+    ``relative_residual``, is the factor's scale-free quality; the solvers
+    and samplers refuse a factor whose ratio exceeds ``FACTORIZATION_TOL``.
+    ``iterations`` counts the sweeps that produced it.
     """
 
     coefficients: np.ndarray
@@ -230,7 +231,6 @@ class FactorizationResult:
     residual: float
     density_sup: float
     iterations: int
-    converged: bool
 
     @property
     def K(self):
@@ -268,21 +268,21 @@ def _causal_half(values):
 def spectral_factorize(F, n_lambda=None):
     """Canonical (causal) factorization of a Hermitian PD matrix density.
 
-    Newton-type fixed-point iteration on the frequency grid: starting from
-    the Cholesky factor of the lag-0 covariance, each step multiplies the
+    Wilson's (1972) Newton sweeps on the frequency grid: starting from the
+    Cholesky factor of the lag-0 covariance, each sweep multiplies the
     current factor by the causal half of ``psi^{-1} F psi^{-*} + I``.
     Converges quadratically for densities bounded away from singularity.
     The starting factor is one K x K matrix broadcast over the grid, so
     the first sweep inverts it once instead of at every node; later sweeps
-    take one batched inverse of the per-node factor.
+    take one batched inverse of the per-node factor.  The sweeps stop when
+    the iterate's relative residual reaches ``_FACTORIZE_TOL``, or after
+    ``_FACTORIZE_MAX_SWEEPS`` sweeps.
 
-    Raises :class:`FactorizationError` for densities whose smallest
-    eigenvalue is below ``_FACTORIZE_PD_FLOOR`` times the largest modulus
-    of their entries (rank deficient), or when the relative residual fails
-    to reach ``_FACTORIZE_TOL`` within ``_FACTORIZE_MAX_SWEEPS`` sweeps.
-    The sweeps stop on the iterate's residual; the returned coefficients
-    are its first n/2 Fourier terms, whose residual can be larger when the
-    factor decays slowly, so ``converged`` is judged on them.
+    Returns the factor's first n/2 causal coefficients however far the
+    sweeps got, with that factor's own residual, for its user to judge.
+    Raises :class:`FactorizationError` only for a density it cannot start
+    on: zero, or with smallest eigenvalue below ``_FACTORIZE_PD_FLOOR``
+    times the largest modulus of its entries (rank deficient).
     """
     Fg = as_grid(F, n_lambda)
     values = Fg.values
@@ -305,9 +305,7 @@ def spectral_factorize(F, n_lambda=None):
     ident = np.eye(K)
 
     sup_f = float(np.max(np.linalg.norm(values, axis=(1, 2))))
-    converged = False
     iterations = 0
-    residual = float("inf")
     for iterations in range(1, _FACTORIZE_MAX_SWEEPS + 1):
         psi_inv = np.linalg.inv(psi)
         g = _node_matmul(_node_matmul(psi_inv, values),
@@ -317,19 +315,13 @@ def spectral_factorize(F, n_lambda=None):
         s = s - s.conj().T
         psi = _node_matmul(psi, g_plus + s)
         recon = _node_matmul(psi, np.conj(np.swapaxes(psi, 1, 2)))
-        residual = float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup_f
-        if residual <= _FACTORIZE_TOL:
-            converged = True
+        if float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup_f <= _FACTORIZE_TOL:
             break
-    if not converged:
-        raise FactorizationError(
-            f"factorization did not converge in {_FACTORIZE_MAX_SWEEPS} iterations "
-            f"(last relative residual {residual:.3e})"
-        )
 
-    # causal coefficients of psi: d(u) is the coefficient of exp(-i u lambda)
+    # causal coefficients of psi: d(u) is the coefficient of exp(-i u lambda);
+    # with no sweep run, psi is still the one starting node
     lags = np.arange(n // 2)
-    d = fourier_coefficients(psi, lags)
+    d = fourier_coefficients(np.broadcast_to(psi, values.shape), lags)
 
     # rotate so d(0) is lower triangular with positive diagonal
     q, r = np.linalg.qr(d[0].conj().T)
@@ -348,8 +340,17 @@ def spectral_factorize(F, n_lambda=None):
         residual=residual,
         density_sup=sup_f,
         iterations=iterations,
-        converged=residual / sup_f <= _FACTORIZE_TOL,
     )
+
+
+def _checked_factor(fac, prefix=""):
+    """``fac``, or :class:`FactorizationError` when its relative residual
+    exceeds ``FACTORIZATION_TOL``: such a factor belongs to another density."""
+    if fac.relative_residual > FACTORIZATION_TOL:
+        raise FactorizationError(
+            f"{prefix}factor's relative residual {fac.relative_residual:.3e} "
+            f"exceeds {FACTORIZATION_TOL:.1e}")
+    return fac
 
 
 def _factor_convolution(d, a):
@@ -375,14 +376,10 @@ def solve_by_factorization(fac, a):
     a finite sum once ``a`` has finite support.  The spectral
     characteristic additionally needs the pointwise inverse of the factor;
     if the factor is singular at a grid node, h is reported unavailable
-    while delta is still returned.  The quality gate compares the
-    reconstruction residual relative to the density's own scale.
+    while delta is still returned.  Raises :class:`FactorizationError` for
+    a factor whose relative residual exceeds ``FACTORIZATION_TOL``.
     """
-    if fac.relative_residual > FACTORIZATION_TOL:
-        raise FactorizationError(
-            f"relative factorization residual {fac.relative_residual:.3e} "
-            f"exceeds tolerance {FACTORIZATION_TOL:.1e}"
-        )
+    _checked_factor(fac)
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     J, K = a.shape
     if K != fac.K:

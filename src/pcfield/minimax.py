@@ -35,6 +35,7 @@ import numpy as np
 from .extrapolate import (
     DEFAULT_WINDOW,
     spectral_factorize,
+    _checked_factor,
     _factor_convolution,
     _pad_functional,
     _solve_assembled,
@@ -386,10 +387,10 @@ class _Constraints:
             gaps.append(float(np.max(np.clip(ell - self.radius, 0, None))))
         return max(gaps)
 
-    def _active(self, values, tol):
+    def _active(self, values):
         """Masks where the lower and upper bounds are active."""
         x = self.coords(values)
-        level = tol * max(float(np.abs(x).max()), 1e-300)
+        level = _ACTIVE_TOL * max(float(np.abs(x).max()), 1e-300)
         upper = None if self.upper is None else self.slack(self.upper, x) <= level
         return self.slack(x, self.lower) <= level, upper
 
@@ -446,7 +447,7 @@ class _FieldConstraints(_Constraints):
         ])
         return self.lift(values, new - dev)
 
-    def fit(self, M, values, tol):
+    def fit(self, M, values):
         """Fit one scalar multiplier profile per weight to the transformed
         stationarity field M; the model is sum_j profile_j W_j.
 
@@ -459,7 +460,7 @@ class _FieldConstraints(_Constraints):
         m = np.einsum("tkn,jkn->tj", M, self.weights.conj()).real / self.norm_sq
         columns = range(m.shape[1])
         if self.lower is not None:
-            lower, upper = self._active(values, tol)
+            lower, upper = self._active(values)
             profiles, alpha_sq, gamma, gamma_upper = zip(*(
                 _fit_scalar_profile(m[:, j], lower[:, j],
                                     None if upper is None else upper[:, j])
@@ -472,14 +473,14 @@ class _FieldConstraints(_Constraints):
             return self.synth(np.stack(profiles, axis=-1)), mult
 
         g = self.coords(values)
-        boundary = g <= tol * max(float(np.abs(g).max()), 1e-300)
+        boundary = g <= _ACTIVE_TOL * max(float(np.abs(g).max()), 1e-300)
         if self.radius is None:
             profiles, beta_sq, _, _ = zip(*(
                 _fit_scalar_profile(m[:, j], boundary[:, j], None) for j in columns))
             mult = {"boundary_fraction": float(boundary.mean())}
         else:
             dev = g - self.nominal
-            sign = np.where(np.abs(dev) > tol * max(float(np.abs(dev).max()), 1e-300),
+            sign = np.where(np.abs(dev) > _ACTIVE_TOL * max(float(np.abs(dev).max()), 1e-300),
                             np.sign(dev), 0.0)
             profiles, beta_sq = zip(*(
                 _fit_l1_profile(m[:, j], sign[:, j], boundary[:, j]) for j in columns))
@@ -533,11 +534,11 @@ class _LoewnerConstraints(_Constraints):
                 new_dev[:, j, k] = np.conj(shrunk)
         return self.nominal + new_dev
 
-    def fit(self, M, values, tol):
+    def fit(self, M, values):
         """Fit a constant rank-1 PSD level plus cone-constrained slack
         matrices to the transformed stationarity field M."""
         if self.lower is not None:
-            lower, upper = self._active(values, tol)
+            lower, upper = self._active(values)
             interior = ~lower if upper is None else ~(lower | upper)
             R0 = _fit_rank1_psd(np.mean(M[interior] if interior.any() else M, axis=0))
             slack = M - R0
@@ -558,7 +559,7 @@ class _LoewnerConstraints(_Constraints):
 
         if self.radius is None:
             eig_min = np.linalg.eigvalsh(values).min(axis=1)
-            on_edge = eig_min <= tol * max(float(np.abs(values).max()), 1e-300)
+            on_edge = eig_min <= _ACTIVE_TOL * max(float(np.abs(values).max()), 1e-300)
             R0 = _fit_rank1_psd(np.mean(M[~on_edge] if (~on_edge).any() else M, axis=0))
             slack = np.zeros_like(M)
             slack[on_edge] = _nsd_projection(M[on_edge] - R0)
@@ -567,7 +568,7 @@ class _LoewnerConstraints(_Constraints):
         # entrywise: W_kj * phase(dev_kj) off the dead zone, magnitude capped
         # by |W_kj| on it; W = beta beta* is a constant rank-1 PSD matrix
         dev = values - self.nominal
-        off_zone = np.abs(dev) > tol * max(float(np.abs(dev).max()), 1e-300)
+        off_zone = np.abs(dev) > _ACTIVE_TOL * max(float(np.abs(dev).max()), 1e-300)
         sign_field = np.where(off_zone, dev / np.maximum(np.abs(dev), 1e-300), 0.0)
         ratio = np.where(off_zone, M * np.conj(sign_field), 0.0)
         counts = np.maximum(off_zone.sum(axis=0), 1)
@@ -893,7 +894,7 @@ def _saddle_report(anchor, constraints):
         sides.append(("G", noise, anchor.grad_G, anchor.G0))
     residuals, multipliers = {}, {}
     for side, constraint, M, density in sides:
-        model, multipliers[side] = constraint.fit(M, density.values, _ACTIVE_TOL)
+        model, multipliers[side] = constraint.fit(M, density.values)
         L = _node_matmul(_node_matmul(total, M), total)
         residuals[side] = _relative_model_residual(L, model, total, total)
     return SaddleReport(objective=anchor.delta, residual_F=residuals["F"],
@@ -912,7 +913,9 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
     constraints, on active sets read at ``_ACTIVE_TOL``; the report
     carries the relative sup-norm defects.  The
     "noisy" and "noiseless" modes fit the gradient fields of the anchor
-    solved at (F0, G0); "factorized" is the independent reference route.
+    solved at (F0, G0); "factorized" is the independent reference route,
+    and raises :class:`FactorizationError` when the factor of F0 misses
+    F0 by more than ``FACTORIZATION_TOL`` relative.
     """
     if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
         functionals = {(0, 1): np.asarray(functionals)}
@@ -930,7 +933,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
     signal, noise = _class_constraints(spec, n, K, mode == "noisy")
 
     if mode == "factorized":
-        fac = spectral_factorize(Fg)
+        fac = _checked_factor(spectral_factorize(Fg))
         T = np.swapaxes(fac.factor_grid, 1, 2)
         T_star = np.conj(fac.factor_grid)
         L_F = np.zeros((n, K, K), dtype=complex)
@@ -943,7 +946,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
             L_F += np.einsum("tk,tn->tkn", np.conj(S), S)
         T_inv = np.linalg.inv(T)
         M_F = _node_matmul(_node_matmul(T_inv, L_F), np.conj(np.swapaxes(T_inv, 1, 2)))
-        model_F, mult_F = signal.fit(M_F, Fg.values, _ACTIVE_TOL)
+        model_F, mult_F = signal.fit(M_F, Fg.values)
         residual_F = _relative_model_residual(L_F, model_F, T, T_star)
         return SaddleReport(objective=delta, residual_F=residual_F,
                             residual_G=None, multipliers={"F": mult_F},

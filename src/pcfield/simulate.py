@@ -8,8 +8,9 @@ exp(-i*u*l), the sequence
 
 driven by circular complex Gaussian innovations w has spectral density F.
 A draw takes a density or its :class:`FactorizationResult` (factorize once,
-draw many paths), and refuses a factor whose relative residual exceeds
-``FACTORIZATION_TOL``: its paths would have another density.
+draw many paths).  The factor comes back however far its sweeps got, and a
+draw refuses one whose relative residual exceeds ``FACTORIZATION_TOL``
+(:class:`FactorizationError`): its paths would have another density.
 ``synthesize_field`` makes real field samples in one batched synthesis.
 
 ``empirical_mse`` replays the solved estimator on simulated paths and
@@ -32,10 +33,10 @@ import numpy as np
 from . import harmonics
 from .blocking import _basis_matrix
 from .extrapolate import (
-    FACTORIZATION_TOL,
     FactorizationError,
     FactorizationResult,
     spectral_factorize,
+    _checked_factor,
 )
 from .spectral import as_grid, joint_covariance
 
@@ -91,10 +92,7 @@ def _ma_coefficients(F):
     """Causal coefficients of the factor of ``F`` (a density or its
     :class:`FactorizationResult`), tail-trimmed and residual-checked."""
     fac = F if isinstance(F, FactorizationResult) else spectral_factorize(as_grid(F))
-    if fac.relative_residual > FACTORIZATION_TOL:
-        raise FactorizationError(f"cannot sample: factor's relative residual "
-                                 f"{fac.relative_residual:.3e} exceeds {FACTORIZATION_TOL:.1e}")
-    d = fac.coefficients
+    d = _checked_factor(fac, "cannot sample: ").coefficients
     norms = np.linalg.norm(d, axis=(1, 2))
     keep = np.nonzero(norms > 1e-13 * norms[0])[0]   # drop the negligible tail
     upto = int(keep[-1]) + 1 if keep.size else 1

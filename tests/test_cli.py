@@ -333,6 +333,18 @@ class TestRuntimeFailures:
         assert main(["factorize", "--input", str(path), "--output", str(out)]) == EXIT_OK
         assert (out / "factorization.json").exists()
 
+    def test_factorize_at_the_sweep_cap_fails_the_gate(self, tmp_path, capsys, monkeypatch):
+        # one sweep leaves the factor of a pole at 0.5 far from its density;
+        # the factor comes back, and factorize's tolerance gate refuses it
+        monkeypatch.setattr("pcfield.extrapolate._FACTORIZE_MAX_SWEEPS", 1)
+        path = write_problem(tmp_path, ar1_problem())
+        out = tmp_path / "out"
+        assert main(["factorize", "--input", str(path), "--output", str(out)]) \
+            == EXIT_MINIMALITY
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("factorization failure: channels[0]: relative residual")
+
 
 class TestUsageErrors:
     """A command line that does not parse exits 3 (not argparse's 2, the

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from pcfield.extrapolate import (
     FactorizationError,
+    _FACTORIZE_TOL,
     functional_variance,
     oracle_solve,
     solve_by_factorization,
@@ -14,6 +15,7 @@ from pcfield.extrapolate import (
     spectral_factorize,
     _factor_convolution,
 )
+from pcfield.simulate import simulate_channel
 from pcfield.spectral import (
     RationalDensity,
     SpectralDensityGrid,
@@ -289,7 +291,7 @@ class TestFactorization:
         monkeypatch.setattr(np.linalg, "inv", recorded)
         F = as_grid(random_rational(np.random.default_rng(5), K), 512)
         fac = spectral_factorize(F)
-        assert fac.converged and fac.iterations >= 2
+        assert fac.relative_residual <= _FACTORIZE_TOL and fac.iterations >= 2
         assert shapes == [(1, K, K)] + [(512, K, K)] * (fac.iterations - 1)
 
     def test_rank_deficient_rejected(self):
@@ -300,14 +302,21 @@ class TestFactorization:
         with pytest.raises(FactorizationError):
             spectral_factorize(SpectralDensityGrid.zero(2, 128))
 
-    @pytest.mark.parametrize("sweeps, residual", [(1, "4.263e+00"), (0, "inf")])
-    def test_sweep_cap_raises_not_converged(self, monkeypatch, sweeps, residual):
-        # AR(1) 0.9 needs more than one sweep; a cap of 0 runs none, and the
-        # message still reports a residual
+    @pytest.mark.parametrize("sweeps, residual", [(1, "4.263e+00"), (0, "9.474e-01")])
+    def test_sweep_cap_returns_a_factor_that_is_refused(self, monkeypatch, sweeps, residual):
+        # AR(1) 0.9 needs more than one sweep; a cap of 0 runs none and
+        # returns the starting factor.  Either factor comes back with its
+        # residual, and neither the solve nor the sampler uses it.
         monkeypatch.setattr("pcfield.extrapolate._FACTORIZE_MAX_SWEEPS", sweeps)
+        fac = spectral_factorize(RationalDensity.ar1(0.9), n_lambda=256)
+        assert fac.iterations == sweeps
+        assert f"{fac.relative_residual:.3e}" == residual
         with pytest.raises(FactorizationError,
-                           match=f"did not converge .*residual {re.escape(residual)}"):
-            spectral_factorize(RationalDensity.ar1(0.9), n_lambda=256)
+                           match=f"relative residual {re.escape(residual)}"):
+            solve_by_factorization(fac, np.array([[1.0]]))
+        with pytest.raises(FactorizationError,
+                           match=f"cannot sample: factor's relative residual {re.escape(residual)}"):
+            simulate_channel(fac, 10, seed=1)
 
 
 class TestFactorizationSolve:
