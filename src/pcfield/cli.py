@@ -105,6 +105,15 @@ def _integer(obj, key, default, where, minimum=None):
     return value
 
 
+def _positive(obj, key, default, where):
+    """A positive finite number field."""
+    value = obj.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value < float("inf")):
+        raise SchemaError(f"{where}.{key} must be a positive number, got {value!r}")
+    return float(value)
+
+
 def _parse_density(spec, where):
     if spec is None:
         return None
@@ -168,10 +177,10 @@ class Problem:
                 f"(need window < n_lambda // 2 = {self.n_lambda // 2})"
             )
         self.tolerances = {
-            "oracle_rel": float(tols.get("oracle_rel", 1e-4)),
-            "mc_sigmas": float(tols.get("mc_sigmas", 3.0)),
-            "factorization": float(tols.get("factorization", 1e-8)),
-            "cond_ceiling": float(tols.get("cond_ceiling", 1e10)),
+            "oracle_rel": _positive(tols, "oracle_rel", 1e-4, "solver.tolerances"),
+            "mc_sigmas": _positive(tols, "mc_sigmas", 3.0, "solver.tolerances"),
+            "factorization": _positive(tols, "factorization", 1e-8, "solver.tolerances"),
+            "cond_ceiling": _positive(tols, "cond_ceiling", 1e10, "solver.tolerances"),
         }
 
         self.blocking = None
@@ -215,6 +224,11 @@ class Problem:
                 )
             for field in ("F", "G", "reference_F", "reference_G"):
                 density = entry[field]
+                if density is not None and density.K != F.K:
+                    raise SchemaError(
+                        f"{where}.{field}: density has K={density.K}, "
+                        f"{where}.F has K={F.K}"
+                    )
                 if (hasattr(density, "n_lambda")
                         and density.n_lambda != self.n_lambda):
                     raise SchemaError(
@@ -248,6 +262,7 @@ class Problem:
         family = raw["family"]
         variant = raw["variant"]
         noiseless = bool(raw.get("noiseless", False))
+        channel_weight = _positive(raw, "channel_weight", 1.0, "class_spec")
 
         def matrix(key):
             if key not in raw or raw[key] is None:
@@ -300,12 +315,10 @@ class Problem:
                 )
             else:
                 raise SchemaError(f"unknown class family {family!r}")
-        except ValueError as exc:
+            return DensityClassSpec(signal=signal, noise=noise,
+                                    channel_weight=channel_weight)
+        except (ValueError, TypeError) as exc:
             raise SchemaError(f"class_spec: {exc}") from exc
-        return DensityClassSpec(
-            signal=signal, noise=noise,
-            channel_weight=float(raw.get("channel_weight", 1.0)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +601,12 @@ def _multiplier_levels(mult):
 def cmd_minimax(problem, out_dir, args):
     spec = problem.class_spec()
     raw = problem.class_spec_raw
+    max_iter = _integer(raw, "max_iter", 500, "class_spec", minimum=1)
+    tol = _positive(raw, "tol", 1e-6, "class_spec")
+    for i, entry in enumerate(problem.channels):
+        if entry["F"].K != spec.K:
+            raise SchemaError(f"channels[{i}].F has K={entry['F'].K}, "
+                              f"class_spec.upper has K={spec.K}")
     functionals = {(entry["m"], entry["l"]): entry["a"]
                    for entry in problem.channels}
     init_F = (_parse_density(raw.get("init_F"), "class_spec.init_F")
@@ -599,6 +618,10 @@ def cmd_minimax(problem, out_dir, args):
             raise SchemaError("minimax with a noisy class needs init_G or channel G")
     else:
         init_G = None
+    for key, density in (("init_F", init_F), ("init_G", init_G)):
+        if density is not None and density.K != spec.K:
+            raise SchemaError(f"class_spec.{key} has K={density.K}, "
+                              f"class_spec.upper has K={spec.K}")
     init = (as_grid(init_F, problem.n_lambda),
             as_grid(init_G, problem.n_lambda) if init_G is not None else None)
     with warnings.catch_warnings():
@@ -607,8 +630,7 @@ def cmd_minimax(problem, out_dir, args):
                                 category=RuntimeWarning)
         result = find_least_favorable(
             spec, functionals, init,
-            max_iter=int(raw.get("max_iter", 500)),
-            tol=float(raw.get("tol", 1e-6)),
+            max_iter=max_iter, tol=tol,
             window=problem.window, n_lambda=problem.n_lambda,
         )
     report = result.report

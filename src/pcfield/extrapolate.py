@@ -34,6 +34,7 @@ from .spectral import (
     evaluate_lag_series,
     fourier_coefficients,
     joint_covariance,
+    _hermitian_eigenvalues,
     _node_matmul,
 )
 
@@ -88,9 +89,14 @@ def _lag_energy_share(values, negative):
     """Share of the energy of ``values`` (n, K) at negative lags, or at
     nonnegative lags when ``negative`` is False.
 
-    The causal leakage of h is its share at nonnegative lags; the
-    orthogonality residual is the root of the share of (A - h)^T F - h^T G
-    at negative lags.  Both vanish for the optimal characteristic.
+    The causal leakage of h is its share at nonnegative lags: it vanishes
+    only when the coefficients solve the normal equations, so it checks
+    the solve.  The orthogonality residual is the root of the share of
+    r = (A - h)^T F - h^T G at negative lags.  On the Toeplitz route h is
+    built so that r = C, the series of the coefficients at lags 0 ..
+    window-1, whatever they are; there the residual measures only the
+    rounding of (F + G)^{-1}.  On the factorization route h comes from
+    the factor, and the residual checks it.
     """
     n = values.shape[0]
     coeffs = np.fft.fft(values, axis=0) / n
@@ -149,8 +155,9 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW,
         window size.
 
     Returns an :class:`EstimateSolution` with the solved coefficients, the
-    spectral characteristic on the grid, the mean-square error, and
-    causality / orthogonality diagnostics.
+    spectral characteristic on the grid, the mean-square error, and the
+    diagnostics of ``_lag_energy_share``: ``causal_leakage`` checks the
+    solve, ``orthogonality_residual`` only the rounding of (F + G)^{-1}.
     """
     Fg = as_grid(F)
     Gg = as_grid(G, Fg.n_lambda) if G is not None else None
@@ -291,7 +298,7 @@ def spectral_factorize(F, n_lambda=None):
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         raise FactorizationError("cannot factorize the zero density")
-    eig_min = float(np.linalg.eigvalsh(values).min())
+    eig_min = float(_hermitian_eigenvalues(values).min())
     if eig_min < _FACTORIZE_PD_FLOOR * scale:
         raise FactorizationError(
             f"density is rank deficient on the grid (min eigenvalue {eig_min:.3e}); "

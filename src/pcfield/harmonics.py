@@ -110,16 +110,16 @@ class SphereGrid:
     """Quadrature grid on the 2-sphere.
 
     ``theta``, ``phi`` and ``weights`` are flat arrays of equal length; the
-    weights sum to the sphere's surface area 4*pi.  Grids built by
-    :func:`gauss_legendre_grid` record their resolution so that analysis
-    routines can check band limits.
+    weights sum to the sphere's surface area 4*pi.  ``n_theta`` and
+    ``n_phi`` size the product grid of :func:`gauss_legendre_grid`;
+    analysis routines check band limits from them.
     """
 
     theta: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
-    n_theta: int | None = None
-    n_phi: int | None = None
+    n_theta: int
+    n_phi: int
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
@@ -138,13 +138,7 @@ class SphereGrid:
 
     def max_resolved_degree(self):
         """Largest degree whose harmonics this grid integrates exactly."""
-        if self.n_theta is not None and self.n_phi is not None:
-            return min(self.n_theta - 1, (self.n_phi - 1) // 2)
-        # Unstructured grid: fall back to a node-count heuristic.
-        m = 0
-        while (m + 2) * (2 * m + 3) <= self.n_nodes:
-            m += 1
-        return m
+        return min(self.n_theta - 1, (self.n_phi - 1) // 2)
 
 
 def gauss_legendre_grid(m_max):
@@ -176,15 +170,10 @@ def design_matrix(m_max, grid):
 def _check_resolution(grid, m_max):
     resolved = grid.max_resolved_degree()
     if resolved < m_max:
-        if grid.n_theta is not None and grid.n_phi is not None:
-            raise GridResolutionError(
-                f"grid with n_theta={grid.n_theta}, n_phi={grid.n_phi} resolves "
-                f"degree {resolved} only; degree {m_max} needs n_theta >= {m_max + 1} "
-                f"and n_phi >= {2 * m_max + 1}"
-            )
         raise GridResolutionError(
-            f"grid with {grid.n_nodes} nodes resolves degree {resolved} only; "
-            f"degree {m_max} needs at least {(m_max + 1) * (2 * m_max + 1)} nodes"
+            f"grid with n_theta={grid.n_theta}, n_phi={grid.n_phi} resolves "
+            f"degree {resolved} only; degree {m_max} needs n_theta >= {m_max + 1} "
+            f"and n_phi >= {2 * m_max + 1}"
         )
 
 

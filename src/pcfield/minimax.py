@@ -47,6 +47,8 @@ from .spectral import (
     as_grid,
     assemble_operators,
     evaluate_lag_series,
+    _eig2_range,
+    _hermitian_eigenvalues,
     _node_matmul,
 )
 
@@ -124,12 +126,51 @@ class DensityClassSpec:
 
     ``channel_weight`` scales the power functionals; a field-level spec
     passes the harmonic multiplicity over the sphere area here, while the
-    single-channel convention is weight 1.
+    single-channel convention is weight 1.  It must be positive.
+
+    The number of components K is read from ``signal.upper``.  Every class
+    density and weight must have that K, and each power and radius must be
+    a scalar (broadcast to every coordinate) or exactly one side's
+    coordinate shape: (m,) for the m weights of a field variant, (K, K) for
+    ``matrix``.  A ``matrix`` power must be (K, K).
     """
 
     signal: SignalClass
     noise: NoiseClass = None
     channel_weight: float = 1.0
+
+    def __post_init__(self):
+        if not self.channel_weight > 0:
+            raise ValueError(f"channel_weight must be > 0, got {self.channel_weight}")
+        for cls in (self.signal, self.noise):
+            if cls is not None:
+                _check_side_shapes(cls, self.K)
+
+    @property
+    def K(self):
+        return self.signal.upper.K
+
+
+def _check_side_shapes(cls, K):
+    """Refuse class densities, weights, powers and radii that do not fit K."""
+    side = "signal" if isinstance(cls, SignalClass) else "noise"
+    for key in ("lower", "nominal"):
+        density = getattr(cls, key, None)
+        if density is not None and density.K != K:
+            raise ValueError(f"{side} {key} has K={density.K}, signal upper has K={K}")
+    if cls.weight is not None and np.shape(cls.weight) != (K, K):
+        raise ValueError(f"{side} weight has shape {np.shape(cls.weight)}, "
+                         f"signal upper has K={K}")
+    weights = _weight_stack(cls.variant, cls.weight, K)
+    shape = (K, K) if weights is None else (len(weights),)
+    for key in ("power", "radius"):
+        value = getattr(cls, key, None)
+        scalar_ok = key == "radius" or weights is not None
+        if value is None or np.shape(value) == shape or (scalar_ok and np.ndim(value) == 0):
+            continue
+        takes = f"a scalar or shape {shape}" if scalar_ok else f"shape {shape}"
+        raise ValueError(f"{side} {key} has shape {np.shape(value)}; the "
+                         f"{cls.variant} variant takes {takes}")
 
 
 def contamination_pair(variant, upper, epsilon, signal_power, noise_power,
@@ -209,20 +250,6 @@ def _weight_stack(variant, weight, K):
 def _is_field_variant(variant, weight):
     """Validate a variant (and its weight); False for the matrix variant."""
     return _weight_stack(variant, weight, 1) is not None
-
-
-def _eig2_range(values):
-    """Smallest and largest eigenvalue at each node of an (n, 2, 2)
-    Hermitian stack, and their half-distance.
-
-    With mid = (a + d)/2 and rad = hypot((a - d)/2, |b|) the eigenvalues
-    are mid -/+ rad.  Like ``eigvalsh``, it reads the real diagonal and the
-    lower triangle.
-    """
-    a, d = values[:, 0, 0].real, values[:, 1, 1].real
-    mid = (a + d) / 2
-    rad = np.hypot((a - d) / 2, np.abs(values[:, 1, 0]))
-    return mid - rad, mid + rad, rad
 
 
 def _psd_clip(values):
@@ -341,10 +368,7 @@ class _Constraints:
             self.lower, self.upper = rasterized(cls.lower), rasterized(cls.upper)
         elif cls.kind == "l1_ball":
             self.nominal = rasterized(cls.nominal)
-            radius = np.asarray(cls.radius, dtype=float)
-            if radius.shape != self.shape:
-                radius = np.full(self.shape, float(np.ravel(radius)[0]))
-            self.radius = radius
+            self.radius = np.broadcast_to(np.asarray(cls.radius, dtype=float), self.shape)
         if cls.power is not None and cls.kind != "l1_ball":
             self.power = np.broadcast_to(np.asarray(cls.power, dtype=self.dtype), self.shape)
             self.target = self.power / channel_weight
@@ -510,10 +534,7 @@ class _LoewnerConstraints(_Constraints):
     @staticmethod
     def slack(a, b):
         """Smallest eigenvalue of a - b at each node."""
-        x = a - b
-        if x.shape[1] == 2:
-            return _eig2_range(x)[0]
-        return np.linalg.eigvalsh(x).min(axis=1)
+        return _hermitian_eigenvalues(a - b)[:, 0]
 
     def _clip(self, values):
         """Clip into lower <= X <= upper in the Loewner order, then shift
@@ -558,7 +579,7 @@ class _LoewnerConstraints(_Constraints):
             return R0 + gamma, mult
 
         if self.radius is None:
-            eig_min = np.linalg.eigvalsh(values).min(axis=1)
+            eig_min = _hermitian_eigenvalues(values)[:, 0]
             on_edge = eig_min <= _ACTIVE_TOL * max(float(np.abs(values).max()), 1e-300)
             R0 = _fit_rank1_psd(np.mean(M[~on_edge] if (~on_edge).any() else M, axis=0))
             slack = np.zeros_like(M)
@@ -963,7 +984,7 @@ def sample_feasible(spec, rng, n_lambda):
     The density is a degree-2 moving average with complex Gaussian
     coefficients, scaled to unit mean trace before the projection.
     """
-    K = spec.signal.upper.K if spec.signal.upper is not None else 1
+    K = spec.K
     def random_density():
         num = rng.normal(size=(3, K, K)) + 1j * rng.normal(size=(3, K, K))
         num[0] += (1.5 + K) * np.eye(K)

@@ -141,7 +141,7 @@ class SpectralDensityGrid:
         scale = max(1.0, float(np.max(np.abs(self.values)) or 0.0))
         if herm_gap > 1e-12 * scale:
             raise ValueError(f"density is not Hermitian (gap {herm_gap:.3e})")
-        eigs = np.linalg.eigvalsh((self.values + np.conj(np.swapaxes(self.values, 1, 2))) / 2)
+        eigs = _hermitian_eigenvalues(self.values)
         if eigs.min() < -1e-10 * scale:
             raise ValueError(f"density has eigenvalue {eigs.min():.3e} < 0")
 
@@ -355,18 +355,28 @@ def _condition_from_eigenvalues(eigvals):
         return np.where(smallest > 0, largest / smallest, np.inf)
 
 
+def _eig2_range(values):
+    """Eigenvalues mid -/+ rad of each node of an (n, 2, 2) Hermitian stack,
+    and rad = hypot((a - d)/2, |b|); reads the diagonal and lower triangle."""
+    a, d = values[:, 0, 0].real, values[:, 1, 1].real
+    mid = (a + d) / 2
+    rad = np.hypot((a - d) / 2, np.abs(values[:, 1, 0]))
+    return mid - rad, mid + rad, rad
+
+
 def _hermitian_eigenvalues(values):
-    """Eigenvalues of the Hermitian part of each grid sample, ascending."""
-    return np.linalg.eigvalsh((values + np.conj(np.swapaxes(values, 1, 2))) / 2)
-
-
-def _pointwise_condition(values):
-    """2-norm condition number of the Hermitian part of each grid sample."""
-    return _condition_from_eigenvalues(_hermitian_eigenvalues(values))
+    """Ascending eigenvalues of the Hermitian part of each node of an
+    (n, K, K) stack: the one per-node eigenvalue kernel, closed form at
+    K = 2 (``_eig2_range``) and one batched ``eigvalsh`` at other K."""
+    values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
+    if values.shape[1] == 2:
+        low, high, _ = _eig2_range(values)
+        return np.stack([low, high], axis=1)
+    return np.linalg.eigvalsh(values)
 
 
 def _pointwise_inverse(values, cond_ceiling, lam):
-    conds = _pointwise_condition(values)
+    conds = _condition_from_eigenvalues(_hermitian_eigenvalues(values))
     worst = int(np.argmax(conds))
     if not np.isfinite(conds[worst]) or conds[worst] > cond_ceiling:
         raise MinimalityViolation(
@@ -448,7 +458,7 @@ class MinimalityReport:
 def _node_traces(values, cond_ceiling):
     """Tr (F+G)^{-1} and the 2-norm condition number at each grid node.
 
-    One batched ``eigvalsh`` gives both: the trace is the sum of the inverse
+    One eigenvalue pass gives both: the trace is the sum of the inverse
     eigenvalues.  Returns (traces, conds, regular); ``regular`` marks the
     nodes with a finite condition number within ``cond_ceiling``, and the
     trace is 0 elsewhere.

@@ -215,6 +215,13 @@ _INFINITE_GRID_NOISE = [_set(("channels", 0, "G"), {
 # finite coefficients whose square overflows on the grid
 _OVERFLOWING_NUMERATOR = [_set(("channels", 0, "F", "numerator"), [1e200])]
 
+# a K = 2 signal observed through K = 1 noise
+_MISMATCHED_NOISE = [
+    _set(("channels", 0, "F"), {"type": "rational", "numerator": [[[1.0, 0.0], [0.0, 1.0]]]}),
+    _set(("channels", 0, "a"), [[1.0, 0.5]]),
+    _set(("channels", 0, "G"), {"type": "rational", "numerator": [0.5]}),
+]
+
 _INFEASIBLE_BAND = {
     "family": "band", "variant": "trace", "noiseless": True,
     "lower": {"type": "rational", "numerator": [0.5], "denominator": [1.0]},
@@ -274,6 +281,15 @@ class TestRuntimeFailures:
         pytest.param("factorize", _OVER_FACTORIZATION_TOLERANCE, EXIT_MINIMALITY,
                      "factorization failure: channels[0]: relative residual",
                      id="factorize-over-tolerance"),
+        pytest.param("solve", _MISMATCHED_NOISE, EXIT_SCHEMA,
+                     "schema error: channels[0].G: density has K=1, channels[0].F has K=2",
+                     id="solve-noise-k-mismatch"),
+        pytest.param("check", _MISMATCHED_NOISE, EXIT_SCHEMA,
+                     "schema error: channels[0].G: density has K=1, channels[0].F has K=2",
+                     id="check-noise-k-mismatch"),
+        pytest.param("solve", [_set(("solver", "tolerances"), {"oracle_rel": "abc"})],
+                     EXIT_SCHEMA, "schema error: solver.tolerances.oracle_rel must be a "
+                     "positive number, got 'abc'", id="tolerance-string"),
     ])
     def test_exit_code_with_one_line(self, tmp_path, capsys, command, edits, code, prefix):
         prob = white_problem()
@@ -676,6 +692,106 @@ class TestMinimax:
             assert np.max(np.abs(level_matrix - level_matrix.conj().T)) <= 1e-12
             assert np.linalg.eigvalsh(level_matrix).min() >= -1e-12
         assert "gamma" not in mult["F"]
+
+
+def _constant_spec(matrix):
+    """A constant rational density equal to the PSD ``matrix``."""
+    L = np.linalg.cholesky(np.asarray(matrix, dtype=complex))
+    return {"type": "rational", "denominator": [1.0],
+            "numerator": np.stack([L.real, L.imag], axis=-1)[None].tolist()}
+
+
+def k2_band_problem():
+    """A short K = 2 matrix band x L1 minimax problem."""
+    nominal = _constant_spec(0.25 * np.eye(2))
+    return {
+        "version": "1",
+        "solver": {"window": 16, "n_lambda": 128},
+        "channels": [{"m": 0, "l": 1, "F": _constant_spec(np.eye(2)), "G": nominal,
+                      "a": [[1.0, 0.2], [0.3, -0.4]]}],
+        "class_spec": {
+            "family": "band", "variant": "matrix",
+            "lower": _constant_spec(0.3 * np.eye(2)),
+            "upper": _constant_spec([[2.0, 0.2], [0.2, 2.0]]),
+            "signal_power": np.eye(2).tolist(), "noise_nominal": nominal,
+            "noise_radius": np.full((2, 2), 0.15).tolist(), "max_iter": 2, "tol": 1e-9,
+        },
+    }
+
+
+def _class(**fields):
+    """Edits that set class_spec fields of ``k2_band_problem``."""
+    return [_set(("class_spec", key), value) for key, value in fields.items()]
+
+
+def _add_channel(channel):
+    """An edit that appends ``channel`` to the problem's channels."""
+    def edit(payload):
+        payload["channels"].append(channel)
+    return edit
+
+
+_K1 = {"type": "rational", "numerator": [1.0]}
+
+
+class TestClassSpecShapes:
+    """class_spec values that do not parse or do not fit the K = 2 class
+    exit 3 with one line before any solve."""
+
+    @pytest.mark.parametrize("edits, message", [
+        pytest.param(_class(variant="trace", signal_power=[1.0, 2.0], noise_radius=0.15),
+                     "class_spec: signal power has shape (2,); the trace variant takes "
+                     "a scalar or shape (1,)", id="trace-vector-power"),
+        pytest.param(_class(variant="component", signal_power=[1.0, 1.0, 1.0],
+                            noise_radius=0.15),
+                     "class_spec: signal power has shape (3,); the component variant "
+                     "takes a scalar or shape (2,)", id="component-three-powers"),
+        pytest.param(_class(variant="component", signal_power=[1.0, 1.0],
+                            noise_radius=[0.15, 0.15, 0.15]),
+                     "class_spec: noise radius has shape (3,); the component variant "
+                     "takes a scalar or shape (2,)", id="component-three-radii"),
+        pytest.param(_class(noise_radius=[0.15, 0.15]),
+                     "class_spec: noise radius has shape (2,); the matrix variant takes "
+                     "a scalar or shape (2, 2)", id="matrix-vector-radius"),
+        pytest.param(_class(signal_power=2.0),
+                     "class_spec: signal power has shape (); the matrix variant takes "
+                     "shape (2, 2)", id="matrix-scalar-power"),
+        pytest.param(_class(variant="weighted", signal_power=2.0, noise_radius=0.15,
+                            weight_signal=np.eye(3).tolist(),
+                            weight_noise=np.eye(2).tolist()),
+                     "class_spec: signal weight has shape (3, 3), signal upper has K=2",
+                     id="weighted-3x3-weight"),
+        pytest.param(_class(channel_weight=0),
+                     "class_spec.channel_weight must be a positive number, got 0",
+                     id="channel-weight-zero"),
+        pytest.param(_class(max_iter="x"),
+                     "class_spec.max_iter must be an integer, got 'x'", id="max-iter-string"),
+        pytest.param(_class(tol="abc"),
+                     "class_spec.tol must be a positive number, got 'abc'", id="tol-string"),
+        pytest.param(_class(family="contamination", variant="trace", upper=_K1,
+                            epsilon=0.3, signal_power=2.0, noise_power=0.5),
+                     "channels[0].F has K=2, class_spec.upper has K=1", id="k1-upper"),
+        pytest.param([_add_channel({"m": 1, "l": 1, "F": _K1, "G": _K1, "a": [[1.0]]})],
+                     "channels[1].F has K=1, class_spec.upper has K=2", id="mixed-k-channels"),
+        pytest.param(_class(init_F=_K1),
+                     "class_spec.init_F has K=1, class_spec.upper has K=2", id="k1-init-F"),
+        pytest.param(_class(init_G=_K1),
+                     "class_spec.init_G has K=1, class_spec.upper has K=2", id="k1-init-G"),
+        pytest.param(_class(family="contamination", variant="trace", epsilon=[0.3],
+                            signal_power=2.0, noise_power=0.5),
+                     "class_spec: float() argument must be", id="epsilon-list"),
+    ])
+    def test_exits_3_with_one_line(self, tmp_path, capsys, edits, message):
+        prob = k2_band_problem()
+        for edit in edits:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["minimax", "--input", str(path), "--output", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("schema error:")
+        assert message in err
+        assert not (out / "minimax.json").exists()
 
 
 class TestOtherCommands:

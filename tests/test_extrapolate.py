@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pcfield import extrapolate
 from pcfield.extrapolate import (
     FactorizationError,
     _FACTORIZE_TOL,
@@ -166,6 +167,22 @@ class TestSolveChannelContracts:
             assert sol.diagnostics["causal_leakage"] <= 1e-6
             assert sol.diagnostics["orthogonality_residual"] <= 1e-6
             assert sol.delta >= -1e-10
+
+    @pytest.mark.parametrize("factor", [1.01, 0.5])
+    def test_perturbed_coefficients_lift_causal_leakage(self, monkeypatch, factor):
+        # causal_leakage is the diagnostic that checks the coefficient solve;
+        # coefficients off the solution put energy of h at nonnegative lags
+        rng = np.random.default_rng(8)
+        F = as_grid(random_rational(rng, 3, pole=0.4), 1024)
+        G = as_grid(random_rational(rng, 3, degree=1), 1024)
+        a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        exact = solve_channel(F, G, a, window=48).diagnostics
+        solve_pd = extrapolate._solve_pd
+        monkeypatch.setattr(extrapolate, "_solve_pd",
+                            lambda B, rhs: factor * solve_pd(B, rhs))
+        perturbed = solve_channel(F, G, a, window=48).diagnostics
+        assert exact["causal_leakage"] <= 1e-12
+        assert perturbed["causal_leakage"] > 1e-6
 
     def test_noise_cannot_reduce_error(self):
         rng = np.random.default_rng(6)

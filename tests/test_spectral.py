@@ -1,8 +1,11 @@
+import decimal
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from pcfield import spectral
 from pcfield.spectral import (
     MinimalityViolation,
     NonFiniteDensityError,
@@ -18,8 +21,9 @@ from pcfield.spectral import (
     fourier_coefficients,
     joint_covariance,
     lambda_grid,
+    _condition_from_eigenvalues,
+    _hermitian_eigenvalues,
     _node_matmul,
-    _pointwise_condition,
 )
 
 
@@ -35,6 +39,11 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def pointwise_condition(values):
+    """2-norm condition number of the Hermitian part of each node."""
+    return _condition_from_eigenvalues(_hermitian_eigenvalues(values))
 
 
 def random_trig_poly_density(rng, K, degree, diag_boost=None):
@@ -144,7 +153,7 @@ class TestDensityTypes:
     def test_rasterized_grids_pass_validation(self, monkeypatch):
         # rasterize skips the grid checks because N N^* / |den|^2, symmetrized
         # exactly, is Hermitian and PSD as built; the checks must agree
-        eigvalsh_calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        eigen_calls = count_calls(monkeypatch, spectral, "_hermitian_eigenvalues")
         rng = np.random.default_rng(101)
         grids = []
         for K in (1, 2, 3):
@@ -158,10 +167,10 @@ class TestDensityTypes:
                         * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
                     den = np.poly(poles)[::-1] * rng.uniform(0.1, 10.0)
                     grids.append(RationalDensity(num, den).rasterize(256))
-        assert eigvalsh_calls == []
+        assert eigen_calls == []
         for grid in grids:
             grid._validate()
-        assert len(eigvalsh_calls) == len(grids) == 36
+        assert len(eigen_calls) == len(grids) == 36
 
     @pytest.mark.parametrize("numerator", [
         [1e200],
@@ -398,6 +407,82 @@ class TestNodeMatmul:
         assert np.all(np.abs(H - np.conj(np.swapaxes(H, 1, 2))) <= bound)
 
 
+def _kernel_nodes(K, rng):
+    """Random Hermitian nodes, then diagonal, repeated, rank-deficient,
+    -c I and zero nodes of size K (each special spectrum under a random
+    unitary rotation as well)."""
+    def hermitian(n):
+        X = rng.normal(size=(n, K, K)) + 1j * rng.normal(size=(n, K, K))
+        return (X + np.conj(np.swapaxes(X, 1, 2))) / 2
+
+    q, _ = np.linalg.qr(rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K)))
+    spectra = [
+        np.linspace(-1.5, 2.0, K),                    # diagonal, mixed signs
+        np.ones(K),                                   # repeated
+        np.r_[np.ones(K - 1), 1e-8][-K:],             # repeated pair, tiny last
+        np.r_[np.zeros(K - 1), 2.5][-K:],             # rank deficient (rank 1)
+        np.r_[np.zeros(K - 1), -2.5][-K:],            # rank-1 NSD
+        -3.0 * np.ones(K),                            # -c I
+        np.zeros(K),                                  # zero
+    ]
+    special = [np.diag(d).astype(complex) for d in spectra]
+    rotated = [q @ node @ q.conj().T for node in special]
+    return np.concatenate([hermitian(256), np.array(special), np.array(rotated)])
+
+
+def _exact_eig2(herm):
+    """Eigenvalues mid -/+ rad of Hermitian 2x2 nodes, computed in 50-digit
+    decimal arithmetic from the nodes' exact binary values, rounded once."""
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for node in herm:
+            a, d = Decimal(node[0, 0].real), Decimal(node[1, 1].real)
+            re, im = Decimal(node[1, 0].real), Decimal(node[1, 0].imag)
+            mid = (a + d) / 2
+            rad = (((a - d) / 2) ** 2 + re * re + im * im).sqrt()
+            out.append([float(mid - rad), float(mid + rad)])
+    return np.array(out)
+
+
+class TestHermitianEigenvalues:
+    """The per-node eigenvalue kernel reads the Hermitian part of each node.
+
+    At K != 2 it is ``eigvalsh`` of that part, bit for bit.  At K = 2 the
+    closed form is within 4 eps times the node's 2-norm of the exact
+    eigenvalues, and within 8 eps of ``eigvalsh``, whose own error reaches
+    about 4 eps on these nodes.
+    """
+
+    @staticmethod
+    def assert_matches(values):
+        herm = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
+        ref = np.linalg.eigvalsh(herm)
+        got = _hermitian_eigenvalues(values)
+        assert got.shape == ref.shape
+        if values.shape[1] != 2:
+            np.testing.assert_array_equal(got, ref)
+            return
+        assert np.all(np.isfinite(got)) and np.all(got[:, 0] <= got[:, 1])
+        eps_norm = np.finfo(float).eps * np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - _exact_eig2(herm)) <= 4 * eps_norm)
+        assert np.all(np.abs(got - ref) <= 8 * eps_norm)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_matches_eigvalsh(self, K, scale):
+        self.assert_matches(scale * _kernel_nodes(K, np.random.default_rng(K)))
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_nearly_hermitian_input_reads_its_hermitian_part(self, K):
+        rng = np.random.default_rng(30 + K)
+        values = _kernel_nodes(K, rng)
+        skew = rng.normal(size=values.shape) + 1j * rng.normal(size=values.shape)
+        values = values + 1e-13 * skew
+        assert np.max(np.abs(values - np.conj(np.swapaxes(values, 1, 2)))) > 1e-14
+        self.assert_matches(values)
+
+
 class TestPointwiseCondition:
     def test_matches_svd_condition_on_hermitian_pd_samples(self):
         rng = np.random.default_rng(41)
@@ -405,13 +490,13 @@ class TestPointwiseCondition:
             X = rng.normal(size=(200, K, K)) + 1j * rng.normal(size=(200, K, K))
             scales = np.exp(rng.uniform(-6, 0, size=(200, 1, 1)))
             values = X @ np.conj(np.swapaxes(X, 1, 2)) + scales * np.eye(K)
-            got = _pointwise_condition(values)
+            got = pointwise_condition(values)
             expect = np.linalg.cond(values)
             assert np.max(np.abs(got / expect - 1)) < 1e-8
 
     def test_zero_eigenvalue_is_infinite(self):
         values = np.array([np.diag([1.0, 0.0]), np.zeros((2, 2)), np.eye(2)], dtype=complex)
-        assert list(_pointwise_condition(values)) == [np.inf, np.inf, 1.0]
+        assert list(pointwise_condition(values)) == [np.inf, np.inf, 1.0]
 
     def test_check_minimality_reports_svd_condition(self):
         rng = np.random.default_rng(43)
@@ -451,7 +536,7 @@ class TestCheckMinimality:
         each inverted node by node and its singular nodes merged by value."""
 
         def masked(total):
-            conds = _pointwise_condition(total)
+            conds = pointwise_condition(total)
             good = np.isfinite(conds) & (conds <= cond_ceiling)
             inv = np.linalg.inv(total[good])
             integral = np.sum(np.trace(inv, axis1=1, axis2=2).real) / len(total)
@@ -475,10 +560,10 @@ class TestCheckMinimality:
     ])
     def test_nested_grid_matches_separate_grids(self, monkeypatch, F, G):
         integral, refined, cond, singular = self.separate_grid_report(F, G, 1024)
-        eigvalsh_calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        eigen_calls = count_calls(monkeypatch, spectral, "_hermitian_eigenvalues")
         inv_calls = count_calls(monkeypatch, np.linalg, "inv")
         report = check_minimality(F, G, n_lambda=1024)
-        assert len(eigvalsh_calls) == 1 and inv_calls == []
+        assert len(eigen_calls) == 1 and inv_calls == []
         assert report.n_lambda == 1024
         assert report.trace_integral == pytest.approx(integral, rel=1e-12)
         assert report.refined_integral == pytest.approx(refined, rel=1e-12)
@@ -488,10 +573,10 @@ class TestCheckMinimality:
     def test_grid_pair_takes_one_eigenvalue_pass(self, monkeypatch):
         F = RationalDensity.ar1(0.5).rasterize(512)
         G = SpectralDensityGrid.white(1, 0.5, 512)
-        eigvalsh_calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        eigen_calls = count_calls(monkeypatch, spectral, "_hermitian_eigenvalues")
         inv_calls = count_calls(monkeypatch, np.linalg, "inv")
         report = check_minimality(F, G)
-        assert len(eigvalsh_calls) == 1 and inv_calls == []
+        assert len(eigen_calls) == 1 and inv_calls == []
         assert report.passed and report.refined_integral is None
         direct = np.mean(1.0 / (F.values[:, 0, 0].real + 0.5))
         assert report.trace_integral == pytest.approx(direct, rel=1e-12)
