@@ -114,6 +114,14 @@ def _positive(obj, key, default, where):
     return float(value)
 
 
+def _boolean(obj, key, where):
+    """A JSON true/false field, false when absent."""
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_density(spec, where):
     if spec is None:
         return None
@@ -201,6 +209,7 @@ class Problem:
         if not isinstance(channels, list) or not channels:
             raise SchemaError("channels must be a non-empty list")
         self.channels = []
+        seen = {}
         for i, ch in enumerate(channels):
             where = f"channels[{i}]"
             _require_keys(ch, _CHANNEL_KEYS, {"m", "l", "F", "a"}, where, strict)
@@ -216,6 +225,11 @@ class Problem:
             }
             if entry["l"] < 1 or entry["m"] < 0:
                 raise SchemaError(f"{where}: need m >= 0 and l >= 1")
+            key = (entry["m"], entry["l"])
+            if key in seen:
+                raise SchemaError(f"{where}: duplicate (m, l) = {key}, "
+                                  f"already channels[{seen[key]}]")
+            seen[key] = i
             support = entry["a"].shape[0]
             if support > self.window:
                 raise SchemaError(
@@ -253,7 +267,7 @@ class Problem:
                 n_steps=_integer(sim, "n_steps", 64, "simulation", minimum=1),
                 batch_size=_integer(sim, "batch_size", 1000, "simulation", minimum=1),
             )
-            self.keep_trials = bool(sim.get("keep_trials", False))
+            self.keep_trials = _boolean(sim, "keep_trials", "simulation")
 
     def class_spec(self):
         raw = self.class_spec_raw
@@ -261,7 +275,7 @@ class Problem:
             raise SchemaError("this command needs a class_spec section")
         family = raw["family"]
         variant = raw["variant"]
-        noiseless = bool(raw.get("noiseless", False))
+        noiseless = _boolean(raw, "noiseless", "class_spec")
         channel_weight = _positive(raw, "channel_weight", 1.0, "class_spec")
 
         def matrix(key):

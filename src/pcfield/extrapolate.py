@@ -35,6 +35,7 @@ from .spectral import (
     fourier_coefficients,
     joint_covariance,
     _hermitian_eigenvalues,
+    _node_inverse,
     _node_matmul,
 )
 
@@ -314,7 +315,7 @@ def spectral_factorize(F, n_lambda=None):
     sup_f = float(np.max(np.linalg.norm(values, axis=(1, 2))))
     iterations = 0
     for iterations in range(1, _FACTORIZE_MAX_SWEEPS + 1):
-        psi_inv = np.linalg.inv(psi)
+        psi_inv = _node_inverse(psi)
         g = _node_matmul(_node_matmul(psi_inv, values),
                          np.conj(np.swapaxes(psi_inv, 1, 2))) + ident
         g_plus, g0 = _causal_half(g)
@@ -401,7 +402,7 @@ def solve_by_factorization(fac, a):
     S = evaluate_lag_series(conv, np.arange(J), n)
     diagnostics = {"factorization_residual": fac.residual, "noisy": False}
     try:
-        q = np.linalg.inv(fac.factor_grid)
+        q = _node_inverse(fac.factor_grid)
     except np.linalg.LinAlgError:
         warnings.warn(
             "factor is singular at a grid node; spectral characteristic "

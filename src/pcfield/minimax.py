@@ -49,6 +49,7 @@ from .spectral import (
     evaluate_lag_series,
     _eig2_range,
     _hermitian_eigenvalues,
+    _node_inverse,
     _node_matmul,
 )
 
@@ -965,7 +966,7 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
             delta += float(np.sum(np.abs(conv) ** 2))
             S = evaluate_lag_series(conv, np.arange(a_arr.shape[0]), n)
             L_F += np.einsum("tk,tn->tkn", np.conj(S), S)
-        T_inv = np.linalg.inv(T)
+        T_inv = _node_inverse(T)
         M_F = _node_matmul(_node_matmul(T_inv, L_F), np.conj(np.swapaxes(T_inv, 1, 2)))
         model_F, mult_F = signal.fit(M_F, Fg.values)
         residual_F = _relative_model_residual(L_F, model_F, T, T_star)

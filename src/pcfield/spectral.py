@@ -27,10 +27,17 @@ import numpy as np
 
 DEFAULT_N_LAMBDA = 4096
 DEFAULT_COND_CEILING = 1e10
-# Largest K for which _node_matmul expands the product over its entries.
-# Batched ``@`` pays a fixed cost per small matrix; the entry loop's cost
-# grows as K^3 and meets it at K = 4.
+# Largest K for which _node_matmul and _node_inverse work over the entries.
+# Batched ``@`` and ``inv`` pay a fixed cost per small matrix; the entry
+# loop's cost grows as K^3 and meets it at K = 4.
 _ENTRY_LOOP_MAX_K = 3
+# The K = 3 eigenvalue closed form sends to ``eigvalsh`` the nodes whose
+# arccos argument lies within this distance of +-1: there a near-degenerate
+# pair loses digits, about eps / sqrt(distance) relative to the node.
+_EIG3_EDGE = 0.03
+# adj/det's residual grows like cond^2 * eps, LAPACK's like cond * eps; nodes
+# whose Frobenius condition number exceeds this go to ``np.linalg.inv``.
+_ADJUGATE_MAX_COND = 64.0
 
 
 class MinimalityViolation(RuntimeError):
@@ -63,6 +70,55 @@ def _node_matmul(A, B):
             for k in range(1, K):
                 acc += A[..., i, k] * B[..., k, j]
             out[..., i, j] = acc
+    return out
+
+
+def _frobenius_squared(entries):
+    """Sum of |x|^2 over a nested list of node vectors."""
+    return sum(x.real ** 2 + x.imag ** 2 for row in entries for x in row)
+
+
+def _node_inverse(values):
+    """Per-node inverse of a (..., K, K) stack: the one per-node inverse.
+
+    For K <= 3 each node M is scaled by a power of two (exact) to a
+    Frobenius norm in [1/sqrt(2), sqrt(2)) and inverted as adj M / det M
+    (1/x at K = 1).  A node whose Frobenius condition number
+    ||M|| ||adj M|| / |det M| exceeds ``_ADJUGATE_MAX_COND`` or is not
+    finite is inverted again by ``np.linalg.inv``, so a singular node
+    raises ``LinAlgError``.  Larger K returns ``np.linalg.inv(values)``.
+    """
+    K = values.shape[-1]
+    if K > _ENTRY_LOOP_MAX_K:
+        return np.linalg.inv(values)
+    raw = [[values[..., i, j] for j in range(K)] for i in range(K)]
+    norm2 = _frobenius_squared(raw)
+    scale = np.ldexp(1.0, -(np.frexp(norm2)[1] // 2))
+    m = [[x * scale for x in row] for row in raw]
+    if K == 1:
+        adj, det = [[1.0]], m[0][0]
+    elif K == 2:
+        (a, b), (c, d) = m
+        adj, det = [[d, -b], [-c, a]], a * d - b * c
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+        adj = [[c0, c * h - b * i, b * f - c * e],
+               [c1, a * i - c * g, c * d - a * f],
+               [c2, b * g - a * h, a * e - b * d]]
+        det = a * c0 + b * c1 + c * c2
+    out = np.empty(values.shape, dtype=np.result_type(values, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_det = 1.0 / det
+        kappa = np.sqrt(_frobenius_squared(m) * _frobenius_squared(adj)) * np.abs(inv_det)
+        # M^{-1} = scale * (scale M)^{-1}
+        inv_det = inv_det * scale
+        for i in range(K):
+            for j in range(K):
+                out[..., i, j] = adj[i][j] * inv_det
+    refer = ~(kappa <= _ADJUGATE_MAX_COND)
+    if refer.any():
+        out[refer] = np.linalg.inv(values[refer])
     return out
 
 
@@ -364,10 +420,51 @@ def _eig2_range(values):
     return mid - rad, mid + rad, rad
 
 
+def _eig3(values):
+    """Ascending eigenvalues of the Hermitian part of each node of an
+    (n, 3, 3) stack, by the trigonometric solution (Smith 1961).
+
+    Each node is scaled by a power of two (exact) so that its largest entry
+    part lies in [1/2, 1); then with q = Tr A / 3, p^2 = ||A - q I||^2 / 6,
+    r = det(A - q I) / (2 p^3) and phi = arccos(r) / 3, the eigenvalues
+    q + 2 p cos(phi + 2 pi k / 3) are q - p (cos phi +- sqrt(3) sin phi)
+    and q + 2 p cos phi.  Nodes with |r| > 1 - _EIG3_EDGE (or a non-finite
+    r) take ``eigvalsh`` instead.  Away from that edge the three values are
+    well apart, so they come out ascending.
+    """
+    diag = [values[:, i, i].real for i in range(3)]
+    x, y, z = ((values[:, i, j] + np.conj(values[:, j, i])) / 2
+               for i, j in ((1, 0), (2, 0), (2, 1)))
+    parts = np.stack(diag + [x.real, x.imag, y.real, y.imag, z.real, z.imag], axis=1)
+    scale = np.ldexp(1.0, -np.frexp(np.abs(parts).max(axis=1))[1])
+    d0, d1, d2 = (d * scale for d in diag)
+    x, y, z = x * scale, y * scale, z * scale
+    q = (d0 + d1 + d2) / 3
+    b0, b1, b2 = d0 - q, d1 - q, d2 - q
+    xx, yy, zz = (w.real ** 2 + w.imag ** 2 for w in (x, y, z))
+    p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2 * (xx + yy + zz)) / 6
+    p = np.sqrt(p2)
+    det = b0 * b1 * b2 + 2 * (x * z * np.conj(y)).real - b0 * zz - b1 * yy - b2 * xx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.divide(det, 2 * p * p2, out=np.zeros_like(det), where=p > 0)
+    edge = ~(np.abs(r) <= 1 - _EIG3_EDGE)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
+    c, s = np.cos(phi), np.sqrt(3.0) * np.sin(phi)
+    out = np.stack([q - p * (c + s), q - p * (c - s), q + 2 * p * c],
+                   axis=1) / scale[:, None]
+    if edge.any():
+        near = values[edge]
+        out[edge] = np.linalg.eigvalsh((near + np.conj(np.swapaxes(near, 1, 2))) / 2)
+    return out
+
+
 def _hermitian_eigenvalues(values):
     """Ascending eigenvalues of the Hermitian part of each node of an
     (n, K, K) stack: the one per-node eigenvalue kernel, closed form at
-    K = 2 (``_eig2_range``) and one batched ``eigvalsh`` at other K."""
+    K = 2 (``_eig2_range``) and K = 3 (``_eig3``), and one batched
+    ``eigvalsh`` at other K."""
+    if values.shape[1] == 3:
+        return _eig3(values)
     values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
     if values.shape[1] == 2:
         low, high, _ = _eig2_range(values)
@@ -385,7 +482,7 @@ def _pointwise_inverse(values, cond_ceiling, lam):
             lambda_value=float(lam[worst]),
             condition_number=float(conds[worst]),
         )
-    return np.linalg.inv(values), float(conds[worst])
+    return _node_inverse(values), float(conds[worst])
 
 
 def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):

@@ -229,6 +229,11 @@ _INFEASIBLE_BAND = {
     "signal_power": 5.0,
 }
 
+# a second channel with the first one's (m, l), whose h_0_1.csv would
+# overwrite the first's and whose functional minimax would drop
+_DUPLICATE_CHANNEL = [lambda payload: payload["channels"].append(
+    dict(payload["channels"][0], a=[[2.0]]))]
+
 
 class TestRuntimeFailures:
     """Inputs that parse but cannot be computed exit with a documented code
@@ -290,6 +295,18 @@ class TestRuntimeFailures:
         pytest.param("solve", [_set(("solver", "tolerances"), {"oracle_rel": "abc"})],
                      EXIT_SCHEMA, "schema error: solver.tolerances.oracle_rel must be a "
                      "positive number, got 'abc'", id="tolerance-string"),
+        pytest.param("solve", _DUPLICATE_CHANNEL, EXIT_SCHEMA,
+                     "schema error: channels[1]: duplicate (m, l) = (0, 1), already "
+                     "channels[0]", id="solve-duplicate-channel"),
+        pytest.param("minimax", _DUPLICATE_CHANNEL, EXIT_SCHEMA,
+                     "schema error: channels[1]: duplicate (m, l) = (0, 1), already "
+                     "channels[0]", id="minimax-duplicate-channel"),
+        pytest.param("minimax", [_set(("class_spec",), {**_INFEASIBLE_BAND, "noiseless": "false"})],
+                     EXIT_SCHEMA, "schema error: class_spec.noiseless must be true or false, "
+                     "got 'false'", id="noiseless-string"),
+        pytest.param("validate", [_set(("simulation", "keep_trials"), "false")],
+                     EXIT_SCHEMA, "schema error: simulation.keep_trials must be true or "
+                     "false, got 'false'", id="keep-trials-string"),
     ])
     def test_exit_code_with_one_line(self, tmp_path, capsys, command, edits, code, prefix):
         prob = white_problem()
