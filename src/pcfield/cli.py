@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Subcommands: ``solve``, ``minimax``, ``factorize``, ``simulate``,
-``validate``, ``oracle``.  Each consumes a JSON problem file and writes
+``validate``, ``oracle``, ``check``.  Each consumes a JSON problem file and writes
 result artifacts (JSON + CSV) into the output directory.  Outputs embed
 the SHA-256 of the input file and every effective tolerance; identical
 inputs produce byte-identical artifacts.

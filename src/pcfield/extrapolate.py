@@ -86,28 +86,21 @@ def _functional_on_grid(a, n_lambda):
     return evaluate_lag_series(a, np.arange(J), n_lambda)
 
 
-def _lag_energy_share(values, negative):
-    """Share of the energy of ``values`` (n, K) at negative lags, or at
-    nonnegative lags when ``negative`` is False.
+def _causal_share(h):
+    """``causal_leakage``: the share of the energy of h (n, K) at lags >= 0.
 
-    The causal leakage of h is its share at nonnegative lags: it vanishes
-    only when the coefficients solve the normal equations, so it checks
-    the solve.  The orthogonality residual is the root of the share of
-    r = (A - h)^T F - h^T G at negative lags.  On the Toeplitz route h is
-    built so that r = C, the series of the coefficients at lags 0 ..
-    window-1, whatever they are; there the residual measures only the
-    rounding of (F + G)^{-1}.  On the factorization route h comes from
-    the factor, and the residual checks it.
+    An estimate reads the past only.  On the Toeplitz route h is causal
+    only when the coefficients solve the normal equations; on the
+    factorization route, only when the factor is minimum phase.
     """
-    n = values.shape[0]
-    coeffs = np.fft.fft(values, axis=0) / n
+    n = h.shape[0]
+    coeffs = np.fft.fft(h, axis=0) / n
     energy = np.sum(np.abs(coeffs) ** 2, axis=1)
-    half = n // 2
     total = float(energy.sum())
     if total < 1e-300:
         return 0.0
-    # bins 0 .. half-1 hold lags 0 .. half-1, the rest are negative lags
-    return float((energy[half:] if negative else energy[:half]).sum() / total)
+    # bins 0 .. n//2 - 1 hold lags 0 .. n//2 - 1, the rest are negative lags
+    return float(energy[:n // 2].sum() / total)
 
 
 def _solve_pd(B, rhs):
@@ -156,9 +149,11 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW,
         window size.
 
     Returns an :class:`EstimateSolution` with the solved coefficients, the
-    spectral characteristic on the grid, the mean-square error, and the
-    diagnostics of ``_lag_energy_share``: ``causal_leakage`` checks the
-    solve, ``orthogonality_residual`` only the rounding of (F + G)^{-1}.
+    spectral characteristic h on the grid, the mean-square error
+    delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)], and two
+    diagnostics that check the solve: ``orthogonality_residual``, the
+    relative residual ||B c - D a|| / ||D a||, and ``causal_leakage``
+    (``_causal_share``).
     """
     Fg = as_grid(F)
     Gg = as_grid(G, Fg.n_lambda) if G is not None else None
@@ -171,9 +166,7 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
     """Solve one channel on operators already assembled for (Fg, Gg).
 
     ``a_pad`` is the functional zero-padded to the window.  Returns the
-    :class:`EstimateSolution` together with the grid functions A and C of
-    the functional and of the solved coefficients, which the minimax
-    linearization reuses.
+    :class:`EstimateSolution` and the grid function A of the functional.
     """
     window, K = ops.window, ops.K
     if ops.cond_B > 1e8:
@@ -186,30 +179,29 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
     rhs = ops.D @ a_vec
     c_vec = _solve_pd(ops.B, rhs[:, None])[:, 0]
     c = c_vec.reshape(window, K)
+    residual = np.linalg.norm(ops.B @ c_vec - rhs) / max(np.linalg.norm(rhs), 1e-300)
 
     n = Fg.n_lambda
     A = _functional_on_grid(a_pad, n)
-    C = _functional_on_grid(c, n)
+    numer = _functional_on_grid(c, n)
     if Gg is not None:
-        numer = np.einsum("tk,tkn->tn", A, Gg.values) + C
-    else:
-        numer = C
+        numer = np.einsum("tk,tkn->tn", A, Gg.values) + numer
     h = A - np.einsum("tn,tnk->tk", numer, ops.inv_total)
-    r = np.einsum("tk,tkn->tn", A - h, Fg.values)
+    e = A - h
+    error = np.einsum("tk,tkn,tn->t", e, Fg.values, np.conj(e))
     if Gg is not None:
-        r = r - np.einsum("tk,tkn->tn", h, Gg.values)
+        error = error + np.einsum("tk,tkn,tn->t", h, Gg.values, np.conj(h))
 
-    delta = float(np.real(a_vec.conj() @ (ops.R @ a_vec) + c_vec.conj() @ (ops.B @ c_vec)))
     diagnostics = {
         "window": window,
         "cond_B": ops.cond_B,
-        "causal_leakage": _lag_energy_share(h, negative=False),
-        "orthogonality_residual": float(np.sqrt(_lag_energy_share(r, negative=True))),
+        "causal_leakage": _causal_share(h),
+        "orthogonality_residual": float(residual),
         "noisy": Gg is not None,
     }
-    sol = EstimateSolution(coefficients=c, h_grid=h, delta=delta,
+    sol = EstimateSolution(coefficients=c, h_grid=h, delta=float(np.mean(error.real)),
                            window=window, diagnostics=diagnostics)
-    return sol, A, C
+    return sol, A
 
 
 def solve_noiseless(F, a, window=DEFAULT_WINDOW):
@@ -382,10 +374,12 @@ def solve_by_factorization(fac, a):
         delta = sum_{j >= 0} || sum_p d(p)^T a(p + j) ||^2,
 
     a finite sum once ``a`` has finite support.  The spectral
-    characteristic additionally needs the pointwise inverse of the factor;
-    if the factor is singular at a grid node, h is reported unavailable
-    while delta is still returned.  Raises :class:`FactorizationError` for
-    a factor whose relative residual exceeds ``FACTORIZATION_TOL``.
+    characteristic h = A - S^T P^{-1}, S the series of that sum, needs the
+    pointwise inverse of the factor; if the factor is singular at a grid
+    node, h is reported unavailable while delta is still returned.  Its
+    ``causal_leakage`` checks that P is minimum phase.  Raises
+    :class:`FactorizationError` for a factor whose relative residual
+    exceeds ``FACTORIZATION_TOL``.
     """
     _checked_factor(fac)
     a = np.atleast_2d(np.asarray(a, dtype=complex))
@@ -412,12 +406,10 @@ def solve_by_factorization(fac, a):
         return EstimateSolution(coefficients=None, h_grid=None, delta=delta,
                                 window=J, diagnostics=diagnostics)
     h = A - np.einsum("tnk,tn->tk", q, S)
-    Fv = _node_matmul(fac.factor_grid, np.conj(np.swapaxes(fac.factor_grid, 1, 2)))
-    Ct = np.einsum("tk,tkn->tn", A - h, Fv)
-    diagnostics["causal_leakage"] = _lag_energy_share(h, negative=False)
-    diagnostics["orthogonality_residual"] = float(np.sqrt(_lag_energy_share(Ct, negative=True)))
-    # recover the window coefficients from C = (A - h)^T F for completeness;
-    # the series coefficient of exp(i*j*lambda) integrates against exp(-i*j*lambda)
+    diagnostics["causal_leakage"] = _causal_share(h)
+    # the window coefficients from C = (A - h)^T F = S^T P^*; the series
+    # coefficient of exp(i*j*lambda) integrates against exp(-i*j*lambda)
+    Ct = np.einsum("tk,tnk->tn", S, np.conj(fac.factor_grid))
     c = fourier_coefficients(Ct, -np.arange(J))
     return EstimateSolution(coefficients=c, h_grid=h, delta=delta,
                             window=J, diagnostics=diagnostics)

@@ -56,6 +56,10 @@ from .spectral import (
 _PROJECTION_SWEEPS = 80   # cap of _Constraints.project, met only at K >= 2
 _ASCENT_STEP0 = 1.0       # first trial step of each ascent iteration
 _ACTIVE_TOL = 1e-6        # slack, relative to the density's scale, of an active bound
+# A side whose gradient field is at most this fraction of the larger one is
+# rounding (its h or A - h is within 1e-10 of the other's, below what the
+# solve resolves); scaled to its own norm it would step along noise.
+_ROUNDING_FIELD = 1e-20
 
 SIGNAL_KINDS = ("contamination", "band")
 NOISE_KINDS = ("power", "l1_ball")
@@ -672,10 +676,10 @@ class RobustAnchor:
 
     At the anchor the worst-case error of its estimate is the linear
     functional mean Re Tr(grad_F F) + mean Re Tr(grad_G G) of (F, G).  The
-    PSD gradient fields are sums over the channels of u u^H, with
-    u = (F0 + G0)^{-1} conj(r): r_G = A^T G0 + C for ``grad_F`` and
-    r_F = A^T F0 - C for ``grad_G``.  ``grad_G`` is kept for a noiseless
-    anchor too, where it prices an added noise density.
+    PSD gradient fields are sums over the channels' solved characteristics
+    h: grad_F = sum conj(A - h) (A - h)^T and grad_G = sum conj(h) h^T, so
+    at (F0, G0) it is the solves' error.  ``grad_G`` is kept for a
+    noiseless anchor too, where it prices an added noise density.
     """
 
     F0: SpectralDensityGrid
@@ -691,7 +695,7 @@ def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
     """Solve every channel at (F0, G0) and form the gradient fields.
 
     The operators and (F0 + G0)^{-1} are assembled once and shared by all
-    channels; the grid functions A and C come from the channel solves.
+    channels; the fields are read off each solve's A - h and h.
     """
     Fg = as_grid(F0)
     Gg = as_grid(G0, Fg.n_lambda) if G0 is not None else None
@@ -701,12 +705,9 @@ def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
     solutions = {}
     delta = 0.0
     for key, a in functionals.items():
-        sol, A, C = _solve_assembled(ops, Fg, Gg, _pad_functional(a, window, Fg.K))
-        rG = C if Gg is None else np.einsum("tk,tkn->tn", A, Gg.values) + C
-        rF = np.einsum("tk,tkn->tn", A, Fg.values) - C
-        for grad, r in ((grad_F, rG), (grad_G, rF)):
-            u = np.einsum("tkn,tn->tk", ops.inv_total, np.conj(r))
-            grad += np.einsum("tk,tn->tkn", u, np.conj(u))
+        sol, A = _solve_assembled(ops, Fg, Gg, _pad_functional(a, window, Fg.K))
+        for grad, field in ((grad_F, A - sol.h_grid), (grad_G, sol.h_grid)):
+            grad += np.einsum("tk,tn->tkn", np.conj(field), field)
         solutions[key] = sol
         delta += sol.delta
     return RobustAnchor(F0=Fg, G0=Gg, solutions=solutions, grad_F=grad_F,
@@ -751,7 +752,8 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
     objective sequence is non-decreasing: each iteration first tries the
     step ``_ASCENT_STEP0`` along the scaled gradient, and a step is
     accepted only if the re-solved error improves, with the step halved
-    otherwise.
+    otherwise.  A side whose gradient field is rounding next to the
+    other's (``_ROUNDING_FIELD``) takes no step.
 
     Returns a :class:`LeastFavorableResult` whose ``anchor`` is the solved
     final pair and whose ``report`` carries the saddle residuals there,
@@ -775,15 +777,17 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad_F, grad_G = anchor.grad_F, anchor.grad_G
+        norm_F, norm_G = (float(np.max(np.linalg.norm(grad, axis=(1, 2))))
+                          for grad in (anchor.grad_F, anchor.grad_G))
+        floor = _ROUNDING_FIELD * max(norm_F, norm_G if G is not None else 0.0)
         scale_F = max(float(np.mean(np.trace(F.values, axis1=1, axis2=2).real)), 1e-12)
-        norm_F = max(float(np.max(np.linalg.norm(grad_F, axis=(1, 2)))), 1e-300)
-        dir_F = grad_F / norm_F * scale_F
+        dir_F = (anchor.grad_F / norm_F * scale_F if norm_F > floor
+                 else np.zeros_like(anchor.grad_F))
         if G is not None:
             scale_G = max(float(np.mean(np.trace(G.values, axis1=1, axis2=2).real)),
                           0.1 * scale_F)
-            norm_G = max(float(np.max(np.linalg.norm(grad_G, axis=(1, 2)))), 1e-300)
-            dir_G = grad_G / norm_G * scale_G
+            dir_G = (anchor.grad_G / norm_G * scale_G if norm_G > floor
+                     else np.zeros_like(anchor.grad_G))
 
         step = _ASCENT_STEP0
         improved = False
@@ -956,8 +960,9 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
 
     if mode == "factorized":
         fac = _checked_factor(spectral_factorize(Fg))
-        T = np.swapaxes(fac.factor_grid, 1, 2)
-        T_star = np.conj(fac.factor_grid)
+        # the field is M = P^{-*} L P^{-1}, so L = T M T* with T = P^*
+        T_star = fac.factor_grid
+        T = np.conj(np.swapaxes(T_star, 1, 2))
         L_F = np.zeros((n, K, K), dtype=complex)
         delta = 0.0
         for a in functionals.values():

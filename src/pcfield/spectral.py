@@ -14,10 +14,11 @@ transform.  This is exact for trigonometric polynomials of degree < N/2.
 The prediction operators are block Toeplitz matrices whose (s, j) block is
 the transposed coefficient at lag ``j - s`` of, respectively,
 
-    (F + G)^{-1},   F (F + G)^{-1},   F (F + G)^{-1} G,
+    (F + G)^{-1},   F (F + G)^{-1},
 
 so that the normal equations of one-sided linear estimation read
-``B c = D a`` and the error is ``a* R a + c* B c``.
+``B c = D a``.  The error is read off the characteristic h of the solved c:
+delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)] (``extrapolate``).
 """
 
 import warnings
@@ -372,18 +373,18 @@ def joint_covariance(F, G, n_past, n_future):
 class OperatorSet:
     """Truncated prediction operators on a ``window``-period horizon.
 
-    B, D, R are (window*K, window*K); the (s, j) block of each is the
-    transposed Fourier coefficient at lag ``j - s`` of its symbol.  B and R
-    are Hermitian; B is positive definite whenever the minimality condition
-    holds.  ``cond_B`` is the larger of the 2-norm condition numbers of B and
-    of F + G at its worst grid node.  ``inv_total`` is the pointwise inverse
+    B and D are (window*K, window*K); the (s, j) block of each is the
+    transposed Fourier coefficient at lag ``j - s`` of its symbol.  B is
+    Hermitian, and positive definite whenever the minimality condition
+    holds; the error needs no operator (module docstring).  ``cond_B`` is
+    the larger of the 2-norm condition numbers of B and of F + G at its
+    worst grid node.  ``inv_total`` is the pointwise inverse
     (F + G)^{-1} on the grid, shape (n_lambda, K, K), from which the symbols
     were built; solvers reuse it instead of inverting F + G again.
     """
 
     B: np.ndarray
     D: np.ndarray
-    R: np.ndarray
     window: int
     K: int
     cond_B: float
@@ -486,10 +487,10 @@ def _pointwise_inverse(values, cond_ceiling, lam):
 
 
 def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):
-    """Build the truncated operators B, D, R for the density pair (F, G).
+    """Build the truncated operators B and D for the density pair (F, G).
 
-    ``G=None`` means noiseless observations; then D = I and R = 0 and B is
-    built from F alone.
+    ``G=None`` means noiseless observations; then D = I and B is built from
+    F alone.
     """
     Fg = as_grid(F)
     n = Fg.n_lambda
@@ -516,15 +517,10 @@ def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):
 
     if G is None:
         D = np.eye(window * K, dtype=complex)
-        R = np.zeros((window * K, window * K), dtype=complex)
     else:
         f_inv = _node_matmul(Fg.values, inv_total)
         coeff_D = fourier_coefficients(np.swapaxes(f_inv, 1, 2), lags)
         D = _block_toeplitz(coeff_D, lags, window, K)
-        sym_R = np.swapaxes(_node_matmul(f_inv, Gg.values), 1, 2)
-        coeff_R = fourier_coefficients(sym_R, lags)
-        R = _block_toeplitz(coeff_R, lags, window, K)
-        R = (R + R.conj().T) / 2
 
     eigs_B = np.linalg.eigvalsh(B)
     eig_min = float(eigs_B.min())
@@ -535,7 +531,7 @@ def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):
             RuntimeWarning,
         )
     cond_B = float(_condition_from_eigenvalues(eigs_B))
-    return OperatorSet(B=B, D=D, R=R, window=window, K=K,
+    return OperatorSet(B=B, D=D, window=window, K=K,
                        cond_B=max(cond_B, max_cond), inv_total=inv_total)
 
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from pcfield import extrapolate
 from pcfield.extrapolate import (
     FactorizationError,
+    FactorizationResult,
     _FACTORIZE_TOL,
     functional_variance,
     oracle_solve,
@@ -21,7 +22,10 @@ from pcfield.spectral import (
     RationalDensity,
     SpectralDensityGrid,
     as_grid,
+    assemble_operators,
     covariance_from_density,
+    evaluate_lag_series,
+    fourier_coefficients,
     lambda_grid,
 )
 
@@ -170,8 +174,9 @@ class TestSolveChannelContracts:
 
     @pytest.mark.parametrize("factor", [1.01, 0.5])
     def test_perturbed_coefficients_lift_causal_leakage(self, monkeypatch, factor):
-        # causal_leakage is the diagnostic that checks the coefficient solve;
-        # coefficients off the solution put energy of h at nonnegative lags
+        # both diagnostics check the coefficient solve: coefficients off the
+        # solution put energy of h at nonnegative lags, and leave a residual
+        # ||B c - D a|| / ||D a|| of factor - 1
         rng = np.random.default_rng(8)
         F = as_grid(random_rational(rng, 3, pole=0.4), 1024)
         G = as_grid(random_rational(rng, 3, degree=1), 1024)
@@ -183,6 +188,32 @@ class TestSolveChannelContracts:
         perturbed = solve_channel(F, G, a, window=48).diagnostics
         assert exact["causal_leakage"] <= 1e-12
         assert perturbed["causal_leakage"] > 1e-6
+        assert perturbed["orthogonality_residual"] > 1e-6
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_delta_is_the_toeplitz_quadratic_form(self, noisy):
+        # delta, read off h, against a* R a + c* B c with R the block
+        # Toeplitz operator of F (F + G)^{-1} G (zero without noise)
+        rng = np.random.default_rng(9)
+        n, window, K = 1024, 32, 2
+        F = as_grid(random_rational(rng, K, pole=0.4), n)
+        G = as_grid(random_rational(rng, K, degree=1), n) if noisy else None
+        a = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
+        sol = solve_channel(F, G, a, window=window)
+        a_vec = np.zeros(window * K, dtype=complex)
+        a_vec[:a.size] = a.ravel()
+        c_vec = sol.coefficients.ravel()
+        ops = assemble_operators(F, G, window=window)
+        quadratic = np.real(c_vec.conj() @ ops.B @ c_vec)
+        if noisy:
+            total = F.values + G.values
+            symbol = F.values @ np.linalg.inv(total) @ G.values
+            lags = np.arange(-(window - 1), window)
+            coeffs = fourier_coefficients(np.swapaxes(symbol, 1, 2), lags)
+            R = np.block([[coeffs[j - s + window - 1] for j in range(window)]
+                          for s in range(window)])
+            quadratic += np.real(a_vec.conj() @ R @ a_vec)
+        assert sol.delta == pytest.approx(quadratic, rel=1e-12)
 
     def test_noise_cannot_reduce_error(self):
         rng = np.random.default_rng(6)
@@ -369,6 +400,24 @@ class TestFactorizationSolve:
             s_sys = solve_noiseless(F, a, window=96)
             assert abs(s_fac.delta - s_sys.delta) / s_sys.delta < 1e-6
             assert np.max(np.abs(s_fac.h_grid - s_sys.h_grid)) < 1e-6
+
+    @pytest.mark.parametrize("d, delta, leakage", [([1.0, -2.0], 1.0, 1.0),
+                                                   ([2.0, -1.0], 4.0, 0.0)])
+    def test_causal_leakage_checks_the_factor(self, d, delta, leakage):
+        # both factors give |2 - e^{-i lambda}|^2; only [2, -1] is minimum
+        # phase.  The other yields the wrong one-step error (1 for 4) and a
+        # characteristic with all its energy at nonnegative lags.
+        n = 1024
+        d = np.asarray(d, dtype=complex)[:, None, None]
+        grid = evaluate_lag_series(d, -np.arange(2), n)
+        density = RationalDensity.ma([2.0, -1.0]).rasterize(n).values
+        fac = FactorizationResult(
+            coefficients=d, factor_grid=grid,
+            residual=float(np.max(np.abs(density - grid * np.conj(grid)))),
+            density_sup=float(np.max(np.abs(density))), iterations=0)
+        sol = solve_by_factorization(fac, np.array([[1.0]]))
+        assert sol.delta == pytest.approx(delta, rel=1e-12)
+        assert abs(sol.diagnostics["causal_leakage"] - leakage) <= 1e-12
 
 
 class TestFactorConvolution:

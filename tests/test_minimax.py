@@ -333,6 +333,27 @@ class TestLeastFavorable:
         hist = np.array(res.objective_history)
         assert np.all(np.diff(hist) >= -1e-12)
 
+    def test_side_with_a_rounding_gradient_takes_no_step(self):
+        # the benchmark's matrix band problem: at F = I the white signal is
+        # unpredictable, so h and grad_G are rounding next to grad_F.
+        # Scaled to its own norm grad_G would move G a full step along noise.
+        K = 2
+        G1 = SpectralDensityGrid.constant(0.25 * np.eye(K), N)
+        spec = band_pair("matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
+                         upper=SpectralDensityGrid.constant([[2.0, 0.2], [0.2, 2.0]], N),
+                         signal_power=np.eye(K), noise_nominal=G1,
+                         noise_radius=np.full((K, K), 0.15))
+        functionals = {(0, 1): np.array([[1.0, 0.2], [0.3, -0.4]])}
+        F, G = project_onto_class((SpectralDensityGrid.constant(np.eye(K), N), G1), spec)
+        anchor = build_anchor(F, G, functionals, window=32)
+        node_max = lambda grad: np.max(np.linalg.norm(grad, axis=(1, 2)))
+        assert node_max(anchor.grad_G) <= 1e-20 * node_max(anchor.grad_F)
+        res = find_least_favorable(spec, functionals, (F, G), max_iter=1,
+                                   tol=1e-9, window=32, n_lambda=N)
+        assert len(res.objective_history) == 2
+        assert np.max(np.abs(res.F0.values - F.values)) > 1e-3
+        assert np.max(np.abs(res.G0.values - G.values)) <= 1e-12
+
     def test_point_class_returns_input(self):
         U = as_grid(RationalDensity.ar1(0.3), N)
         spec = band_pair("trace", lower=U, upper=U,
@@ -414,20 +435,31 @@ class TestSaddleResidual:
         assert res.report.residual_F <= 1e-3
         assert res.report.residual_G <= 5e-3
 
-    def test_noiseless_and_factorized_modes_agree(self):
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_noiseless_and_factorized_modes_agree(self, K):
+        # the one-step errors of all K components: every constant density
+        # of power p is least favorable.  At K >= 2 the complex coupling
+        # makes the factor P differ from its transpose, and the two modes
+        # fit one multiplier only when the factorized field is P^-* L P^-1
         p = 1.5
-        spec = fixed_power_class(p)
-        init = SpectralDensityGrid.from_scalar_function(
-            lambda lam: p * (1.0 + 0.5 * np.cos(lam)), N)
-        res = find_least_favorable(spec, np.array([[1.0]]), (init, None),
+        spec = fixed_power_class(p, K=K)
+        root = np.eye(K) + np.triu(np.full((K, K), 0.5j), 1)
+        shape = root @ root.conj().T
+        shape /= np.trace(shape).real
+        init = SpectralDensityGrid(
+            (p * (1.0 + 0.5 * np.cos(lambda_grid(N))))[:, None, None] * shape)
+        functionals = {(k, 1): np.eye(K)[k:k + 1] for k in range(K)}
+        res = find_least_favorable(spec, functionals, (init, None),
                                    max_iter=300, tol=1e-10, window=48, n_lambda=N)
-        rep_nl = saddle_point_residual(res.F0, None, spec, np.array([[1.0]]),
+        rep_nl = saddle_point_residual(res.F0, None, spec, functionals,
                                        mode="noiseless", window=48)
-        rep_fc = saddle_point_residual(res.F0, None, spec, np.array([[1.0]]),
+        rep_fc = saddle_point_residual(res.F0, None, spec, functionals,
                                        mode="factorized", window=48)
         assert rep_nl.residual_F <= 1e-3
         assert rep_fc.residual_F <= 1e-3
         assert rep_fc.objective == pytest.approx(rep_nl.objective, rel=1e-6)
+        assert rep_fc.multipliers["F"]["alpha_sq"] == pytest.approx(
+            rep_nl.multipliers["F"]["alpha_sq"], rel=1e-8)
 
     def test_mode_class_mismatch_rejected(self):
         U = as_grid(RationalDensity.ar1(0.3), N)

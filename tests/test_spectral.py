@@ -216,17 +216,14 @@ class TestAssembleOperators:
         ops = assemble_operators(F, None, window=3)
         assert np.max(np.abs(ops.B - np.eye(6))) < 1e-12
         assert np.max(np.abs(ops.D - np.eye(6))) < 1e-12
-        assert np.max(np.abs(ops.R)) < 1e-12
 
     def test_jointly_white_signal_and_noise(self):
-        # constant-matrix algebra: (F+G)^{-1} = I/2, F(F+G)^{-1} = I/2,
-        # F(F+G)^{-1}G = I/2
+        # constant-matrix algebra: (F+G)^{-1} = I/2, F(F+G)^{-1} = I/2
         F = SpectralDensityGrid.white(2, 1.0, 256)
         G = SpectralDensityGrid.white(2, 1.0, 256)
         ops = assemble_operators(F, G, window=2)
         assert np.max(np.abs(ops.B - 0.5 * np.eye(4))) < 1e-12
         assert np.max(np.abs(ops.D - 0.5 * np.eye(4))) < 1e-12
-        assert np.max(np.abs(ops.R - 0.5 * np.eye(4))) < 1e-12
 
     def test_ar1_inverse_density_blocks(self):
         # 1/f = |1 - 0.5 e^{i lambda}|^2 has coefficients 1.25, -0.5, -0.5
@@ -246,7 +243,7 @@ class TestAssembleOperators:
         G = random_trig_poly_density(rng, 2, 1)
         ops = assemble_operators(as_grid(F, 512), as_grid(G, 512), window=4)
         K = 2
-        for name, M in (("B", ops.B), ("D", ops.D), ("R", ops.R)):
+        for name, M in (("B", ops.B), ("D", ops.D)):
             blocks = {}
             for s in range(4):
                 for j in range(4):
@@ -256,9 +253,8 @@ class TestAssembleOperators:
                         assert np.max(np.abs(blk - blocks[lag])) < 1e-12, name
                     else:
                         blocks[lag] = blk
-        # Hermitian block-transpose relation for B and R
-        for M in (ops.B, ops.R):
-            assert np.max(np.abs(M - M.conj().T)) < 1e-12
+        # Hermitian block-transpose relation for B
+        assert np.max(np.abs(ops.B - ops.B.conj().T)) < 1e-12
 
     def test_positive_definite_under_minimality(self):
         rng = np.random.default_rng(12)
@@ -267,21 +263,13 @@ class TestAssembleOperators:
             ops = assemble_operators(as_grid(F, 512), None, window=6)
             assert np.linalg.eigvalsh(ops.B).min() > 0
 
-    def test_noise_operator_positive_semidefinite(self):
-        rng = np.random.default_rng(14)
-        F = random_trig_poly_density(rng, 2, 2)
-        G = random_trig_poly_density(rng, 2, 1)
-        ops = assemble_operators(as_grid(F, 512), as_grid(G, 512), window=5)
-        scale = np.abs(ops.R).max()
-        assert np.linalg.eigvalsh(ops.R).min() > -1e-10 * scale
-
     def test_quadrature_consistency_under_refinement(self):
         rng = np.random.default_rng(3)
         F = random_trig_poly_density(rng, 2, 4)  # density degree 8 after squaring
         G = random_trig_poly_density(rng, 2, 2)
         ops_a = assemble_operators(as_grid(F, 2048), as_grid(G, 2048), window=4)
         ops_b = assemble_operators(as_grid(F, 4096), as_grid(G, 4096), window=4)
-        for attr in ("B", "D", "R"):
+        for attr in ("B", "D"):
             assert np.max(np.abs(getattr(ops_a, attr) - getattr(ops_b, attr))) < 1e-10
 
     def test_inverse_blocks_invert_covariance_blocks(self):
@@ -333,11 +321,9 @@ class TestAssembleOperators:
         # the symbols are formed by the per-node kernels; placement is the subject
         f_inv = _node_matmul(F.values, inv)
         B = loop_built(inv)
-        R = loop_built(_node_matmul(f_inv, G.values))
         ops = assemble_operators(F, G, window=window)
         assert np.array_equal(ops.B, (B + B.conj().T) / 2)
         assert np.array_equal(ops.D, loop_built(f_inv))
-        assert np.array_equal(ops.R, (R + R.conj().T) / 2)
         assert np.array_equal(ops.inv_total, inv)
 
     def test_cond_b_is_two_norm_condition(self):
