@@ -1,10 +1,13 @@
 """Spherical-harmonic machinery on the unit sphere.
 
 Dimension counts of harmonic spaces in ambient dimension ``n >= 3``, real
-orthonormal harmonics on the 2-sphere (``n = 3``) from one broadcast
-kernel, and quadrature-based analysis / synthesis of band-limited fields,
-batched over leading axes.  Gegenbauer polynomials for general ``n`` are
-``scipy.special.eval_gegenbauer``.
+orthonormal harmonics on the 2-sphere (``n = 3``), and quadrature-based
+analysis / synthesis of band-limited fields, batched over leading axes.
+Gegenbauer polynomials for general ``n`` are ``scipy.special.eval_gegenbauer``.
+
+Every harmonic value comes from one broadcast kernel around one
+``scipy.special.sph_legendre_p`` call (orthonormal, no factorials), finite
+through degree 645 on SciPy 1.17; the kernel refuses higher degrees.
 
 Conventions
 -----------
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import factorial, lpmv, roots_legendre
+from scipy.special import roots_legendre, sph_legendre_p
 
 
 class GridResolutionError(ValueError):
@@ -40,8 +43,6 @@ def harmonic_count(m, n):
         raise ValueError(f"ambient dimension must be >= 3, got {n}")
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
-    if m == 0:
-        return 1
     return (2 * m + n - 2) * math.factorial(m + n - 3) // (
         math.factorial(n - 2) * math.factorial(m)
     )
@@ -69,6 +70,8 @@ class HarmonicIndex:
 
 def flat_index(m, l):
     """Position of harmonic (m, l) in the degree-major flattening (n = 3)."""
+    if not (m >= 0 and 1 <= l <= 2 * m + 1):
+        raise ValueError(f"harmonic (m, l) = ({m}, {l}) needs m >= 0 and 1 <= l <= 2m + 1")
     return m * m + l - 1
 
 
@@ -79,27 +82,23 @@ def n_harmonics(m_max):
 
 def _harmonic_values(m, l, theta, phi):
     """Real orthonormal harmonics (m, l) at points (theta, phi), broadcast:
-    one ``lpmv`` call and one cosine / sine select (the zonal harmonic takes
-    the cosine branch, where cos(0 * phi) = 1)."""
+    one ``sph_legendre_p`` call and one cosine / sine select (the zonal
+    harmonic takes the cosine branch, where cos(0 * phi) = 1).  Raises
+    ``ValueError`` naming the lowest degree whose values are not finite."""
     order = l // 2
-    norm = np.sqrt((2 * m + 1) / (4.0 * math.pi)
-                   * np.asarray(factorial(m - order, exact=True), dtype=float)
-                   / np.asarray(factorial(m + order, exact=True), dtype=float))
-    scale = np.where(order == 0, norm, math.sqrt(2.0) * norm)
-    # lpmv carries the Condon-Shortley factor (-1)^order; remove it.
-    leg = lpmv(order, m, np.cos(theta)) * np.where(order % 2 == 0, 1.0, -1.0)
+    # sph_legendre_p carries the Condon-Shortley factor (-1)^order; remove it.
+    leg = sph_legendre_p(m, order, theta)[0] * np.where(order % 2 == 0, 1.0, -1.0)
+    if not np.isfinite(leg).all():
+        degree = np.min(np.broadcast_to(m, leg.shape)[~np.isfinite(leg)])
+        raise ValueError(f"harmonic values of degree {degree} are not finite")
+    scale = np.where(order == 0, 1.0, math.sqrt(2.0))
     angle = order * np.asarray(phi, dtype=float)
     trig = np.where((l % 2 == 0) | (order == 0), np.cos(angle), np.sin(angle))
     return scale * leg * trig
 
 
 def evaluate_harmonic(idx, theta, phi):
-    """Real orthonormal spherical harmonic at points of the 2-sphere.
-
-    Only ``n = 3`` is supported for point evaluation; counts are available
-    for general ``n``, and Gegenbauer values are
-    ``scipy.special.eval_gegenbauer``.
-    """
+    """Real orthonormal spherical harmonic at points of the 2-sphere (n = 3)."""
     if idx.n != 3:
         raise ValueError(f"point evaluation is implemented for n = 3 only, got n = {idx.n}")
     return _harmonic_values(idx.m, idx.l, theta, phi)
@@ -167,16 +166,6 @@ def design_matrix(m_max, grid):
     return _harmonic_values(m, l, grid.theta[:, None], grid.phi[:, None])
 
 
-def _check_resolution(grid, m_max):
-    resolved = grid.max_resolved_degree()
-    if resolved < m_max:
-        raise GridResolutionError(
-            f"grid with n_theta={grid.n_theta}, n_phi={grid.n_phi} resolves "
-            f"degree {resolved} only; degree {m_max} needs n_theta >= {m_max + 1} "
-            f"and n_phi >= {2 * m_max + 1}"
-        )
-
-
 def decompose_field(samples, m_max, grid):
     """Project field samples (..., n_nodes) onto harmonics of degree <= m_max.
 
@@ -190,7 +179,13 @@ def decompose_field(samples, m_max, grid):
     if samples.shape[-1:] != (grid.n_nodes,):
         raise ValueError(f"samples shape {samples.shape} does not match grid "
                          f"(..., {grid.n_nodes})")
-    _check_resolution(grid, m_max)
+    resolved = grid.max_resolved_degree()
+    if resolved < m_max:
+        raise GridResolutionError(
+            f"grid with n_theta={grid.n_theta}, n_phi={grid.n_phi} resolves "
+            f"degree {resolved} only; degree {m_max} needs n_theta >= {m_max + 1} "
+            f"and n_phi >= {2 * m_max + 1}"
+        )
     return (grid.weights * samples) @ design_matrix(m_max, grid)
 
 

@@ -143,7 +143,7 @@ def empirical_lag_covariance(path, lag):
 def synthesize_field(channel_paths, cfg, grid, m_max):
     """Real field samples (n_periods * S, n_nodes) from blocked channel paths.
 
-    ``channel_paths`` maps (m, l) to (n_periods, K) coefficient arrays.  The
+    ``channel_paths`` maps (m, l), m <= m_max, to (n_periods, K) arrays.  The
     +/- frequency components are conjugate-paired (reality is a property of
     the field, not of the complex channel model), and the channels' series
     form one coefficient series for one batched harmonic synthesis.
@@ -152,11 +152,14 @@ def synthesize_field(channel_paths, cfg, grid, m_max):
         raise ValueError("no channels supplied")
     if len({np.shape(v)[0] for v in channel_paths.values()}) > 1:
         raise ValueError("all channels need the same number of periods")
+    columns = [harmonics.flat_index(m, l) for m, l in channel_paths]
+    if max(channel_paths)[0] > m_max:
+        raise ValueError(f"channel {max(channel_paths)} has degree above m_max={m_max}")
     values = np.array(list(channel_paths.values()), dtype=complex)
     # (channels, periods, S) -> one time series per channel
     series = (_pair_conjugate(values, cfg) @ _basis_matrix(cfg).T).reshape(len(values), -1)
     coefficients = np.zeros((series.shape[1], harmonics.n_harmonics(m_max)))
-    coefficients[:, [harmonics.flat_index(m, l) for m, l in channel_paths]] = series.real.T
+    coefficients[:, columns] = series.real.T
     return harmonics.synthesize_field(coefficients, m_max, grid)
 
 

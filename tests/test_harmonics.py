@@ -114,11 +114,58 @@ class TestEvaluation:
                    for m in range(m_max + 1) for l in range(1, 2 * m + 2)]
         assert np.array_equal(design_matrix(m_max, grid), np.column_stack(columns))
 
+    def test_degree_two_closed_forms(self):
+        # the textbook real harmonics of degree <= 2 in Cartesian form
+        rng = np.random.default_rng(5)
+        theta = np.arccos(rng.uniform(-1.0, 1.0, 50))
+        phi = rng.uniform(0.0, 2 * math.pi, 50)
+        x, y, z = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+        c1, c2 = math.sqrt(3 / (4 * math.pi)), math.sqrt(15 / (4 * math.pi))
+        expected = {
+            (0, 1): np.full_like(x, 0.5 / math.sqrt(math.pi)),
+            (1, 1): c1 * z, (1, 2): c1 * x, (1, 3): c1 * y,
+            (2, 1): math.sqrt(5 / (16 * math.pi)) * (3 * z ** 2 - 1),
+            (2, 2): c2 * x * z, (2, 3): c2 * y * z,
+            (2, 4): 0.5 * c2 * (x ** 2 - y ** 2), (2, 5): c2 * x * y,
+        }
+        for (m, l), reference in expected.items():
+            values = evaluate_harmonic(HarmonicIndex(m, l), theta, phi)
+            assert np.max(np.abs(values - reference)) <= 1e-14, (m, l)
+
+    @pytest.mark.parametrize("m", [86, 150, 300])
+    def test_addition_theorem_at_high_degree(self, m):
+        # sum_l Y_{m,l}(x)^2 = (2m + 1) / (4 pi) at every point x
+        rng = np.random.default_rng(m)
+        theta = np.arccos(rng.uniform(-1.0, 1.0, 4))
+        phi = rng.uniform(0.0, 2 * math.pi, 4)
+        total = sum(evaluate_harmonic(HarmonicIndex(m, l), theta, phi) ** 2
+                    for l in range(1, 2 * m + 2))
+        exact = (2 * m + 1) / (4 * math.pi)
+        assert np.max(np.abs(total - exact)) <= 1e-12 * exact
+
+    def test_degree_where_values_are_not_finite_refused(self):
+        theta = np.array([0.3, 1.2, 2.5])
+        with pytest.raises(ValueError, match="degree 700"):
+            evaluate_harmonic(HarmonicIndex(700, 1), theta, np.zeros(3))
+
+    def test_gram_matrix_at_degree_twenty(self):
+        grid = gauss_legendre_grid(20)
+        design = design_matrix(20, grid)
+        gram = design.T @ (grid.weights[:, None] * design)
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+
     def test_specific_cross_orthogonality(self):
         grid = gauss_legendre_grid(4)
         s11 = evaluate_harmonic(HarmonicIndex(1, 1), grid.theta, grid.phi)
         s21 = evaluate_harmonic(HarmonicIndex(2, 1), grid.theta, grid.phi)
         assert abs(np.sum(grid.weights * s11 * s21)) < 1e-10
+
+
+class TestFlatIndex:
+    @pytest.mark.parametrize("m, l", [(1, 4), (0, 0), (2, 6), (-1, 1)])
+    def test_key_outside_its_degree_refused(self, m, l):
+        with pytest.raises(ValueError, match=rf"\({m}, {l}\)"):
+            flat_index(m, l)
 
 
 class TestSphereGrid:

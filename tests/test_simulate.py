@@ -282,6 +282,21 @@ class TestFieldSynthesis:
         with pytest.raises(ValueError, match="same number of periods"):
             synthesize_field(paths, self.cfg, self.grid, 2)
 
+    def test_order_beyond_its_degree_refused(self):
+        # (1, 4) shares flat index 4 with harmonic (2, 1)
+        with pytest.raises(ValueError, match=r"\(1, 4\)"):
+            synthesize_field({(1, 4): np.ones((2, 3))}, self.cfg, self.grid, 2)
+
+    def test_order_zero_refused(self):
+        # (0, 0) has flat index -1, the last harmonic's column
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            synthesize_field({(0, 0): np.ones((2, 3))}, self.cfg, self.grid, 2)
+
+    def test_degree_above_m_max_refused(self):
+        paths = {(0, 1): np.ones((2, 3)), (3, 1): np.ones((2, 3))}
+        with pytest.raises(ValueError, match=r"channel \(3, 1\) has degree above m_max=2"):
+            synthesize_field(paths, self.cfg, self.grid, 2)
+
     def test_unpaired_component_zeroed_for_real_field(self):
         cfg = BlockingConfig(period=1.0, n_components=4, dt=1.0 / 12)
         rng = np.random.default_rng(1)
