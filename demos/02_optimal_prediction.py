@@ -55,5 +55,5 @@ print(f"relative agreement with the solver: "
       f"{abs(noisy.delta - mse) / mse:.2e}")
 print("causality leakage of h:",
       f"{noisy.diagnostics['causal_leakage']:.2e}",
-      " normal-equation residual ||Bc - Da||/||Da||:",
+      " normal-equation residual ||Bc - d||/||d||:",
       f"{noisy.diagnostics['orthogonality_residual']:.2e}")

@@ -23,7 +23,10 @@ import numpy as np
 
 from . import __version__
 from .blocking import BlockingConfig, functional_to_spec, read_samples_csv
+from .harmonics import flat_index
 from .extrapolate import (
+    DEFAULT_WINDOW,
+    FACTORIZATION_TOL,
     FactorizationError,
     oracle_solve,
     solve_channel,
@@ -45,6 +48,8 @@ from .simulate import (
     simulate_channel,
 )
 from .spectral import (
+    DEFAULT_COND_CEILING,
+    DEFAULT_N_LAMBDA,
     MinimalityViolation,
     NonFiniteDensityError,
     as_grid,
@@ -176,9 +181,9 @@ class Problem:
         _require_keys(solver, _SOLVER_KEYS, set(), "solver", strict)
         tols = solver.get("tolerances", {})
         _require_keys(tols, _TOL_KEYS, set(), "solver.tolerances", strict)
-        self.window = _integer(solver, "window", 96, "solver", minimum=1)
+        self.window = _integer(solver, "window", DEFAULT_WINDOW, "solver", minimum=1)
         self.j_past = _integer(solver, "j_past", 64, "solver", minimum=1)
-        self.n_lambda = _integer(solver, "n_lambda", 4096, "solver", minimum=1)
+        self.n_lambda = _integer(solver, "n_lambda", DEFAULT_N_LAMBDA, "solver", minimum=1)
         if self.window >= self.n_lambda // 2:
             raise SchemaError(
                 f"solver.window {self.window} too large for n_lambda {self.n_lambda} "
@@ -187,8 +192,10 @@ class Problem:
         self.tolerances = {
             "oracle_rel": _positive(tols, "oracle_rel", 1e-4, "solver.tolerances"),
             "mc_sigmas": _positive(tols, "mc_sigmas", 3.0, "solver.tolerances"),
-            "factorization": _positive(tols, "factorization", 1e-8, "solver.tolerances"),
-            "cond_ceiling": _positive(tols, "cond_ceiling", 1e10, "solver.tolerances"),
+            "factorization": _positive(tols, "factorization", FACTORIZATION_TOL,
+                                       "solver.tolerances"),
+            "cond_ceiling": _positive(tols, "cond_ceiling", DEFAULT_COND_CEILING,
+                                      "solver.tolerances"),
         }
 
         self.blocking = None
@@ -223,9 +230,11 @@ class Problem:
                 "reference_F": _parse_density(ch.get("reference_F"), where + ".reference_F"),
                 "reference_G": _parse_density(ch.get("reference_G"), where + ".reference_G"),
             }
-            if entry["l"] < 1 or entry["m"] < 0:
-                raise SchemaError(f"{where}: need m >= 0 and l >= 1")
             key = (entry["m"], entry["l"])
+            try:
+                flat_index(*key)
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
             if key in seen:
                 raise SchemaError(f"{where}: duplicate (m, l) = {key}, "
                                   f"already channels[{seen[key]}]")
@@ -261,11 +270,11 @@ class Problem:
         if "simulation" in data:
             sim = data["simulation"]
             _require_keys(sim, _SIM_KEYS, {"seed"}, "simulation", strict)
+            defaults = {f.name: f.default for f in dataclasses.fields(SimulationConfig)}
             self.simulation = SimulationConfig(
                 seed=_integer(sim, "seed", None, "simulation", minimum=0),
-                n_trials=_integer(sim, "n_trials", 10_000, "simulation", minimum=1),
-                n_steps=_integer(sim, "n_steps", 64, "simulation", minimum=1),
-                batch_size=_integer(sim, "batch_size", 1000, "simulation", minimum=1),
+                **{name: _integer(sim, name, defaults[name], "simulation", minimum=1)
+                   for name in ("n_trials", "n_steps", "batch_size")},
             )
             self.keep_trials = _boolean(sim, "keep_trials", "simulation")
 

@@ -152,7 +152,7 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW,
     spectral characteristic h on the grid, the mean-square error
     delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)], and two
     diagnostics that check the solve: ``orthogonality_residual``, the
-    relative residual ||B c - D a|| / ||D a||, and ``causal_leakage``
+    relative residual ||B c - d|| / ||d||, and ``causal_leakage``
     (``_causal_share``).
     """
     Fg = as_grid(F)
@@ -175,18 +175,17 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
             "reported error may lose digits",
             RuntimeWarning,
         )
-    a_vec = a_pad.reshape(-1)
-    rhs = ops.D @ a_vec
+    n = Fg.n_lambda
+    A = _functional_on_grid(a_pad, n)
+    sym, rhs = A, a_pad.reshape(-1)
+    if Gg is not None:  # sym = A^T F (F+G)^{-1}; block s of d is its lag -s coefficient
+        sym = A - np.einsum("tn,tnk->tk", np.einsum("tk,tkn->tn", A, Gg.values), ops.inv_total)
+        rhs = fourier_coefficients(sym, -np.arange(window)).reshape(-1)
     c_vec = _solve_pd(ops.B, rhs[:, None])[:, 0]
     c = c_vec.reshape(window, K)
     residual = np.linalg.norm(ops.B @ c_vec - rhs) / max(np.linalg.norm(rhs), 1e-300)
 
-    n = Fg.n_lambda
-    A = _functional_on_grid(a_pad, n)
-    numer = _functional_on_grid(c, n)
-    if Gg is not None:
-        numer = np.einsum("tk,tkn->tn", A, Gg.values) + numer
-    h = A - np.einsum("tn,tnk->tk", numer, ops.inv_total)
+    h = sym - np.einsum("tn,tnk->tk", _functional_on_grid(c, n), ops.inv_total)
     e = A - h
     error = np.einsum("tk,tkn,tn->t", e, Fg.values, np.conj(e))
     if Gg is not None:

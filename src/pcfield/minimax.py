@@ -34,9 +34,11 @@ import numpy as np
 
 from .extrapolate import (
     DEFAULT_WINDOW,
+    FactorizationError,
+    solve_by_factorization,
     spectral_factorize,
     _checked_factor,
-    _factor_convolution,
+    _functional_on_grid,
     _pad_functional,
     _solve_assembled,
 )
@@ -46,10 +48,8 @@ from .spectral import (
     SpectralDensityGrid,
     as_grid,
     assemble_operators,
-    evaluate_lag_series,
     _eig2_range,
     _hermitian_eigenvalues,
-    _node_inverse,
     _node_matmul,
 )
 
@@ -939,9 +939,10 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
     constraints, on active sets read at ``_ACTIVE_TOL``; the report
     carries the relative sup-norm defects.  The
     "noisy" and "noiseless" modes fit the gradient fields of the anchor
-    solved at (F0, G0); "factorized" is the independent reference route,
-    and raises :class:`FactorizationError` when the factor of F0 misses
-    F0 by more than ``FACTORIZATION_TOL`` relative.
+    solved at (F0, G0); "factorized" is the independent reference route:
+    it fits the field read off ``solve_by_factorization``'s A - h, and
+    raises :class:`FactorizationError` when the factor of F0 misses F0 by
+    more than ``FACTORIZATION_TOL`` relative or is singular at a grid node.
     """
     if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
         functionals = {(0, 1): np.asarray(functionals)}
@@ -960,19 +961,21 @@ def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
 
     if mode == "factorized":
         fac = _checked_factor(spectral_factorize(Fg))
-        # the field is M = P^{-*} L P^{-1}, so L = T M T* with T = P^*
-        T_star = fac.factor_grid
-        T = np.conj(np.swapaxes(T_star, 1, 2))
-        L_F = np.zeros((n, K, K), dtype=complex)
+        M_F = np.zeros((n, K, K), dtype=complex)
         delta = 0.0
         for a in functionals.values():
             a_arr = np.atleast_2d(np.asarray(a, dtype=complex))
-            conv = _factor_convolution(fac.coefficients, a_arr)
-            delta += float(np.sum(np.abs(conv) ** 2))
-            S = evaluate_lag_series(conv, np.arange(a_arr.shape[0]), n)
-            L_F += np.einsum("tk,tn->tkn", np.conj(S), S)
-        T_inv = _node_inverse(T)
-        M_F = _node_matmul(_node_matmul(T_inv, L_F), np.conj(np.swapaxes(T_inv, 1, 2)))
+            sol = solve_by_factorization(fac, a_arr)
+            if sol.h_grid is None:
+                raise FactorizationError("factor of F0 is singular at a grid node; "
+                                         "the gradient field is unavailable")
+            e = _functional_on_grid(a_arr, n) - sol.h_grid
+            M_F += np.einsum("tk,tn->tkn", np.conj(e), e)
+            delta += sol.delta
+        # the field is M = P^{-*} L P^{-1}, so L = T M T* with T = P^*
+        T_star = fac.factor_grid
+        T = np.conj(np.swapaxes(T_star, 1, 2))
+        L_F = _node_matmul(_node_matmul(T, M_F), T_star)
         model_F, mult_F = signal.fit(M_F, Fg.values)
         residual_F = _relative_model_residual(L_F, model_F, T, T_star)
         return SaddleReport(objective=delta, residual_F=residual_F,

@@ -11,14 +11,16 @@ and Fourier coefficients use the convention
 approximated by the rectangle rule, i.e. one bin of the discrete Fourier
 transform.  This is exact for trigonometric polynomials of degree < N/2.
 
-The prediction operators are block Toeplitz matrices whose (s, j) block is
-the transposed coefficient at lag ``j - s`` of, respectively,
+The prediction operator B is the block Toeplitz matrix whose (s, j) block
+is the transposed coefficient at lag ``j - s`` of (F + G)^{-1}.  The normal
+equations of one-sided linear estimation read ``B c = d``, where block s of
+d is the coefficient at lag ``-s`` of the row vector
 
-    (F + G)^{-1},   F (F + G)^{-1},
+    A^T F (F + G)^{-1} = A^T - A^T G (F + G)^{-1},
 
-so that the normal equations of one-sided linear estimation read
-``B c = D a``.  The error is read off the characteristic h of the solved c:
-delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)] (``extrapolate``).
+A the functional's series; ``extrapolate`` reads d off the grid (d = a
+without noise).  The error is read off the characteristic h of the solved c:
+delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)].
 """
 
 import warnings
@@ -371,24 +373,23 @@ def joint_covariance(F, G, n_past, n_future):
 
 @dataclass
 class OperatorSet:
-    """Truncated prediction operators on a ``window``-period horizon.
+    """Truncated prediction operator on a ``window``-period horizon.
 
-    B and D are (window*K, window*K); the (s, j) block of each is the
-    transposed Fourier coefficient at lag ``j - s`` of its symbol.  B is
-    Hermitian, and positive definite whenever the minimality condition
-    holds; the error needs no operator (module docstring).  ``cond_B`` is
-    the larger of the 2-norm condition numbers of B and of F + G at its
-    worst grid node.  ``inv_total`` is the pointwise inverse
-    (F + G)^{-1} on the grid, shape (n_lambda, K, K), from which the symbols
-    were built; solvers reuse it instead of inverting F + G again.
+    B is (window*K, window*K); its (s, j) block is the transposed Fourier
+    coefficient at lag ``j - s`` of (F + G)^{-1}.  B is Hermitian, and
+    positive definite whenever the minimality condition holds.  The
+    right-hand side d and the error need no operator (module docstring).
+    ``cond_B`` is the larger of the 2-norm condition numbers of B and of
+    F + G at its worst grid node.  ``inv_total`` is the pointwise inverse
+    (F + G)^{-1} on the grid, shape (n_lambda, K, K), from which B was
+    built; solvers reuse it for d and h instead of inverting F + G again.
     """
 
     B: np.ndarray
-    D: np.ndarray
     window: int
     K: int
     cond_B: float
-    inv_total: np.ndarray = None
+    inv_total: np.ndarray
 
 
 def _block_toeplitz(coeffs, lags, window, K):
@@ -486,11 +487,10 @@ def _pointwise_inverse(values, cond_ceiling, lam):
     return _node_inverse(values), float(conds[worst])
 
 
-def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):
-    """Build the truncated operators B and D for the density pair (F, G).
+def assemble_operators(F, G, window, cond_ceiling=DEFAULT_COND_CEILING):
+    """Build the truncated operator B for the density pair (F, G).
 
-    ``G=None`` means noiseless observations; then D = I and B is built from
-    F alone.
+    ``G=None`` means noiseless observations; then B is built from F alone.
     """
     Fg = as_grid(F)
     n = Fg.n_lambda
@@ -515,13 +515,6 @@ def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):
     B = _block_toeplitz(coeff_B, lags, window, K)
     B = (B + B.conj().T) / 2
 
-    if G is None:
-        D = np.eye(window * K, dtype=complex)
-    else:
-        f_inv = _node_matmul(Fg.values, inv_total)
-        coeff_D = fourier_coefficients(np.swapaxes(f_inv, 1, 2), lags)
-        D = _block_toeplitz(coeff_D, lags, window, K)
-
     eigs_B = np.linalg.eigvalsh(B)
     eig_min = float(eigs_B.min())
     if eig_min <= 0:
@@ -531,7 +524,7 @@ def assemble_operators(F, G=None, window=1, cond_ceiling=DEFAULT_COND_CEILING):
             RuntimeWarning,
         )
     cond_B = float(_condition_from_eigenvalues(eigs_B))
-    return OperatorSet(B=B, D=D, window=window, K=K,
+    return OperatorSet(B=B, window=window, K=K,
                        cond_B=max(cond_B, max_cond), inv_total=inv_total)
 
 

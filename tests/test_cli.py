@@ -301,6 +301,12 @@ class TestRuntimeFailures:
         pytest.param("minimax", _DUPLICATE_CHANNEL, EXIT_SCHEMA,
                      "schema error: channels[1]: duplicate (m, l) = (0, 1), already "
                      "channels[0]", id="minimax-duplicate-channel"),
+        pytest.param("solve", [_set(("channels", 0, "m"), 1), _set(("channels", 0, "l"), 4)],
+                     EXIT_SCHEMA, "schema error: channels[0]: harmonic (m, l) = (1, 4) "
+                     "needs m >= 0 and 1 <= l <= 2m + 1", id="solve-l-above-2m-plus-1"),
+        pytest.param("solve", [_set(("channels", 0, "l"), 2)],
+                     EXIT_SCHEMA, "schema error: channels[0]: harmonic (m, l) = (0, 2) "
+                     "needs m >= 0 and 1 <= l <= 2m + 1", id="solve-zonal-l-2"),
         pytest.param("minimax", [_set(("class_spec",), {**_INFEASIBLE_BAND, "noiseless": "false"})],
                      EXIT_SCHEMA, "schema error: class_spec.noiseless must be true or false, "
                      "got 'false'", id="noiseless-string"),

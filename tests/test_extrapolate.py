@@ -27,6 +27,8 @@ from pcfield.spectral import (
     evaluate_lag_series,
     fourier_coefficients,
     lambda_grid,
+    _node_inverse,
+    _node_matmul,
 )
 
 
@@ -214,6 +216,32 @@ class TestSolveChannelContracts:
                           for s in range(window)])
             quadratic += np.real(a_vec.conj() @ R @ a_vec)
         assert sol.delta == pytest.approx(quadratic, rel=1e-12)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_right_hand_side_is_the_block_toeplitz_product(self, K, noisy):
+        # B c against D a, with D placed block by block from the coefficients
+        # of F (F + G)^{-1} (the identity without noise)
+        rng = np.random.default_rng(40 + K)
+        n, window = 512, 24
+        F = as_grid(random_rational(rng, K, pole=0.4), n)
+        G = as_grid(random_rational(rng, K, degree=1), n) if noisy else None
+        a = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
+        sol = solve_channel(F, G, a, window=window)
+        ops = assemble_operators(F, G, window=window)
+        D = np.eye(window * K, dtype=complex)
+        if noisy:
+            symbol = _node_matmul(F.values, _node_inverse(F.values + G.values))
+            lags = np.arange(-(window - 1), window)
+            coeffs = fourier_coefficients(np.swapaxes(symbol, 1, 2), lags)
+            for s in range(window):
+                for j in range(window):
+                    D[s * K:(s + 1) * K, j * K:(j + 1) * K] = coeffs[j - s + window - 1]
+        a_vec = np.zeros(window * K, dtype=complex)
+        a_vec[:a.size] = a.ravel()
+        d = D @ a_vec
+        gap = np.linalg.norm(ops.B @ sol.coefficients.ravel() - d)
+        assert gap <= 1e-12 * np.linalg.norm(d)
 
     def test_noise_cannot_reduce_error(self):
         rng = np.random.default_rng(6)

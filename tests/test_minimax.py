@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pcfield.extrapolate import FactorizationError, solve_channel, solve_noiseless
+from pcfield import extrapolate, minimax
+from pcfield.extrapolate import (
+    FactorizationError,
+    solve_channel,
+    solve_noiseless,
+    spectral_factorize,
+)
 from pcfield.minimax import (
     ClassModeError,
     DensityClassSpec,
@@ -495,6 +501,25 @@ class TestSaddleResidual:
         with pytest.raises(FactorizationError, match="relative residual"):
             saddle_point_residual(F0, None, spec, np.array([[1.0]]),
                                   mode="factorized", window=48)
+
+    def test_factorized_mode_refuses_a_singular_factor(self, monkeypatch):
+        # the field is read off the innovations route's h; where that route
+        # cannot invert the factor, h is unavailable and so is the report
+        def singular(values):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        F0 = as_grid(RationalDensity.ar1(0.3), N)
+        fac = spectral_factorize(F0)
+        monkeypatch.setattr(minimax, "spectral_factorize", lambda F: fac)
+        monkeypatch.setattr(extrapolate, "_node_inverse", singular)
+        spec = DensityClassSpec(signal=SignalClass(
+            kind="contamination", variant="trace", upper=as_grid(RationalDensity.ar1(0.5), N),
+            epsilon=0.3, power=F0.trace_integral()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(FactorizationError, match="singular"):
+                saddle_point_residual(F0, None, spec, np.array([[1.0]]),
+                                      mode="factorized", window=48)
 
 
 class TestDominance:

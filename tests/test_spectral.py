@@ -215,15 +215,13 @@ class TestAssembleOperators:
         F = SpectralDensityGrid.white(2, 1.0, 256)
         ops = assemble_operators(F, None, window=3)
         assert np.max(np.abs(ops.B - np.eye(6))) < 1e-12
-        assert np.max(np.abs(ops.D - np.eye(6))) < 1e-12
 
     def test_jointly_white_signal_and_noise(self):
-        # constant-matrix algebra: (F+G)^{-1} = I/2, F(F+G)^{-1} = I/2
+        # constant-matrix algebra: (F+G)^{-1} = I/2
         F = SpectralDensityGrid.white(2, 1.0, 256)
         G = SpectralDensityGrid.white(2, 1.0, 256)
         ops = assemble_operators(F, G, window=2)
         assert np.max(np.abs(ops.B - 0.5 * np.eye(4))) < 1e-12
-        assert np.max(np.abs(ops.D - 0.5 * np.eye(4))) < 1e-12
 
     def test_ar1_inverse_density_blocks(self):
         # 1/f = |1 - 0.5 e^{i lambda}|^2 has coefficients 1.25, -0.5, -0.5
@@ -243,16 +241,15 @@ class TestAssembleOperators:
         G = random_trig_poly_density(rng, 2, 1)
         ops = assemble_operators(as_grid(F, 512), as_grid(G, 512), window=4)
         K = 2
-        for name, M in (("B", ops.B), ("D", ops.D)):
-            blocks = {}
-            for s in range(4):
-                for j in range(4):
-                    blk = M[s * K:(s + 1) * K, j * K:(j + 1) * K]
-                    lag = j - s
-                    if lag in blocks:
-                        assert np.max(np.abs(blk - blocks[lag])) < 1e-12, name
-                    else:
-                        blocks[lag] = blk
+        blocks = {}
+        for s in range(4):
+            for j in range(4):
+                blk = ops.B[s * K:(s + 1) * K, j * K:(j + 1) * K]
+                lag = j - s
+                if lag in blocks:
+                    assert np.max(np.abs(blk - blocks[lag])) < 1e-12
+                else:
+                    blocks[lag] = blk
         # Hermitian block-transpose relation for B
         assert np.max(np.abs(ops.B - ops.B.conj().T)) < 1e-12
 
@@ -269,8 +266,7 @@ class TestAssembleOperators:
         G = random_trig_poly_density(rng, 2, 2)
         ops_a = assemble_operators(as_grid(F, 2048), as_grid(G, 2048), window=4)
         ops_b = assemble_operators(as_grid(F, 4096), as_grid(G, 4096), window=4)
-        for attr in ("B", "D"):
-            assert np.max(np.abs(getattr(ops_a, attr) - getattr(ops_b, attr))) < 1e-10
+        assert np.max(np.abs(ops_a.B - ops_b.B)) < 1e-10
 
     def test_inverse_blocks_invert_covariance_blocks(self):
         # block matrix of (F^{-1})^T coefficients against the matching
@@ -318,12 +314,10 @@ class TestAssembleOperators:
                     out[s * K:(s + 1) * K, j * K:(j + 1) * K] = coeffs[j - s + window - 1]
             return out
 
-        # the symbols are formed by the per-node kernels; placement is the subject
-        f_inv = _node_matmul(F.values, inv)
+        # the symbol is formed by the per-node kernel; placement is the subject
         B = loop_built(inv)
         ops = assemble_operators(F, G, window=window)
         assert np.array_equal(ops.B, (B + B.conj().T) / 2)
-        assert np.array_equal(ops.D, loop_built(f_inv))
         assert np.array_equal(ops.inv_total, inv)
 
     def test_cond_b_is_two_norm_condition(self):
