@@ -25,6 +25,7 @@ from . import __version__
 from .blocking import BlockingConfig, functional_to_spec, read_samples_csv
 from .harmonics import flat_index
 from .extrapolate import (
+    DEFAULT_J_PAST,
     DEFAULT_WINDOW,
     FACTORIZATION_TOL,
     FactorizationError,
@@ -182,7 +183,7 @@ class Problem:
         tols = solver.get("tolerances", {})
         _require_keys(tols, _TOL_KEYS, set(), "solver.tolerances", strict)
         self.window = _integer(solver, "window", DEFAULT_WINDOW, "solver", minimum=1)
-        self.j_past = _integer(solver, "j_past", 64, "solver", minimum=1)
+        self.j_past = _integer(solver, "j_past", DEFAULT_J_PAST, "solver", minimum=1)
         self.n_lambda = _integer(solver, "n_lambda", DEFAULT_N_LAMBDA, "solver", minimum=1)
         if self.window >= self.n_lambda // 2:
             raise SchemaError(
@@ -392,11 +393,28 @@ def _entry_columns(values):
 
 def _write_grid_csv(path, values, n_lambda):
     """CSV of an (N, K) vector or (N, K, K) matrix grid function, one row
-    per entry: lambda, k (or row, col), re, im."""
-    columns = _entry_columns(values)
-    columns[0] = lambda_grid(n_lambda)[columns[0]]
+    per entry: lambda, k (or row, col), re, im.
+
+    The bytes are those of ``_write_csv`` fed ``_entry_columns`` with the
+    first index mapped to lambda, but each frequency is formatted once per
+    node and each index string once per file.  Nodes are converted in
+    blocks of about ``_CSV_BLOCK`` rows.
+    """
+    entries = values.shape[1:]
+    size = int(np.prod(entries))
+    index = ["," + ",".join(str(i + 1) for i in idx) + "," for idx in np.ndindex(entries)]
+    lam = list(map(repr, lambda_grid(n_lambda).tolist()))
+    flat = values.reshape(n_lambda, size)
+    step = max(1, _CSV_BLOCK // size)
     names = ["k"] if values.ndim == 2 else ["row", "col"]
-    _write_csv(path, ["lambda", *names, "re", "im"], columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["lambda", *names, "re", "im"]) + "\r\n")
+        for start in range(0, n_lambda, step):
+            block = flat[start:start + step]
+            prefixes = [node + entry for node in lam[start:start + step] for entry in index]
+            fh.writelines(prefix + re + "," + im + "\r\n" for prefix, re, im in zip(
+                prefixes, map(repr, block.real.ravel().tolist()),
+                map(repr, block.imag.ravel().tolist())))
 
 
 def _meta(problem):
@@ -538,8 +556,8 @@ def cmd_simulate(problem, out_dir, args):
     payload = {"command": "simulate", "meta": _meta(problem),
                "seed": cfg.seed, "n_steps": cfg.n_steps, "channels": []}
     for entry in problem.channels:
-        path = simulate_channel(as_grid(entry["F"], problem.n_lambda),
-                                cfg.n_steps, seed=cfg.seed)
+        fac = spectral_factorize(entry["F"], n_lambda=problem.n_lambda)
+        path = simulate_channel(fac, cfg.n_steps, seed=cfg.seed)
         cov0 = empirical_lag_covariance(path, 0)
         payload["channels"].append({
             "m": entry["m"], "l": entry["l"],

@@ -16,7 +16,8 @@ Three routes are implemented and cross-checked:
 
 * ``solve_channel`` / ``solve_noiseless`` - the linear-system route,
 * ``solve_by_factorization`` - the innovations route through a canonical
-  factorization of the density,
+  factorization of the density (exact by one Riccati solve for a rational
+  density, Wilson's sweeps for a grid),
 * ``oracle_solve`` - a brute-force finite-past projection built from
   covariances only, used as an independent check.
 """
@@ -29,17 +30,20 @@ import scipy.linalg
 
 from .spectral import (
     DEFAULT_COND_CEILING,
+    RationalDensity,
     as_grid,
     assemble_operators,
     evaluate_lag_series,
     fourier_coefficients,
     joint_covariance,
+    lambda_grid,
     _hermitian_eigenvalues,
     _node_inverse,
     _node_matmul,
 )
 
 DEFAULT_WINDOW = 96
+DEFAULT_J_PAST = 64
 FACTORIZATION_TOL = 1e-8
 _FACTORIZE_TOL = 1e-10          # relative residual at which the sweeps stop
 _FACTORIZE_MAX_SWEEPS = 200
@@ -63,7 +67,6 @@ class EstimateSolution:
     coefficients: np.ndarray | None
     h_grid: np.ndarray | None
     delta: float
-    window: int
     diagnostics: dict = field(default_factory=dict)
 
     def h_lag_coefficients(self, max_lag):
@@ -199,7 +202,7 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
         "noisy": Gg is not None,
     }
     sol = EstimateSolution(coefficients=c, h_grid=h, delta=float(np.mean(error.real)),
-                           window=window, diagnostics=diagnostics)
+                           diagnostics=diagnostics)
     return sol, A
 
 
@@ -222,7 +225,8 @@ class FactorizationResult:
     this factor, and ``density_sup`` the sup-norm of F itself.  Their ratio,
     ``relative_residual``, is the factor's scale-free quality; the solvers
     and samplers refuse a factor whose ratio exceeds ``FACTORIZATION_TOL``.
-    ``iterations`` counts the sweeps that produced it.
+    ``iterations`` counts Wilson's sweeps that produced it: 0 for the exact
+    Riccati factor of a rational density.
     """
 
     coefficients: np.ndarray
@@ -264,46 +268,77 @@ def _causal_half(values):
     return plus, gamma0
 
 
-def spectral_factorize(F, n_lambda=None):
-    """Canonical (causal) factorization of a Hermitian PD matrix density.
+def _pd_cholesky(matrix):
+    """Cholesky factor of a Hermitian K x K matrix; ``LinAlgError`` where
+    its smallest eigenvalue is below ``_FACTORIZE_PD_FLOOR`` times its
+    largest (singular)."""
+    eigvals = _hermitian_eigenvalues(matrix[None])
+    if eigvals.min() <= _FACTORIZE_PD_FLOOR * eigvals.max():
+        raise np.linalg.LinAlgError("singular matrix")
+    return np.linalg.cholesky(matrix)
 
-    Wilson's (1972) Newton sweeps on the frequency grid: starting from the
-    Cholesky factor of the lag-0 covariance, each sweep multiplies the
-    current factor by the causal half of ``psi^{-1} F psi^{-*} + I``.
-    Converges quadratically for densities bounded away from singularity.
-    The starting factor is one K x K matrix broadcast over the grid, so
-    the first sweep inverts it once instead of at every node; later sweeps
-    take one batched inverse of the per-node factor.  The sweeps stop when
-    the iterate's relative residual reaches ``_FACTORIZE_TOL``, or after
-    ``_FACTORIZE_MAX_SWEEPS`` sweeps.
 
-    Returns the factor's first n/2 causal coefficients however far the
-    sweeps got, with that factor's own residual, for its user to judge.
-    Raises :class:`FactorizationError` only for a density it cannot start
-    on: zero, or with smallest eigenvalue below ``_FACTORIZE_PD_FLOOR``
-    times the largest modulus of its entries (rank deficient).
+def _riccati_factor(F, n):
+    """Minimum-phase factor of a :class:`RationalDensity` on the n-point grid.
+
+    The MA numerator y(t) = sum_u N_u w(t - u) has the state-space form
+    x(t+1) = A x(t) + B w(t), y(t) = C x(t) + D w(t), the state being the
+    last q innovations: A the block shift, B = [I; 0], C = [N_1 .. N_q]
+    and D = N_0.  The stabilizing solution P of the filter Riccati equation
+    gives the innovation covariance Re = C P C^* + D D^* and the gain
+    Kg = (A P C^* + B D^*) Re^{-1}, and the minimum-phase numerator
+    Psi_0 = chol(Re), Psi_u = C A^{u-1} Kg Psi_0 (u = 1 .. q), with
+    Psi Psi^* = N N^* (Kailath, Sayed & Hassibi 2000, Linear Estimation).
+    The denominator's roots inside the unit disk are reflected (|den| is
+    unchanged on the circle), so Psi / den is causal and minimum phase.
+
+    Raises ``LinAlgError`` where D D^* or Re is singular.
     """
-    Fg = as_grid(F, n_lambda)
-    values = Fg.values
-    n = Fg.n_lambda
-    K = Fg.K
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        raise FactorizationError("cannot factorize the zero density")
-    eig_min = float(_hermitian_eigenvalues(values).min())
-    if eig_min < _FACTORIZE_PD_FLOOR * scale:
-        raise FactorizationError(
-            f"density is rank deficient on the grid (min eigenvalue {eig_min:.3e}); "
-            "reduced-rank factorization is not supported"
-        )
+    scale = np.max(np.abs(F.numerator))     # solved for N / scale: no over- or underflow
+    N = F.numerator / scale
+    K, q = F.K, N.shape[0] - 1
+    D = N[0]
+    r = D @ D.conj().T
+    psi = [_pd_cholesky(r)]
+    if q > 0:
+        A = np.eye(q * K, k=-K)
+        B = np.eye(q * K, K)
+        C = np.concatenate(N[1:], axis=1)
+        P = scipy.linalg.solve_discrete_are(A.T, C.conj().T, B @ B.T, r, s=B @ D.conj().T)
+        Re = C @ P @ C.conj().T + r
+        psi = [_pd_cholesky(Re)]
+        gain = np.linalg.solve(Re.T, (A @ P @ C.conj().T + B @ D.conj().T).T).T
+        state = gain @ psi[0]           # A^{u-1} Kg Psi_0, from u = 1
+        for _ in range(q):
+            psi.append(C @ state)
+            state = A @ state
+    numerator = scale * evaluate_lag_series(psi, -np.arange(q + 1), n)
 
+    den = np.trim_zeros(F.denominator, "b")
+    z = np.exp(-1j * lambda_grid(n))
+    den_grid = np.full(n, den[-1])
+    for root in np.roots(den[::-1]):
+        den_grid *= (1.0 - np.conj(root) * z) if abs(root) < 1.0 else (z - root)
+    return numerator / den_grid[:, None, None]
+
+
+def _wilson_sweeps(values, sup_f):
+    """Wilson's (1972) Newton sweeps on the grid: the factor and the sweeps run.
+
+    Starting from the Cholesky factor of the lag-0 covariance, each sweep
+    multiplies the current factor by the causal half of
+    ``psi^{-1} F psi^{-*} + I``.  Converges quadratically for densities
+    bounded away from singularity.  The starting factor is one K x K matrix
+    broadcast over the grid, so the first sweep inverts it once instead of
+    at every node; later sweeps take one batched inverse of the per-node
+    factor.  The sweeps stop when the iterate's relative residual reaches
+    ``_FACTORIZE_TOL``, or after ``_FACTORIZE_MAX_SWEEPS`` sweeps.
+    """
     gamma0 = np.mean(values, axis=0)
     gamma0 = (gamma0 + gamma0.conj().T) / 2
     # one node that broadcasts over the grid: the first sweep inverts it once
     psi = np.linalg.cholesky(gamma0)[None]
-    ident = np.eye(K)
-
-    sup_f = float(np.max(np.linalg.norm(values, axis=(1, 2))))
+    ident = np.eye(values.shape[1])
     iterations = 0
     for iterations in range(1, _FACTORIZE_MAX_SWEEPS + 1):
         psi_inv = _node_inverse(psi)
@@ -316,6 +351,51 @@ def spectral_factorize(F, n_lambda=None):
         recon = _node_matmul(psi, np.conj(np.swapaxes(psi, 1, 2)))
         if float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup_f <= _FACTORIZE_TOL:
             break
+    return psi, iterations
+
+
+def spectral_factorize(F, n_lambda=None):
+    """Canonical (causal, minimum-phase) factorization of a Hermitian PD
+    matrix density.
+
+    A :class:`RationalDensity` is factorized exactly by one discrete
+    algebraic Riccati equation (``_riccati_factor``).  A grid density goes
+    through Wilson's sweeps (``_wilson_sweeps``), and so does a rational
+    one whose N_0 N_0^* or innovation covariance is singular.  Both routes
+    end alike: the factor's first n/2 causal coefficients are read off the
+    grid, rotated so that d(0) is lower triangular with a positive
+    diagonal, and the residual of that factor is taken against the
+    rasterized density.  ``iterations`` counts Wilson's sweeps, 0 for a
+    Riccati factor.
+
+    Returns the factor however far the sweeps got, with its own residual,
+    for its user to judge.  Raises :class:`FactorizationError` only for a
+    density it cannot start on: zero, or with smallest eigenvalue below
+    ``_FACTORIZE_PD_FLOOR`` times the largest modulus of its entries (rank
+    deficient).
+    """
+    Fg = as_grid(F, n_lambda)
+    values = Fg.values
+    n = Fg.n_lambda
+    scale = float(np.max(np.abs(values)))
+    if scale == 0.0:
+        raise FactorizationError("cannot factorize the zero density")
+    eig_min = float(_hermitian_eigenvalues(values).min())
+    if eig_min < _FACTORIZE_PD_FLOOR * scale:
+        raise FactorizationError(
+            f"density is rank deficient on the grid (min eigenvalue {eig_min:.3e}); "
+            "reduced-rank factorization is not supported"
+        )
+
+    sup_f = float(np.max(np.linalg.norm(values, axis=(1, 2))))
+    psi, iterations = None, 0
+    if isinstance(F, RationalDensity):
+        try:
+            psi = _riccati_factor(F, n)
+        except np.linalg.LinAlgError:
+            pass
+    if psi is None:
+        psi, iterations = _wilson_sweeps(values, sup_f)
 
     # causal coefficients of psi: d(u) is the coefficient of exp(-i u lambda);
     # with no sweep run, psi is still the one starting node
@@ -375,7 +455,8 @@ def solve_by_factorization(fac, a):
     a finite sum once ``a`` has finite support.  The spectral
     characteristic h = A - S^T P^{-1}, S the series of that sum, needs the
     pointwise inverse of the factor; if the factor is singular at a grid
-    node, h is reported unavailable while delta is still returned.  Its
+    node, delta is still returned and ``h_grid`` and ``coefficients`` are
+    None (``h_lag_coefficients`` then raises).  Its
     ``causal_leakage`` checks that P is minimum phase.  Raises
     :class:`FactorizationError` for a factor whose relative residual
     exceeds ``FACTORIZATION_TOL``.
@@ -397,13 +478,8 @@ def solve_by_factorization(fac, a):
     try:
         q = _node_inverse(fac.factor_grid)
     except np.linalg.LinAlgError:
-        warnings.warn(
-            "factor is singular at a grid node; spectral characteristic "
-            "unavailable, error value still exact",
-            RuntimeWarning,
-        )
         return EstimateSolution(coefficients=None, h_grid=None, delta=delta,
-                                window=J, diagnostics=diagnostics)
+                                diagnostics=diagnostics)
     h = A - np.einsum("tnk,tn->tk", q, S)
     diagnostics["causal_leakage"] = _causal_share(h)
     # the window coefficients from C = (A - h)^T F = S^T P^*; the series
@@ -411,7 +487,7 @@ def solve_by_factorization(fac, a):
     Ct = np.einsum("tk,tnk->tn", S, np.conj(fac.factor_grid))
     c = fourier_coefficients(Ct, -np.arange(J))
     return EstimateSolution(coefficients=c, h_grid=h, delta=delta,
-                            window=J, diagnostics=diagnostics)
+                            diagnostics=diagnostics)
 
 
 def functional_variance(F, a):
@@ -423,7 +499,7 @@ def functional_variance(F, a):
     return float(np.mean(vals.real))
 
 
-def oracle_solve(F, G, a, j_past=64, n_lambda=None):
+def oracle_solve(F, G, a, j_past=DEFAULT_J_PAST, n_lambda=None):
     """Brute-force finite-past projection error, from covariances alone.
 
     Reads the second moments of the functional and of the observations at

@@ -8,9 +8,11 @@ exp(-i*u*l), the sequence
 
 driven by circular complex Gaussian innovations w has spectral density F.
 A draw takes a density or its :class:`FactorizationResult` (factorize once,
-draw many paths).  The factor comes back however far its sweeps got, and a
-draw refuses one whose relative residual exceeds ``FACTORIZATION_TOL``
-(:class:`FactorizationError`): its paths would have another density.
+draw many paths).  A rational density is factorized exactly, by one Riccati
+solve; a grid density by Wilson's sweeps, whose factor comes back however
+far they got.  A draw refuses a factor whose relative residual exceeds
+``FACTORIZATION_TOL`` (:class:`FactorizationError`): its paths would have
+another density.
 ``synthesize_field`` makes real field samples in one batched synthesis.
 
 ``empirical_mse`` replays the solved estimator on simulated paths and
@@ -38,7 +40,7 @@ from .extrapolate import (
     spectral_factorize,
     _checked_factor,
 )
-from .spectral import as_grid, joint_covariance
+from .spectral import joint_covariance
 
 
 class PastWindowError(ValueError):
@@ -91,7 +93,7 @@ class TrialSummary:
 def _ma_coefficients(F):
     """Causal coefficients of the factor of ``F`` (a density or its
     :class:`FactorizationResult`), tail-trimmed and residual-checked."""
-    fac = F if isinstance(F, FactorizationResult) else spectral_factorize(as_grid(F))
+    fac = F if isinstance(F, FactorizationResult) else spectral_factorize(F)
     d = _checked_factor(fac, "cannot sample: ").coefficients
     norms = np.linalg.norm(d, axis=(1, 2))
     keep = np.nonzero(norms > 1e-13 * norms[0])[0]   # drop the negligible tail

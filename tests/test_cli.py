@@ -13,6 +13,7 @@ from pcfield.cli import (
     EXIT_VALIDATION,
     main,
 )
+from pcfield.spectral import RationalDensity, as_grid, density_to_spec
 
 
 def write_problem(tmp_path, payload, name="problem.json"):
@@ -374,9 +375,14 @@ class TestRuntimeFailures:
 
     def test_factorize_at_the_sweep_cap_fails_the_gate(self, tmp_path, capsys, monkeypatch):
         # one sweep leaves the factor of a pole at 0.5 far from its density;
-        # the factor comes back, and factorize's tolerance gate refuses it
+        # the factor comes back, and factorize's tolerance gate refuses it.
+        # The sweeps factorize grids (a rational density takes the Riccati
+        # route), so the signal is given as its grid.
         monkeypatch.setattr("pcfield.extrapolate._FACTORIZE_MAX_SWEEPS", 1)
-        path = write_problem(tmp_path, ar1_problem())
+        problem = ar1_problem()
+        problem["channels"][0]["F"] = density_to_spec(
+            as_grid(RationalDensity.ar1(0.5), problem["solver"]["n_lambda"]))
+        path = write_problem(tmp_path, problem)
         out = tmp_path / "out"
         assert main(["factorize", "--input", str(path), "--output", str(out)]) \
             == EXIT_MINIMALITY
@@ -481,6 +487,34 @@ class TestCsvWriter:
                 writer.writerow([repr(float(lam[index[0]])), *(i + 1 for i in index[1:]),
                                  repr(float(v.real)), repr(float(v.imag))])
         assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(4096, 3), (4096, 1), (512, 2, 2), (4096, 3, 3),
+                                       (7, 3), (1500, 4)])
+    def test_grid_rows_match_the_entry_writer(self, tmp_path, shape):
+        # the node-blocked writer against the generic one, whose block
+        # edges fall elsewhere, on signed zeros, infinities, nan and
+        # extreme magnitudes
+        from pcfield.cli import _entry_columns, _write_csv, _write_grid_csv
+        from pcfield.spectral import lambda_grid
+
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        edge = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300,
+                         1e20, -1e-20, 5e-324])
+        flat = values.reshape(-1)
+        count = min(flat.size, edge.size)
+        flat.real[:count] = edge[:count]
+        flat.imag[:count] = edge[::-1][:count]
+        flat.real[-count:] = edge[::-1][:count]
+        flat.imag[-count:] = edge[:count]
+        _write_grid_csv(tmp_path / "mine.csv", values, shape[0])
+        columns = _entry_columns(values)
+        columns[0] = lambda_grid(shape[0])[columns[0]]
+        names = ["k"] if len(shape) == 2 else ["row", "col"]
+        _write_csv(tmp_path / "ref.csv", ["lambda", *names, "re", "im"], columns)
+        mine = (tmp_path / "mine.csv").read_bytes()
+        assert mine == (tmp_path / "ref.csv").read_bytes()
+        assert b",-0.0," in mine and b"inf" in mine and b"nan" in mine
 
 
 class TestValidate:
@@ -835,6 +869,33 @@ class TestOtherCommands:
         assert rows[0] == "u,row,col,re,im"
         first = rows[1].split(",")
         assert float(first[3]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_factorize_counts_sweeps_for_grids_only(self, tmp_path):
+        # a rational density is factorized by one Riccati solve: 0 sweeps
+        problem = ar1_problem()
+        grid = json.loads(json.dumps(problem))
+        grid["channels"][0]["F"] = density_to_spec(
+            as_grid(RationalDensity.ar1(0.5), problem["solver"]["n_lambda"]))
+        reports = []
+        for name, payload in (("rational", problem), ("grid", grid)):
+            out = tmp_path / name
+            path = write_problem(tmp_path, payload, name=f"{name}.json")
+            assert main(["factorize", "--input", str(path), "--output", str(out)]) == EXIT_OK
+            reports.append(json.loads((out / "factorization.json").read_text())["channels"][0])
+        assert reports[0]["iterations"] == 0 and reports[1]["iterations"] > 0
+        assert reports[0]["residual"] <= 1e-14 and reports[1]["residual"] <= 1e-8
+
+    def test_simulate_draws_from_the_factor_of_the_density(self, tmp_path):
+        from pcfield import simulate_channel, spectral_factorize
+
+        path = write_problem(tmp_path, ar1_problem())
+        out = tmp_path / "out"
+        assert main(["simulate", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        fac = spectral_factorize(RationalDensity.ar1(0.5), n_lambda=1024)
+        assert fac.iterations == 0
+        expected = simulate_channel(fac, 64, seed=21)
+        rows = np.loadtxt(out / "path_0_1.csv", delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(rows[:, 2] + 1j * rows[:, 3], expected[:, 0])
 
     def test_simulate_command_deterministic(self, tmp_path):
         path = write_problem(tmp_path, ar1_problem())

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from pcfield import extrapolate
 from pcfield.extrapolate import (
+    FACTORIZATION_TOL,
     FactorizationError,
     FactorizationResult,
     _FACTORIZE_TOL,
@@ -382,9 +384,10 @@ class TestFactorization:
     def test_sweep_cap_returns_a_factor_that_is_refused(self, monkeypatch, sweeps, residual):
         # AR(1) 0.9 needs more than one sweep; a cap of 0 runs none and
         # returns the starting factor.  Either factor comes back with its
-        # residual, and neither the solve nor the sampler uses it.
+        # residual, and neither the solve nor the sampler uses it.  The
+        # sweeps factorize grids, so the density is given as its grid.
         monkeypatch.setattr("pcfield.extrapolate._FACTORIZE_MAX_SWEEPS", sweeps)
-        fac = spectral_factorize(RationalDensity.ar1(0.9), n_lambda=256)
+        fac = spectral_factorize(as_grid(RationalDensity.ar1(0.9), 256))
         assert fac.iterations == sweeps
         assert f"{fac.relative_residual:.3e}" == residual
         with pytest.raises(FactorizationError,
@@ -393,6 +396,83 @@ class TestFactorization:
         with pytest.raises(FactorizationError,
                            match=f"cannot sample: factor's relative residual {re.escape(residual)}"):
             simulate_channel(fac, 10, seed=1)
+
+
+class TestRiccatiFactor:
+    """A rational density is factorized exactly by one Riccati solve; its
+    rasterized grid goes through Wilson's sweeps."""
+
+    @staticmethod
+    def non_minimum_phase(rng, K):
+        # N_1 = 2 randn puts zeros of det N inside the unit disk; the
+        # denominator 1 - 2.5 z has its root 0.4 inside it too
+        num = rng.normal(size=(3, K, K)) + 1j * rng.normal(size=(3, K, K))
+        num[1] *= 2.0
+        return RationalDensity(num, [1.0, -2.5])
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_matches_the_sweeps_on_the_same_grid(self, K):
+        n = 1024
+        F = self.non_minimum_phase(np.random.default_rng(40 + K), K)
+        # Jensen's formula: the mean of log|det N| on the circle exceeds
+        # log|det N_0| exactly when det N has zeros inside the disk
+        num_grid = evaluate_lag_series(F.numerator, -np.arange(3), n)
+        assert (np.mean(np.log(np.abs(np.linalg.det(num_grid))))
+                > np.log(abs(np.linalg.det(F.numerator[0]))) + 0.1)
+
+        exact = spectral_factorize(F, n)
+        swept = spectral_factorize(as_grid(F, n))
+        assert exact.iterations == 0 and swept.iterations > 0
+        assert exact.relative_residual <= 1e-13
+        gap = (np.linalg.norm(exact.coefficients - swept.coefficients)
+               / np.linalg.norm(exact.coefficients))
+        assert gap <= 1e-9
+        d0 = exact.coefficients[0]
+        assert np.max(np.abs(np.triu(d0, 1))) <= 1e-12 * np.max(np.abs(d0))
+        assert np.max(np.abs(np.diag(d0).imag)) <= 1e-12 * np.max(np.abs(d0))
+        assert np.all(np.diag(d0).real > 0)
+
+    def test_singular_leading_coefficient_falls_back_to_the_sweeps(self):
+        # N_0 N_0^* is singular; the density itself is full rank on the circle
+        rng = np.random.default_rng(8)
+        num = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        num[0] = np.diag([1.0, 0.0])
+        fac = spectral_factorize(RationalDensity(num, [1.0, -0.5]), 512)
+        assert fac.iterations > 0
+        assert fac.relative_residual <= FACTORIZATION_TOL
+
+    def test_rational_input_never_enters_the_sweeps(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a rational density entered Wilson's sweeps")
+
+        monkeypatch.setattr(extrapolate, "_wilson_sweeps", refuse)
+        rng = np.random.default_rng(9)
+        for K in (1, 2, 3):
+            F = random_rational(rng, K, pole=0.6)
+            assert spectral_factorize(F, 512).relative_residual <= 1e-13
+            simulate_channel(F, 20, seed=1)
+        with pytest.raises(AssertionError, match="sweeps"):
+            spectral_factorize(as_grid(F, 512))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e60])
+    def test_riccati_factor_scales_with_the_numerator(self, scale):
+        F = self.non_minimum_phase(np.random.default_rng(12), 2)
+        unit = spectral_factorize(F, 256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = spectral_factorize(RationalDensity(scale * F.numerator, F.denominator), 256)
+        assert scaled.iterations == 0
+        np.testing.assert_allclose(scaled.coefficients, scale * unit.coefficients,
+                                   rtol=0, atol=1e-13 * scale * np.abs(unit.coefficients).max())
+
+    def test_constant_numerator_is_its_cholesky_factor(self):
+        # q = 0: no Riccati equation, Psi_0 = chol(N_0 N_0^*), over den
+        N0 = np.array([[2.0, 0.0], [1.0 + 1.0j, 0.5]])
+        fac = spectral_factorize(RationalDensity(N0[None], [1.0, -0.5]), 256)
+        assert fac.iterations == 0
+        expected = np.linalg.cholesky(N0 @ N0.conj().T)
+        for u in range(4):
+            np.testing.assert_allclose(fac.coefficients[u], 0.5 ** u * expected, atol=1e-14)
 
 
 class TestFactorizationSolve:

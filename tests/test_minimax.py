@@ -515,11 +515,15 @@ class TestSaddleResidual:
         spec = DensityClassSpec(signal=SignalClass(
             kind="contamination", variant="trace", upper=as_grid(RationalDensity.ar1(0.5), N),
             epsilon=0.3, power=F0.trace_integral()))
+        # the event is reported once: the solve returns h_grid None, silently
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(FactorizationError, match="singular"):
-                saddle_point_residual(F0, None, spec, np.array([[1.0]]),
-                                      mode="factorized", window=48)
+            warnings.simplefilter("error")
+            sol = extrapolate.solve_by_factorization(fac, np.array([[1.0]]))
+        assert sol.h_grid is None and sol.coefficients is None
+        assert sol.delta == pytest.approx(1.0)
+        with pytest.raises(FactorizationError, match="singular"):
+            saddle_point_residual(F0, None, spec, np.array([[1.0]]),
+                                  mode="factorized", window=48)
 
 
 class TestDominance:
