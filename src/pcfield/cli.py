@@ -391,25 +391,28 @@ def _entry_columns(values):
     return [*index, values.real.ravel(), values.imag.ravel()]
 
 
-def _write_grid_csv(path, values, n_lambda):
+def _frequency_cells(n_lambda):
+    """The ``repr`` of each grid frequency, formatted once per command."""
+    return list(map(repr, lambda_grid(n_lambda).tolist()))
+
+
+def _write_grid_csv(path, values, lam):
     """CSV of an (N, K) vector or (N, K, K) matrix grid function, one row
-    per entry: lambda, k (or row, col), re, im.
+    per entry: lambda, k (or row, col), re, im; ``lam`` holds the N
+    formatted frequencies (``_frequency_cells``).
 
     The bytes are those of ``_write_csv`` fed ``_entry_columns`` with the
     first index mapped to lambda, but each frequency is formatted once per
-    node and each index string once per file.  Nodes are converted in
+    command and each index string once per file.  Nodes are converted in
     blocks of about ``_CSV_BLOCK`` rows.
     """
-    entries = values.shape[1:]
-    size = int(np.prod(entries))
-    index = ["," + ",".join(str(i + 1) for i in idx) + "," for idx in np.ndindex(entries)]
-    lam = list(map(repr, lambda_grid(n_lambda).tolist()))
-    flat = values.reshape(n_lambda, size)
-    step = max(1, _CSV_BLOCK // size)
+    index = ["," + ",".join(str(i + 1) for i in idx) + "," for idx in np.ndindex(values.shape[1:])]
+    flat = values.reshape(len(lam), -1)
+    step = max(1, _CSV_BLOCK // flat.shape[1])
     names = ["k"] if values.ndim == 2 else ["row", "col"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["lambda", *names, "re", "im"]) + "\r\n")
-        for start in range(0, n_lambda, step):
+        for start in range(0, len(lam), step):
             block = flat[start:start + step]
             prefixes = [node + entry for node in lam[start:start + step] for entry in index]
             fh.writelines(prefix + re + "," + im + "\r\n" for prefix, re, im in zip(
@@ -459,9 +462,9 @@ def cmd_solve(problem, out_dir, args):
         })
     payload["delta_total"] = total
     _write_json(out_dir / "results.json", payload)
+    lam = _frequency_cells(problem.n_lambda)
     for entry, sol in zip(problem.channels, sols):
-        _write_grid_csv(out_dir / f"h_{entry['m']}_{entry['l']}.csv",
-                        sol.h_grid, problem.n_lambda)
+        _write_grid_csv(out_dir / f"h_{entry['m']}_{entry['l']}.csv", sol.h_grid, lam)
     return EXIT_OK
 
 
@@ -519,7 +522,7 @@ def cmd_factorize(problem, out_dir, args):
     tol = problem.tolerances["factorization"]
     for i, entry in enumerate(problem.channels):
         fac = spectral_factorize(entry["F"], n_lambda=problem.n_lambda)
-        if fac.relative_residual > tol:
+        if not fac.relative_residual <= tol:
             raise FactorizationError(
                 f"channels[{i}]: relative residual {fac.relative_residual:.3e} "
                 f"exceeds solver.tolerances.factorization {tol:.3e}"
@@ -533,12 +536,8 @@ def cmd_factorize(problem, out_dir, args):
         rows.append((entry, fac))
     _write_json(out_dir / "factorization.json", payload)
     for entry, fac in rows:
-        d = fac.coefficients
-        keep = np.nonzero(np.linalg.norm(d, axis=(1, 2))
-                          > 1e-14 * np.linalg.norm(d[0]))[0]
-        upto = int(keep[-1]) + 1 if keep.size else 1
         _write_csv(out_dir / f"factor_{entry['m']}_{entry['l']}.csv",
-                   ["u", "row", "col", "re", "im"], _entry_columns(d[:upto]))
+                   ["u", "row", "col", "re", "im"], _entry_columns(fac.trimmed_coefficients))
     return EXIT_OK
 
 
@@ -688,11 +687,12 @@ def cmd_minimax(problem, out_dir, args):
                         for side, mult in report.multipliers.items()},
     }
     _write_json(out_dir / "minimax.json", payload)
-    _write_grid_csv(out_dir / "f0.csv", result.F0.values, problem.n_lambda)
+    lam = _frequency_cells(problem.n_lambda)
+    _write_grid_csv(out_dir / "f0.csv", result.F0.values, lam)
     if result.G0 is not None:
-        _write_grid_csv(out_dir / "g0.csv", result.G0.values, problem.n_lambda)
+        _write_grid_csv(out_dir / "g0.csv", result.G0.values, lam)
     for (m, l), sol in result.anchor.solutions.items():
-        _write_grid_csv(out_dir / f"h0_{m}_{l}.csv", sol.h_grid, problem.n_lambda)
+        _write_grid_csv(out_dir / f"h0_{m}_{l}.csv", sol.h_grid, lam)
     if not result.converged:
         print("minimax: search did not converge; artifacts carry the best iterate",
               file=sys.stderr)

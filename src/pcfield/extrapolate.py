@@ -22,6 +22,7 @@ Three routes are implemented and cross-checked:
   covariances only, used as an independent check.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,6 +49,7 @@ FACTORIZATION_TOL = 1e-8
 _FACTORIZE_TOL = 1e-10          # relative residual at which the sweeps stop
 _FACTORIZE_MAX_SWEEPS = 200
 _FACTORIZE_PD_FLOOR = 1e-10     # smallest eigenvalue relative to sup |F|
+_NEGLIGIBLE_TAIL = 1e-13        # factor coefficients below this times ||d(0)|| are cut
 
 
 class FactorizationError(RuntimeError):
@@ -222,11 +224,12 @@ class FactorizationResult:
     ``coefficients`` holds d(u) for u = 0 .. U-1 with d(0) lower triangular
     with positive diagonal; ``factor_grid`` is P sampled on the frequency
     grid; ``residual`` is the sup-norm reconstruction gap of F - P P* for
-    this factor, and ``density_sup`` the sup-norm of F itself.  Their ratio,
-    ``relative_residual``, is the factor's scale-free quality; the solvers
-    and samplers refuse a factor whose ratio exceeds ``FACTORIZATION_TOL``.
-    ``iterations`` counts Wilson's sweeps that produced it: 0 for the exact
-    Riccati factor of a rational density.
+    this factor, and ``density_sup`` the sup-norm of F (both taken on F
+    scaled exactly to unit size).  Their ratio, ``relative_residual``, is
+    the factor's scale-free quality; solvers and samplers refuse a factor
+    whose ratio is not finite or exceeds ``FACTORIZATION_TOL``.
+    ``iterations`` counts Wilson's sweeps that produced it: positive for a
+    grid, 0 for the exact Riccati factor of a rational density.
     """
 
     coefficients: np.ndarray
@@ -242,6 +245,16 @@ class FactorizationResult:
     @property
     def relative_residual(self):
         return self.residual / max(self.density_sup, 1e-300)
+
+    @property
+    def trimmed_coefficients(self):
+        """d(u) up to the last whose Frobenius norm exceeds ``_NEGLIGIBLE_TAIL``
+        ||d(0)||, the norms taken on d scaled exactly by a power of two."""
+        d = self.coefficients
+        unit = d * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(d))))[1])
+        norms = np.linalg.norm(unit, axis=(1, 2))
+        keep = np.nonzero(norms > _NEGLIGIBLE_TAIL * norms[0])[0]
+        return d[:int(keep[-1]) + 1 if keep.size else 1]
 
 
 def _causal_half(values):
@@ -260,54 +273,54 @@ def _causal_half(values):
     gamma0 = gamma[0].copy()
     if n % 2 == 0:
         gamma[half] *= 0.5
-        gamma[half + 1:] = 0.0
-    else:
-        gamma[half + 1:] = 0.0
+    gamma[half + 1:] = 0.0
     gamma = gamma * signs[:, None, None]
     plus = np.fft.fft(gamma, axis=0)
     return plus, gamma0
 
 
-def _pd_cholesky(matrix):
-    """Cholesky factor of a Hermitian K x K matrix; ``LinAlgError`` where
-    its smallest eigenvalue is below ``_FACTORIZE_PD_FLOOR`` times its
+def _pd_cholesky(matrix, name):
+    """Cholesky factor of a Hermitian K x K matrix; :class:`FactorizationError`
+    where its smallest eigenvalue is below ``_FACTORIZE_PD_FLOOR`` times its
     largest (singular)."""
     eigvals = _hermitian_eigenvalues(matrix[None])
     if eigvals.min() <= _FACTORIZE_PD_FLOOR * eigvals.max():
-        raise np.linalg.LinAlgError("singular matrix")
+        raise FactorizationError(f"{name} is singular (min eigenvalue {eigvals.min():.3e})")
     return np.linalg.cholesky(matrix)
 
 
 def _riccati_factor(F, n):
     """Minimum-phase factor of a :class:`RationalDensity` on the n-point grid.
 
-    The MA numerator y(t) = sum_u N_u w(t - u) has the state-space form
-    x(t+1) = A x(t) + B w(t), y(t) = C x(t) + D w(t), the state being the
-    last q innovations: A the block shift, B = [I; 0], C = [N_1 .. N_q]
-    and D = N_0.  The stabilizing solution P of the filter Riccati equation
-    gives the innovation covariance Re = C P C^* + D D^* and the gain
-    Kg = (A P C^* + B D^*) Re^{-1}, and the minimum-phase numerator
-    Psi_0 = chol(Re), Psi_u = C A^{u-1} Kg Psi_0 (u = 1 .. q), with
-    Psi Psi^* = N N^* (Kailath, Sayed & Hassibi 2000, Linear Estimation).
-    The denominator's roots inside the unit disk are reflected (|den| is
-    unchanged on the circle), so Psi / den is causal and minimum phase.
-
-    Raises ``LinAlgError`` where D D^* or Re is singular.
+    The MA numerator's covariances R_j = sum_u N_{u+j} N_u^* are
+    R_j = C A^{j-1} B for the block shift A, B = [I; 0] and C = [R_1 .. R_q].
+    The stabilizing solution P of the covariance (Faurre) form of the
+    Riccati equation gives Re = R_0 - C P C^*, the gain
+    Kg = (B - A P C^*) Re^{-1} and the minimum-phase numerator
+    Psi_0 = chol(Re), Psi_u = C A^{u-1} Kg Psi_0, with Psi Psi^* = N N^*
+    (Sayed & Kailath 2001).  Only R_0 must be invertible (true for a density
+    positive definite on the circle), not N_0.  The denominator's roots
+    inside the unit disk are reflected, so Psi / den is causal and minimum
+    phase.  Raises :class:`FactorizationError` where R_0 or Re is singular
+    or the equation has no stabilizing solution.
     """
     scale = np.max(np.abs(F.numerator))     # solved for N / scale: no over- or underflow
     N = F.numerator / scale
     K, q = F.K, N.shape[0] - 1
-    D = N[0]
-    r = D @ D.conj().T
-    psi = [_pd_cholesky(r)]
+    R = [np.einsum("uab,ucb->ac", N[j:], N[:q + 1 - j].conj()) for j in range(q + 1)]
+    r0 = (R[0] + R[0].conj().T) / 2
+    psi = [_pd_cholesky(r0, "the numerator's lag-0 covariance")]
     if q > 0:
         A = np.eye(q * K, k=-K)
         B = np.eye(q * K, K)
-        C = np.concatenate(N[1:], axis=1)
-        P = scipy.linalg.solve_discrete_are(A.T, C.conj().T, B @ B.T, r, s=B @ D.conj().T)
-        Re = C @ P @ C.conj().T + r
-        psi = [_pd_cholesky(Re)]
-        gain = np.linalg.solve(Re.T, (A @ P @ C.conj().T + B @ D.conj().T).T).T
+        C = np.concatenate(R[1:], axis=1)
+        try:
+            P = -scipy.linalg.solve_discrete_are(A.T, C.conj().T, np.zeros_like(A), r0, s=B)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"no stabilizing Riccati solution ({exc})") from None
+        Re = r0 - C @ P @ C.conj().T
+        psi = [_pd_cholesky(Re, "the innovation covariance")]
+        gain = np.linalg.solve(Re.T, (B - A @ P @ C.conj().T).T).T
         state = gain @ psi[0]           # A^{u-1} Kg Psi_0, from u = 1
         for _ in range(q):
             psi.append(C @ state)
@@ -322,7 +335,7 @@ def _riccati_factor(F, n):
     return numerator / den_grid[:, None, None]
 
 
-def _wilson_sweeps(values, sup_f):
+def _wilson_sweeps(values, sup):
     """Wilson's (1972) Newton sweeps on the grid: the factor and the sweeps run.
 
     Starting from the Cholesky factor of the lag-0 covariance, each sweep
@@ -331,8 +344,8 @@ def _wilson_sweeps(values, sup_f):
     bounded away from singularity.  The starting factor is one K x K matrix
     broadcast over the grid, so the first sweep inverts it once instead of
     at every node; later sweeps take one batched inverse of the per-node
-    factor.  The sweeps stop when the iterate's relative residual reaches
-    ``_FACTORIZE_TOL``, or after ``_FACTORIZE_MAX_SWEEPS`` sweeps.
+    factor.  They stop when the iterate's residual reaches ``_FACTORIZE_TOL``
+    times ``sup`` (the largest node norm), or at ``_FACTORIZE_MAX_SWEEPS``.
     """
     gamma0 = np.mean(values, axis=0)
     gamma0 = (gamma0 + gamma0.conj().T) / 2
@@ -349,7 +362,7 @@ def _wilson_sweeps(values, sup_f):
         s = s - s.conj().T
         psi = _node_matmul(psi, g_plus + s)
         recon = _node_matmul(psi, np.conj(np.swapaxes(psi, 1, 2)))
-        if float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup_f <= _FACTORIZE_TOL:
+        if float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup <= _FACTORIZE_TOL:
             break
     return psi, iterations
 
@@ -358,44 +371,43 @@ def spectral_factorize(F, n_lambda=None):
     """Canonical (causal, minimum-phase) factorization of a Hermitian PD
     matrix density.
 
-    A :class:`RationalDensity` is factorized exactly by one discrete
-    algebraic Riccati equation (``_riccati_factor``).  A grid density goes
-    through Wilson's sweeps (``_wilson_sweeps``), and so does a rational
-    one whose N_0 N_0^* or innovation covariance is singular.  Both routes
-    end alike: the factor's first n/2 causal coefficients are read off the
-    grid, rotated so that d(0) is lower triangular with a positive
-    diagonal, and the residual of that factor is taken against the
-    rasterized density.  ``iterations`` counts Wilson's sweeps, 0 for a
-    Riccati factor.
+    A :class:`RationalDensity` is factorized exactly by one Riccati solve on
+    its numerator's covariances (``_riccati_factor``, ``iterations`` 0), a
+    grid density by Wilson's sweeps (``_wilson_sweeps``).  The grid is
+    divided by 4^k, the even power of two nearest its largest entry; the
+    rank floor, the stop test and the residual are taken on that unit grid,
+    and the factor is multiplied back by 2^k.  Both scalings are exact, so
+    a grid gets the same sweeps and factor, bit for bit, at any scale that
+    neither under- nor overflows.  The factor's first n/2 causal
+    coefficients are read off the grid, rotated so that d(0) is lower
+    triangular with a positive diagonal, and the residual of that factor is
+    taken against the density on the grid.
 
     Returns the factor however far the sweeps got, with its own residual,
-    for its user to judge.  Raises :class:`FactorizationError` only for a
-    density it cannot start on: zero, or with smallest eigenvalue below
+    for its user to judge.  Raises :class:`FactorizationError` for a
+    density it cannot start on: zero, with smallest eigenvalue below
     ``_FACTORIZE_PD_FLOOR`` times the largest modulus of its entries (rank
-    deficient).
+    deficient), or a rational one whose Riccati solve fails.
     """
     Fg = as_grid(F, n_lambda)
-    values = Fg.values
     n = Fg.n_lambda
-    scale = float(np.max(np.abs(values)))
+    scale = float(np.max(np.abs(Fg.values)))
     if scale == 0.0:
         raise FactorizationError("cannot factorize the zero density")
+    root = math.ldexp(1.0, -(math.frexp(scale)[1] // 2))     # 2^-k
+    values = Fg.values * root * root
     eig_min = float(_hermitian_eigenvalues(values).min())
-    if eig_min < _FACTORIZE_PD_FLOOR * scale:
+    if eig_min < _FACTORIZE_PD_FLOOR * (scale * root * root):
         raise FactorizationError(
-            f"density is rank deficient on the grid (min eigenvalue {eig_min:.3e}); "
+            f"density is rank deficient on the grid (min eigenvalue {eig_min / root / root:.3e}); "
             "reduced-rank factorization is not supported"
         )
 
-    sup_f = float(np.max(np.linalg.norm(values, axis=(1, 2))))
-    psi, iterations = None, 0
+    sup = float(np.max(np.linalg.norm(values, axis=(1, 2))))
     if isinstance(F, RationalDensity):
-        try:
-            psi = _riccati_factor(F, n)
-        except np.linalg.LinAlgError:
-            pass
-    if psi is None:
-        psi, iterations = _wilson_sweeps(values, sup_f)
+        psi, iterations = _riccati_factor(F, n) * root, 0
+    else:
+        psi, iterations = _wilson_sweeps(values, sup)
 
     # causal coefficients of psi: d(u) is the coefficient of exp(-i u lambda);
     # with no sweep run, psi is still the one starting node
@@ -404,28 +416,21 @@ def spectral_factorize(F, n_lambda=None):
 
     # rotate so d(0) is lower triangular with positive diagonal
     q, r = np.linalg.qr(d[0].conj().T)
-    sign_fix = np.sign(np.real(np.diag(r)))
-    sign_fix[sign_fix == 0] = 1.0
-    q = q * sign_fix
-    d = d @ q
+    d = d @ (q * np.where(np.real(np.diag(r)) < 0, -1.0, 1.0))
 
     # residual of the reconstruction actually returned (from coefficients)
     p_from_d = evaluate_lag_series(d, -lags, n)
     recon = _node_matmul(p_from_d, np.conj(np.swapaxes(p_from_d, 1, 2)))
     residual = float(np.max(np.linalg.norm(values - recon, axis=(1, 2))))
-    return FactorizationResult(
-        coefficients=d,
-        factor_grid=p_from_d,
-        residual=residual,
-        density_sup=sup_f,
-        iterations=iterations,
-    )
+    return FactorizationResult(coefficients=d / root, factor_grid=p_from_d / root,
+                               residual=residual / root / root,
+                               density_sup=sup / root / root, iterations=iterations)
 
 
 def _checked_factor(fac, prefix=""):
-    """``fac``, or :class:`FactorizationError` when its relative residual
-    exceeds ``FACTORIZATION_TOL``: such a factor belongs to another density."""
-    if fac.relative_residual > FACTORIZATION_TOL:
+    """``fac``, or :class:`FactorizationError` when its relative residual is
+    not finite or exceeds ``FACTORIZATION_TOL``: it factors another density."""
+    if not fac.relative_residual <= FACTORIZATION_TOL:
         raise FactorizationError(
             f"{prefix}factor's relative residual {fac.relative_residual:.3e} "
             f"exceeds {FACTORIZATION_TOL:.1e}")

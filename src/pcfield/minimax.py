@@ -379,16 +379,18 @@ class _Constraints:
             self.target = self.power / channel_weight
 
     def project(self, values):
-        """Alternate the side's exact step (``_shrink`` onto an L1 ball,
-        ``_clip`` otherwise) with the PSD clip until stationary: exact after
-        one sweep at K = 1 and for diagonal iterates, while at K >= 2 the
-        PSD coupling can stop at the cap short of the projection, which
-        warns with a ``RuntimeWarning``."""
+        """Alternate the side's step (``_shrink`` onto an L1 ball, ``_clip``
+        otherwise) with the PSD clip.  A field side's step is exact, so it
+        stops once the PSD clip leaves the step unchanged (on the first sweep
+        the step is then the projection, always so at K = 1); a Loewner side
+        once a sweep leaves the iterate unchanged.  At K >= 2 the PSD coupling
+        can stop at the cap short of the projection, which warns."""
         step = self._shrink if self.radius is not None else self._clip
         out = values
         for _ in range(_PROJECTION_SWEEPS):
-            prev = out
-            out = _psd_clip(step(out))
+            stepped = step(out)
+            prev = stepped if self.exact_step else out
+            out = _psd_clip(stepped)
             change = np.max(np.abs(out - prev))
             level = 1e-13 * max(1.0, np.max(np.abs(out)))
             if change < level:
@@ -427,7 +429,7 @@ class _Constraints:
 class _FieldConstraints(_Constraints):
     """Constraints on the fields Re Tr(W_j X) of an orthogonal weight stack."""
 
-    dtype = float
+    dtype, exact_step = float, True
 
     def __init__(self, weights, cls, n_lambda, channel_weight):
         self.weights = weights
@@ -522,7 +524,7 @@ class _LoewnerConstraints(_Constraints):
     """Constraints on the matrix X itself: Loewner-order bounds, a matrix
     power and an entrywise L1 ball."""
 
-    dtype = complex
+    dtype, exact_step = complex, False
 
     def __init__(self, K, cls, n_lambda, channel_weight):
         self.shape = (K, K)
@@ -646,12 +648,14 @@ def project_onto_class(pair, spec):
     ``pair`` is (F, G); G is ignored for noiseless specs.  Each side
     alternates one exact step onto its own constraints (a clipped shift
     onto the bounds and the power, or a soft threshold onto the L1 ball)
-    with the projection onto the PSD cone, until the iterate is
-    stationary; feasible inputs come back untouched.  At K = 1, and for
-    the diagonal iterates of the component variant, the result is the
-    exact projection.  At K >= 2 the PSD cone couples the constraints and
-    the alternation may stop at its sweep cap short of the projection,
-    with a ``RuntimeWarning`` that names the side, K and the last step.
+    with the projection onto the PSD cone (``_Constraints.project``): a
+    field side stops once the PSD clip leaves its step unchanged, a matrix
+    side once a sweep leaves the iterate unchanged; feasible inputs come
+    back untouched.  At K = 1 (one sweep), and for the diagonal iterates of
+    the component variant, the result is the exact projection.  At K >= 2
+    the PSD cone couples the constraints and the alternation may stop at its
+    sweep cap short of the projection, with a ``RuntimeWarning`` that names
+    the side, K and the last step.
     Infeasible parameter combinations raise :class:`InfeasibleClassError`.
     """
     F, G = pair

@@ -90,17 +90,6 @@ class TrialSummary:
     estimated: np.ndarray = None
 
 
-def _ma_coefficients(F):
-    """Causal coefficients of the factor of ``F`` (a density or its
-    :class:`FactorizationResult`), tail-trimmed and residual-checked."""
-    fac = F if isinstance(F, FactorizationResult) else spectral_factorize(F)
-    d = _checked_factor(fac, "cannot sample: ").coefficients
-    norms = np.linalg.norm(d, axis=(1, 2))
-    keep = np.nonzero(norms > 1e-13 * norms[0])[0]   # drop the negligible tail
-    upto = int(keep[-1]) + 1 if keep.size else 1
-    return d[:upto]
-
-
 def _complex_innovations(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
@@ -123,10 +112,12 @@ def simulate_channel(F, n_steps, seed):
     """One sample path of the stationary vector sequence with density F.
 
     ``F`` may be the density's :class:`FactorizationResult`: same path, no
-    refactorization.  Fixed ``seed`` gives a byte-identical path.  The
-    empirical lag-0 covariance converges to the density's covariance.
+    refactorization.  The factor's negligible tail is cut
+    (``FactorizationResult.trimmed_coefficients``).  Fixed ``seed`` gives a
+    byte-identical path; the lag-0 covariance converges to the density's.
     """
-    d = _ma_coefficients(F)
+    fac = F if isinstance(F, FactorizationResult) else spectral_factorize(F)
+    d = _checked_factor(fac, "cannot sample: ").trimmed_coefficients
     rng = np.random.default_rng(seed)
     w = _complex_innovations(rng, (n_steps + d.shape[0] - 1, d.shape[1]))
     return _ma_filter(d, w, n_steps)

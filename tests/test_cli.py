@@ -470,13 +470,13 @@ class TestCsvWriter:
     def test_grid_rows_match_loop_reference(self, tmp_path, shape):
         import csv
 
-        from pcfield.cli import _write_grid_csv
+        from pcfield.cli import _frequency_cells, _write_grid_csv
         from pcfield.spectral import lambda_grid
 
         rng = np.random.default_rng(3)
         values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         values[0, 0] = -0.0
-        _write_grid_csv(tmp_path / "mine.csv", values, shape[0])
+        _write_grid_csv(tmp_path / "mine.csv", values, _frequency_cells(shape[0]))
         lam = lambda_grid(shape[0])
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -494,7 +494,7 @@ class TestCsvWriter:
         # the node-blocked writer against the generic one, whose block
         # edges fall elsewhere, on signed zeros, infinities, nan and
         # extreme magnitudes
-        from pcfield.cli import _entry_columns, _write_csv, _write_grid_csv
+        from pcfield.cli import _entry_columns, _frequency_cells, _write_csv, _write_grid_csv
         from pcfield.spectral import lambda_grid
 
         rng = np.random.default_rng(4)
@@ -507,7 +507,7 @@ class TestCsvWriter:
         flat.imag[:count] = edge[::-1][:count]
         flat.real[-count:] = edge[::-1][:count]
         flat.imag[-count:] = edge[:count]
-        _write_grid_csv(tmp_path / "mine.csv", values, shape[0])
+        _write_grid_csv(tmp_path / "mine.csv", values, _frequency_cells(shape[0]))
         columns = _entry_columns(values)
         columns[0] = lambda_grid(shape[0])[columns[0]]
         names = ["k"] if len(shape) == 2 else ["row", "col"]
@@ -884,6 +884,47 @@ class TestOtherCommands:
             reports.append(json.loads((out / "factorization.json").read_text())["channels"][0])
         assert reports[0]["iterations"] == 0 and reports[1]["iterations"] > 0
         assert reports[0]["residual"] <= 1e-14 and reports[1]["residual"] <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["rational", "grid"])
+    def test_factorize_a_density_near_1e_minus_200(self, tmp_path, capsys, kind):
+        # squared entries of this grid underflow; the factorization scales
+        # the grid exactly to unit size first
+        F = RationalDensity(1e-100 * np.array([1.0, 0.3]), [1.0, -0.4])
+        problem = ar1_problem()
+        problem["channels"][0]["F"] = density_to_spec(F if kind == "rational" else as_grid(F, 1024))
+        path = write_problem(tmp_path, problem)
+        out = tmp_path / "out"
+        assert main(["factorize", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "factorization.json").read_text())["channels"][0]
+        assert 0.0 <= report["residual"] <= 1e-10 * 1e-200
+        # d(u) = 1e-100 (0.4^u + 0.3 * 0.4^(u-1)): the tail is cut near u = 34,
+        # not at d(0), whose squared entries underflow
+        rows = np.loadtxt(out / "factor_0_1.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[0, 3] == pytest.approx(1e-100, rel=1e-12)
+        assert 30 <= len(rows) <= 40
+
+    def test_factorize_refuses_a_non_finite_residual(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        from pcfield import simulate_channel
+
+        factorize = cli.spectral_factorize
+
+        def nan_residual(F, n_lambda=None):
+            return dataclasses.replace(factorize(F, n_lambda=n_lambda), residual=float("nan"))
+
+        monkeypatch.setattr(cli, "spectral_factorize", nan_residual)
+        path = write_problem(tmp_path, ar1_problem())
+        out = tmp_path / "out"
+        assert main(["factorize", "--input", str(path), "--output", str(out)]) \
+            == EXIT_MINIMALITY
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("factorization failure: channels[0]: relative residual nan")
+        assert not (out / "factorization.json").exists()
+        with pytest.raises(cli.FactorizationError, match="relative residual nan"):
+            simulate_channel(nan_residual(RationalDensity.ar1(0.5)), 10, seed=1)
 
     def test_simulate_draws_from_the_factor_of_the_density(self, tmp_path):
         from pcfield import simulate_channel, spectral_factorize

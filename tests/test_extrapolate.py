@@ -432,14 +432,19 @@ class TestRiccatiFactor:
         assert np.max(np.abs(np.diag(d0).imag)) <= 1e-12 * np.max(np.abs(d0))
         assert np.all(np.diag(d0).real > 0)
 
-    def test_singular_leading_coefficient_falls_back_to_the_sweeps(self):
+    @staticmethod
+    def singular_leading_coefficient():
         # N_0 N_0^* is singular; the density itself is full rank on the circle
         rng = np.random.default_rng(8)
         num = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
         num[0] = np.diag([1.0, 0.0])
-        fac = spectral_factorize(RationalDensity(num, [1.0, -0.5]), 512)
-        assert fac.iterations > 0
-        assert fac.relative_residual <= FACTORIZATION_TOL
+        return RationalDensity(num, [1.0, -0.5])
+
+    def test_singular_leading_coefficient_is_factorized_exactly(self):
+        # the covariance form needs R_0 = sum_u N_u N_u^* invertible, not N_0
+        fac = spectral_factorize(self.singular_leading_coefficient(), 512)
+        assert fac.iterations == 0
+        assert fac.relative_residual <= 1e-13
 
     def test_rational_input_never_enters_the_sweeps(self, monkeypatch):
         def refuse(*args):
@@ -447,12 +452,22 @@ class TestRiccatiFactor:
 
         monkeypatch.setattr(extrapolate, "_wilson_sweeps", refuse)
         rng = np.random.default_rng(9)
-        for K in (1, 2, 3):
-            F = random_rational(rng, K, pole=0.6)
-            assert spectral_factorize(F, 512).relative_residual <= 1e-13
+        densities = [random_rational(rng, K, pole=0.6) for K in (1, 2, 3)]
+        for F in densities + [self.singular_leading_coefficient()]:
+            fac = spectral_factorize(F, 512)
+            assert fac.iterations == 0 and fac.relative_residual <= 1e-13
             simulate_channel(F, 20, seed=1)
         with pytest.raises(AssertionError, match="sweeps"):
             spectral_factorize(as_grid(F, 512))
+
+    def test_a_failed_riccati_solve_is_a_factorization_error(self, monkeypatch):
+        # no fallback: the error reaches the caller (the CLI's exit 2)
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Failed to find a finite solution.")
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", fail)
+        with pytest.raises(FactorizationError, match="no stabilizing Riccati solution"):
+            spectral_factorize(RationalDensity.ma([1.0, 0.4]))
 
     @pytest.mark.parametrize("scale", [1e-100, 1e60])
     def test_riccati_factor_scales_with_the_numerator(self, scale):
@@ -464,6 +479,31 @@ class TestRiccatiFactor:
         assert scaled.iterations == 0
         np.testing.assert_allclose(scaled.coefficients, scale * unit.coefficients,
                                    rtol=0, atol=1e-13 * scale * np.abs(unit.coefficients).max())
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e150])
+    @pytest.mark.parametrize("kind", ["rational", "grid"])
+    def test_scaled_numerators_factorize(self, kind, scale):
+        # the grid is divided by 4^k before the rank floor, the sweeps and
+        # the residual, whose squared entries would under- or overflow
+        F = self.non_minimum_phase(np.random.default_rng(12), 2)
+        F = RationalDensity(scale * F.numerator, F.denominator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fac = spectral_factorize(F if kind == "rational" else as_grid(F, 256), 256)
+        assert (fac.iterations == 0) == (kind == "rational")
+        assert fac.relative_residual <= 1e-13
+        assert np.all(np.isfinite(fac.coefficients))
+
+    @pytest.mark.parametrize("k", [-200, -3, 5, 120])
+    def test_wilson_route_is_equivariant_under_powers_of_four(self, k):
+        # 4^k and 2^k scale exactly: same sweeps, factor times 2^k bit for bit
+        F = as_grid(self.non_minimum_phase(np.random.default_rng(41), 3), 512)
+        base = spectral_factorize(F)
+        scaled = spectral_factorize(SpectralDensityGrid(F.values * 2.0**k * 2.0**k))
+        assert scaled.iterations == base.iterations > 0
+        np.testing.assert_array_equal(scaled.coefficients, base.coefficients * 2.0**k)
+        np.testing.assert_array_equal(scaled.factor_grid, base.factor_grid * 2.0**k)
+        assert scaled.relative_residual == base.relative_residual
 
     def test_constant_numerator_is_its_cholesky_factor(self):
         # q = 0: no Riccati equation, Psi_0 = chol(N_0 N_0^*), over den

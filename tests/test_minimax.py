@@ -933,6 +933,43 @@ class TestPsdClip2x2:
         np.testing.assert_array_equal(_psd_clip(X), _eigh_clip(X))
 
 
+class TestProjectionStop:
+    """A field side's step is the exact projection onto its constraints, so
+    the alternation stops once the PSD clip leaves that step unchanged."""
+
+    @staticmethod
+    def counted_clips(monkeypatch):
+        calls = []
+
+        def counted(values):
+            calls.append(values.shape)
+            return _psd_clip(values)
+
+        monkeypatch.setattr(minimax, "_psd_clip", counted)
+        return calls
+
+    def test_k1_projection_clips_once(self, monkeypatch):
+        U = as_grid(RationalDensity.ar1(0.5), N)
+        side = minimax._constraints(SignalClass(
+            kind="contamination", variant="trace", upper=U, epsilon=0.3,
+            power=U.trace_integral()), N, 1, 1.0)
+        start = (1.5 * np.cos(3 * lambda_grid(N)) + 0.2).astype(complex)[:, None, None]
+        two_sweeps = _psd_clip(side._clip(_psd_clip(side._clip(start))))
+        calls = self.counted_clips(monkeypatch)
+        out = side.project(start)
+        assert len(calls) == 1
+        assert np.max(np.abs(out - two_sweeps)) <= 1e-14
+
+    def test_k2_trace_side_whose_clip_acts_still_alternates(self, monkeypatch):
+        spec, F, G = _higher_k_power_case("trace", 2)
+        side = minimax._constraints(spec.noise, F.n_lambda, 2, spec.channel_weight)
+        assert np.max(np.abs(_psd_clip(side._clip(G.values)) - side._clip(G.values))) > 1e-3
+        calls = self.counted_clips(monkeypatch)
+        out = side.project(G.values)
+        assert len(calls) > 2
+        assert side.gap(out) <= 1e-10
+
+
 class TestProjectionSweepCap:
     def test_weighted_k3_contamination_warns_at_the_cap(self):
         # the alternation with the PSD clip stalls short of the weighted

@@ -462,9 +462,9 @@ class TestNodeInverse:
         assert np.max(np.abs(one[0] @ X[0] - np.eye(3))) <= 4 * np.finfo(float).eps
 
 
-def _linalg_call_sites(name):
-    """(module, innermost enclosing function or "<module>") of every
-    ``np.linalg.<name>(`` call in the package source."""
+def _sites(matches):
+    """(module, innermost enclosing function or "<module>") of every AST
+    node of the package source for which ``matches(node)`` holds."""
     sites = []
 
     class Visitor(ast.NodeVisitor):
@@ -476,10 +476,10 @@ def _linalg_call_sites(name):
             self.generic_visit(node)
             self.scope.pop()
 
-        def visit_Call(self, node):
-            if ast.unparse(node.func) == f"np.linalg.{name}":
+        def generic_visit(self, node):
+            if matches(node):
                 sites.append((self.module, self.scope[-1]))
-            self.generic_visit(node)
+            super().generic_visit(node)
 
     for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
         source = path.read_text()
@@ -488,21 +488,51 @@ def _linalg_call_sites(name):
     return sites
 
 
+def _call_sites(func):
+    """Sites of every call whose callee reads ``func``, e.g. "np.linalg.inv"."""
+    return _sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == func)
+
+
 class TestKernelSites:
-    """Each per-node kernel is the only place its LAPACK call is made."""
+    """Each per-node kernel is the only place its LAPACK call is made, and
+    each factorization route has one call site."""
 
     def test_inverse_only_in_node_inverse(self):
-        assert set(_linalg_call_sites("inv")) == {("spectral", "_node_inverse")}
+        assert set(_call_sites("np.linalg.inv")) == {("spectral", "_node_inverse")}
 
     def test_eigvalsh_only_in_kernel_and_single_matrix_sites(self):
         # the kernel (_hermitian_eigenvalues and its K = 3 branch _eig3);
         # then the dense B, the lag-0 covariance and a class weight, each
         # one matrix
-        assert set(_linalg_call_sites("eigvalsh")) == {
+        assert set(_call_sites("np.linalg.eigvalsh")) == {
             ("spectral", "_hermitian_eigenvalues"), ("spectral", "_eig3"),
             ("spectral", "assemble_operators"), ("spectral", "covariance_from_density"),
             ("minimax", "_check_weight"),
         }
+
+    def test_riccati_solve_only_in_riccati_factor(self):
+        assert _call_sites("scipy.linalg.solve_discrete_are") == [
+            ("extrapolate", "_riccati_factor")]
+
+    def test_wilson_sweeps_only_from_spectral_factorize(self):
+        assert _call_sites("_wilson_sweeps") == [("extrapolate", "spectral_factorize")]
+
+    def test_tail_cut_is_one_named_constant(self):
+        # one assignment, read by the one rule that simulate and cli share;
+        # no small literal (a trim level) is left in either of them
+        def named(node):
+            return isinstance(node, ast.Name) and node.id == "_NEGLIGIBLE_TAIL"
+
+        assert _sites(lambda node: named(node) and isinstance(node.ctx, ast.Store)) == [
+            ("extrapolate", "<module>")]
+        assert _sites(lambda node: named(node) and isinstance(node.ctx, ast.Load)) == [
+            ("extrapolate", "trimmed_coefficients")]
+        readers = _sites(lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "trimmed_coefficients")
+        assert {module for module, _ in readers} == {"simulate", "cli"}
+        small = _sites(lambda node: isinstance(node, ast.Constant)
+                       and isinstance(node.value, float) and 1e-20 < node.value < 1e-10)
+        assert not [site for site in small if site[0] in ("simulate", "cli")]
 
 
 def _kernel_nodes(K, rng):
