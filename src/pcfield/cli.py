@@ -527,17 +527,18 @@ def cmd_factorize(problem, out_dir, args):
                 f"channels[{i}]: relative residual {fac.relative_residual:.3e} "
                 f"exceeds solver.tolerances.factorization {tol:.3e}"
             )
+        trimmed = fac.trimmed_coefficients
         payload["channels"].append({
             "m": entry["m"], "l": entry["l"],
             "residual": fac.residual,
             "iterations": fac.iterations,
-            "n_coefficients": int(fac.coefficients.shape[0]),
+            "n_coefficients": int(trimmed.shape[0]),
         })
-        rows.append((entry, fac))
+        rows.append((entry, trimmed))
     _write_json(out_dir / "factorization.json", payload)
-    for entry, fac in rows:
+    for entry, trimmed in rows:
         _write_csv(out_dir / f"factor_{entry['m']}_{entry['l']}.csv",
-                   ["u", "row", "col", "re", "im"], _entry_columns(fac.trimmed_coefficients))
+                   ["u", "row", "col", "re", "im"], _entry_columns(trimmed))
     return EXIT_OK
 
 

@@ -262,21 +262,19 @@ def _causal_half(values):
 
     Shared-edge bins (u = 0 and the Nyquist bin) are halved so that
     plus(g) + plus(g)^* = g holds exactly for Hermitian-symmetric g.
+    On the grid from -pi the coefficient of exp(-i u lambda) is (-1)^u
+    times ifft bin u.  Keeping, halving and zeroing whole bins commute with
+    that sign, so the projection acts on the ifft bins directly.  Returns
+    the projection on the grid and its (halved) u = 0 coefficient.
     """
     n = values.shape[0]
-    # coefficient of exp(-i u lambda): gamma_u = (-1)^u ifft-bin u
     gamma = np.fft.ifft(values, axis=0)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    gamma = gamma * signs[:, None, None]
-    half = n // 2
     gamma[0] *= 0.5
     gamma0 = gamma[0].copy()
     if n % 2 == 0:
-        gamma[half] *= 0.5
-    gamma[half + 1:] = 0.0
-    gamma = gamma * signs[:, None, None]
-    plus = np.fft.fft(gamma, axis=0)
-    return plus, gamma0
+        gamma[n // 2] *= 0.5
+    gamma[n // 2 + 1:] = 0.0
+    return np.fft.fft(gamma, axis=0), gamma0
 
 
 def _pd_cholesky(matrix, name):

@@ -9,6 +9,15 @@ Every harmonic value comes from one broadcast kernel around one
 ``scipy.special.sph_legendre_p`` call (orthonormal, no factorials), finite
 through degree 645 on SciPy 1.17; the kernel refuses higher degrees.
 
+A :class:`SphereGrid` holds its nodes in the theta-major product layout of
+:func:`gauss_legendre_grid` (node ``i * n_phi + j`` sits at colatitude ``i``
+and longitude ``j``) and refuses any other order.  The design matrix uses
+that layout to separate the variables (Driscoll & Healy 1994): the kernel
+runs on the ``n_theta`` colatitudes broadcast against the ``n_phi``
+longitudes, so the Legendre factor is evaluated once per colatitude and the
+cosine / sine once per longitude, with the same values, bit for bit, as a
+per-node evaluation.
+
 Conventions
 -----------
 Real harmonics, no Condon-Shortley phase.  Within degree ``m`` the order
@@ -111,7 +120,11 @@ class SphereGrid:
     ``theta``, ``phi`` and ``weights`` are flat arrays of equal length; the
     weights sum to the sphere's surface area 4*pi.  ``n_theta`` and
     ``n_phi`` size the product grid of :func:`gauss_legendre_grid`;
-    analysis routines check band limits from them.
+    analysis routines check band limits from them.  The nodes must be in
+    that grid's theta-major product layout, ``theta = repeat(axis, n_phi)``
+    and ``phi = tile(axis, n_theta)``, which :func:`design_matrix` reads as
+    ``theta[::n_phi]`` and ``phi[:n_phi]``; any other order raises
+    ``ValueError``.
     """
 
     theta: np.ndarray
@@ -126,6 +139,15 @@ class SphereGrid:
         self.weights = np.asarray(self.weights, dtype=float)
         if not (self.theta.shape == self.phi.shape == self.weights.shape):
             raise ValueError("theta, phi, weights must have matching shapes")
+        n_theta, n_phi = self.n_theta, self.n_phi
+        if n_phi < 1 or n_theta * n_phi != self.theta.size or not (
+                np.array_equal(self.theta, np.repeat(self.theta[::n_phi], n_phi))
+                and np.array_equal(self.phi, np.tile(self.phi[:n_phi], n_theta))):
+            raise ValueError(
+                f"nodes are not the theta-major product of {n_theta} colatitudes "
+                f"and {n_phi} longitudes (theta = repeat(theta_axis, n_phi), "
+                f"phi = tile(phi_axis, n_theta))"
+            )
 
     @property
     def n_nodes(self):
@@ -160,10 +182,14 @@ def gauss_legendre_grid(m_max):
 
 
 def design_matrix(m_max, grid):
-    """Matrix of harmonic values, shape (n_nodes, (m_max + 1)^2)."""
+    """Matrix of harmonic values, shape (n_nodes, (m_max + 1)^2), from the
+    kernel on the grid's colatitudes times its longitudes, flattened in the
+    grid's theta-major node order."""
     m = np.repeat(np.arange(m_max + 1), 2 * np.arange(m_max + 1) + 1)
     l = np.arange(n_harmonics(m_max)) - m * m + 1
-    return _harmonic_values(m, l, grid.theta[:, None], grid.phi[:, None])
+    theta = grid.theta[::grid.n_phi, None, None]
+    phi = grid.phi[:grid.n_phi, None]
+    return _harmonic_values(m, l, theta, phi).reshape(grid.n_nodes, l.size)
 
 
 def decompose_field(samples, m_max, grid):

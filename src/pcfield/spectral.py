@@ -462,9 +462,11 @@ def _eig3(values):
 
 def _hermitian_eigenvalues(values):
     """Ascending eigenvalues of the Hermitian part of each node of an
-    (n, K, K) stack: the one per-node eigenvalue kernel, closed form at
-    K = 2 (``_eig2_range``) and K = 3 (``_eig3``), and one batched
-    ``eigvalsh`` at other K."""
+    (n, K, K) stack: the one per-node eigenvalue kernel, the node's real
+    part at K = 1, closed form at K = 2 (``_eig2_range``) and K = 3
+    (``_eig3``), and one batched ``eigvalsh`` at K >= 4."""
+    if values.shape[1] == 1:
+        return values[:, :, 0].real.copy()
     if values.shape[1] == 3:
         return _eig3(values)
     values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2

@@ -885,6 +885,21 @@ class TestOtherCommands:
         assert reports[0]["iterations"] == 0 and reports[1]["iterations"] > 0
         assert reports[0]["residual"] <= 1e-14 and reports[1]["residual"] <= 1e-8
 
+    def test_factorize_counts_the_coefficients_it_writes(self, tmp_path):
+        problem = ar1_problem()
+        numerator = np.array([[[1.0, 0.0], [0.2, 1.0]], [[0.3, 0.0], [0.0, 0.1]]])
+        problem["channels"].append({
+            "m": 1, "l": 1, "F": density_to_spec(RationalDensity(numerator, [1.0, -0.5])),
+            "a": [[1.0, 0.2]]})
+        path = write_problem(tmp_path, problem)
+        out = tmp_path / "out"
+        assert main(["factorize", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        for report in json.loads((out / "factorization.json").read_text())["channels"]:
+            rows = np.loadtxt(out / f"factor_{report['m']}_{report['l']}.csv",
+                              delimiter=",", skiprows=1, ndmin=2)
+            assert report["n_coefficients"] == len(np.unique(rows[:, 0]))
+            assert report["n_coefficients"] < problem["solver"]["n_lambda"] // 2
+
     @pytest.mark.parametrize("kind", ["rational", "grid"])
     def test_factorize_a_density_near_1e_minus_200(self, tmp_path, capsys, kind):
         # squared entries of this grid underflow; the factorization scales

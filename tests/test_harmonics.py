@@ -3,10 +3,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from scipy.special import sph_legendre_p
 
+from pcfield import harmonics
 from pcfield.harmonics import (
     GridResolutionError,
     HarmonicIndex,
+    SphereGrid,
     decompose_field,
     design_matrix,
     evaluate_harmonic,
@@ -107,12 +110,24 @@ class TestEvaluation:
         gram = design.T @ (grid.weights[:, None] * design)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-8
 
-    @pytest.mark.parametrize("m_max", [0, 1, 4, 8])
+    @pytest.mark.parametrize("m_max", [0, 1, 4, 8, 16])
     def test_design_matrix_is_the_per_index_evaluation(self, m_max):
         grid = gauss_legendre_grid(m_max)
         columns = [evaluate_harmonic(HarmonicIndex(m, l), grid.theta, grid.phi)
                    for m in range(m_max + 1) for l in range(1, 2 * m + 2)]
         assert np.array_equal(design_matrix(m_max, grid), np.column_stack(columns))
+
+    def test_design_matrix_evaluates_legendre_per_colatitude(self, monkeypatch):
+        grid = gauss_legendre_grid(6)
+        sizes = []
+
+        def recorded(m, order, theta):
+            sizes.append(np.size(theta))
+            return sph_legendre_p(m, order, theta)
+
+        monkeypatch.setattr(harmonics, "sph_legendre_p", recorded)
+        design_matrix(6, grid)
+        assert sizes == [grid.n_theta] and grid.n_theta < grid.n_nodes
 
     def test_degree_two_closed_forms(self):
         # the textbook real harmonics of degree <= 2 in Cartesian form
@@ -172,6 +187,20 @@ class TestSphereGrid:
     def test_weights_sum_to_sphere_area(self):
         grid = gauss_legendre_grid(5)
         assert grid.area == pytest.approx(4 * math.pi, rel=1e-10)
+
+    def test_nodes_outside_the_product_layout_refused(self):
+        grid = gauss_legendre_grid(3)
+        perm = np.random.default_rng(2).permutation(grid.n_nodes)
+        with pytest.raises(ValueError, match="theta-major product"):
+            SphereGrid(grid.theta[perm], grid.phi[perm], grid.weights[perm],
+                       n_theta=grid.n_theta, n_phi=grid.n_phi)
+        with pytest.raises(ValueError, match="theta-major product"):
+            SphereGrid(grid.theta, grid.phi, grid.weights,
+                       n_theta=grid.n_phi, n_phi=grid.n_theta)
+        same = SphereGrid(grid.theta, grid.phi, grid.weights,
+                          n_theta=grid.n_theta, n_phi=grid.n_phi)
+        assert np.array_equal(design_matrix(3, same), design_matrix(3, grid))
+
 
 class TestDecomposition:
     def test_constant_field(self):

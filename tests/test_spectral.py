@@ -608,7 +608,8 @@ def _exact_nodes(rng, spectra, per_spectrum):
 class TestHermitianEigenvalues:
     """The per-node eigenvalue kernel reads the Hermitian part of each node.
 
-    At K = 1 and K >= 4 it is ``eigvalsh`` of that part, bit for bit.  At
+    At K = 1 it is the node's real part, and at K >= 4 one batched
+    ``eigvalsh``; both are ``eigvalsh`` of the Hermitian part, bit for bit.  At
     K = 2 the closed form is within 4 eps times the node's 2-norm of the
     exact eigenvalues, and within 8 eps of ``eigvalsh``, whose own error
     reaches about 4 eps on these nodes.  At K = 3 the closed form is within
@@ -644,6 +645,19 @@ class TestHermitianEigenvalues:
         values = values + 1e-13 * skew
         assert np.max(np.abs(values - np.conj(np.swapaxes(values, 1, 2)))) > 1e-14
         self.assert_matches(values)
+
+    def test_k1_is_the_real_part_without_lapack(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        mags = 10.0 ** rng.uniform(-200, 200, 4096)
+        values = (mags * rng.choice([-1.0, 1.0], 4096)
+                  * (1 + 1j * rng.normal(size=4096)))[:, None, None]
+        ref = np.linalg.eigvalsh((values + np.conj(values)) / 2)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape))
+        got = _hermitian_eigenvalues(values)
+        assert calls == []
+        np.testing.assert_array_equal(got, ref)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
 
     @pytest.mark.parametrize("scale", [2.0 ** -498, 1.0, 2.0 ** 498])
     def test_k3_error_within_4_eps_of_eigvalsh_error(self, scale):
