@@ -2,9 +2,10 @@
 """Replay the solved estimator on simulated paths.
 
 A channel path is synthesized through the causal factor of its density.
-The error check draws the observed past and the signal future jointly,
-from one Cholesky factor of their covariance, applies the estimator's
-time-domain weights to the simulated past, and compares the sample
+The error check reads the realized functional and the estimate (the
+estimator's time-domain weights on the observed past) through one Cholesky
+factor of the joint covariance of the past and the future, draws that pair
+of numbers from a thin QR of the two maps, and compares the sample
 mean-square error with the theoretical value.
 """
 

@@ -432,14 +432,15 @@ def _meta(problem):
     }
 
 
-def _solve_all(problem):
-    sols = []
-    for entry in problem.channels:
-        F = as_grid(entry["F"], problem.n_lambda)
-        G = as_grid(entry["G"], problem.n_lambda) if entry["G"] is not None else None
-        sols.append(solve_channel(F, G, entry["a"], window=problem.window,
-                                  cond_ceiling=problem.tolerances["cond_ceiling"]))
-    return sols
+def _channel_grids(problem, entry):
+    """The channel's F and G rasterized at ``n_lambda``; G may be None."""
+    return (as_grid(entry["F"], problem.n_lambda),
+            as_grid(entry["G"], problem.n_lambda) if entry["G"] is not None else None)
+
+
+def _solve(problem, entry, F, G):
+    return solve_channel(F, G, entry["a"], window=problem.window,
+                         cond_ceiling=problem.tolerances["cond_ceiling"])
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +448,8 @@ def _solve_all(problem):
 
 
 def cmd_solve(problem, out_dir, args):
-    sols = _solve_all(problem)
+    sols = [_solve(problem, entry, *_channel_grids(problem, entry))
+            for entry in problem.channels]
     payload = {"command": "solve", "meta": _meta(problem), "channels": []}
     total = 0.0
     for entry, sol in zip(problem.channels, sols):
@@ -574,18 +576,21 @@ def cmd_validate(problem, out_dir, args):
     cfg = _simulation(problem, args)
     _check_oracle_lags(problem)
     _check_simulation_lags(problem, cfg)
-    sols = _solve_all(problem)
     rows = []
     all_ok = True
-    for i, (entry, sol) in enumerate(zip(problem.channels, sols)):
-        F_true = entry["reference_F"] if entry["reference_F"] is not None else entry["F"]
-        G_true = entry["reference_G"] if entry["reference_G"] is not None else entry["G"]
+    for i, entry in enumerate(problem.channels):
+        # the solve, the oracle and the draw share the channel's grids; a
+        # reference density is rasterized apart, only when given
+        F, G = _channel_grids(problem, entry)
+        sol = _solve(problem, entry, F, G)
+        ref_F, ref_G = entry["reference_F"], entry["reference_G"]
+        F_true = F if ref_F is None else as_grid(ref_F, problem.n_lambda)
+        G_true = G if ref_G is None else as_grid(ref_G, problem.n_lambda)
         mse_oracle = oracle_solve(F_true, G_true, entry["a"],
                                   j_past=problem.j_past, n_lambda=problem.n_lambda)
-        G_grid = as_grid(G_true, problem.n_lambda) if G_true is not None else None
         try:
-            mc = empirical_mse(sol, as_grid(F_true, problem.n_lambda), G_grid,
-                               entry["a"], cfg, keep_trials=problem.keep_trials)
+            mc = empirical_mse(sol, F_true, G_true, entry["a"], cfg,
+                               keep_trials=problem.keep_trials)
         except PastWindowError as exc:
             raise SchemaError(f"channels[{i}]: simulation.n_steps: {exc}") from None
         if problem.keep_trials:

@@ -17,12 +17,16 @@ another density.
 
 ``empirical_mse`` replays the solved estimator on simulated paths and
 compares the sample mean-square error with the theoretical value.  It does
-not factorize: each trial is one draw of the joint vector of the observed
-past (zeta + theta)(-L .. -1) and the signal future zeta(0 .. J-1), whose
-block-Toeplitz covariance ``spectral.joint_covariance`` builds and one
-Cholesky decomposition factors.  That matrix holds ((L + J) * K)^2
-entries, so memory grows with the square of ``n_steps``;
-``check_joint_size`` refuses a joint vector longer than ``MAX_JOINT_SIZE``.
+not factorize.  The joint vector of the observed past (zeta + theta)(-L ..
+-1) and the signal future zeta(0 .. J-1) has a block-Toeplitz covariance,
+which ``spectral.joint_covariance`` builds and one Cholesky decomposition
+factors.  The realized functional and the estimate are two linear maps of
+that factor's innovations; one thin QR of the two maps gives a 2 x 2
+triangle R, and each trial draws the pair as u R from two innovations u.
+This is the joint vector's law of the pair, exactly.  The covariance holds
+((L + J) * K)^2 entries, so memory grows with the square of ``n_steps``
+but not with the number of draws; ``check_joint_size`` refuses a joint
+vector longer than ``MAX_JOINT_SIZE``.
 ``joint_covariance`` is what this check shares with the covariance oracle,
 which reads three of its blocks; neither shares code with the operator
 route it checks.
@@ -74,8 +78,8 @@ class SimulationConfig:
     batch_size: int = 1000
 
     def __post_init__(self):
-        if self.n_trials < 1 or self.n_steps < 1:
-            raise ValueError("n_trials and n_steps must be positive")
+        if self.n_trials < 1 or self.n_steps < 1 or self.batch_size < 1:
+            raise ValueError("n_trials, n_steps and batch_size must be positive")
 
 
 @dataclass
@@ -174,10 +178,13 @@ def _pair_conjugate(values, cfg):
 def empirical_mse(solution, F, G, a, config, keep_trials=False):
     """Monte Carlo mean-square error of the solved estimator.
 
-    Draws ``config.n_trials`` independent joint vectors of the observed
-    past and the signal future from one Cholesky factor of their
-    covariance, applies the estimator's time-domain weights to the past,
-    and compares with the realized functional.  Returns a
+    The estimator's time-domain weights on the observed past and the
+    functional on the signal future are read through one Cholesky factor
+    of the two windows' joint covariance, as two columns V = [future,
+    past]; a thin QR V = Q R leaves the 2 x 2 triangle R.  Each of the
+    ``config.n_trials`` trials draws u with iid CN(0, 1) entries and takes
+    (realized, estimated) = u R: for innovations w of the whole joint
+    vector, w Q has the law of u because Q^H Q = I.  Returns a
     :class:`TrialSummary` with the sample mean and its standard error.
     ``F`` and ``G`` are densities.  :class:`PastWindowError` means
     ``config.n_steps`` is too short for the estimator's memory, 2 * n_steps
@@ -211,21 +218,22 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
     # time -(i+1), i.e. past position L-1-i
     past = factor[:L * K].T @ weights[::-1].ravel()
     future = factor[L * K:].T @ a.ravel()
+    # w @ [future, past] = (w Q) R, and w Q is again iid CN(0, 1) because
+    # Q^H Q = I: each trial draws the two functionals from two innovations
+    gram_root = np.linalg.qr(np.column_stack([future, past]), mode="r")
 
     seeds = np.random.SeedSequence(config.seed)
     n_batches = (config.n_trials + config.batch_size - 1) // config.batch_size
     children = seeds.spawn(n_batches)
 
-    realized = np.empty(config.n_trials, dtype=complex)
-    estimated = np.empty(config.n_trials, dtype=complex)
+    pairs = np.empty((config.n_trials, 2), dtype=complex)
     done = 0
     for batch_seed in children:
         b = min(config.batch_size, config.n_trials - done)
         rng = np.random.default_rng(batch_seed)
-        innovations = _complex_innovations(rng, (b, factor.shape[0]))
-        realized[done:done + b] = innovations @ future
-        estimated[done:done + b] = innovations @ past
+        pairs[done:done + b] = _complex_innovations(rng, (b, 2)) @ gram_root
         done += b
+    realized, estimated = pairs.T
 
     sq = np.abs(realized - estimated) ** 2
     mse = float(sq.mean())

@@ -345,10 +345,10 @@ class TestRuntimeFailures:
     ])
     def test_validate_rejects_unusable_n_steps_before_solving(self, tmp_path, capsys,
                                                                monkeypatch, edits, prefix):
-        def no_solve(*args):
+        def no_solve(*args, **kwargs):
             raise AssertionError("validate solved before checking simulation.n_steps")
 
-        monkeypatch.setattr(cli, "_solve_all", no_solve)
+        monkeypatch.setattr(cli, "solve_channel", no_solve)
         prob = white_problem()
         for edit in edits:
             edit(prob)
@@ -543,6 +543,30 @@ class TestValidate:
             == EXIT_VALIDATION
         report = json.loads((out / "validation.json").read_text())
         assert report["all_ok"] is False
+
+    def test_each_density_rasterized_once(self, tmp_path, monkeypatch):
+        # the solve, the oracle and the draw share one grid per density
+        calls = []
+        rasterize = RationalDensity.rasterize
+
+        def count(density, n_lambda):
+            calls.append(n_lambda)
+            return rasterize(density, n_lambda)
+
+        monkeypatch.setattr(RationalDensity, "rasterize", count)
+        prob = ar1_problem()
+        prob["channels"][0]["G"] = {"type": "rational", "numerator": [0.5],
+                                    "denominator": [1.0]}
+        out = tmp_path / "out"
+        path = write_problem(tmp_path, prob)
+        assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert calls == [1024, 1024]
+        # a reference density is rasterized apart, only when given
+        calls.clear()
+        prob["channels"][0]["reference_F"] = prob["channels"][0]["F"]
+        path = write_problem(tmp_path, prob)
+        assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert calls == [1024, 1024, 1024]
 
     def test_unsampleable_factor_does_not_stop_validate(self, tmp_path):
         # validate draws from covariances, so a density whose factor misses

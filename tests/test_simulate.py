@@ -26,6 +26,7 @@ from pcfield.spectral import (
     RationalDensity,
     SpectralDensityGrid,
     as_grid,
+    joint_covariance,
 )
 
 
@@ -184,6 +185,78 @@ class TestEmpiricalMse:
         with pytest.raises(PastWindowError, match="lag 128 aliases"):
             empirical_mse(sol, F, None, a,
                           SimulationConfig(seed=3, n_trials=100, n_steps=64))
+
+
+def _noisy_case(K, noisy, seed=0):
+    """A seeded K-component rational signal, white noise or none, a
+    two-step functional and its solution."""
+    rng = np.random.default_rng(seed)
+    num = 0.4 * (rng.normal(size=(2, K, K)) + 1j * rng.normal(size=(2, K, K)))
+    num[0] += 2 * np.eye(K)
+    F = RationalDensity(num, [1.0, -0.4])
+    G = RationalDensity(0.7 * np.eye(K)[None]) if noisy else None
+    a = rng.normal(size=(2, K)) + 1j * rng.normal(size=(2, K))
+    return F, G, a, solve_channel(F, G, a, window=48)
+
+
+def _functional_gram(sol, F, G, a, L):
+    """E[z^T conj(z)] for z = (realized, estimated), read off the joint
+    covariance without its Cholesky factor."""
+    J, K = a.shape
+    cov = joint_covariance(as_grid(F), as_grid(G) if G is not None else None, L, J)
+    coeffs = np.zeros((cov.shape[0], 2), dtype=complex)
+    coeffs[L * K:, 0] = a.ravel()
+    coeffs[:L * K, 1] = sol.h_lag_coefficients(2 * L)[:L][::-1].ravel()
+    return coeffs.T @ cov @ np.conj(coeffs)
+
+
+class TestTwoFunctionalDraw:
+    """Each trial draws (realized, estimated) as u R, u in C^2 iid CN(0, 1)."""
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_root_reproduces_the_functional_gram(self, monkeypatch, K, noisy):
+        # unit innovation rows make the two trials the rows of R
+        monkeypatch.setattr(simulate, "_complex_innovations",
+                            lambda rng, shape: np.eye(2, dtype=complex))
+        F, G, a, sol = _noisy_case(K, noisy)
+        res = empirical_mse(sol, F, G, a,
+                            SimulationConfig(seed=1, n_trials=2, n_steps=48, batch_size=2),
+                            keep_trials=True)
+        R = np.column_stack([res.realized, res.estimated])
+        gram = _functional_gram(sol, F, G, a, 48)
+        assert np.max(np.abs(R.T @ np.conj(R) - gram)) <= 1e-13 * np.max(np.abs(gram))
+
+    def test_draws_two_innovations_per_trial(self, monkeypatch):
+        shapes = []
+        draw = simulate._complex_innovations
+
+        def record(rng, shape):
+            shapes.append(shape)
+            return draw(rng, shape)
+
+        monkeypatch.setattr(simulate, "_complex_innovations", record)
+        F, G, a, sol = _noisy_case(3, True)
+        empirical_mse(sol, F, G, a,
+                      SimulationConfig(seed=2, n_trials=2500, n_steps=48, batch_size=1000))
+        assert shapes == [(1000, 2), (1000, 2), (500, 2)]
+
+    def test_sample_covariance_matches_the_gram(self):
+        F, G, a, sol = _noisy_case(2, True, seed=3)
+        n = 200_000
+        res = empirical_mse(sol, F, G, a, SimulationConfig(seed=9, n_trials=n, n_steps=48),
+                            keep_trials=True)
+        z = np.column_stack([res.realized, res.estimated])
+        sample = z.T @ np.conj(z) / n
+        gram = _functional_gram(sol, F, G, a, 48)
+        # z_i conj(z_j) of a circular Gaussian pair has variance G_ii G_jj
+        scale = np.sqrt(np.outer(gram.diagonal().real, gram.diagonal().real) / n)
+        assert np.all(np.abs(sample - gram) <= 5 * scale)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_nonpositive_batch_size_refused(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            SimulationConfig(seed=1, batch_size=batch_size)
 
 
 class TestFactorResidualGuard:
