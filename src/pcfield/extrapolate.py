@@ -22,6 +22,7 @@ Three routes are implemented and cross-checked:
   covariances only, used as an independent check.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -257,24 +258,78 @@ class FactorizationResult:
         return d[:int(keep[-1]) + 1 if keep.size else 1]
 
 
-def _causal_half(values):
-    """Project onto span{exp(-i u lambda) : u >= 0} with halved u = 0 term.
+def _causal_half(rows):
+    """Project each row onto span{exp(-i u lambda) : u >= 0} with halved u = 0 term.
 
-    Shared-edge bins (u = 0 and the Nyquist bin) are halved so that
-    plus(g) + plus(g)^* = g holds exactly for Hermitian-symmetric g.
-    On the grid from -pi the coefficient of exp(-i u lambda) is (-1)^u
-    times ifft bin u.  Keeping, halving and zeroing whole bins commute with
-    that sign, so the projection acts on the ifft bins directly.  Returns
-    the projection on the grid and its (halved) u = 0 coefficient.
+    ``rows`` is (..., n) with the grid on the last axis.  Shared-edge bins
+    (u = 0 and the Nyquist bin) are halved so that plus(g) + plus(g)^* = g
+    holds exactly for Hermitian-symmetric g: plus(g)_ji = conj(g_ij -
+    plus(g)_ij), which ``_hermitian_causal_half`` rests on.  On the grid
+    from -pi the coefficient of exp(-i u lambda) is (-1)^u times ifft bin
+    u.  Keeping, halving and zeroing whole bins commute with that sign, so
+    the projection acts on the ifft bins directly.  Returns the projection
+    on the grid and its (halved) u = 0 coefficients.
     """
-    n = values.shape[0]
-    gamma = np.fft.ifft(values, axis=0)
-    gamma[0] *= 0.5
-    gamma0 = gamma[0].copy()
+    n = rows.shape[-1]
+    gamma = np.fft.ifft(rows, axis=-1)
+    gamma[..., 0] *= 0.5
+    gamma0 = gamma[..., 0].copy()
     if n % 2 == 0:
-        gamma[n // 2] *= 0.5
-    gamma[n // 2 + 1:] = 0.0
-    return np.fft.fft(gamma, axis=0), gamma0
+        gamma[..., n // 2] *= 0.5
+    gamma[..., n // 2 + 1:] = 0.0
+    return np.fft.fft(gamma, axis=-1), gamma0
+
+
+@functools.cache
+def _upper_pairs(K):
+    """The (i, j), i <= j, of a K x K matrix in ``np.triu_indices`` order."""
+    return tuple((i, j) for i in range(K) for j in range(i, K))
+
+
+def _hermitian_causal_half(upper, K):
+    """``_causal_half`` of a Hermitian (K, K, n) stack given its upper triangle.
+
+    ``upper`` holds the rows g_ij, i <= j, in ``_upper_pairs(K)`` order.
+    Only these rows are projected; each lower entry is conj(g_ij -
+    plus(g)_ij).  Returns the (K, K, n) projection and the upper rows' u = 0
+    coefficients.
+    """
+    plus, gamma0 = _causal_half(upper)
+    out = np.empty((K, K, upper.shape[-1]), dtype=complex)
+    for m, (i, j) in enumerate(_upper_pairs(K)):
+        out[i, j] = plus[m]
+        if i < j:
+            out[j, i] = np.conj(upper[m] - plus[m])
+    return out, gamma0
+
+
+def _plane_product(a, b):
+    """Per-node product a b of two (K, K, n) entry-plane stacks; a length-1
+    node axis broadcasts.  Row i is sum_k a[i, k] b[k], added in ascending k."""
+    K = a.shape[0]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in range(K):
+        row = out[i]
+        np.multiply(a[i, 0], b[0], out=row)
+        for k in range(1, K):
+            row += a[i, k] * b[k]
+    return out
+
+
+def _upper_gram(a, b):
+    """(a b^*)_ij per node for i <= j, in ``_upper_pairs`` order, from two
+    (K, K, n) entry-plane stacks: a (K(K+1)/2, n) array of rows."""
+    K = a.shape[0]
+    b_conj = np.conj(b)
+    out = np.empty((K * (K + 1) // 2, np.broadcast_shapes(a.shape, b.shape)[2]), dtype=complex)
+    start = 0
+    for i in range(K):
+        rows = out[start:start + K - i]
+        np.multiply(a[i, 0], b_conj[i:, 0], out=rows)
+        for k in range(1, K):
+            rows += a[i, k] * b_conj[i:, k]
+        start += K - i
+    return out
 
 
 def _pd_cholesky(matrix, name):
@@ -337,32 +392,52 @@ def _wilson_sweeps(values, sup):
     """Wilson's (1972) Newton sweeps on the grid: the factor and the sweeps run.
 
     Starting from the Cholesky factor of the lag-0 covariance, each sweep
-    multiplies the current factor by the causal half of
-    ``psi^{-1} F psi^{-*} + I``.  Converges quadratically for densities
-    bounded away from singularity.  The starting factor is one K x K matrix
-    broadcast over the grid, so the first sweep inverts it once instead of
-    at every node; later sweeps take one batched inverse of the per-node
-    factor.  They stop when the iterate's residual reaches ``_FACTORIZE_TOL``
-    times ``sup`` (the largest node norm), or at ``_FACTORIZE_MAX_SWEEPS``.
+    multiplies the current factor psi by plus(g) + U - U^*, where g =
+    psi^{-1} F psi^{-*} + I, plus is ``_causal_half`` and U the strict upper
+    triangle of plus(g)'s u = 0 coefficient, which keeps the new d(0) lower
+    triangular.
+    Converges quadratically for densities bounded away from singularity.
+
+    The grid is moved once into contiguous (K, K, n) entry planes, every
+    sweep runs there, and the factor is moved back once.  g and psi psi^*
+    are Hermitian, so only their K(K+1)/2 upper rows are formed (g with a
+    real diagonal); the causal projection transforms those rows and takes
+    each lower entry from the Hermitian identity
+    (``_hermitian_causal_half``).  The starting factor is one node that
+    broadcasts over the grid, so the first sweep inverts it once; later
+    sweeps take the per-node inverse of every node, both through
+    ``_node_inverse``.  The sweeps stop when the iterate's residual, the
+    largest node Frobenius norm of F - psi psi^* (each off-diagonal entry
+    counted twice), reaches ``_FACTORIZE_TOL`` times ``sup`` (the largest
+    node norm of F), or at ``_FACTORIZE_MAX_SWEEPS``.
     """
+    K = values.shape[1]
+    planes = np.ascontiguousarray(np.moveaxis(values, 0, 2))
+    pairs = _upper_pairs(K)
+    upper = np.array([planes[i, j] for i, j in pairs])
+    weight = np.array([1.0 if i == j else 2.0 for i, j in pairs])
     gamma0 = np.mean(values, axis=0)
     gamma0 = (gamma0 + gamma0.conj().T) / 2
     # one node that broadcasts over the grid: the first sweep inverts it once
-    psi = np.linalg.cholesky(gamma0)[None]
-    ident = np.eye(values.shape[1])
+    psi = np.linalg.cholesky(gamma0)[:, :, None]
     iterations = 0
     for iterations in range(1, _FACTORIZE_MAX_SWEEPS + 1):
-        psi_inv = _node_inverse(psi)
-        g = _node_matmul(_node_matmul(psi_inv, values),
-                         np.conj(np.swapaxes(psi_inv, 1, 2))) + ident
-        g_plus, g0 = _causal_half(g)
-        s = np.triu(g0, k=1)
-        s = s - s.conj().T
-        psi = _node_matmul(psi, g_plus + s)
-        recon = _node_matmul(psi, np.conj(np.swapaxes(psi, 1, 2)))
-        if float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup <= _FACTORIZE_TOL:
+        psi_inv = np.ascontiguousarray(np.moveaxis(_node_inverse(np.moveaxis(psi, 2, 0)), 0, 2))
+        g = _upper_gram(_plane_product(psi_inv, planes), psi_inv)
+        for m, (i, j) in enumerate(pairs):
+            if i == j:
+                g[m] = g[m].real + 1.0
+        mult, g0 = _hermitian_causal_half(g, K)
+        for m, (i, j) in enumerate(pairs):
+            if i < j:
+                mult[i, j] += g0[m]
+                mult[j, i] -= np.conj(g0[m])
+        psi = _plane_product(psi, mult)
+        gap = upper - _upper_gram(psi, psi)
+        norm2 = weight @ (gap.real ** 2 + gap.imag ** 2)
+        if math.sqrt(float(np.max(norm2))) / sup <= _FACTORIZE_TOL:
             break
-    return psi, iterations
+    return np.moveaxis(psi, 2, 0), iterations
 
 
 def spectral_factorize(F, n_lambda=None):
@@ -383,13 +458,18 @@ def spectral_factorize(F, n_lambda=None):
 
     Returns the factor however far the sweeps got, with its own residual,
     for its user to judge.  Raises :class:`FactorizationError` for a
-    density it cannot start on: zero, with smallest eigenvalue below
-    ``_FACTORIZE_PD_FLOOR`` times the largest modulus of its entries (rank
-    deficient), or a rational one whose Riccati solve fails.
+    density it cannot start on: on fewer than 2 nodes (no causal lag),
+    non-finite, zero, with smallest eigenvalue below ``_FACTORIZE_PD_FLOOR``
+    times the largest modulus of its entries (rank deficient), or a
+    rational one whose Riccati solve fails.
     """
     Fg = as_grid(F, n_lambda)
     n = Fg.n_lambda
+    if n < 2:
+        raise FactorizationError(f"cannot factorize on a {n}-node grid: need at least 2 nodes")
     scale = float(np.max(np.abs(Fg.values)))
+    if not math.isfinite(scale):
+        raise FactorizationError("density has non-finite values on the grid")
     if scale == 0.0:
         raise FactorizationError("cannot factorize the zero density")
     root = math.ldexp(1.0, -(math.frexp(scale)[1] // 2))     # 2^-k

@@ -89,7 +89,8 @@ def _node_inverse(values):
     (1/x at K = 1).  A node whose Frobenius condition number
     ||M|| ||adj M|| / |det M| exceeds ``_ADJUGATE_MAX_COND`` or is not
     finite is inverted again by ``np.linalg.inv``, so a singular node
-    raises ``LinAlgError``.  Larger K returns ``np.linalg.inv(values)``.
+    raises ``LinAlgError``; the result keeps the memory layout of
+    ``values``.  Larger K returns ``np.linalg.inv(values)``.
     """
     K = values.shape[-1]
     if K > _ENTRY_LOOP_MAX_K:
@@ -110,10 +111,11 @@ def _node_inverse(values):
                [c1, a * i - c * g, c * d - a * f],
                [c2, b * g - a * h, a * e - b * d]]
         det = a * c0 + b * c1 + c * c2
-    out = np.empty(values.shape, dtype=np.result_type(values, 1.0))
+    out = np.empty_like(values, dtype=np.result_type(values, 1.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_det = 1.0 / det
-        kappa = np.sqrt(_frobenius_squared(m) * _frobenius_squared(adj)) * np.abs(inv_det)
+        # ||m||^2 = norm2 scale^2 exactly (scale is a power of two) unless a square underflows
+        kappa = np.sqrt(norm2 * scale * scale * _frobenius_squared(adj)) * np.abs(inv_det)
         # M^{-1} = scale * (scale M)^{-1}
         inv_det = inv_det * scale
         for i in range(K):

@@ -372,6 +372,27 @@ class TestFactorization:
         assert fac.relative_residual <= _FACTORIZE_TOL and fac.iterations >= 2
         assert shapes == [(1, K, K)] + [(512, K, K)] * (fac.iterations - 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_refused_before_sweeping(self, monkeypatch, bad):
+        # check=False lets the grid past SpectralDensityGrid's own check
+        def refuse(*args):
+            raise AssertionError("a non-finite grid entered Wilson's sweeps")
+
+        monkeypatch.setattr(extrapolate, "_wilson_sweeps", refuse)
+        values = as_grid(random_rational(np.random.default_rng(6), 3), 1024).values.copy()
+        values[100, 1, 2] = bad
+        with pytest.raises(FactorizationError, match="non-finite"):
+            spectral_factorize(SpectralDensityGrid(values, check=False))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_grid_of_fewer_than_two_nodes_refused(self, n):
+        # one node has no causal lag to read the factor from
+        values = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+        with pytest.raises(FactorizationError, match=f"on a {n}-node grid"):
+            spectral_factorize(SpectralDensityGrid(values, check=False))
+        fac = spectral_factorize(SpectralDensityGrid.white(2, 2.25, 2))
+        np.testing.assert_allclose(fac.coefficients, 1.5 * np.eye(2)[None], atol=1e-15)
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(FactorizationError, match="rank deficient"):
             spectral_factorize(RationalDensity.ma([1.0, -1.0]))
@@ -396,6 +417,69 @@ class TestFactorization:
         with pytest.raises(FactorizationError,
                            match=f"cannot sample: factor's relative residual {re.escape(residual)}"):
             simulate_channel(fac, 10, seed=1)
+
+
+def _node_major_causal_half(values):
+    """The causal projection along the first (grid) axis of an (n, K, K)
+    stack, as the node-major sweeps below took it."""
+    n = values.shape[0]
+    gamma = np.fft.ifft(values, axis=0)
+    gamma[0] *= 0.5
+    gamma0 = gamma[0].copy()
+    if n % 2 == 0:
+        gamma[n // 2] *= 0.5
+    gamma[n // 2 + 1:] = 0.0
+    return np.fft.fft(gamma, axis=0), gamma0
+
+
+def _node_major_sweeps(values, sup):
+    """Reference: Wilson's sweeps on the strided (n, K, K) stack, with all K^2
+    entries of every per-node product, of g and of its projection."""
+    gamma0 = np.mean(values, axis=0)
+    gamma0 = (gamma0 + gamma0.conj().T) / 2
+    psi = np.linalg.cholesky(gamma0)[None]
+    ident = np.eye(values.shape[1])
+    iterations = 0
+    for iterations in range(1, extrapolate._FACTORIZE_MAX_SWEEPS + 1):
+        psi_inv = _node_inverse(psi)
+        g = _node_matmul(_node_matmul(psi_inv, values),
+                         np.conj(np.swapaxes(psi_inv, 1, 2))) + ident
+        g_plus, g0 = _node_major_causal_half(g)
+        s = np.triu(g0, k=1)
+        psi = _node_matmul(psi, g_plus + s - s.conj().T)
+        recon = _node_matmul(psi, np.conj(np.swapaxes(psi, 1, 2)))
+        if float(np.max(np.linalg.norm(values - recon, axis=(1, 2)))) / sup <= _FACTORIZE_TOL:
+            break
+    return psi, iterations
+
+
+class TestEntryPlaneSweeps:
+    """The sweeps form the upper triangle of the Hermitian g and psi psi^*
+    only, on (K, K, n) entry planes, and run sweep for sweep as the
+    node-major reference does."""
+
+    @pytest.mark.parametrize("n", [7, 8, 255, 256])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_hermitian_half_matches_the_full_projection(self, K, n):
+        rng = np.random.default_rng(100 * K + n)
+        x = rng.normal(size=(K, K, n)) + 1j * rng.normal(size=(K, K, n))
+        g = x + np.conj(np.swapaxes(x, 0, 1))          # Hermitian at every node
+        full, full0 = extrapolate._causal_half(g)
+        rows, cols = np.triu_indices(K)
+        half, half0 = extrapolate._hermitian_causal_half(g[rows, cols], K)
+        assert np.max(np.abs(half - full)) <= 1e-15 * np.max(np.abs(full))
+        assert np.max(np.abs(half0 - full0[rows, cols])) <= 1e-15 * np.max(np.abs(full0))
+
+    @pytest.mark.parametrize("K, n", [(K, n) for K in (1, 2, 3, 4, 5) for n in (512, 1024)]
+                             + [(3, 4096)])
+    def test_sweeps_agree_with_the_node_major_sweeps(self, monkeypatch, K, n):
+        F = as_grid(random_rational(np.random.default_rng(70 + K), K, pole=0.7), n)
+        fac = spectral_factorize(F)
+        monkeypatch.setattr(extrapolate, "_wilson_sweeps", _node_major_sweeps)
+        ref = spectral_factorize(F)
+        assert fac.iterations == ref.iterations > 0
+        gap = np.linalg.norm(fac.coefficients - ref.coefficients) / np.linalg.norm(ref.coefficients)
+        assert gap <= 1e-13
 
 
 class TestRiccatiFactor:

@@ -514,6 +514,16 @@ class TestKernelSites:
         assert _call_sites("scipy.linalg.solve_discrete_are") == [
             ("extrapolate", "_riccati_factor")]
 
+    def test_fft_only_in_the_lag_helpers(self):
+        # the grid's two lag transforms, the sweeps' causal projection and
+        # the causal energy share of h
+        fft_calls = _sites(lambda node: isinstance(node, ast.Call)
+                           and ast.unparse(node.func).startswith("np.fft."))
+        assert set(fft_calls) == {
+            ("spectral", "fourier_coefficients"), ("spectral", "evaluate_lag_series"),
+            ("extrapolate", "_causal_half"), ("extrapolate", "_causal_share"),
+        }
+
     def test_wilson_sweeps_only_from_spectral_factorize(self):
         assert _call_sites("_wilson_sweeps") == [("extrapolate", "spectral_factorize")]
 
