@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Robust estimation when the densities are only known up to a class.
 
-The estimator tuned to the least favorable member of the class minimizes
-the worst-case error.  The search is projected ascent on the concave map
+A class is one ``DensityClassSpec``, the same fields as a problem file's
+``class_spec`` section: its ``family`` pairs a contamination signal class
+with a fixed-power noise class, or a band signal class with an L1 ball of
+noise densities.  The estimator tuned to the least favorable member of the
+class minimizes the worst-case error.  The search is projected ascent on the concave map
 (F, G) -> optimal error; the stationarity equations of the class, with
 their sign-constrained multiplier profiles, certify the result afterwards.
 """
@@ -12,18 +15,16 @@ import warnings
 import numpy as np
 
 from pcfield import (
+    DensityClassSpec,
     RationalDensity,
     SpectralDensityGrid,
     as_grid,
     build_anchor,
-    contamination_pair,
     evaluate_robust_objective,
     find_least_favorable,
     sample_feasible,
     solve_noiseless,
 )
-from pcfield.minimax import DensityClassSpec, SignalClass
-
 warnings.simplefilter("ignore", RuntimeWarning)
 N = 512
 
@@ -32,9 +33,9 @@ print("=== the flattening benchmark ===")
 # fixed mean level, the constant one is hardest to predict (its geometric
 # mean is maximal), so the search must flatten any initial shape.
 p = 1.5
-spec = DensityClassSpec(signal=SignalClass(
-    kind="contamination", variant="trace",
-    upper=SpectralDensityGrid.white(1, 1.0, N), epsilon=1.0, power=p))
+spec = DensityClassSpec("contamination", "trace", noiseless=True,
+                        upper=SpectralDensityGrid.white(1, 1.0, N), epsilon=1.0,
+                        signal_power=p)
 init = SpectralDensityGrid.from_scalar_function(
     lambda lam: p * (1.0 + 0.6 * np.cos(lam)), N)
 res = find_least_favorable(spec, np.array([[1.0]]), (init, None),
@@ -56,9 +57,8 @@ print("errors along a cosine family through the constant:",
 
 print("\n=== contaminated signal plus power-bounded noise ===")
 U = as_grid(RationalDensity.ar1(0.3), N)
-spec = contamination_pair("trace", upper=U, epsilon=0.3,
-                          signal_power=1.2 * U.trace_integral(),
-                          noise_power=0.4)
+spec = DensityClassSpec("contamination", "trace", upper=U, epsilon=0.3,
+                        signal_power=1.2 * U.trace_integral(), noise_power=0.4)
 a = np.array([[1.0], [0.5]])
 init = (SpectralDensityGrid.white(1, 1.2 * U.trace_integral(), N),
         SpectralDensityGrid.white(1, 0.4, N))

@@ -33,17 +33,13 @@ from .harmonics import (
     synthesize_field,
 )
 from .minimax import (
-    ClassModeError,
     DensityClassSpec,
     InfeasibleClassError,
     LeastFavorableResult,
-    NoiseClass,
     SaddleReport,
-    SignalClass,
-    band_pair,
     build_anchor,
-    contamination_pair,
     evaluate_robust_objective,
+    factorized_saddle_residual,
     feasibility_gap,
     find_least_favorable,
     project_onto_class,

@@ -33,13 +33,7 @@ from .extrapolate import (
     solve_channel,
     spectral_factorize,
 )
-from .minimax import (
-    DensityClassSpec,
-    InfeasibleClassError,
-    NoiseClass,
-    SignalClass,
-    find_least_favorable,
-)
+from .minimax import DensityClassSpec, InfeasibleClassError, find_least_favorable
 from .simulate import (
     PastWindowError,
     SimulationConfig,
@@ -79,12 +73,9 @@ _CHANNEL_KEYS = {"m", "l", "F", "G", "a", "reference_F", "reference_G"}
 _SOLVER_KEYS = {"window", "j_past", "n_lambda", "tolerances"}
 _TOL_KEYS = {"oracle_rel", "mc_sigmas", "factorization", "cond_ceiling"}
 _BLOCKING_KEYS = {"period", "n_components", "dt"}
-_CLASS_KEYS = {
-    "family", "variant", "upper", "lower", "epsilon", "signal_power",
-    "noise_power", "noise_nominal", "noise_radius", "weight_signal",
-    "weight_noise", "channel_weight", "noiseless", "max_iter", "tol",
-    "init_F", "init_G",
-}
+# the class keys are DensityClassSpec's fields; the search reads four more
+_SPEC_KEYS = tuple(f.name for f in dataclasses.fields(DensityClassSpec))
+_CLASS_KEYS = {*_SPEC_KEYS, "max_iter", "tol", "init_F", "init_G"}
 _SIM_KEYS = {"seed", "n_trials", "n_steps", "batch_size", "keep_trials"}
 
 
@@ -280,69 +271,38 @@ class Problem:
             self.keep_trials = _boolean(sim, "keep_trials", "simulation")
 
     def class_spec(self):
+        """The ``class_spec`` section as a :class:`DensityClassSpec`, built
+        in one call over the parsed keys (``_class_value``)."""
         raw = self.class_spec_raw
         if raw is None:
             raise SchemaError("this command needs a class_spec section")
-        family = raw["family"]
-        variant = raw["variant"]
-        noiseless = _boolean(raw, "noiseless", "class_spec")
-        channel_weight = _positive(raw, "channel_weight", 1.0, "class_spec")
-
-        def matrix(key):
-            if key not in raw or raw[key] is None:
-                return None
-            try:
-                return complex_tensor_from_json(raw[key], base_ndim=(2,),
-                                                where=f"class_spec.{key}")
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from exc
-
-        def power(key):
-            if key not in raw or raw[key] is None:
-                return None
-            val = raw[key]
-            if isinstance(val, (int, float)):
-                return float(val)
-            try:
-                return complex_tensor_from_json(val, base_ndim=(1, 2),
-                                                where=f"class_spec.{key}")
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from exc
-
+        parsed = {key: _class_value(raw, key) for key in _SPEC_KEYS if key in raw}
         try:
-            if family == "contamination":
-                signal = SignalClass(
-                    kind="contamination", variant=variant,
-                    upper=_parse_density(raw.get("upper"), "class_spec.upper"),
-                    epsilon=float(raw.get("epsilon", 0.0)),
-                    power=power("signal_power"),
-                    weight=matrix("weight_signal"),
-                )
-                noise = None if noiseless else NoiseClass(
-                    kind="power", variant=variant,
-                    power=power("noise_power"), weight=matrix("weight_noise"),
-                )
-            elif family == "band":
-                signal = SignalClass(
-                    kind="band", variant=variant,
-                    lower=_parse_density(raw.get("lower"), "class_spec.lower"),
-                    upper=_parse_density(raw.get("upper"), "class_spec.upper"),
-                    power=power("signal_power"),
-                    weight=matrix("weight_signal"),
-                )
-                noise = None if noiseless else NoiseClass(
-                    kind="l1_ball", variant=variant,
-                    nominal=_parse_density(raw.get("noise_nominal"),
-                                           "class_spec.noise_nominal"),
-                    radius=power("noise_radius"),
-                    weight=matrix("weight_noise"),
-                )
-            else:
-                raise SchemaError(f"unknown class family {family!r}")
-            return DensityClassSpec(signal=signal, noise=noise,
-                                    channel_weight=channel_weight)
+            return DensityClassSpec(**parsed)
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"class_spec: {exc}") from exc
+
+
+def _class_value(raw, key):
+    """One ``class_spec`` value in the spec's terms: densities parsed,
+    vector and matrix values as complex arrays, scalars as written for the
+    spec to check."""
+    value, where = raw[key], f"class_spec.{key}"
+    if key == "noiseless":
+        return _boolean(raw, key, "class_spec")
+    if key == "channel_weight":
+        return _positive(raw, key, 1.0, "class_spec")
+    if key in ("upper", "lower", "noise_nominal"):
+        return _parse_density(value, where)
+    weight = key.startswith("weight")
+    if (value is None or key in ("family", "variant", "epsilon")
+            or (not weight and isinstance(value, (int, float)))):
+        return value
+    try:
+        return complex_tensor_from_json(value, base_ndim=(2,) if weight else (1, 2),
+                                        where=where)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +617,7 @@ def cmd_minimax(problem, out_dir, args):
                    for entry in problem.channels}
     init_F = (_parse_density(raw.get("init_F"), "class_spec.init_F")
               if raw.get("init_F") is not None else problem.channels[0]["F"])
-    if spec.noise is not None:
+    if not spec.noiseless:
         init_G = (_parse_density(raw.get("init_G"), "class_spec.init_G")
                   if raw.get("init_G") is not None else problem.channels[0]["G"])
         if init_G is None:

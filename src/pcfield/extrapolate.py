@@ -32,6 +32,7 @@ import scipy.linalg
 
 from .spectral import (
     DEFAULT_COND_CEILING,
+    MinimalityViolation,
     RationalDensity,
     as_grid,
     assemble_operators,
@@ -110,21 +111,19 @@ def _causal_share(h):
 
 
 def _solve_pd(B, rhs):
-    """Solve the Hermitian system B x = rhs, flooring eigenvalues if needed."""
+    """Solve the Hermitian positive definite system B x = rhs by Cholesky.
+
+    A B that the factorization refuses is not positive definite in
+    floating point: the pair is too badly conditioned to solve, and
+    :class:`MinimalityViolation` says so.
+    """
     try:
         c, low = scipy.linalg.cho_factor(B)
-        return scipy.linalg.cho_solve((c, low), rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        pass
-    eigvals, eigvecs = np.linalg.eigh(B)
-    floor = 1e-12 * max(eigvals.max(), 1.0)
-    warnings.warn(
-        f"system matrix not positive definite (min eigenvalue {eigvals.min():.3e}); "
-        f"flooring spectrum at {floor:.3e}",
-        RuntimeWarning,
-    )
-    eigvals = np.maximum(eigvals, floor)
-    return eigvecs @ ((eigvecs.conj().T @ rhs) / eigvals[:, None])
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise MinimalityViolation(
+            f"Cholesky factorization of B failed ({exc}); the density pair is "
+            "too badly conditioned to solve") from exc
+    return scipy.linalg.cho_solve((c, low), rhs)
 
 
 def _pad_functional(a, window, K):

@@ -1,11 +1,12 @@
 """Least-favorable densities and minimax-robust spectral characteristics.
 
-The admissible sets come in eight pairs.  The signal side is either a
-contamination class (a pointwise lower bound at a ``1 - epsilon`` fraction
-of a reference density, plus a fixed total power) or a band class (a
-two-sided pointwise bound plus a fixed total power).  The noise side is
-either a fixed-power class or an L1 ball around a nominal density.  The
-four structural variants share two constraint structures.  Three of them
+The admissible sets come in two pairs, picked by ``family``.  The
+``contamination`` family pairs a contamination signal class (a pointwise
+lower bound at a ``1 - epsilon`` fraction of a reference density, plus a
+fixed total power) with a fixed-power noise class; the ``band`` family pairs
+a band signal class (a two-sided pointwise bound plus a fixed total power)
+with an L1 ball around a nominal noise density.  Each family comes in four
+structural variants, which share two constraint structures.  Three of them
 constrain the scalar fields Re Tr(W_j X(lambda)) of a stack of Hermitian
 weights W_j:
 
@@ -14,7 +15,9 @@ weights W_j:
     weighted   W = [B]                            the weighted field Tr(B X)
 
 and ``matrix`` constrains the full matrix X(lambda): its bounds and power
-hold in the Loewner order, its L1 ball entrywise.
+hold in the Loewner order, its L1 ball entrywise.  One
+:class:`DensityClassSpec` holds a class; its fields are the keys of the
+problem file's ``class_spec`` section.
 
 The search for the least favorable pair is projected supergradient ascent
 on the concave functional (F, G) -> delta(F, G).  A solved anchor
@@ -61,160 +64,133 @@ _ACTIVE_TOL = 1e-6        # slack, relative to the density's scale, of an active
 # solve resolves); scaled to its own norm it would step along noise.
 _ROUNDING_FIELD = 1e-20
 
-SIGNAL_KINDS = ("contamination", "band")
-NOISE_KINDS = ("power", "l1_ball")
-VARIANTS = ("trace", "component", "weighted", "matrix")
-
 
 class InfeasibleClassError(ValueError):
     """The class constraints admit no density."""
 
 
-class ClassModeError(ValueError):
-    """Residual mode incompatible with the class or the problem."""
-
-
-@dataclass
-class SignalClass:
-    """Admissible set for the signal density."""
-
-    kind: str
-    variant: str
-    upper: object = None        # reference density U
-    lower: object = None        # lower reference V (band kind)
-    epsilon: float = 0.0        # contamination fraction
-    power: object = None        # scalar / (K,) vector / Hermitian matrix
-    weight: np.ndarray = None   # B_1 for the weighted variant
-
-    def __post_init__(self):
-        if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"unknown signal class kind {self.kind!r}")
-        field_variant = _is_field_variant(self.variant, self.weight)
-        if self.kind == "contamination":
-            if self.upper is None:
-                raise ValueError("contamination class needs a reference density")
-            if not 0.0 <= self.epsilon <= 1.0:
-                raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.kind == "band" and (self.upper is None or self.lower is None):
-            raise ValueError("band class needs both lower and upper densities")
-        if field_variant:
-            self.power = _real_parameter(self.power, "signal power")
-
-
-@dataclass
-class NoiseClass:
-    """Admissible set for the noise density."""
-
-    kind: str
-    variant: str
-    power: object = None        # fixed power (power kind)
-    nominal: object = None      # G^1 (l1_ball kind)
-    radius: object = None       # epsilon / epsilon_k / epsilon_kj
-    weight: np.ndarray = None   # B_2 for the weighted variant
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise class kind {self.kind!r}")
-        field_variant = _is_field_variant(self.variant, self.weight)
-        if self.kind == "power" and self.power is None:
-            raise ValueError("power class needs the power value")
-        if self.kind == "l1_ball" and (self.nominal is None or self.radius is None):
-            raise ValueError("l1 class needs a nominal density and a radius")
-        if field_variant:
-            self.power = _real_parameter(self.power, "noise power")
-        self.radius = _real_parameter(self.radius, "noise radius")
-
-
 @dataclass
 class DensityClassSpec:
-    """One admissible pair D_F x D_G; ``noise=None`` is the noiseless case.
+    """One admissible pair D_F x D_G; the fields are the ``class_spec`` keys.
+
+    ``family`` picks the pairing (module docstring).  A ``contamination``
+    class reads ``upper``, ``epsilon``, ``signal_power`` and
+    ``noise_power``; a ``band`` class reads ``lower``, ``upper``,
+    ``signal_power``, ``noise_nominal`` and ``noise_radius``.  A class
+    ignores the keys its family does not read, and ``noiseless`` drops the
+    noise side with its keys.  ``signal_power`` may be None (no power
+    constraint).  ``variant`` picks the structure of both sides; the
+    ``weighted`` variant reads the Hermitian positive definite
+    ``weight_signal`` and ``weight_noise``.
 
     ``channel_weight`` scales the power functionals; a field-level spec
     passes the harmonic multiplicity over the sphere area here, while the
     single-channel convention is weight 1.  It must be positive.
 
-    The number of components K is read from ``signal.upper``.  Every class
-    density and weight must have that K, and each power and radius must be
-    a scalar (broadcast to every coordinate) or exactly one side's
-    coordinate shape: (m,) for the m weights of a field variant, (K, K) for
-    ``matrix``.  A ``matrix`` power must be (K, K).
+    The number of components K is read from ``upper``.  Every class density
+    and weight must have that K, and each power and radius must be a scalar
+    (broadcast to every coordinate) or exactly one side's coordinate shape:
+    (m,) for the m weights of a field variant, (K, K) for ``matrix``.  A
+    ``matrix`` power must be (K, K).  ``epsilon`` lies in [0, 1]; the powers
+    and radii are finite numbers, not booleans, and the radii are
+    nonnegative.  The spec is checked once, on construction.
     """
 
-    signal: SignalClass
-    noise: NoiseClass = None
+    family: str
+    variant: str
+    upper: object = None            # reference density U
+    lower: object = None            # lower reference V (band family)
+    epsilon: float = 0.0            # contamination fraction
+    signal_power: object = None     # scalar / (m,) vector / Hermitian matrix
+    noise_power: object = None      # fixed noise power (contamination family)
+    noise_nominal: object = None    # G^1, centre of the L1 ball (band family)
+    noise_radius: object = None     # epsilon / epsilon_k / epsilon_kj
+    weight_signal: np.ndarray = None   # B_1 for the weighted variant
+    weight_noise: np.ndarray = None    # B_2 for the weighted variant
     channel_weight: float = 1.0
+    noiseless: bool = False
 
     def __post_init__(self):
+        if self.family not in ("contamination", "band"):
+            raise ValueError(f"unknown class family {self.family!r}")
+        contamination = self.family == "contamination"
+        if contamination and self.upper is None:
+            raise ValueError("contamination class needs a reference density")
+        if not contamination and (self.upper is None or self.lower is None):
+            raise ValueError("band class needs both lower and upper densities")
+        if contamination:
+            _check_number(self.epsilon, "epsilon")
+            self.epsilon = float(self.epsilon)
+            if not 0.0 <= self.epsilon <= 1.0:
+                raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not self.channel_weight > 0:
             raise ValueError(f"channel_weight must be > 0, got {self.channel_weight}")
-        for cls in (self.signal, self.noise):
-            if cls is not None:
-                _check_side_shapes(cls, self.K)
+        self.signal_power, _ = _checked_side(
+            "signal", self.variant, self.weight_signal, self.K,
+            None if contamination else ("lower", self.lower), self.signal_power, None)
+        if self.noiseless:
+            return
+        if contamination:
+            if self.noise_power is None:
+                raise ValueError("power class needs the power value")
+            self.noise_power, _ = _checked_side(
+                "noise", self.variant, self.weight_noise, self.K, None, self.noise_power, None)
+        else:
+            if self.noise_nominal is None or self.noise_radius is None:
+                raise ValueError("l1 class needs a nominal density and a radius")
+            _, self.noise_radius = _checked_side(
+                "noise", self.variant, self.weight_noise, self.K,
+                ("nominal", self.noise_nominal), None, self.noise_radius)
 
     @property
     def K(self):
-        return self.signal.upper.K
+        return self.upper.K
 
 
-def _check_side_shapes(cls, K):
-    """Refuse class densities, weights, powers and radii that do not fit K."""
-    side = "signal" if isinstance(cls, SignalClass) else "noise"
-    for key in ("lower", "nominal"):
-        density = getattr(cls, key, None)
-        if density is not None and density.K != K:
-            raise ValueError(f"{side} {key} has K={density.K}, signal upper has K={K}")
-    if cls.weight is not None and np.shape(cls.weight) != (K, K):
-        raise ValueError(f"{side} weight has shape {np.shape(cls.weight)}, "
-                         f"signal upper has K={K}")
-    weights = _weight_stack(cls.variant, cls.weight, K)
-    shape = (K, K) if weights is None else (len(weights),)
-    for key in ("power", "radius"):
-        value = getattr(cls, key, None)
-        scalar_ok = key == "radius" or weights is not None
-        if value is None or np.shape(value) == shape or (scalar_ok and np.ndim(value) == 0):
-            continue
-        takes = f"a scalar or shape {shape}" if scalar_ok else f"shape {shape}"
-        raise ValueError(f"{side} {key} has shape {np.shape(value)}; the "
-                         f"{cls.variant} variant takes {takes}")
+def _check_number(value, name):
+    """Refuse a class number that is a boolean or has a non-finite entry."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
 
 
-def contamination_pair(variant, upper, epsilon, signal_power, noise_power,
-                       weight_signal=None, weight_noise=None, channel_weight=1.0):
-    """Contamination signal class paired with a fixed-power noise class."""
-    return DensityClassSpec(
-        signal=SignalClass(kind="contamination", variant=variant, upper=upper,
-                           epsilon=epsilon, power=signal_power, weight=weight_signal),
-        noise=NoiseClass(kind="power", variant=variant, power=noise_power,
-                         weight=weight_noise),
-        channel_weight=channel_weight,
-    )
+def _checked_side(side, variant, weight, K, density, power, radius):
+    """Check one side's class density, weight, power and radius; returns
+    the power and radius.
 
-
-def band_pair(variant, lower, upper, signal_power, noise_nominal, noise_radius,
-              weight_signal=None, weight_noise=None, channel_weight=1.0):
-    """Band-restricted signal class paired with an L1-ball noise class."""
-    return DensityClassSpec(
-        signal=SignalClass(kind="band", variant=variant, lower=lower, upper=upper,
-                           power=signal_power, weight=weight_signal),
-        noise=NoiseClass(kind="l1_ball", variant=variant, nominal=noise_nominal,
-                         radius=noise_radius, weight=weight_noise),
-        channel_weight=channel_weight,
-    )
-
-
-def _real_parameter(value, name):
-    """A real class parameter; complex input must have zero imaginary part.
-
-    Parsed problem files deliver vectors and matrices as complex arrays, so
-    the real parameters (radii, and powers of the field variants) are
-    stripped of their zero imaginary parts once, here.
+    ``density`` is None or a (key, density) pair whose K must match.  The
+    power and radius must be finite numbers, not booleans, and the radius
+    nonnegative.  Parsed problem files deliver vectors and matrices as
+    complex arrays, so the real numbers (radii, and the powers of the field
+    variants) are stripped of their zero imaginary parts once, here.
     """
-    if value is None or not np.iscomplexobj(value):
-        return value
-    arr = np.asarray(value)
-    if np.any(arr.imag != 0):
-        raise ValueError(f"{name} must be real")
-    return arr.real.copy()
+    if density is not None and density[1].K != K:
+        raise ValueError(f"{side} {density[0]} has K={density[1].K}, "
+                         f"signal upper has K={K}")
+    if weight is not None and np.shape(weight) != (K, K):
+        raise ValueError(f"{side} weight has shape {np.shape(weight)}, "
+                         f"signal upper has K={K}")
+    weights = _weight_stack(variant, weight, K)
+    shape = (K, K) if weights is None else (len(weights),)
+    checked = []
+    for key, value in (("power", power), ("radius", radius)):
+        name = f"{side} {key}"
+        scalar_ok = key == "radius" or weights is not None
+        if value is not None:
+            _check_number(value, name)
+            if scalar_ok and np.iscomplexobj(value):
+                if np.any(np.imag(value) != 0):
+                    raise ValueError(f"{name} must be real")
+                value = np.real(value).copy()
+            if key == "radius" and np.any(np.asarray(value) < 0):
+                raise ValueError(f"{name} must be >= 0")
+            if not (np.shape(value) == shape or (scalar_ok and np.ndim(value) == 0)):
+                takes = f"a scalar or shape {shape}" if scalar_ok else f"shape {shape}"
+                raise ValueError(f"{name} has shape {np.shape(value)}; the "
+                                 f"{variant} variant takes {takes}")
+        checked.append(value)
+    return checked
 
 
 def _check_weight(weight):
@@ -237,7 +213,7 @@ def _weight_stack(variant, weight, K):
 
     Returns an (m, K, K) stack, or None for the ``matrix`` variant, which
     constrains X itself.  This is the one place that tells the variants
-    apart.
+    apart (``_class_constraints`` is the one that tells the families apart).
     """
     if variant == "matrix":
         return None
@@ -250,11 +226,6 @@ def _weight_stack(variant, weight, K):
             raise ValueError("weighted variant needs the weight matrix")
         return _check_weight(weight)[None]
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _is_field_variant(variant, weight):
-    """Validate a variant (and its weight); False for the matrix variant."""
-    return _weight_stack(variant, weight, 1) is not None
 
 
 def _psd_clip(values):
@@ -350,33 +321,27 @@ class _Constraints:
     """One side of a class on one grid, in the coordinates of its structure.
 
     The signal side holds the rasterized ``lower`` / ``upper`` bounds
-    (``upper`` is None for the contamination kind), the noise side either
+    (``upper`` is None for the contamination family), the noise side either
     the power alone or the ``nominal`` centre and ``radius`` of its L1
     ball; ``power`` is the class power and ``target`` its per-node level
-    ``power / channel_weight``.  Absent constraints are None.  Subclasses
-    set the ``shape`` and ``dtype`` of a node's coordinates and supply the
+    ``power / channel_weight``.  Absent constraints are None;
+    ``_class_constraints`` sets the present ones.  Subclasses set the
+    ``shape`` and ``dtype`` of a node's coordinates and supply the
     coordinates (``coords``, ``lift``, ``slack``), the bound and ball steps
     of the projection, and the multiplier fit.
     """
 
-    def __init__(self, cls, n_lambda, channel_weight):
-        def rasterized(density):
-            return self.coords(as_grid(density, n_lambda).values)
+    lower = upper = power = target = nominal = radius = None
 
-        self.cw = channel_weight
-        self.name = f"{cls.variant} {cls.kind}"
-        self.lower = self.upper = self.power = self.target = None
-        self.nominal = self.radius = None
-        if cls.kind == "contamination":
-            self.lower = (1.0 - cls.epsilon) * rasterized(cls.upper)
-        elif cls.kind == "band":
-            self.lower, self.upper = rasterized(cls.lower), rasterized(cls.upper)
-        elif cls.kind == "l1_ball":
-            self.nominal = rasterized(cls.nominal)
-            self.radius = np.broadcast_to(np.asarray(cls.radius, dtype=float), self.shape)
-        if cls.power is not None and cls.kind != "l1_ball":
-            self.power = np.broadcast_to(np.asarray(cls.power, dtype=self.dtype), self.shape)
+    def __init__(self, name, n_lambda, channel_weight, power):
+        self.name, self.n_lambda, self.cw = name, n_lambda, channel_weight
+        if power is not None:
+            self.power = np.broadcast_to(np.asarray(power, dtype=self.dtype), self.shape)
             self.target = self.power / channel_weight
+
+    def rasterized(self, density):
+        """A class density's coordinates on the side's grid."""
+        return self.coords(as_grid(density, self.n_lambda).values)
 
     def project(self, values):
         """Alternate the side's step (``_shrink`` onto an L1 ball, ``_clip``
@@ -431,11 +396,11 @@ class _FieldConstraints(_Constraints):
 
     dtype, exact_step = float, True
 
-    def __init__(self, weights, cls, n_lambda, channel_weight):
+    def __init__(self, weights, *side):
         self.weights = weights
         self.norm_sq = np.array([float(np.real(np.trace(W @ W))) for W in weights])
         self.shape = (len(weights),)
-        super().__init__(cls, n_lambda, channel_weight)
+        super().__init__(*side)
 
     def coords(self, values):
         return np.einsum("jkn,tnk->tj", self.weights, values).real
@@ -526,9 +491,9 @@ class _LoewnerConstraints(_Constraints):
 
     dtype, exact_step = complex, False
 
-    def __init__(self, K, cls, n_lambda, channel_weight):
+    def __init__(self, K, *side):
         self.shape = (K, K)
-        super().__init__(cls, n_lambda, channel_weight)
+        super().__init__(*side)
 
     @staticmethod
     def coords(values):
@@ -606,23 +571,35 @@ class _LoewnerConstraints(_Constraints):
         return model, {"beta_outer": W, "sign_fraction": float(off_zone.mean())}
 
 
-def _constraints(cls, n_lambda, K, channel_weight):
-    """The constraints of one class side on an ``n_lambda`` grid."""
-    weights = _weight_stack(cls.variant, cls.weight, K)
+def _side(spec, weight, n_lambda, kind, power=None):
+    """One side of ``spec`` on an ``n_lambda`` grid with only its power set."""
+    weights = _weight_stack(spec.variant, weight, spec.K)
+    side = (f"{spec.variant} {kind}", n_lambda, spec.channel_weight, power)
     if weights is None:
-        return _LoewnerConstraints(K, cls, n_lambda, channel_weight)
-    return _FieldConstraints(weights, cls, n_lambda, channel_weight)
+        return _LoewnerConstraints(spec.K, *side)
+    return _FieldConstraints(weights, *side)
 
 
-def _class_constraints(spec, n_lambda, K, noisy):
+def _class_constraints(spec, n_lambda, noisy):
     """Signal and noise constraints of a class, built once per grid.
 
-    The noise side is None for noiseless specs and when ``noisy`` is False.
+    This is the one place that tells the families apart.  The noise side
+    is None for noiseless specs and when ``noisy`` is False.
     """
-    signal = _constraints(spec.signal, n_lambda, K, spec.channel_weight)
-    if not noisy or spec.noise is None:
+    contamination = spec.family == "contamination"
+    signal = _side(spec, spec.weight_signal, n_lambda, spec.family, spec.signal_power)
+    if contamination:
+        signal.lower = (1.0 - spec.epsilon) * signal.rasterized(spec.upper)
+    else:
+        signal.lower, signal.upper = signal.rasterized(spec.lower), signal.rasterized(spec.upper)
+    if spec.noiseless or not noisy:
         return signal, None
-    return signal, _constraints(spec.noise, n_lambda, K, spec.channel_weight)
+    if contamination:
+        return signal, _side(spec, spec.weight_noise, n_lambda, "power", spec.noise_power)
+    noise = _side(spec, spec.weight_noise, n_lambda, "l1_ball")
+    noise.nominal = noise.rasterized(spec.noise_nominal)
+    noise.radius = np.broadcast_to(np.asarray(spec.noise_radius, dtype=float), noise.shape)
+    return signal, noise
 
 
 def _project(F, G, constraints):
@@ -660,14 +637,14 @@ def project_onto_class(pair, spec):
     """
     F, G = pair
     Fg = as_grid(F)
-    return _project(Fg, G, _class_constraints(spec, Fg.n_lambda, Fg.K, G is not None))
+    return _project(Fg, G, _class_constraints(spec, Fg.n_lambda, G is not None))
 
 
 def feasibility_gap(pair, spec):
     """Worst violation of class constraints, for tests and diagnostics."""
     F, G = pair
     Fg = as_grid(F)
-    return _gap(Fg, G, _class_constraints(spec, Fg.n_lambda, Fg.K, G is not None))
+    return _gap(Fg, G, _class_constraints(spec, Fg.n_lambda, G is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +712,13 @@ def evaluate_robust_objective(F, G, anchor):
     return total
 
 
+def _channel_functionals(functionals):
+    """Channel keys to (J, K) coefficient arrays; a bare array is one channel."""
+    if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
+        return {(0, 1): np.asarray(functionals)}
+    return functionals
+
+
 @dataclass
 class LeastFavorableResult:
     F0: SpectralDensityGrid
@@ -764,16 +748,14 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
     fitted on the active sets read at ``_ACTIVE_TOL``; ``converged=False``
     flags a run that stalled before reaching the relative-gain tolerance.
     """
-    if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
-        functionals = {(0, 1): np.asarray(functionals)}
+    functionals = _channel_functionals(functionals)
     F, G = init if isinstance(init, tuple) else (init, None)
-    noiseless = spec.noise is None
-    if noiseless:
+    if spec.noiseless:
         G = None
     elif G is None:
         raise ValueError("noisy class needs an initial noise density")
     Fg = as_grid(F, n_lambda)
-    constraints = _class_constraints(spec, Fg.n_lambda, Fg.K, G is not None)
+    constraints = _class_constraints(spec, Fg.n_lambda, G is not None)
     F, G = _project(Fg, G, constraints)
 
     anchor = build_anchor(F, G, functionals, window=window)
@@ -843,9 +825,8 @@ class SaddleReport:
 
     objective: float
     residual_F: float
-    residual_G: float
+    residual_G: float                # None when the check is noiseless
     multipliers: dict
-    mode: str
 
 
 def _fit_scalar_profile(m, lower_mask, upper_mask):
@@ -914,8 +895,7 @@ def _saddle_report(anchor, constraints):
     Each side's multiplier model is fitted to its gradient field M; the
     defect is measured on L = T M T with T = F0 + G0, the form in which
     the stationarity equations are stated.  The noise side is checked when
-    ``constraints`` carries one (mode "noisy"), else only the signal side
-    ("noiseless").
+    ``constraints`` carries one, else only the signal side.
     """
     signal, noise = constraints
     total = anchor.F0.values + (anchor.G0.values if anchor.G0 is not None else 0.0)
@@ -928,67 +908,63 @@ def _saddle_report(anchor, constraints):
         L = _node_matmul(_node_matmul(total, M), total)
         residuals[side] = _relative_model_residual(L, model, total, total)
     return SaddleReport(objective=anchor.delta, residual_F=residuals["F"],
-                        residual_G=residuals.get("G"), multipliers=multipliers,
-                        mode="noiseless" if noise is None else "noisy")
+                        residual_G=residuals.get("G"), multipliers=multipliers)
 
 
-def saddle_point_residual(F0, G0, spec, functionals, mode="noisy",
-                          window=DEFAULT_WINDOW):
+def saddle_point_residual(F0, G0, spec, functionals, window=DEFAULT_WINDOW):
     """Check the stationarity equations of the class at (F0, G0).
 
-    ``mode`` selects which form of the equations is used: "noisy" for the
-    full pair, "noiseless" for observation without noise, "factorized" for
-    the noiseless equations written through the canonical factor.  The
-    Lagrange multiplier profiles are fitted subject to their sign
-    constraints, on active sets read at ``_ACTIVE_TOL``; the report
-    carries the relative sup-norm defects.  The
-    "noisy" and "noiseless" modes fit the gradient fields of the anchor
-    solved at (F0, G0); "factorized" is the independent reference route:
-    it fits the field read off ``solve_by_factorization``'s A - h, and
-    raises :class:`FactorizationError` when the factor of F0 misses F0 by
-    more than ``FACTORIZATION_TOL`` relative or is singular at a grid node.
+    The equations are the noisy ones when ``G0`` is given, and the
+    noiseless ones (the signal side alone) when it is None; a ``G0`` with a
+    noiseless spec raises ``ValueError``.  The Lagrange multiplier profiles
+    are fitted, subject to their sign constraints, to the gradient fields
+    of the anchor solved at (F0, G0), on active sets read at
+    ``_ACTIVE_TOL``; the report carries the relative sup-norm defects.
+    ``factorized_saddle_residual`` is the independent reference route of
+    the noiseless check.
     """
-    if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
-        functionals = {(0, 1): np.asarray(functionals)}
-    if mode not in ("noisy", "noiseless", "factorized"):
-        raise ClassModeError(f"unknown mode {mode!r}")
-    if mode == "noisy" and (spec.noise is None or G0 is None):
-        raise ClassModeError("noisy mode needs a class with a noise side and a "
-                             "noise density")
-    if mode in ("noiseless", "factorized") and spec.noise is not None and G0 is not None:
-        raise ClassModeError(f"{mode} mode applies to the noiseless problem only")
+    if G0 is not None and spec.noiseless:
+        raise ValueError("a noiseless class takes no noise density G0")
+    Fg = as_grid(F0)
+    constraints = _class_constraints(spec, Fg.n_lambda, G0 is not None)
+    anchor = build_anchor(Fg, G0, _channel_functionals(functionals), window=window)
+    return _saddle_report(anchor, constraints)
 
+
+def factorized_saddle_residual(F0, spec, functionals):
+    """The noiseless stationarity check written through the canonical factor.
+
+    The independent reference route of ``saddle_point_residual`` with no
+    noise density: it fits the signal side's multipliers to the field read
+    off ``solve_by_factorization``'s A - h, and measures the defect on
+    L = T M T* with T = P^*, P the canonical factor of F0.  Raises
+    :class:`FactorizationError` when the factor of F0 misses F0 by more than
+    ``FACTORIZATION_TOL`` relative or is singular at a grid node.
+    """
     Fg = as_grid(F0)
     n = Fg.n_lambda
     K = Fg.K
-    signal, noise = _class_constraints(spec, n, K, mode == "noisy")
-
-    if mode == "factorized":
-        fac = _checked_factor(spectral_factorize(Fg))
-        M_F = np.zeros((n, K, K), dtype=complex)
-        delta = 0.0
-        for a in functionals.values():
-            a_arr = np.atleast_2d(np.asarray(a, dtype=complex))
-            sol = solve_by_factorization(fac, a_arr)
-            if sol.h_grid is None:
-                raise FactorizationError("factor of F0 is singular at a grid node; "
-                                         "the gradient field is unavailable")
-            e = _functional_on_grid(a_arr, n) - sol.h_grid
-            M_F += np.einsum("tk,tn->tkn", np.conj(e), e)
-            delta += sol.delta
-        # the field is M = P^{-*} L P^{-1}, so L = T M T* with T = P^*
-        T_star = fac.factor_grid
-        T = np.conj(np.swapaxes(T_star, 1, 2))
-        L_F = _node_matmul(_node_matmul(T, M_F), T_star)
-        model_F, mult_F = signal.fit(M_F, Fg.values)
-        residual_F = _relative_model_residual(L_F, model_F, T, T_star)
-        return SaddleReport(objective=delta, residual_F=residual_F,
-                            residual_G=None, multipliers={"F": mult_F},
-                            mode=mode)
-
-    anchor = build_anchor(Fg, G0 if mode == "noisy" else None, functionals,
-                          window=window)
-    return _saddle_report(anchor, (signal, noise))
+    signal, _ = _class_constraints(spec, n, False)
+    fac = _checked_factor(spectral_factorize(Fg))
+    M_F = np.zeros((n, K, K), dtype=complex)
+    delta = 0.0
+    for a in _channel_functionals(functionals).values():
+        a_arr = np.atleast_2d(np.asarray(a, dtype=complex))
+        sol = solve_by_factorization(fac, a_arr)
+        if sol.h_grid is None:
+            raise FactorizationError("factor of F0 is singular at a grid node; "
+                                     "the gradient field is unavailable")
+        e = _functional_on_grid(a_arr, n) - sol.h_grid
+        M_F += np.einsum("tk,tn->tkn", np.conj(e), e)
+        delta += sol.delta
+    # the field is M = P^{-*} L P^{-1}, so L = T M T* with T = P^*
+    T_star = fac.factor_grid
+    T = np.conj(np.swapaxes(T_star, 1, 2))
+    L_F = _node_matmul(_node_matmul(T, M_F), T_star)
+    model_F, mult_F = signal.fit(M_F, Fg.values)
+    return SaddleReport(objective=delta,
+                        residual_F=_relative_model_residual(L_F, model_F, T, T_star),
+                        residual_G=None, multipliers={"F": mult_F})
 
 
 def sample_feasible(spec, rng, n_lambda):
@@ -1006,8 +982,8 @@ def sample_feasible(spec, rng, n_lambda):
         return SpectralDensityGrid(vals, check=False)
 
     F = random_density()
-    G = random_density() if spec.noise is not None else None
-    constraints = _class_constraints(spec, n_lambda, K, G is not None)
+    G = None if spec.noiseless else random_density()
+    constraints = _class_constraints(spec, n_lambda, G is not None)
     F_proj, G_proj = _project(F, G, constraints)
     gap = _gap(F_proj, G_proj, constraints)
     if gap > 1e-6:

@@ -23,7 +23,6 @@ without noise).  The error is read off the characteristic h of the solved c:
 delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)].
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -495,6 +494,9 @@ def assemble_operators(F, G, window, cond_ceiling=DEFAULT_COND_CEILING):
     """Build the truncated operator B for the density pair (F, G).
 
     ``G=None`` means noiseless observations; then B is built from F alone.
+    Raises :class:`MinimalityViolation` where F + G is numerically singular
+    at a grid node (``cond_ceiling``) or where the assembled B has an
+    eigenvalue <= 0.
     """
     Fg = as_grid(F)
     n = Fg.n_lambda
@@ -522,11 +524,11 @@ def assemble_operators(F, G, window, cond_ceiling=DEFAULT_COND_CEILING):
     eigs_B = np.linalg.eigvalsh(B)
     eig_min = float(eigs_B.min())
     if eig_min <= 0:
-        warnings.warn(
+        # B of a minimal pair is positive definite; a nonpositive eigenvalue
+        # is rounding of a pair too badly conditioned to solve
+        raise MinimalityViolation(
             f"assembled B is not positive definite (min eigenvalue {eig_min:.3e}); "
-            "density pair is badly conditioned",
-            RuntimeWarning,
-        )
+            "the density pair is too badly conditioned to solve")
     cond_B = float(_condition_from_eigenvalues(eigs_B))
     return OperatorSet(B=B, window=window, K=K,
                        cond_B=max(cond_B, max_cond), inv_total=inv_total)
@@ -682,13 +684,13 @@ def _complex_array_to_json(arr):
     return stacked.tolist()
 
 
-def complex_tensor_from_json(data, base_ndim, where="array"):
+def complex_tensor_from_json(data, base_ndim, where):
     """Parse a real or re/im-paired nested list of known base rank.
 
     An array of rank ``r`` in ``base_ndim`` is read as real; rank ``r + 1``
     with a trailing axis of length 2 is read as [re, im] pairs.  This keeps
     the encoding unambiguous (a plain coefficient list is never mistaken
-    for a single complex pair).
+    for a single complex pair).  ``where`` names the value in the error.
     """
     arr = np.asarray(data, dtype=float)
     options = tuple(base_ndim) if isinstance(base_ndim, (tuple, list)) else (base_ndim,)

@@ -21,10 +21,7 @@ from pcfield.extrapolate import (
 )
 from pcfield.minimax import (
     DensityClassSpec,
-    SignalClass,
-    band_pair,
     build_anchor,
-    contamination_pair,
     evaluate_robust_objective,
     find_least_favorable,
     sample_feasible,
@@ -181,9 +178,9 @@ def test_criterion_05_monte_carlo():
 def test_criterion_06_minimax_scalar_benchmark():
     p = 1.5
     N = 512
-    spec = DensityClassSpec(signal=SignalClass(
-        kind="contamination", variant="trace",
-        upper=SpectralDensityGrid.white(1, 1.0, N), epsilon=1.0, power=p))
+    spec = DensityClassSpec("contamination", "trace", noiseless=True,
+                            upper=SpectralDensityGrid.white(1, 1.0, N), epsilon=1.0,
+                            signal_power=p)
     init = SpectralDensityGrid.from_scalar_function(
         lambda lam: p * (1.0 + 0.6 * np.cos(lam)), N)
     with warnings.catch_warnings():
@@ -204,15 +201,15 @@ def test_criterion_07_saddle_dominance_sampling():
     N = 512
     a = np.array([[1.0], [0.5]])
     U = as_grid(RationalDensity.ar1(0.3), N)
-    spec_a = contamination_pair("trace", upper=U, epsilon=0.3,
-                                signal_power=1.2 * U.trace_integral(),
-                                noise_power=0.4)
-    spec_b = band_pair("trace",
-                       lower=SpectralDensityGrid.white(1, 0.5, N),
-                       upper=SpectralDensityGrid.white(1, 2.0, N),
-                       signal_power=1.1,
-                       noise_nominal=SpectralDensityGrid.white(1, 0.2, N),
-                       noise_radius=0.1)
+    spec_a = DensityClassSpec("contamination", "trace", upper=U, epsilon=0.3,
+                              signal_power=1.2 * U.trace_integral(),
+                              noise_power=0.4)
+    spec_b = DensityClassSpec("band", "trace",
+                              lower=SpectralDensityGrid.white(1, 0.5, N),
+                              upper=SpectralDensityGrid.white(1, 2.0, N),
+                              signal_power=1.1,
+                              noise_nominal=SpectralDensityGrid.white(1, 0.2, N),
+                              noise_radius=0.1)
     inits = {
         "contamination x power": (spec_a,
                                   (SpectralDensityGrid.white(1, 1.2 * U.trace_integral(), N),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -13,7 +14,8 @@ from pcfield.cli import (
     EXIT_VALIDATION,
     main,
 )
-from pcfield.spectral import RationalDensity, as_grid, density_to_spec
+from pcfield.minimax import DensityClassSpec
+from pcfield.spectral import RationalDensity, as_grid, density_to_spec, lambda_grid
 
 
 def write_problem(tmp_path, payload, name="problem.json"):
@@ -106,6 +108,20 @@ class TestSolve:
         assert main(["solve", "--input", str(path), "--output", str(out),
                      "--strict"]) == EXIT_SCHEMA
         assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_OK
+
+    def test_strict_class_keys_are_the_spec_fields(self, tmp_path):
+        # --strict accepts exactly DensityClassSpec's fields and the four
+        # keys of the search
+        keys = ({field.name for field in dataclasses.fields(DensityClassSpec)}
+                | {"max_iter", "tol", "init_F", "init_G"})
+        assert cli._CLASS_KEYS == keys
+        prob = white_problem()
+        prob["class_spec"] = dict.fromkeys(keys, 1.0)
+        cli.Problem(write_problem(tmp_path, prob), strict=True)
+        for extra in ("kind", "power", "weight", "radius", "nominal"):
+            prob["class_spec"] = {**dict.fromkeys(keys, 1.0), extra: 1.0}
+            with pytest.raises(cli.SchemaError, match=rf"unknown field\(s\) \['{extra}'\]"):
+                cli.Problem(write_problem(tmp_path, prob), strict=True)
 
     def test_minimality_failure_exits_2(self, tmp_path):
         prob = white_problem()
@@ -230,6 +246,37 @@ _INFEASIBLE_BAND = {
     "signal_power": 5.0,
 }
 
+# noisy classes on white_problem's K = 1 channel, observed through noise 0.25
+_CONTAMINATION = {
+    "family": "contamination", "variant": "trace",
+    "upper": {"type": "rational", "numerator": [1.0]}, "epsilon": 0.3,
+    "signal_power": 1.2, "noise_power": 0.4, "max_iter": 20,
+}
+_BAND = {
+    "family": "band", "variant": "trace",
+    "lower": {"type": "rational", "numerator": [0.5]},
+    "upper": {"type": "rational", "numerator": [1.5]}, "signal_power": 1.0,
+    "noise_nominal": {"type": "rational", "numerator": [0.5]}, "noise_radius": 0.1,
+    "max_iter": 20,
+}
+
+
+def _noisy_class(base, **fields):
+    """Edits that give white_problem a noise density and the class ``base``
+    with ``fields`` replaced."""
+    return [_set(("channels", 0, "G"), {"type": "rational", "numerator": [0.5]}),
+            _set(("class_spec",), {**base, **fields})]
+
+
+# F = max(|sin(lambda/2)|^8, 1e-19) <= 1: the exact B satisfies B >= I, but at
+# window 48 its condition number is ~8e17 and the computed B has an
+# eigenvalue near -134; every node of a K = 1 pair has condition 1
+_NON_PD_OPERATOR = [_set(("solver", "window"), 48), _set(("channels", 0, "F"), {
+    "type": "grid", "K": 1, "n_lambda": 512,
+    "values": [[[v]] for v in np.maximum(np.abs(np.sin(lambda_grid(512) / 2)) ** 8,
+                                         1e-19).tolist()],
+})]
+
 # a second channel with the first one's (m, l), whose h_0_1.csv would
 # overwrite the first's and whose functional minimax would drop
 _DUPLICATE_CHANNEL = [lambda payload: payload["channels"].append(
@@ -311,6 +358,41 @@ class TestRuntimeFailures:
         pytest.param("minimax", [_set(("class_spec",), {**_INFEASIBLE_BAND, "noiseless": "false"})],
                      EXIT_SCHEMA, "schema error: class_spec.noiseless must be true or false, "
                      "got 'false'", id="noiseless-string"),
+        pytest.param("minimax", _noisy_class(_CONTAMINATION, epsilon=True), EXIT_SCHEMA,
+                     "schema error: class_spec: epsilon must be a number, got True",
+                     id="epsilon-true"),
+        pytest.param("minimax", _noisy_class(_CONTAMINATION, signal_power=True), EXIT_SCHEMA,
+                     "schema error: class_spec: signal power must be a number, got True",
+                     id="signal-power-true"),
+        pytest.param("minimax", _noisy_class(_CONTAMINATION, noise_power=False), EXIT_SCHEMA,
+                     "schema error: class_spec: noise power must be a number, got False",
+                     id="noise-power-false"),
+        pytest.param("minimax", _noisy_class(_CONTAMINATION, signal_power=float("inf")),
+                     EXIT_SCHEMA, "schema error: class_spec: signal power must be finite",
+                     id="contamination-signal-power-infinite"),
+        pytest.param("minimax", _noisy_class(_CONTAMINATION, noise_power=float("inf")),
+                     EXIT_SCHEMA, "schema error: class_spec: noise power must be finite",
+                     id="contamination-noise-power-infinite"),
+        pytest.param("minimax", _noisy_class(_CONTAMINATION, variant="matrix",
+                                             signal_power=[[float("inf")]], noise_power=[[0.4]]),
+                     EXIT_SCHEMA, "schema error: class_spec: signal power must be finite",
+                     id="matrix-power-infinite-entry"),
+        pytest.param("minimax", _noisy_class(_BAND, noise_radius=-0.1), EXIT_SCHEMA,
+                     "schema error: class_spec: noise radius must be >= 0",
+                     id="band-radius-negative"),
+        pytest.param("minimax", _noisy_class(_BAND, signal_power=float("inf")), EXIT_SCHEMA,
+                     "schema error: class_spec: signal power must be finite",
+                     id="band-signal-power-infinite"),
+        pytest.param("minimax", _noisy_class(_BAND, noise_radius=float("nan")), EXIT_SCHEMA,
+                     "schema error: class_spec: noise radius must be finite",
+                     id="band-radius-nan"),
+        pytest.param("minimax", _noisy_class(_BAND, variant="component", signal_power=[1.0],
+                                             noise_radius=[float("nan")]),
+                     EXIT_SCHEMA, "schema error: class_spec: noise radius must be finite",
+                     id="component-radius-nan-entry"),
+        pytest.param("solve", _NON_PD_OPERATOR, EXIT_MINIMALITY,
+                     "minimality failure: assembled B is not positive definite",
+                     id="solve-non-pd-operator"),
         pytest.param("validate", [_set(("simulation", "keep_trials"), "false")],
                      EXIT_SCHEMA, "schema error: simulation.keep_trials must be true or "
                      "false, got 'false'", id="keep-trials-string"),

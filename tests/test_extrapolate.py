@@ -21,6 +21,7 @@ from pcfield.extrapolate import (
 )
 from pcfield.simulate import simulate_channel
 from pcfield.spectral import (
+    MinimalityViolation,
     RationalDensity,
     SpectralDensityGrid,
     as_grid,
@@ -278,6 +279,28 @@ class TestSolveChannelContracts:
                               window=16)
         # the indicator of one period is the unit zero-frequency weight
         assert sol.delta == pytest.approx(1.0, abs=1e-10)
+
+
+class TestNonPositiveDefiniteOperator:
+    """A B that is not positive definite in floating point is refused, not
+    floored: the pair is too badly conditioned to solve."""
+
+    def test_rounding_negative_eigenvalue_is_a_minimality_violation(self):
+        # F <= 1, so the exact B satisfies B >= I, but at cond_B ~ 8e17 the
+        # computed B has an eigenvalue near -134.  A solve that floors the
+        # spectrum reads whatever the floor gives: 1.06e-7 at 1e-12 of the
+        # largest eigenvalue, 7.2e22 and 7.2e28 at 1e-12 and 1e-15.  At
+        # K = 1 every node has condition 1, so the pointwise minimality
+        # check never sees this range.
+        n = 512
+        F = SpectralDensityGrid(np.maximum(
+            np.abs(np.sin(lambda_grid(n) / 2)) ** 8, 1e-19).astype(complex)[:, None, None])
+        with pytest.raises(MinimalityViolation, match="assembled B is not positive definite"):
+            solve_channel(F, None, np.array([[1.0], [0.5]]), window=48)
+
+    def test_failed_cholesky_is_a_minimality_violation(self):
+        with pytest.raises(MinimalityViolation, match="Cholesky factorization of B failed"):
+            extrapolate._solve_pd(np.diag([1.0, -1e-3]).astype(complex), np.ones((2, 1)))
 
 
 class TestOracle:

@@ -12,15 +12,11 @@ from pcfield.extrapolate import (
     spectral_factorize,
 )
 from pcfield.minimax import (
-    ClassModeError,
     DensityClassSpec,
     InfeasibleClassError,
-    NoiseClass,
-    SignalClass,
-    band_pair,
     build_anchor,
-    contamination_pair,
     evaluate_robust_objective,
+    factorized_saddle_residual,
     feasibility_gap,
     find_least_favorable,
     project_onto_class,
@@ -45,8 +41,8 @@ N = 512
 def fixed_power_class(p, n_lambda=N, variant="trace", K=1):
     """Signal class with only the power constraint (degenerate mixture)."""
     upper = SpectralDensityGrid.white(K, 1.0, n_lambda)
-    return DensityClassSpec(signal=SignalClass(
-        kind="contamination", variant=variant, upper=upper, epsilon=1.0, power=p))
+    return DensityClassSpec("contamination", variant, noiseless=True, upper=upper,
+                            epsilon=1.0, signal_power=p)
 
 
 @pytest.fixture(autouse=True)
@@ -104,9 +100,9 @@ def _higher_k_power_case(variant, K, n=256):
         weight = np.array([[2, .3, .1], [.3, 1, .2], [.1, .2, 1.5]], dtype=complex)
         signal_power = 1.1 * float(np.mean(np.einsum("kn,tnk->t", weight, U.values).real))
         noise_power = 1.8
-    spec = contamination_pair(variant, upper=U, epsilon=0.3, signal_power=signal_power,
-                              noise_power=noise_power, weight_signal=weight,
-                              weight_noise=weight)
+    spec = DensityClassSpec("contamination", variant, upper=U, epsilon=0.3,
+                            signal_power=signal_power, noise_power=noise_power,
+                            weight_signal=weight, weight_noise=weight)
     z = np.exp(-1j * lambda_grid(n))
 
     def random_psd(mean_trace):
@@ -127,18 +123,17 @@ class TestProjection:
         assert np.max(np.abs(Fp.values - 1.0)) < 1e-12
 
     def test_band_clipping(self):
-        spec = DensityClassSpec(signal=SignalClass(
-            kind="band", variant="trace",
-            lower=SpectralDensityGrid.white(1, 0.5, N),
-            upper=SpectralDensityGrid.white(1, 2.0, N)))
+        spec = DensityClassSpec("band", "trace", noiseless=True,
+                                lower=SpectralDensityGrid.white(1, 0.5, N),
+                                upper=SpectralDensityGrid.white(1, 2.0, N))
         Fp, _ = project_onto_class((SpectralDensityGrid.white(1, 3.0, N), None), spec)
         assert np.max(np.abs(Fp.values - 2.0)) < 1e-12
 
     def test_feasible_point_unchanged(self):
         U = as_grid(RationalDensity.ar1(0.3), N)
-        spec = contamination_pair("trace", upper=U, epsilon=0.4,
-                                  signal_power=1.2 * U.trace_integral(),
-                                  noise_power=0.5)
+        spec = DensityClassSpec("contamination", "trace", upper=U, epsilon=0.4,
+                                signal_power=1.2 * U.trace_integral(),
+                                noise_power=0.5)
         rng = np.random.default_rng(0)
         F, G = sample_feasible(spec, rng, N)
         F2, G2 = project_onto_class((F, G), spec)
@@ -162,11 +157,11 @@ class TestProjection:
                 "kn,tnk->t", B, U.values).real))
         else:
             power = 1.1 * np.mean(U.values, axis=0)
-        spec = contamination_pair(variant, upper=U, epsilon=0.3,
-                                  signal_power=power,
-                                  noise_power=power if variant != "weighted" else power,
-                                  weight_signal=B if variant == "weighted" else None,
-                                  weight_noise=B if variant == "weighted" else None)
+        spec = DensityClassSpec("contamination", variant, upper=U, epsilon=0.3,
+                                signal_power=power,
+                                noise_power=power if variant != "weighted" else power,
+                                weight_signal=B if variant == "weighted" else None,
+                                weight_noise=B if variant == "weighted" else None)
         F, G = sample_feasible(spec, rng, N)
         assert feasibility_gap((F, G), spec) < 1e-6
 
@@ -187,10 +182,10 @@ class TestProjection:
             radius = 0.2
         else:
             power, radius = 1.5 * np.eye(K), np.full((K, K), 0.2)
-        spec = band_pair(variant, lower=V, upper=U, signal_power=power,
-                         noise_nominal=G1, noise_radius=radius,
-                         weight_signal=B if variant == "weighted" else None,
-                         weight_noise=B if variant == "weighted" else None)
+        spec = DensityClassSpec("band", variant, lower=V, upper=U, signal_power=power,
+                                noise_nominal=G1, noise_radius=radius,
+                                weight_signal=B if variant == "weighted" else None,
+                                weight_noise=B if variant == "weighted" else None)
         F, G = sample_feasible(spec, rng, N)
         assert feasibility_gap((F, G), spec) < 1e-6
 
@@ -203,11 +198,10 @@ class TestProjection:
         assert feasibility_gap(project_onto_class((F, G), spec), spec) < 1e-10
 
     def test_infeasible_power_target_raises(self):
-        spec = DensityClassSpec(signal=SignalClass(
-            kind="band", variant="trace",
-            lower=SpectralDensityGrid.white(1, 1.0, N),
-            upper=SpectralDensityGrid.white(1, 2.0, N),
-            power=5.0))
+        spec = DensityClassSpec("band", "trace", noiseless=True,
+                                lower=SpectralDensityGrid.white(1, 1.0, N),
+                                upper=SpectralDensityGrid.white(1, 2.0, N),
+                                signal_power=5.0)
         with pytest.raises(InfeasibleClassError):
             project_onto_class((SpectralDensityGrid.white(1, 1.5, N), None), spec)
 
@@ -284,20 +278,20 @@ class TestExactSteps:
         t = 1.5 * np.cos(3 * lambda_grid(N)) + 0.2  # negative in places
         start = SpectralDensityGrid(t.astype(complex)[:, None, None], check=False)
         if kind == "power":
-            spec = contamination_pair("trace", upper=U, epsilon=0.3,
-                                      signal_power=1.2 * u.mean(), noise_power=0.9)
+            spec = DensityClassSpec("contamination", "trace", upper=U, epsilon=0.3,
+                                    signal_power=1.2 * u.mean(), noise_power=0.9)
             out = project_onto_class((U, start), spec)[1]
             lower, upper, target = np.zeros(N), np.inf, 0.9
         elif kind == "contamination":
-            spec = DensityClassSpec(signal=SignalClass(
-                kind="contamination", variant="trace", upper=U, epsilon=0.3,
-                power=u.mean()))
+            spec = DensityClassSpec("contamination", "trace", noiseless=True, upper=U,
+                                    epsilon=0.3, signal_power=u.mean())
             out = project_onto_class((start, None), spec)[0]
             lower, upper, target = (1.0 - 0.3) * u, np.inf, u.mean()
         else:
-            spec = DensityClassSpec(signal=SignalClass(
-                kind="band", variant="trace", lower=SpectralDensityGrid(0.6 * U.values),
-                upper=SpectralDensityGrid(1.4 * U.values), power=u.mean()))
+            spec = DensityClassSpec("band", "trace", noiseless=True,
+                                    lower=SpectralDensityGrid(0.6 * U.values),
+                                    upper=SpectralDensityGrid(1.4 * U.values),
+                                    signal_power=u.mean())
             out = project_onto_class((start, None), spec)[0]
             lower, upper, target = 0.6 * u, 1.4 * u, u.mean()
         ref = _brentq_shift(t, lower, upper, target)
@@ -345,10 +339,10 @@ class TestLeastFavorable:
         # Scaled to its own norm grad_G would move G a full step along noise.
         K = 2
         G1 = SpectralDensityGrid.constant(0.25 * np.eye(K), N)
-        spec = band_pair("matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
-                         upper=SpectralDensityGrid.constant([[2.0, 0.2], [0.2, 2.0]], N),
-                         signal_power=np.eye(K), noise_nominal=G1,
-                         noise_radius=np.full((K, K), 0.15))
+        spec = DensityClassSpec(
+            "band", "matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
+            upper=SpectralDensityGrid.constant([[2.0, 0.2], [0.2, 2.0]], N),
+            signal_power=np.eye(K), noise_nominal=G1, noise_radius=np.full((K, K), 0.15))
         functionals = {(0, 1): np.array([[1.0, 0.2], [0.3, -0.4]])}
         F, G = project_onto_class((SpectralDensityGrid.constant(np.eye(K), N), G1), spec)
         anchor = build_anchor(F, G, functionals, window=32)
@@ -362,10 +356,10 @@ class TestLeastFavorable:
 
     def test_point_class_returns_input(self):
         U = as_grid(RationalDensity.ar1(0.3), N)
-        spec = band_pair("trace", lower=U, upper=U,
-                         signal_power=U.trace_integral(),
-                         noise_nominal=SpectralDensityGrid.white(1, 0.2, N),
-                         noise_radius=0.0)
+        spec = DensityClassSpec("band", "trace", lower=U, upper=U,
+                                signal_power=U.trace_integral(),
+                                noise_nominal=SpectralDensityGrid.white(1, 0.2, N),
+                                noise_radius=0.0)
         res = find_least_favorable(spec, np.array([[1.0]]),
                                    (SpectralDensityGrid.white(1, 1.0, N),
                                     SpectralDensityGrid.white(1, 0.2, N)),
@@ -375,9 +369,9 @@ class TestLeastFavorable:
 
     def test_degenerate_mixture_pins_scalar_density(self):
         U = as_grid(RationalDensity.ar1(0.3), N)
-        spec = contamination_pair("trace", upper=U, epsilon=0.0,
-                                  signal_power=U.trace_integral(),
-                                  noise_power=0.3)
+        spec = DensityClassSpec("contamination", "trace", upper=U, epsilon=0.0,
+                                signal_power=U.trace_integral(),
+                                noise_power=0.3)
         F, _ = project_onto_class((SpectralDensityGrid.white(1, 1.0, N),
                                    SpectralDensityGrid.white(1, 0.3, N)), spec)
         assert np.max(np.abs(F.values - U.values)) < 1e-10
@@ -386,9 +380,9 @@ class TestLeastFavorable:
 class TestSaddleResidual:
     def test_small_at_optimum_large_elsewhere(self):
         U = as_grid(RationalDensity.ar1(0.3), N)
-        spec = contamination_pair("trace", upper=U, epsilon=0.3,
-                                  signal_power=1.2 * U.trace_integral(),
-                                  noise_power=0.4)
+        spec = DensityClassSpec("contamination", "trace", upper=U, epsilon=0.3,
+                                signal_power=1.2 * U.trace_integral(),
+                                noise_power=0.4)
         a = np.array([[1.0], [0.5]])
         init = (SpectralDensityGrid.white(1, 1.2 * U.trace_integral(), N),
                 SpectralDensityGrid.white(1, 0.4, N))
@@ -399,15 +393,15 @@ class TestSaddleResidual:
 
         rng = np.random.default_rng(5)
         Fs, Gs = sample_feasible(spec, rng, N)
-        rep = saddle_point_residual(Fs, Gs, spec, a, mode="noisy", window=48)
+        rep = saddle_point_residual(Fs, Gs, spec, a, window=48)
         assert rep.residual_F > 0.1
         assert rep.residual_G > 0.1
 
     def test_complementary_slackness_and_signs(self):
         U = as_grid(RationalDensity.ar1(0.3), N)
-        spec = contamination_pair("trace", upper=U, epsilon=0.3,
-                                  signal_power=1.2 * U.trace_integral(),
-                                  noise_power=0.4)
+        spec = DensityClassSpec("contamination", "trace", upper=U, epsilon=0.3,
+                                signal_power=1.2 * U.trace_integral(),
+                                noise_power=0.4)
         a = np.array([[1.0], [0.5]])
         init = (SpectralDensityGrid.white(1, 1.2 * U.trace_integral(), N),
                 SpectralDensityGrid.white(1, 0.4, N))
@@ -429,8 +423,8 @@ class TestSaddleResidual:
         V = SpectralDensityGrid.white(1, 0.5, N)
         U = SpectralDensityGrid.white(1, 2.0, N)
         G1 = SpectralDensityGrid.white(1, 0.2, N)
-        spec = band_pair("trace", lower=V, upper=U, signal_power=1.1,
-                         noise_nominal=G1, noise_radius=0.1)
+        spec = DensityClassSpec("band", "trace", lower=V, upper=U, signal_power=1.1,
+                                noise_nominal=G1, noise_radius=0.1)
         a = np.array([[1.0], [0.5]])
         res = find_least_favorable(spec, a,
                                    (SpectralDensityGrid.white(1, 1.1, N), G1),
@@ -457,10 +451,8 @@ class TestSaddleResidual:
         functionals = {(k, 1): np.eye(K)[k:k + 1] for k in range(K)}
         res = find_least_favorable(spec, functionals, (init, None),
                                    max_iter=300, tol=1e-10, window=48, n_lambda=N)
-        rep_nl = saddle_point_residual(res.F0, None, spec, functionals,
-                                       mode="noiseless", window=48)
-        rep_fc = saddle_point_residual(res.F0, None, spec, functionals,
-                                       mode="factorized", window=48)
+        rep_nl = saddle_point_residual(res.F0, None, spec, functionals, window=48)
+        rep_fc = factorized_saddle_residual(res.F0, spec, functionals)
         assert rep_nl.residual_F <= 1e-3
         assert rep_fc.residual_F <= 1e-3
         assert rep_fc.objective == pytest.approx(rep_nl.objective, rel=1e-6)
@@ -468,26 +460,25 @@ class TestSaddleResidual:
             rep_nl.multipliers["F"]["alpha_sq"], rel=1e-8)
 
     def test_mode_class_mismatch_rejected(self):
-        U = as_grid(RationalDensity.ar1(0.3), N)
-        spec = contamination_pair("trace", upper=U, epsilon=0.3,
-                                  signal_power=1.2 * U.trace_integral(),
-                                  noise_power=0.4)
+        # the check is noisy iff G0 is given; a noiseless class has no
+        # noise side to check it on
         F0 = SpectralDensityGrid.white(1, 1.0, N)
         G0 = SpectralDensityGrid.white(1, 0.4, N)
-        with pytest.raises(ClassModeError):
-            saddle_point_residual(F0, G0, spec, np.array([[1.0]]), mode="factorized")
-        with pytest.raises(ClassModeError):
-            saddle_point_residual(F0, None, fixed_power_class(1.0),
-                                  np.array([[1.0]]), mode="noisy")
+        with pytest.raises(ValueError, match="noiseless class takes no noise density"):
+            saddle_point_residual(F0, G0, fixed_power_class(1.0), np.array([[1.0]]))
 
     def test_noisy_mode_needs_a_noise_density(self):
+        # without G0 the check of a noisy class is the noiseless one: the
+        # signal side at (F0, 0), as for the class without its noise side
         U = as_grid(RationalDensity.ar1(0.3), N)
-        spec = contamination_pair("trace", upper=U, epsilon=0.3,
-                                  signal_power=1.2 * U.trace_integral(),
-                                  noise_power=0.4)
-        with pytest.raises(ClassModeError, match="noise density"):
-            saddle_point_residual(SpectralDensityGrid.white(1, 1.0, N), None, spec,
-                                  np.array([[1.0]]), mode="noisy")
+        fields = dict(upper=U, epsilon=0.3, signal_power=1.2 * U.trace_integral())
+        spec = DensityClassSpec("contamination", "trace", noise_power=0.4, **fields)
+        F0 = SpectralDensityGrid.white(1, 1.0, N)
+        rep = saddle_point_residual(F0, None, spec, np.array([[1.0]]), window=48)
+        ref = saddle_point_residual(F0, None, DensityClassSpec(
+            "contamination", "trace", noiseless=True, **fields), np.array([[1.0]]), window=48)
+        assert rep.residual_G is None and rep.multipliers.keys() == {"F"}
+        assert rep.residual_F == ref.residual_F and rep.objective == ref.objective
 
     def test_factorized_mode_refuses_a_factor_over_tolerance(self):
         # at N 1024 the factor of a pole at 0.995 misses its density by 15 %;
@@ -495,12 +486,11 @@ class TestSaddleResidual:
         # error of 1
         n = 1024
         F0 = as_grid(RationalDensity.ar1(0.995), n)
-        spec = DensityClassSpec(signal=SignalClass(
-            kind="contamination", variant="trace", upper=as_grid(RationalDensity.ar1(0.3), n),
-            epsilon=0.3, power=F0.trace_integral()))
+        spec = DensityClassSpec("contamination", "trace", noiseless=True,
+                                upper=as_grid(RationalDensity.ar1(0.3), n),
+                                epsilon=0.3, signal_power=F0.trace_integral())
         with pytest.raises(FactorizationError, match="relative residual"):
-            saddle_point_residual(F0, None, spec, np.array([[1.0]]),
-                                  mode="factorized", window=48)
+            factorized_saddle_residual(F0, spec, np.array([[1.0]]))
 
     def test_factorized_mode_refuses_a_singular_factor(self, monkeypatch):
         # the field is read off the innovations route's h; where that route
@@ -512,9 +502,9 @@ class TestSaddleResidual:
         fac = spectral_factorize(F0)
         monkeypatch.setattr(minimax, "spectral_factorize", lambda F: fac)
         monkeypatch.setattr(extrapolate, "_node_inverse", singular)
-        spec = DensityClassSpec(signal=SignalClass(
-            kind="contamination", variant="trace", upper=as_grid(RationalDensity.ar1(0.5), N),
-            epsilon=0.3, power=F0.trace_integral()))
+        spec = DensityClassSpec("contamination", "trace", noiseless=True,
+                                upper=as_grid(RationalDensity.ar1(0.5), N),
+                                epsilon=0.3, signal_power=F0.trace_integral())
         # the event is reported once: the solve returns h_grid None, silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -522,16 +512,15 @@ class TestSaddleResidual:
         assert sol.h_grid is None and sol.coefficients is None
         assert sol.delta == pytest.approx(1.0)
         with pytest.raises(FactorizationError, match="singular"):
-            saddle_point_residual(F0, None, spec, np.array([[1.0]]),
-                                  mode="factorized", window=48)
+            factorized_saddle_residual(F0, spec, np.array([[1.0]]))
 
 
 class TestDominance:
     def test_sampled_saddle_dominance_contamination(self):
         U = as_grid(RationalDensity.ar1(0.3), N)
-        spec = contamination_pair("trace", upper=U, epsilon=0.3,
-                                  signal_power=1.2 * U.trace_integral(),
-                                  noise_power=0.4)
+        spec = DensityClassSpec("contamination", "trace", upper=U, epsilon=0.3,
+                                signal_power=1.2 * U.trace_integral(),
+                                noise_power=0.4)
         a = np.array([[1.0], [0.5]])
         init = (SpectralDensityGrid.white(1, 1.2 * U.trace_integral(), N),
                 SpectralDensityGrid.white(1, 0.4, N))
@@ -556,17 +545,17 @@ class TestStructuredVariants:
         U = as_grid(RationalDensity(
             np.stack([np.diag([1.0, 0.8]), np.diag([0.3, -0.2])]), [1.0]), N)
         pk = 1.15 * np.mean(np.diagonal(U.values, axis1=1, axis2=2).real, axis=0)
-        spec = contamination_pair("component", upper=U, epsilon=0.35,
-                                  signal_power=pk,
-                                  noise_power=np.array([0.3, 0.25]))
+        spec = DensityClassSpec("contamination", "component", upper=U, epsilon=0.35,
+                                signal_power=pk,
+                                noise_power=np.array([0.3, 0.25]))
         a = np.array([[1.0, 0.0], [0.5, 0.0]], dtype=complex)
         init = (SpectralDensityGrid.constant(np.diag(pk), N),
                 SpectralDensityGrid.constant(np.diag([0.3, 0.25]), N))
         res = find_least_favorable(spec, a, init, max_iter=250, tol=1e-9,
                                    window=32, n_lambda=N)
         U1 = SpectralDensityGrid(U.values[:, :1, :1])
-        spec1 = contamination_pair("trace", upper=U1, epsilon=0.35,
-                                   signal_power=float(pk[0]), noise_power=0.3)
+        spec1 = DensityClassSpec("contamination", "trace", upper=U1, epsilon=0.35,
+                                 signal_power=float(pk[0]), noise_power=0.3)
         res1 = find_least_favorable(
             spec1, np.array([[1.0], [0.5]]),
             (SpectralDensityGrid.white(1, float(pk[0]), N),
@@ -588,17 +577,17 @@ class TestStructuredVariants:
         a = np.array([[1.0, 0.2], [0.3, -0.4]], dtype=complex)
         B1 = np.array([[1.5, 0.2], [0.2, 1.0]], dtype=complex)
         pw = 1.2 * float(np.mean(np.einsum("kn,tnk->t", B1, U.values).real))
-        spec_w = contamination_pair("weighted", upper=U, epsilon=0.3,
-                                    signal_power=pw, noise_power=0.5,
-                                    weight_signal=B1, weight_noise=B1)
+        spec_w = DensityClassSpec("contamination", "weighted", upper=U, epsilon=0.3,
+                                  signal_power=pw, noise_power=0.5,
+                                  weight_signal=B1, weight_noise=B1)
         V = SpectralDensityGrid.constant(0.3 * np.eye(K), N)
         Um = SpectralDensityGrid.constant(
             2.0 * np.eye(K) + 0.2 * np.array([[0, 1], [1, 0]]), N)
         G1 = SpectralDensityGrid.constant(0.25 * np.eye(K), N)
-        spec_m = band_pair("matrix", lower=V, upper=Um,
-                           signal_power=1.0 * np.eye(K),
-                           noise_nominal=G1,
-                           noise_radius=np.full((K, K), 0.15))
+        spec_m = DensityClassSpec("band", "matrix", lower=V, upper=Um,
+                                  signal_power=1.0 * np.eye(K),
+                                  noise_nominal=G1,
+                                  noise_radius=np.full((K, K), 0.15))
         init = (SpectralDensityGrid.constant(np.eye(K), N), G1)
         rng = np.random.default_rng(6)
         for spec in (spec_w, spec_m):
@@ -620,21 +609,18 @@ class TestBandNoiselessFactorized:
         # feasible and maximizes the one-step error, with both bounds slack
         # everywhere, so every residual mode must agree and be small
         p = 1.2
-        spec = DensityClassSpec(signal=SignalClass(
-            kind="band", variant="trace",
-            lower=SpectralDensityGrid.white(1, 0.5, N),
-            upper=SpectralDensityGrid.white(1, 2.0, N),
-            power=p))
+        spec = DensityClassSpec("band", "trace", noiseless=True,
+                                lower=SpectralDensityGrid.white(1, 0.5, N),
+                                upper=SpectralDensityGrid.white(1, 2.0, N),
+                                signal_power=p)
         init = SpectralDensityGrid.from_scalar_function(
             lambda lam: p * (1.0 + 0.4 * np.cos(lam)), N)
         res = find_least_favorable(spec, np.array([[1.0]]), (init, None),
                                    max_iter=300, tol=1e-10, window=48,
                                    n_lambda=N)
         assert np.max(np.abs(res.F0.values[:, 0, 0].real - p)) <= 1e-3 * p
-        rep_nl = saddle_point_residual(res.F0, None, spec, np.array([[1.0]]),
-                                       mode="noiseless", window=48)
-        rep_fc = saddle_point_residual(res.F0, None, spec, np.array([[1.0]]),
-                                       mode="factorized", window=48)
+        rep_nl = saddle_point_residual(res.F0, None, spec, np.array([[1.0]]), window=48)
+        rep_fc = factorized_saddle_residual(res.F0, spec, np.array([[1.0]]))
         assert rep_nl.residual_F <= 1e-3
         assert rep_fc.residual_F <= 1e-3
         # interior optimum: both slack profiles vanish identically
@@ -651,12 +637,12 @@ class TestMultiplierFits:
 
         B = np.array([[1.5, 0.3j], [-0.3j, 1.0]])
         K = 2
-        spec = band_pair("weighted", lower=SpectralDensityGrid.white(K, 0.2, N),
-                         upper=SpectralDensityGrid.white(K, 3.0, N),
-                         signal_power=None,
-                         noise_nominal=SpectralDensityGrid.white(K, 0.3, N),
-                         noise_radius=0.1, weight_signal=B, weight_noise=B)
-        signal, _ = _class_constraints(spec, N, K, True)
+        spec = DensityClassSpec("band", "weighted", lower=SpectralDensityGrid.white(K, 0.2, N),
+                                upper=SpectralDensityGrid.white(K, 3.0, N),
+                                signal_power=None,
+                                noise_nominal=SpectralDensityGrid.white(K, 0.3, N),
+                                noise_radius=0.1, weight_signal=B, weight_noise=B)
+        signal, _ = _class_constraints(spec, N, True)
         # interior signal: both bounds slack everywhere
         F = SpectralDensityGrid.white(K, 1.0, N).values
         M = np.broadcast_to(0.7 * B, (N, K, K))
@@ -664,10 +650,11 @@ class TestMultiplierFits:
         assert mult["alpha_sq"] == pytest.approx(0.7, abs=1e-12)
         assert np.max(np.abs(model - M)) <= 1e-12
 
-        noise_spec = contamination_pair("weighted", upper=SpectralDensityGrid.white(K, 1.0, N),
-                                        epsilon=0.3, signal_power=None, noise_power=1.0,
-                                        weight_signal=B, weight_noise=B)
-        _, noise = _class_constraints(noise_spec, N, K, True)
+        noise_spec = DensityClassSpec("contamination", "weighted",
+                                      upper=SpectralDensityGrid.white(K, 1.0, N),
+                                      epsilon=0.3, signal_power=None, noise_power=1.0,
+                                      weight_signal=B, weight_noise=B)
+        _, noise = _class_constraints(noise_spec, N, True)
         model, mult = noise.fit(M, SpectralDensityGrid.white(K, 0.4, N).values)
         assert mult["beta_sq"] == pytest.approx(0.7, abs=1e-12)
         assert np.max(np.abs(model - M)) <= 1e-12
@@ -677,17 +664,76 @@ class TestMultiplierFits:
 
         K = 2
         nominal = SpectralDensityGrid.white(K, 0.3, N)
-        spec = band_pair("component", lower=SpectralDensityGrid.white(K, 0.2, N),
-                         upper=SpectralDensityGrid.white(K, 3.0, N),
-                         signal_power=np.full(K, 1.0), noise_nominal=nominal,
-                         noise_radius=np.full(K, 0.05))
-        _, noise = _class_constraints(spec, N, K, True)
+        spec = DensityClassSpec("band", "component", lower=SpectralDensityGrid.white(K, 0.2, N),
+                                upper=SpectralDensityGrid.white(K, 3.0, N),
+                                signal_power=np.full(K, 1.0), noise_nominal=nominal,
+                                noise_radius=np.full(K, 0.05))
+        _, noise = _class_constraints(spec, N, True)
         # deviation from the nominal is positive on both diagonals
         G = nominal.values + 0.1 * np.eye(K)
         M = np.broadcast_to(np.diag([1.0, 3.0]).astype(complex), (N, K, K))
         model, mult = noise.fit(M, G)
         np.testing.assert_allclose(mult["beta_sq"], [1.0, 3.0], rtol=0, atol=1e-12)
         assert np.max(np.abs(model - M)) <= 1e-12
+
+
+def _rank1(v):
+    v = np.asarray(v, dtype=complex)
+    return np.outer(v, v.conj())
+
+
+class TestLoewnerFits:
+    """The K = 2 matrix contamination class's two cone-constrained fits on a
+    stationarity field built to meet their model exactly: a constant
+    rank-1 PSD level R0 at the interior nodes, and R0 plus a negative
+    definite slack at the active (signal) or edge (noise) nodes."""
+
+    K = 2
+    R0 = _rank1([0.8, 0.6j])
+    SLACK = -(_rank1([1.0, 0.5 - 0.5j]) + 0.2 * np.eye(2))
+
+    def sides(self):
+        from pcfield.minimax import _class_constraints
+
+        U = SpectralDensityGrid.constant([[2.0, 0.3j], [-0.3j, 1.5]], N)
+        spec = DensityClassSpec("contamination", "matrix", upper=U, epsilon=0.3,
+                                signal_power=np.eye(self.K), noise_power=0.5 * np.eye(self.K))
+        return _class_constraints(spec, N, True)
+
+    def field(self, active):
+        M = np.broadcast_to(self.R0, (N, self.K, self.K)).copy()
+        M[active] += self.SLACK
+        return M
+
+    @staticmethod
+    def model_residual(model, M):
+        return float(np.max(np.linalg.norm(model - M, axis=(1, 2)))
+                     / np.max(np.linalg.norm(M, axis=(1, 2))))
+
+    def test_signal_lower_bound_only_fit(self):
+        # F = lower + a rank-1 PSD matrix sits on the lower bound; lower + I
+        # is interior.  The contamination side has no upper bound.
+        signal, _ = self.sides()
+        assert signal.upper is None
+        active = np.arange(N) % 3 == 0
+        F = signal.lower + np.where(active[:, None, None], _rank1([0.3, 0.4]), np.eye(self.K))
+        M = self.field(active)
+        model, mult = signal.fit(M, F)
+        assert self.model_residual(model, M) <= 1e-12
+        assert np.max(np.abs(mult["alpha_outer"] - self.R0)) <= 1e-12
+        assert mult["active_lower_fraction"] == pytest.approx(active.mean(), abs=0)
+
+    def test_noise_power_fit(self):
+        # a rank-1 noise density sits on the PSD cone's edge
+        _, noise = self.sides()
+        assert noise.radius is None and noise.lower is None
+        edge = np.arange(N) % 4 == 1
+        G = np.where(edge[:, None, None], _rank1([0.5, -0.2j]), 0.5 * np.eye(self.K))
+        M = self.field(edge)
+        model, mult = noise.fit(M, G)
+        assert self.model_residual(model, M) <= 1e-12
+        assert np.max(np.abs(mult["beta_outer"] - self.R0)) <= 1e-12
+        assert mult["boundary_fraction"] == pytest.approx(edge.mean(), abs=0)
 
 
 class TestBacktracking:
@@ -804,33 +850,31 @@ class TestAnchorLinearization:
             functionals = {(0, 1): np.array([[1.0], [0.4]])}
             init = (SpectralDensityGrid.from_scalar_function(
                 lambda lam: 1.0 + 0.5 * np.cos(lam), N), None)
-            mode = "noiseless"
         else:
             K = 2
             functionals = {(0, 1): np.array([[1.0, 0.2], [0.3, -0.4]]),
                            (1, 2): np.array([[0.5, 1.0]])}
             G1 = SpectralDensityGrid.constant(0.25 * np.eye(K), N)
             init = (SpectralDensityGrid.constant(np.eye(K), N), G1)
-            mode = "noisy"
             if case == "matrix-band-K2":
-                spec = band_pair("matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
-                                 upper=SpectralDensityGrid.constant(2.0 * np.eye(K), N),
-                                 signal_power=np.eye(K), noise_nominal=G1,
-                                 noise_radius=np.full((K, K), 0.1))
+                spec = DensityClassSpec(
+                    "band", "matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
+                    upper=SpectralDensityGrid.constant(2.0 * np.eye(K), N),
+                    signal_power=np.eye(K), noise_nominal=G1,
+                    noise_radius=np.full((K, K), 0.1))
             else:
-                spec = contamination_pair(
-                    "component", upper=SpectralDensityGrid.constant(np.eye(K), N),
+                spec = DensityClassSpec(
+                    "contamination", "component",
+                    upper=SpectralDensityGrid.constant(np.eye(K), N),
                     epsilon=0.3, signal_power=np.full(K, 1.2), noise_power=np.full(K, 0.25))
         res = find_least_favorable(spec, functionals, init, max_iter=4, tol=1e-12,
                                    window=self.WINDOW, n_lambda=N)
         assert res.anchor.F0 is res.F0 and res.anchor.delta == res.objective_history[-1]
-        ref = saddle_point_residual(res.F0, res.G0, spec, functionals, mode=mode,
-                                    window=self.WINDOW)
+        ref = saddle_point_residual(res.F0, res.G0, spec, functionals, window=self.WINDOW)
         rep = res.report
-        assert rep.mode == ref.mode == mode
         assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
         assert rep.residual_F == pytest.approx(ref.residual_F, rel=1e-12)
-        if mode == "noisy":
+        if res.G0 is not None:
             assert rep.residual_G == pytest.approx(ref.residual_G, rel=1e-12)
         else:
             assert rep.residual_G is ref.residual_G is None
@@ -950,9 +994,9 @@ class TestProjectionStop:
 
     def test_k1_projection_clips_once(self, monkeypatch):
         U = as_grid(RationalDensity.ar1(0.5), N)
-        side = minimax._constraints(SignalClass(
-            kind="contamination", variant="trace", upper=U, epsilon=0.3,
-            power=U.trace_integral()), N, 1, 1.0)
+        side, _ = minimax._class_constraints(DensityClassSpec(
+            "contamination", "trace", noiseless=True, upper=U, epsilon=0.3,
+            signal_power=U.trace_integral()), N, False)
         start = (1.5 * np.cos(3 * lambda_grid(N)) + 0.2).astype(complex)[:, None, None]
         two_sweeps = _psd_clip(side._clip(_psd_clip(side._clip(start))))
         calls = self.counted_clips(monkeypatch)
@@ -962,7 +1006,7 @@ class TestProjectionStop:
 
     def test_k2_trace_side_whose_clip_acts_still_alternates(self, monkeypatch):
         spec, F, G = _higher_k_power_case("trace", 2)
-        side = minimax._constraints(spec.noise, F.n_lambda, 2, spec.channel_weight)
+        _, side = minimax._class_constraints(spec, F.n_lambda, True)
         assert np.max(np.abs(_psd_clip(side._clip(G.values)) - side._clip(G.values))) > 1e-3
         calls = self.counted_clips(monkeypatch)
         out = side.project(G.values)
@@ -984,10 +1028,10 @@ class TestProjectionSweepCap:
         # projections end within 41 of the 80 sweeps
         K = 2
         G1 = SpectralDensityGrid.constant(0.25 * np.eye(K), N)
-        spec = band_pair("matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
-                         upper=SpectralDensityGrid.constant([[2.0, 0.2], [0.2, 2.0]], N),
-                         signal_power=np.eye(K), noise_nominal=G1,
-                         noise_radius=np.full((K, K), 0.15))
+        spec = DensityClassSpec(
+            "band", "matrix", lower=SpectralDensityGrid.constant(0.3 * np.eye(K), N),
+            upper=SpectralDensityGrid.constant([[2.0, 0.2], [0.2, 2.0]], N),
+            signal_power=np.eye(K), noise_nominal=G1, noise_radius=np.full((K, K), 0.15))
         init = (SpectralDensityGrid.constant(np.eye(K), N), G1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
