@@ -32,6 +32,7 @@ from .extrapolate import (
     oracle_solve,
     solve_channel,
     spectral_factorize,
+    _checked_factor,
 )
 from .minimax import DensityClassSpec, InfeasibleClassError, find_least_favorable
 from .simulate import (
@@ -52,6 +53,7 @@ from .spectral import (
     complex_tensor_from_json,
     density_from_spec,
     lambda_grid,
+    _real_array_from_json,
 )
 
 EXIT_OK = 0
@@ -71,12 +73,12 @@ class SchemaError(ValueError):
 _TOP_KEYS = {"version", "channels", "solver", "blocking", "class_spec", "simulation"}
 _CHANNEL_KEYS = {"m", "l", "F", "G", "a", "reference_F", "reference_G"}
 _SOLVER_KEYS = {"window", "j_past", "n_lambda", "tolerances"}
-_TOL_KEYS = {"oracle_rel", "mc_sigmas", "factorization", "cond_ceiling"}
+_TOL_KEYS = {"oracle_rel", "mc_sigmas"}
 _BLOCKING_KEYS = {"period", "n_components", "dt"}
 # the class keys are DensityClassSpec's fields; the search reads four more
 _SPEC_KEYS = tuple(f.name for f in dataclasses.fields(DensityClassSpec))
 _CLASS_KEYS = {*_SPEC_KEYS, "max_iter", "tol", "init_F", "init_G"}
-_SIM_KEYS = {"seed", "n_trials", "n_steps", "batch_size", "keep_trials"}
+_SIM_KEYS = {"seed", "n_trials", "n_steps", "keep_trials"}
 
 
 def _require_keys(obj, allowed, required, where, strict):
@@ -135,14 +137,14 @@ def _parse_functional(raw, blocking, K, where):
                               "'samples_csv'")
         if blocking is None:
             raise SchemaError(f"{where}: sampled functional needs a blocking section")
-        if "samples_csv" in raw:
-            try:
+        try:
+            if "samples_csv" in raw:
                 _, samples = read_samples_csv(raw["samples_csv"])
-            except (OSError, ValueError) as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
-        else:
-            samples = np.asarray(raw["samples"], dtype=float)
-        return functional_to_spec(samples, blocking).coefficients
+            else:
+                samples = _real_array_from_json(raw["samples"], "samples")
+            return functional_to_spec(samples, blocking).coefficients
+        except (OSError, ValueError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
     try:
         arr = complex_tensor_from_json(raw, base_ndim=(1, 2), where=where)
     except ValueError as exc:
@@ -184,10 +186,6 @@ class Problem:
         self.tolerances = {
             "oracle_rel": _positive(tols, "oracle_rel", 1e-4, "solver.tolerances"),
             "mc_sigmas": _positive(tols, "mc_sigmas", 3.0, "solver.tolerances"),
-            "factorization": _positive(tols, "factorization", FACTORIZATION_TOL,
-                                       "solver.tolerances"),
-            "cond_ceiling": _positive(tols, "cond_ceiling", DEFAULT_COND_CEILING,
-                                      "solver.tolerances"),
         }
 
         self.blocking = None
@@ -266,7 +264,7 @@ class Problem:
             self.simulation = SimulationConfig(
                 seed=_integer(sim, "seed", None, "simulation", minimum=0),
                 **{name: _integer(sim, name, defaults[name], "simulation", minimum=1)
-                   for name in ("n_trials", "n_steps", "batch_size")},
+                   for name in ("n_trials", "n_steps")},
             )
             self.keep_trials = _boolean(sim, "keep_trials", "simulation")
 
@@ -381,9 +379,11 @@ def _write_grid_csv(path, values, lam):
 
 
 def _meta(problem):
+    # the file's two validate tolerances, and the thresholds every command applies
     return {
         "input_sha256": problem.sha256,
-        "tolerances": problem.tolerances,
+        "tolerances": {**problem.tolerances, "cond_ceiling": DEFAULT_COND_CEILING,
+                       "factorization": FACTORIZATION_TOL},
         "window": problem.window,
         "j_past": problem.j_past,
         "n_lambda": problem.n_lambda,
@@ -398,9 +398,11 @@ def _channel_grids(problem, entry):
             as_grid(entry["G"], problem.n_lambda) if entry["G"] is not None else None)
 
 
-def _solve(problem, entry, F, G):
-    return solve_channel(F, G, entry["a"], window=problem.window,
-                         cond_ceiling=problem.tolerances["cond_ceiling"])
+def _channel_factors(problem):
+    """Each channel's factor of F at ``n_lambda``; a factor that
+    ``_checked_factor`` refuses stops the command before it writes a file."""
+    return [_checked_factor(spectral_factorize(entry["F"], n_lambda=problem.n_lambda),
+                            f"channels[{i}]: ") for i, entry in enumerate(problem.channels)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +410,7 @@ def _solve(problem, entry, F, G):
 
 
 def cmd_solve(problem, out_dir, args):
-    sols = [_solve(problem, entry, *_channel_grids(problem, entry))
+    sols = [solve_channel(*_channel_grids(problem, entry), entry["a"], window=problem.window)
             for entry in problem.channels]
     payload = {"command": "solve", "meta": _meta(problem), "channels": []}
     total = 0.0
@@ -479,28 +481,16 @@ def cmd_oracle(problem, out_dir, args):
 
 
 def cmd_factorize(problem, out_dir, args):
-    payload = {"command": "factorize", "meta": _meta(problem), "channels": []}
-    rows = []
-    tol = problem.tolerances["factorization"]
-    for i, entry in enumerate(problem.channels):
-        fac = spectral_factorize(entry["F"], n_lambda=problem.n_lambda)
-        if not fac.relative_residual <= tol:
-            raise FactorizationError(
-                f"channels[{i}]: relative residual {fac.relative_residual:.3e} "
-                f"exceeds solver.tolerances.factorization {tol:.3e}"
-            )
-        trimmed = fac.trimmed_coefficients
-        payload["channels"].append({
-            "m": entry["m"], "l": entry["l"],
-            "residual": fac.residual,
-            "iterations": fac.iterations,
-            "n_coefficients": int(trimmed.shape[0]),
-        })
-        rows.append((entry, trimmed))
+    factors = _channel_factors(problem)
+    trimmed = [fac.trimmed_coefficients for fac in factors]
+    payload = {"command": "factorize", "meta": _meta(problem), "channels": [
+        {"m": entry["m"], "l": entry["l"], "residual": fac.residual,
+         "iterations": fac.iterations, "n_coefficients": int(d.shape[0])}
+        for entry, fac, d in zip(problem.channels, factors, trimmed)]}
     _write_json(out_dir / "factorization.json", payload)
-    for entry, trimmed in rows:
+    for entry, d in zip(problem.channels, trimmed):
         _write_csv(out_dir / f"factor_{entry['m']}_{entry['l']}.csv",
-                   ["u", "row", "col", "re", "im"], _entry_columns(trimmed))
+                   ["u", "row", "col", "re", "im"], _entry_columns(d))
     return EXIT_OK
 
 
@@ -517,8 +507,7 @@ def cmd_simulate(problem, out_dir, args):
     cfg = _simulation(problem, args)
     payload = {"command": "simulate", "meta": _meta(problem),
                "seed": cfg.seed, "n_steps": cfg.n_steps, "channels": []}
-    for entry in problem.channels:
-        fac = spectral_factorize(entry["F"], n_lambda=problem.n_lambda)
+    for entry, fac in zip(problem.channels, _channel_factors(problem)):
         path = simulate_channel(fac, cfg.n_steps, seed=cfg.seed)
         cov0 = empirical_lag_covariance(path, 0)
         payload["channels"].append({
@@ -542,7 +531,7 @@ def cmd_validate(problem, out_dir, args):
         # the solve, the oracle and the draw share the channel's grids; a
         # reference density is rasterized apart, only when given
         F, G = _channel_grids(problem, entry)
-        sol = _solve(problem, entry, F, G)
+        sol = solve_channel(F, G, entry["a"], window=problem.window)
         ref_F, ref_G = entry["reference_F"], entry["reference_G"]
         F_true = F if ref_F is None else as_grid(ref_F, problem.n_lambda)
         G_true = G if ref_G is None else as_grid(ref_G, problem.n_lambda)
@@ -670,9 +659,7 @@ def cmd_check(problem, out_dir, args):
     payload = {"command": "check", "meta": _meta(problem), "channels": []}
     overall = True
     for entry in problem.channels:
-        report = check_minimality(entry["F"], entry["G"],
-                                  cond_ceiling=problem.tolerances["cond_ceiling"],
-                                  n_lambda=problem.n_lambda)
+        report = check_minimality(entry["F"], entry["G"], n_lambda=problem.n_lambda)
         overall = overall and report.passed
         payload["channels"].append({
             "m": entry["m"], "l": entry["l"],

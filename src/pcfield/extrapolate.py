@@ -31,7 +31,6 @@ import numpy as np
 import scipy.linalg
 
 from .spectral import (
-    DEFAULT_COND_CEILING,
     MinimalityViolation,
     RationalDensity,
     as_grid,
@@ -47,7 +46,7 @@ from .spectral import (
 
 DEFAULT_WINDOW = 96
 DEFAULT_J_PAST = 64
-FACTORIZATION_TOL = 1e-8
+FACTORIZATION_TOL = 1e-8        # largest relative residual of a factor in use (_checked_factor)
 _FACTORIZE_TOL = 1e-10          # relative residual at which the sweeps stop
 _FACTORIZE_MAX_SWEEPS = 200
 _FACTORIZE_PD_FLOOR = 1e-10     # smallest eigenvalue relative to sup |F|
@@ -140,8 +139,7 @@ def _pad_functional(a, window, K):
     return out
 
 
-def solve_channel(F, G, a, window=DEFAULT_WINDOW,
-                  cond_ceiling=DEFAULT_COND_CEILING):
+def solve_channel(F, G, a, window=DEFAULT_WINDOW):
     """Optimal estimate of one channel's functional from noisy observations.
 
     Parameters
@@ -163,7 +161,7 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW,
     Fg = as_grid(F)
     Gg = as_grid(G, Fg.n_lambda) if G is not None else None
     a_pad = _pad_functional(a, window, Fg.K)
-    ops = assemble_operators(Fg, Gg, window=window, cond_ceiling=cond_ceiling)
+    ops = assemble_operators(Fg, Gg, window=window)
     return _solve_assembled(ops, Fg, Gg, a_pad)[0]
 
 

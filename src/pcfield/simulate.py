@@ -51,6 +51,10 @@ class PastWindowError(ValueError):
     """The simulated past window cannot hold the estimator's weights."""
 
 
+# Trials drawn from each SeedSequence substream of ``empirical_mse``; a
+# seed and a trial count fix every draw.
+_BATCH_TRIALS = 1000
+
 # Largest joint vector (n_steps + J) * K that ``empirical_mse`` draws: its
 # covariance and Cholesky factor are dense complex matrices of 16 * size^2
 # bytes each, 64 MiB at this limit.
@@ -75,11 +79,10 @@ class SimulationConfig:
     seed: int
     n_trials: int = 10_000
     n_steps: int = 64
-    batch_size: int = 1000
 
     def __post_init__(self):
-        if self.n_trials < 1 or self.n_steps < 1 or self.batch_size < 1:
-            raise ValueError("n_trials, n_steps and batch_size must be positive")
+        if self.n_trials < 1 or self.n_steps < 1:
+            raise ValueError("n_trials and n_steps must be positive")
 
 
 @dataclass
@@ -222,17 +225,12 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
     # Q^H Q = I: each trial draws the two functionals from two innovations
     gram_root = np.linalg.qr(np.column_stack([future, past]), mode="r")
 
-    seeds = np.random.SeedSequence(config.seed)
-    n_batches = (config.n_trials + config.batch_size - 1) // config.batch_size
-    children = seeds.spawn(n_batches)
-
+    starts = range(0, config.n_trials, _BATCH_TRIALS)
+    children = np.random.SeedSequence(config.seed).spawn(len(starts))
     pairs = np.empty((config.n_trials, 2), dtype=complex)
-    done = 0
-    for batch_seed in children:
-        b = min(config.batch_size, config.n_trials - done)
-        rng = np.random.default_rng(batch_seed)
-        pairs[done:done + b] = _complex_innovations(rng, (b, 2)) @ gram_root
-        done += b
+    for start, batch_seed in zip(starts, children):
+        rows = pairs[start:start + _BATCH_TRIALS]
+        rows[:] = _complex_innovations(np.random.default_rng(batch_seed), rows.shape) @ gram_root
     realized, estimated = pairs.T
 
     sq = np.abs(realized - estimated) ** 2

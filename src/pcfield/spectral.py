@@ -23,11 +23,14 @@ without noise).  The error is read off the characteristic h of the solved c:
 delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)].
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_N_LAMBDA = 4096
+# the largest condition number of F + G at a grid node; above it, or where
+# it is not finite, the pair is singular there
 DEFAULT_COND_CEILING = 1e10
 # Largest K for which _node_matmul and _node_inverse work over the entries.
 # Batched ``@`` and ``inv`` pay a fixed cost per small matrix; the entry
@@ -477,10 +480,10 @@ def _hermitian_eigenvalues(values):
     return np.linalg.eigvalsh(values)
 
 
-def _pointwise_inverse(values, cond_ceiling, lam):
+def _pointwise_inverse(values, lam):
     conds = _condition_from_eigenvalues(_hermitian_eigenvalues(values))
     worst = int(np.argmax(conds))
-    if not np.isfinite(conds[worst]) or conds[worst] > cond_ceiling:
+    if not np.isfinite(conds[worst]) or conds[worst] > DEFAULT_COND_CEILING:
         raise MinimalityViolation(
             f"density pair is numerically singular at lambda = {lam[worst]:.6f} "
             f"(condition number {conds[worst]:.3e})",
@@ -490,12 +493,12 @@ def _pointwise_inverse(values, cond_ceiling, lam):
     return _node_inverse(values), float(conds[worst])
 
 
-def assemble_operators(F, G, window, cond_ceiling=DEFAULT_COND_CEILING):
+def assemble_operators(F, G, window):
     """Build the truncated operator B for the density pair (F, G).
 
     ``G=None`` means noiseless observations; then B is built from F alone.
     Raises :class:`MinimalityViolation` where F + G is numerically singular
-    at a grid node (``cond_ceiling``) or where the assembled B has an
+    at a grid node (``DEFAULT_COND_CEILING``) or where the assembled B has an
     eigenvalue <= 0.
     """
     Fg = as_grid(F)
@@ -513,7 +516,7 @@ def assemble_operators(F, G, window, cond_ceiling=DEFAULT_COND_CEILING):
         if Gg.K != K:
             raise ValueError(f"component mismatch: F has K={K}, G has K={Gg.K}")
         total = Fg.values + Gg.values
-    inv_total, max_cond = _pointwise_inverse(total, cond_ceiling, lam)
+    inv_total, max_cond = _pointwise_inverse(total, lam)
 
     lags = np.arange(-(window - 1), window)
     sym_B = np.swapaxes(inv_total, 1, 2)
@@ -547,17 +550,17 @@ class MinimalityReport:
     refinement_growth: float | None = None
 
 
-def _node_traces(values, cond_ceiling):
+def _node_traces(values):
     """Tr (F+G)^{-1} and the 2-norm condition number at each grid node.
 
     One eigenvalue pass gives both: the trace is the sum of the inverse
     eigenvalues.  Returns (traces, conds, regular); ``regular`` marks the
-    nodes with a finite condition number within ``cond_ceiling``, and the
+    nodes with a finite condition number within ``DEFAULT_COND_CEILING``, and the
     trace is 0 elsewhere.
     """
     eigs = _hermitian_eigenvalues(values)
     conds = _condition_from_eigenvalues(eigs)
-    regular = np.isfinite(conds) & (conds <= cond_ceiling)
+    regular = np.isfinite(conds) & (conds <= DEFAULT_COND_CEILING)
     inverse = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=regular[:, None])
     return inverse.sum(axis=1), conds, regular
 
@@ -569,8 +572,7 @@ def _masked_integral(traces, regular):
     return float(np.sum(traces[regular]) / traces.shape[0])
 
 
-def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
-                     n_lambda=DEFAULT_N_LAMBDA):
+def check_minimality(F, G=None, n_lambda=DEFAULT_N_LAMBDA):
     """Report whether (F + G)^{-1} has an integrable trace on the grid.
 
     The trace integral (1/2pi) int Tr[(F+G)^{-1}] is computed with exactly
@@ -580,8 +582,9 @@ def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
     resolutions marks a divergent integral.  The base grid is the refined
     grid's even nodes, bit for bit, so the pair is rasterized and
     eigen-decomposed once, at 2 * n_lambda.  Singular nodes are listed base
-    nodes first, then the refined grid's other nodes.  Passing requires no
-    singular nodes, a condition number below ``cond_ceiling``, and no
+    nodes first, then the refined grid's other nodes; a node is singular
+    where its condition number is not finite or exceeds
+    ``DEFAULT_COND_CEILING``.  Passing requires no singular nodes and no
     divergence.
     """
 
@@ -597,7 +600,7 @@ def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
     refined = (isinstance(F, RationalDensity)
                and (G is None or isinstance(G, RationalDensity)))
     total = total_at(2 * n_lambda if refined else n_lambda)
-    traces, conds, regular = _node_traces(total, cond_ceiling)
+    traces, conds, regular = _node_traces(total)
     lam = lambda_grid(total.shape[0])
     step = 2 if refined else 1
     base = slice(None, None, step)
@@ -613,12 +616,7 @@ def check_minimality(F, G=None, cond_ceiling=DEFAULT_COND_CEILING,
             growth = float(refined_integral / integral - 1.0)
         else:
             growth = float("inf")
-    passed = (
-        not singular
-        and np.isfinite(max_cond)
-        and max_cond <= cond_ceiling
-        and (growth is None or growth <= 0.10)
-    )
+    passed = not singular and (growth is None or growth <= 0.10)
     return MinimalityReport(
         trace_integral=integral,
         max_condition=max_cond,
@@ -684,15 +682,33 @@ def _complex_array_to_json(arr):
     return stacked.tolist()
 
 
+def _real_array_from_json(data, where):
+    """A regular nested list of real numbers as a float array; a bool (which
+    ``np.asarray`` reads as 1.0/0.0), string, null or ragged list raises
+    ``ValueError``.  The entries' types are read by one ``map``, not a loop."""
+    entries = np.array(data, dtype=object)
+    kinds = set(map(type, entries.ravel().tolist()))
+    bad = sorted(kind.__name__ for kind in kinds
+                 if kind is bool or not issubclass(kind, numbers.Real))
+    if bad:
+        raise ValueError(f"{where}: entries must be numbers in a regular nested list, "
+                         f"got {', '.join(bad)}")
+    try:
+        return entries.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def complex_tensor_from_json(data, base_ndim, where):
     """Parse a real or re/im-paired nested list of known base rank.
 
     An array of rank ``r`` in ``base_ndim`` is read as real; rank ``r + 1``
     with a trailing axis of length 2 is read as [re, im] pairs.  This keeps
     the encoding unambiguous (a plain coefficient list is never mistaken
-    for a single complex pair).  ``where`` names the value in the error.
+    for a single complex pair).  Every entry must be a number
+    (``_real_array_from_json``).  ``where`` names the value in the error.
     """
-    arr = np.asarray(data, dtype=float)
+    arr = _real_array_from_json(data, where)
     options = tuple(base_ndim) if isinstance(base_ndim, (tuple, list)) else (base_ndim,)
     if arr.ndim in options:
         return arr.astype(complex)

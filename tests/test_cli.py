@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pcfield.cli import (
     EXIT_VALIDATION,
     main,
 )
+from pcfield.extrapolate import FACTORIZATION_TOL
 from pcfield.minimax import DensityClassSpec
 from pcfield.spectral import RationalDensity, as_grid, density_to_spec, lambda_grid
 
@@ -192,13 +195,6 @@ class TestSolverIntegers:
 
 _ALIASED_PAST = [_set(("solver", "window"), 8), _set(("solver", "j_past"), 40),
                  _set(("solver", "n_lambda"), 64)]
-# white_problem's flat density factorizes exactly, so a sloped one gives
-# the factorization a rounding-level residual to exceed
-_OVER_FACTORIZATION_TOLERANCE = [
-    _set(("channels", 0, "F", "numerator"), [1.0, 0.5]),
-    _set(("solver", "tolerances"), {"factorization": 1e-30}),
-]
-
 # the replay reads the estimator's weights to lag 2 * n_steps = 128, which
 # aliases on a 256-point grid
 _ALIASED_SIMULATION = [
@@ -215,9 +211,10 @@ _SHORT_SIMULATION = [
     _set(("simulation", "n_steps"), 4),
 ]
 
-# at n_lambda 1024 the factor of a pole at 0.995 misses its density by 15 %:
-# simulate refuses to draw from it; validate draws from covariances and
-# reports the solver's disagreement with the oracle on so coarse a grid
+# at n_lambda 1024 the factor of a pole at 0.995 misses its density by 14 %:
+# factorize refuses to write it and simulate to draw from it; validate
+# draws from covariances and reports the solver's disagreement with the
+# oracle on so coarse a grid
 _UNSAMPLEABLE_SIGNAL = [
     _set(("solver", "n_lambda"), 1024),
     _set(("channels", 0, "F", "denominator"), [1.0, -0.995]),
@@ -277,6 +274,16 @@ _NON_PD_OPERATOR = [_set(("solver", "window"), 48), _set(("channels", 0, "F"), {
                                          1e-19).tolist()],
 })]
 
+
+def _sampled(samples):
+    """Edits that give white_problem a K = 2 signal and a functional
+    sampled at 8 steps per period."""
+    return [_set(("blocking",), {"period": 1.0, "n_components": 2, "dt": 0.125}),
+            _set(("channels", 0, "F"),
+                 {"type": "rational", "numerator": [[[1.0, 0.0], [0.0, 1.0]]]}),
+            _set(("channels", 0, "a"), {"samples": samples})]
+
+
 # a second channel with the first one's (m, l), whose h_0_1.csv would
 # overwrite the first's and whose functional minimax would drop
 _DUPLICATE_CHANNEL = [lambda payload: payload["channels"].append(
@@ -299,7 +306,7 @@ class TestRuntimeFailures:
                      "schema error: channels[0]: simulation.n_steps: estimator keeps",
                      id="validate-n-steps-too-short"),
         pytest.param("simulate", _UNSAMPLEABLE_SIGNAL, EXIT_MINIMALITY,
-                     "factorization failure: cannot sample: factor's relative residual",
+                     "factorization failure: channels[0]: factor's relative residual",
                      id="simulate-factor-over-tolerance"),
         pytest.param("validate", _UNSAMPLEABLE_SIGNAL, EXIT_VALIDATION,
                      "validate: disagreement beyond tolerance",
@@ -331,8 +338,8 @@ class TestRuntimeFailures:
         pytest.param("factorize", [_set(("channels", 0, "F", "numerator"), [0.0])],
                      EXIT_MINIMALITY, "factorization failure: cannot factorize the zero "
                      "density", id="factorize-zero-density"),
-        pytest.param("factorize", _OVER_FACTORIZATION_TOLERANCE, EXIT_MINIMALITY,
-                     "factorization failure: channels[0]: relative residual",
+        pytest.param("factorize", _UNSAMPLEABLE_SIGNAL, EXIT_MINIMALITY,
+                     "factorization failure: channels[0]: factor's relative residual",
                      id="factorize-over-tolerance"),
         pytest.param("solve", _MISMATCHED_NOISE, EXIT_SCHEMA,
                      "schema error: channels[0].G: density has K=1, channels[0].F has K=2",
@@ -390,6 +397,26 @@ class TestRuntimeFailures:
                                              noise_radius=[float("nan")]),
                      EXIT_SCHEMA, "schema error: class_spec: noise radius must be finite",
                      id="component-radius-nan-entry"),
+        pytest.param("minimax", _noisy_class(_BAND, variant="component", signal_power=[1.0],
+                                             noise_radius=[True]),
+                     EXIT_SCHEMA, "schema error: class_spec.noise_radius: entries must be "
+                     "numbers in a regular nested list, got bool",
+                     id="component-radius-true-entry"),
+        pytest.param("solve", [_set(("channels", 0, "F", "numerator"), [True, 0.5])],
+                     EXIT_SCHEMA, "schema error: channels[0].F: numerator: entries must be "
+                     "numbers in a regular nested list, got bool", id="solve-true-in-numerator"),
+        pytest.param("solve", [_set(("channels", 0, "a"), [[1.0], [10 ** 400]])],
+                     EXIT_SCHEMA, "schema error: channels[0].a: int too large to convert "
+                     "to float", id="solve-integer-overflows-float"),
+        pytest.param("solve", _sampled([True] * 8 + [0.0] * 8), EXIT_SCHEMA,
+                     "schema error: channels[0].a: samples: entries must be numbers in a "
+                     "regular nested list, got bool", id="solve-true-in-samples"),
+        pytest.param("solve", _sampled([[1.0], [1.0, 2.0]]), EXIT_SCHEMA,
+                     "schema error: channels[0].a: samples: entries must be numbers in a "
+                     "regular nested list, got list", id="solve-ragged-samples"),
+        pytest.param("solve", _sampled([1.0] * 7), EXIT_SCHEMA,
+                     "schema error: channels[0].a: final period truncated",
+                     id="solve-samples-truncate-a-period"),
         pytest.param("solve", _NON_PD_OPERATOR, EXIT_MINIMALITY,
                      "minimality failure: assembled B is not positive definite",
                      id="solve-non-pd-operator"),
@@ -440,20 +467,33 @@ class TestRuntimeFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("schema error: channels[0]: " + prefix)
 
-    def test_factorize_over_tolerance_writes_nothing(self, tmp_path):
+    def test_factorize_over_tolerance_writes_nothing(self, tmp_path, capsys):
+        # factorize and simulate refuse the same factor by one rule, with
+        # one message, before either writes a file
         prob = white_problem()
-        for edit in _OVER_FACTORIZATION_TOLERANCE:
+        for edit in _UNSAMPLEABLE_SIGNAL:
             edit(prob)
         path = write_problem(tmp_path, prob)
-        out = tmp_path / "out"
-        assert main(["factorize", "--input", str(path), "--output", str(out)]) \
-            == EXIT_MINIMALITY
-        assert not any(out.iterdir())
-        # the same file within the default tolerance factorizes
-        prob["solver"].pop("tolerances")
+        errors = []
+        for command in ("factorize", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--input", str(path), "--output", str(out)]) \
+                == EXIT_MINIMALITY
+            assert not any(out.iterdir())
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].count("\n") == 1
+        assert errors[0].startswith(
+            "factorization failure: channels[0]: factor's relative residual ")
+        assert errors[0].rstrip().endswith(f"exceeds {FACTORIZATION_TOL:.1e}")
+        # the same signal on a grid that holds its memory factorizes and draws
+        prob["solver"]["n_lambda"] = 16384
         path = write_problem(tmp_path, prob)
-        assert main(["factorize", "--input", str(path), "--output", str(out)]) == EXIT_OK
-        assert (out / "factorization.json").exists()
+        for command, artifact in (("factorize", "factorization.json"),
+                                  ("simulate", "simulation.json")):
+            out = tmp_path / f"{command}_fine"
+            assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_OK
+            assert (out / artifact).exists()
 
     def test_factorize_at_the_sweep_cap_fails_the_gate(self, tmp_path, capsys, monkeypatch):
         # one sweep leaves the factor of a pole at 0.5 far from its density;
@@ -470,7 +510,71 @@ class TestRuntimeFailures:
             == EXIT_MINIMALITY
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("factorization failure: channels[0]: relative residual")
+        assert err.startswith("factorization failure: channels[0]: factor's relative residual")
+
+
+class TestRemovedKeys:
+    """A file of the earlier schema may set ``solver.tolerances.cond_ceiling``,
+    ``solver.tolerances.factorization`` and ``simulation.batch_size``: the
+    keys are unknown now, so they are ignored, or refused under --strict."""
+
+    @staticmethod
+    def old_and_new():
+        new = white_problem()
+        new["channels"][0]["F"]["numerator"] = [1.0, 0.5]
+        new["channels"][0]["G"] = {"type": "rational", "numerator": [0.5]}
+        new["class_spec"] = dict(_CONTAMINATION, max_iter=5)
+        old = json.loads(json.dumps(new))
+        # each value would have changed a result when the keys were read
+        old["solver"]["tolerances"] = {"cond_ceiling": 0.5, "factorization": 1e-30}
+        old["simulation"]["batch_size"] = 7
+        return old, new
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_ignored_without_strict(self, tmp_path, command):
+        runs = []
+        for name, payload in zip(("old", "new"), self.old_and_new()):
+            path = write_problem(tmp_path, payload, name=f"{name}.json")
+            out = tmp_path / name
+            code = main([command, "--input", str(path), "--output", str(out)])
+            artifacts = {}
+            for artifact in sorted(out.iterdir()):
+                content = artifact.read_bytes()
+                if artifact.suffix == ".json":
+                    data = json.loads(content)
+                    assert data["meta"].pop("input_sha256")
+                    content = json.dumps(data, sort_keys=True)
+                artifacts[artifact.name] = content
+            runs.append((code, artifacts))
+        assert runs[0][1]
+        assert runs[0] == runs[1]
+
+    def test_refused_under_strict(self, tmp_path, capsys):
+        old, _ = self.old_and_new()
+        without_tolerances = json.loads(json.dumps(old))
+        without_tolerances["solver"].pop("tolerances")
+        out = tmp_path / "out"
+        for payload, message in (
+                (old, "solver.tolerances has unknown field(s) ['cond_ceiling', 'factorization']"),
+                (without_tolerances, "simulation has unknown field(s) ['batch_size']")):
+            path = write_problem(tmp_path, payload)
+            assert main(["validate", "--input", str(path), "--output", str(out),
+                         "--strict"]) == EXIT_SCHEMA
+            assert capsys.readouterr().err == f"schema error: {message}\n"
+        assert not out.exists()
+
+
+class TestReadme:
+    def test_problem_file_example_solves_under_strict(self, tmp_path):
+        # the README's problem file, its // comments stripped, is the schema
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Problem file\n\n```jsonc\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "problem.json"
+        path.write_text(re.sub(r"\s*//.*", "", block))
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(path), "--output", str(out), "--strict"]) \
+            == EXIT_OK
+        assert (out / "results.json").exists()
 
 
 class TestUsageErrors:
@@ -1042,7 +1146,8 @@ class TestOtherCommands:
             == EXIT_MINIMALITY
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("factorization failure: channels[0]: relative residual nan")
+        assert err.startswith("factorization failure: channels[0]: factor's relative "
+                              "residual nan")
         assert not (out / "factorization.json").exists()
         with pytest.raises(cli.FactorizationError, match="relative residual nan"):
             simulate_channel(nan_residual(RationalDensity.ar1(0.5)), 10, seed=1)

@@ -221,7 +221,7 @@ class TestTwoFunctionalDraw:
                             lambda rng, shape: np.eye(2, dtype=complex))
         F, G, a, sol = _noisy_case(K, noisy)
         res = empirical_mse(sol, F, G, a,
-                            SimulationConfig(seed=1, n_trials=2, n_steps=48, batch_size=2),
+                            SimulationConfig(seed=1, n_trials=2, n_steps=48),
                             keep_trials=True)
         R = np.column_stack([res.realized, res.estimated])
         gram = _functional_gram(sol, F, G, a, 48)
@@ -238,7 +238,7 @@ class TestTwoFunctionalDraw:
         monkeypatch.setattr(simulate, "_complex_innovations", record)
         F, G, a, sol = _noisy_case(3, True)
         empirical_mse(sol, F, G, a,
-                      SimulationConfig(seed=2, n_trials=2500, n_steps=48, batch_size=1000))
+                      SimulationConfig(seed=2, n_trials=2500, n_steps=48))
         assert shapes == [(1000, 2), (1000, 2), (500, 2)]
 
     def test_sample_covariance_matches_the_gram(self):
@@ -253,10 +253,11 @@ class TestTwoFunctionalDraw:
         scale = np.sqrt(np.outer(gram.diagonal().real, gram.diagonal().real) / n)
         assert np.all(np.abs(sample - gram) <= 5 * scale)
 
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_nonpositive_batch_size_refused(self, batch_size):
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            SimulationConfig(seed=1, batch_size=batch_size)
+    @pytest.mark.parametrize("field", ["n_trials", "n_steps"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_nonpositive_size_refused(self, field, value):
+        with pytest.raises(ValueError, match="n_trials and n_steps must be positive"):
+            SimulationConfig(seed=1, **{field: value})
 
 
 class TestFactorResidualGuard:

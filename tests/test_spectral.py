@@ -117,6 +117,32 @@ class TestFourierCoefficients:
             fourier_coefficients(grid.values, [32])
 
 
+class TestTensorFromJson:
+    @pytest.mark.parametrize("data, kind", [
+        pytest.param([True, 0.5], "bool", id="bool-in-vector"),
+        pytest.param([[0.5, 0.0], [False, 1.0]], "bool", id="bool-in-matrix"),
+        pytest.param([1.0, "0.5"], "str", id="numeric-string"),
+        pytest.param([1.0, None], "NoneType", id="null"),
+        pytest.param([[1.0, 2.0], [3.0]], "list", id="ragged"),
+        pytest.param([np.bool_(True), 1.0], "bool", id="numpy-bool"),
+    ])
+    def test_refuses_an_entry_that_is_not_a_number(self, data, kind):
+        with pytest.raises(ValueError, match=rf"^value: entries must be numbers .*, got {kind}$"):
+            spectral.complex_tensor_from_json(data, base_ndim=(1, 2), where="value")
+
+    def test_reads_ints_and_numpy_reals(self):
+        got = spectral.complex_tensor_from_json([1, np.float64(0.5), np.int64(2)],
+                                                base_ndim=(1,), where="value")
+        assert got.dtype == complex
+        np.testing.assert_array_equal(got, [1.0, 0.5, 2.0])
+
+    def test_grid_values_match_the_float_reading(self):
+        values = np.random.default_rng(5).normal(size=(64, 3, 3, 2)).tolist()
+        got = spectral.complex_tensor_from_json(values, base_ndim=(3,), where="value")
+        expect = np.asarray(values, dtype=float)
+        np.testing.assert_array_equal(got, expect[..., 0] + 1j * expect[..., 1])
+
+
 class TestDensityTypes:
     def test_rejects_non_hermitian(self):
         vals = np.zeros((8, 2, 2), dtype=complex)
@@ -543,6 +569,44 @@ class TestKernelSites:
         small = _sites(lambda node: isinstance(node, ast.Constant)
                        and isinstance(node.value, float) and 1e-20 < node.value < 1e-10)
         assert not [site for site in small if site[0] in ("simulate", "cli")]
+
+
+class TestThresholdSites:
+    """Each numerical threshold is one module constant that every command
+    reads: no parameter or field can fork it."""
+
+    def test_no_ceiling_or_batch_parameter(self):
+        def forks(node):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                names = [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+            elif isinstance(node, ast.ClassDef):
+                names = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+            else:
+                return False
+            return bool({"cond_ceiling", "batch_size"} & set(names))
+
+        assert _sites(forks) == []
+
+    def test_cond_ceiling_read_by_the_node_checks_and_meta(self):
+        def named(node):
+            return isinstance(node, ast.Name) and node.id == "DEFAULT_COND_CEILING"
+
+        assert _sites(lambda node: named(node) and isinstance(node.ctx, ast.Store)) == [
+            ("spectral", "<module>")]
+        assert set(_sites(lambda node: named(node) and isinstance(node.ctx, ast.Load))) == {
+            ("spectral", "_pointwise_inverse"), ("spectral", "_node_traces"), ("cli", "_meta")}
+
+    def test_factor_residual_compared_only_in_checked_factor(self):
+        def compares(node):
+            return isinstance(node, ast.Compare) and any(
+                (isinstance(sub, ast.Name) and sub.id == "FACTORIZATION_TOL")
+                or (isinstance(sub, ast.Attribute) and sub.attr == "relative_residual")
+                for sub in ast.walk(node))
+
+        assert _sites(compares) == [("extrapolate", "_checked_factor")]
+        reads = _sites(lambda node: isinstance(node, ast.Name)
+                       and node.id == "FACTORIZATION_TOL" and isinstance(node.ctx, ast.Load))
+        assert set(reads) == {("extrapolate", "_checked_factor"), ("cli", "_meta")}
 
 
 def _kernel_nodes(K, rng):
