@@ -193,12 +193,12 @@ class Problem:
             blk = data["blocking"]
             _require_keys(blk, _BLOCKING_KEYS,
                           {"period", "n_components", "dt"}, "blocking", strict)
+            fields = {"period": _positive(blk, "period", None, "blocking"),
+                      "n_components": _integer(blk, "n_components", None, "blocking",
+                                               minimum=1),
+                      "dt": _positive(blk, "dt", None, "blocking")}
             try:
-                self.blocking = BlockingConfig(
-                    period=float(blk["period"]),
-                    n_components=int(blk["n_components"]),
-                    dt=float(blk["dt"]),
-                )
+                self.blocking = BlockingConfig(**fields)
             except ValueError as exc:
                 raise SchemaError(f"blocking: {exc}") from exc
 
@@ -410,7 +410,8 @@ def _channel_factors(problem):
 
 
 def cmd_solve(problem, out_dir, args):
-    sols = [solve_channel(*_channel_grids(problem, entry), entry["a"], window=problem.window)
+    sols = [solve_channel(entry["F"], entry["G"], entry["a"], window=problem.window,
+                          n_lambda=problem.n_lambda)
             for entry in problem.channels]
     payload = {"command": "solve", "meta": _meta(problem), "channels": []}
     total = 0.0
@@ -528,10 +529,12 @@ def cmd_validate(problem, out_dir, args):
     rows = []
     all_ok = True
     for i, entry in enumerate(problem.channels):
-        # the solve, the oracle and the draw share the channel's grids; a
-        # reference density is rasterized apart, only when given
+        # the solve (which picks its route by the parsed densities), the
+        # oracle and the draw share the channel's grids; a reference
+        # density is rasterized apart, only when given
         F, G = _channel_grids(problem, entry)
-        sol = solve_channel(F, G, entry["a"], window=problem.window)
+        sol = solve_channel(entry["F"], entry["G"], entry["a"], window=problem.window,
+                            grids=(F, G))
         ref_F, ref_G = entry["reference_F"], entry["reference_G"]
         F_true = F if ref_F is None else as_grid(ref_F, problem.n_lambda)
         G_true = G if ref_G is None else as_grid(ref_G, problem.n_lambda)

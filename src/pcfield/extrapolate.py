@@ -7,14 +7,17 @@ times j < 0.  The target is the linear functional
     A = sum_{j >= 0} a(j)^T zeta(j),
 
 and the optimal estimate is the Hilbert-space projection onto the past of
-the observed sequence.  The normal equations truncate to a finite window
-of coefficient vectors ``c(j)``; the window is kept much larger than the
-support of ``a`` so that the truncation error is far below the reported
-tolerances.
+the observed sequence.
 
-Three routes are implemented and cross-checked:
+Four routes are implemented and cross-checked:
 
-* ``solve_channel`` / ``solve_noiseless`` - the linear-system route,
+* ``solve_channel`` / ``solve_noiseless`` on a rational pair - the filter
+  route: one steady-state Kalman filter on the pair's state-space form,
+  exact, with no window and no grid truncation of the error,
+* ``solve_channel`` / ``solve_noiseless`` on a grid density - the window
+  route: the block-Toeplitz normal equations truncated to a finite window
+  of coefficient vectors ``c(j)``, whose error converges geometrically in
+  the window size and lies below the minimum at a finite window,
 * ``solve_by_factorization`` - the innovations route through a canonical
   factorization of the density (exact by one Riccati solve for a rational
   density, Wilson's sweeps for a grid),
@@ -39,6 +42,7 @@ from .spectral import (
     fourier_coefficients,
     joint_covariance,
     lambda_grid,
+    _checked_condition,
     _hermitian_eigenvalues,
     _node_inverse,
     _node_matmul,
@@ -61,10 +65,12 @@ class FactorizationError(RuntimeError):
 class EstimateSolution:
     """Solution of one channel's extrapolation problem.
 
-    ``coefficients`` are the window-truncated c(j); ``h_grid`` is the
-    spectral characteristic sampled on the frequency grid (None when a
-    singular factor makes it unavailable); ``delta`` is the mean-square
-    error of the optimal estimate.
+    ``coefficients`` are c(j), j = 0 .. window-1: the window route's
+    solved unknowns, on the other routes the first lags of c = (A - h)^T F
+    - h^T G read off the grid; ``h_grid`` is the spectral characteristic
+    sampled on the frequency grid (None when a singular factor makes it
+    unavailable); ``delta`` is the mean-square error of the optimal
+    estimate.
     """
 
     coefficients: np.ndarray | None
@@ -139,7 +145,7 @@ def _pad_functional(a, window, K):
     return out
 
 
-def solve_channel(F, G, a, window=DEFAULT_WINDOW):
+def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
     """Optimal estimate of one channel's functional from noisy observations.
 
     Parameters
@@ -147,22 +153,44 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW):
     F, G : densities (grid or rational); ``G`` may be None for noiseless
         observations.
     a : (J, K) complex array of functional coefficients, J <= window.
-    window : truncation length of the coefficient solve.  The reported
-        ``delta`` converges to the untruncated value geometrically in the
-        window size.
+    window : the number of coefficients c(j) reported, and on the window
+        route the truncation length of the coefficient solve.
+    n_lambda : grid size for rational densities (default
+        ``DEFAULT_N_LAMBDA``; a grid density brings its own).
+    grids : (Fg, Gg), F and G already sampled on the solve's grid, used in
+        place of sampling them again.
 
-    Returns an :class:`EstimateSolution` with the solved coefficients, the
-    spectral characteristic h on the grid, the mean-square error
-    delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)], and two
-    diagnostics that check the solve: ``orthogonality_residual``, the
-    relative residual ||B c - d|| / ||d||, and ``causal_leakage``
-    (``_causal_share``).
+    The route is picked by the kind of pair, with no option to change it:
+
+    * F rational and G rational or None: the filter route
+      (``_solve_by_filter``), exact, with no truncation.  Diagnostics
+      ``max_condition`` (the worst node of F + G), ``closed_loop_radius``,
+      ``weight_tail`` (the share of the weights' energy at lags >= n/2,
+      beyond the grid) and ``causal_leakage``.
+    * any grid density: the window route, the block-Toeplitz normal
+      equations B c = d on ``window`` coefficients.  Its ``delta``
+      converges to the untruncated value geometrically in the window size.
+      Diagnostics ``cond_B``, ``orthogonality_residual`` (the relative
+      residual ||B c - d|| / ||d||) and ``causal_leakage``.
+
+    Both check the per-node condition of F + G against
+    ``DEFAULT_COND_CEILING`` and raise :class:`MinimalityViolation` where
+    the pair is singular.  Returns an :class:`EstimateSolution` with the
+    spectral characteristic h on the grid, the mean-square error delta
+    (on the window route read off h: mean Re[(A - h)^T F conj(A - h) +
+    h^T G conj(h)]) and the first ``window`` lags of c = (A - h)^T F -
+    h^T G.  ``causal_leakage`` is ``_causal_share``.
     """
-    Fg = as_grid(F)
-    Gg = as_grid(G, Fg.n_lambda) if G is not None else None
-    a_pad = _pad_functional(a, window, Fg.K)
+    if grids is None:
+        Fg = as_grid(F, n_lambda)
+        grids = Fg, as_grid(G, Fg.n_lambda) if G is not None else None
+    Fg, Gg = grids
+    if Gg is not None and Gg.K != Fg.K:
+        raise ValueError(f"component mismatch: F has K={Fg.K}, G has K={Gg.K}")
+    if isinstance(F, RationalDensity) and (G is None or isinstance(G, RationalDensity)):
+        return _solve_by_filter(F, G, Fg, Gg, a, window)
     ops = assemble_operators(Fg, Gg, window=window)
-    return _solve_assembled(ops, Fg, Gg, a_pad)[0]
+    return _solve_assembled(ops, Fg, Gg, _pad_functional(a, window, Fg.K))[0]
 
 
 def _solve_assembled(ops, Fg, Gg, a_pad):
@@ -204,6 +232,132 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
     sol = EstimateSolution(coefficients=c, h_grid=h, delta=float(np.mean(error.real)),
                            diagnostics=diagnostics)
     return sol, A
+
+
+def _numerator_times(N, d):
+    """The matrix polynomial N (U, K, K) times the scalar polynomial d,
+    both ascending in z: (U + len(d) - 1, K, K)."""
+    out = np.zeros((N.shape[0] + len(d) - 1,) + N.shape[1:], dtype=complex)
+    for k, coeff in enumerate(d):
+        out[k:k + N.shape[0]] += coeff * N
+    return out
+
+
+def _pair_state_space(F, G):
+    """One state-space model of a rational pair, driven by white noise.
+
+    With the causal denominators d_F, d_G (``_causal_denominator``) and d =
+    d_F d_G scaled to d(0) = 1, v = w / d is driven by w = [w_F; w_G],
+    white in C^m (m = 2K; m = K and w = w_F without noise).  The signal is
+    zeta = M_zeta(L) v with M_zeta = [N_F d_G, 0], the observation y = M(L) v
+    with M = [N_F d_G, N_G d_F].  The state s(t) = [v(t-1); ..; v(t-r)] gives
+
+        s(t+1) = A s(t) + B w(t),  y = C_y s + D_y w,  zeta = C_z s + D_z w.
+
+    The numerators are scaled by one power of two to unit size.  Returns
+    (A, B, C_y, D_y, C_z, D_z) and that scale.
+    """
+    # one * (...) is a polynomial also where a denominator has no root
+    one, z = np.polynomial.Polynomial([1.0]), np.polynomial.Polynomial([0.0, 1.0])
+    d_F = (one * _causal_denominator(F.denominator, z)).coef
+    d_G = (one * _causal_denominator(G.denominator, z)).coef if G is not None else one.coef
+    d = np.convolve(d_F, d_G)
+    parts = [_numerator_times(F.numerator, d_G)]
+    if G is not None:
+        parts.append(_numerator_times(G.numerator, d_F))
+    q = max(part.shape[0] for part in parts)
+    parts = [np.concatenate([part, np.zeros((q - part.shape[0],) + part.shape[1:])])
+             for part in parts]
+    M = np.concatenate(parts, axis=2) / d[0]
+    unit = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(M))))[1])
+    M = M * unit
+    K, m = M.shape[1], M.shape[2]
+    M_z = np.concatenate([M[:, :, :K], np.zeros_like(M[:, :, K:])], axis=2)
+    r = max(len(d) - 1, q - 1, 1)
+    alpha = np.zeros(r + 1, dtype=complex)
+    alpha[:len(d)] = d / d[0]
+    M, M_z = (np.concatenate([X, np.zeros((r + 1 - q, K, m))]) for X in (M, M_z))
+
+    A = np.eye(r * m, k=-m, dtype=complex)
+    A[:m] = np.kron(-alpha[1:], np.eye(m))
+    B = np.eye(r * m, m)
+    C_y, C_z = (np.concatenate([X[k] - X[0] * alpha[k] for k in range(1, r + 1)], axis=1)
+                for X in (M, M_z))
+    return (A, B, C_y, M[0], C_z, M_z[0]), unit
+
+
+def _solve_by_filter(F, G, Fg, Gg, a, window):
+    """Exact solve of a rational pair by one steady-state Kalman filter.
+
+    On ``_pair_state_space``'s model, the stabilizing solution P of the
+    filter's Riccati equation is the covariance of s(0) given the whole
+    observed past, K_p the predictor gain and A - K_p C_y the closed loop
+    (Kailath, Sayed & Hassibi 2000, Linear Estimation).  The functional is
+    v s(0) plus the future noise, with v = sum_j a(j)^T C_z A^j, so
+
+        delta = v P v^* + sum_i || sum_{j >= i} a(j)^T G_{j-i} ||^2,
+
+    G_0 = D_z and G_k = C_z A^{k-1} B.  The estimate's weight on y(-k) is
+    c_k = v (A - K_p C_y)^{k-1} K_p; the weights at lags 1 .. n/2 - 1 are
+    formed by doubling and give h on the grid (``evaluate_lag_series``).
+    The grids of F and G serve the per-node condition check and the
+    reported coefficients only.
+    """
+    n = Fg.n_lambda
+    max_cond = _checked_condition(Fg.values if Gg is None else Fg.values + Gg.values)
+    a_pad = _pad_functional(a, window, Fg.K)
+    support = np.flatnonzero(np.any(a_pad != 0, axis=1))
+    a = a_pad[:support[-1] + 1 if support.size else 1]
+    (A, B, C_y, D_y, C_z, D_z), unit = _pair_state_space(F, G)
+    S = B @ D_y.conj().T
+    R = D_y @ D_y.conj().T
+    try:
+        P = scipy.linalg.solve_discrete_are(A.conj().T, C_y.conj().T, B @ B.conj().T, R, s=S)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise MinimalityViolation(
+            f"the pair's filter Riccati equation has no stabilizing solution ({exc})") from None
+    innovation = C_y @ P @ C_y.conj().T + R
+    gain = np.linalg.solve(innovation.T, (A @ P @ C_y.conj().T + S).T).T
+    closed = A - gain @ C_y
+    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
+    if not radius < 1.0:
+        raise MinimalityViolation(
+            f"the pair's filter is not stable (closed-loop spectral radius {radius:.6f})")
+
+    CA = [C_z]                                   # C_z A^j, j = 0 .. J-1
+    for _ in range(len(a) - 1):
+        CA.append(CA[-1] @ A)
+    CA = np.array(CA)
+    v = np.einsum("jk,jkn->n", a, CA)
+    impulse = np.concatenate([D_z[None], CA[:-1, :, :B.shape[1]]])   # G_k, C_z A^{k-1} B
+    future = np.sum(np.abs(_factor_convolution(impulse, a)) ** 2)
+    delta = (float(np.real(v @ P @ v.conj())) + float(future)) / unit / unit
+
+    lags = max(n // 2 - 1, 0)
+    rows, power = v[None], closed                # rows k: v (A - K_p C_y)^k
+    while rows.shape[0] <= lags:
+        rows = np.concatenate([rows, rows @ power])
+        power = power @ power
+    weights = rows[:lags] @ gain
+    reach = scipy.linalg.solve_discrete_lyapunov(closed, gain @ gain.conj().T)
+    energy = float(np.real(v @ reach @ v.conj()))
+    tail = float(np.real(rows[lags] @ reach @ rows[lags].conj()))
+    h = evaluate_lag_series(weights, -np.arange(1, lags + 1), n)
+
+    A_grid = _functional_on_grid(a_pad, n)
+    cross = np.einsum("tk,tkn->tn", A_grid - h, Fg.values)
+    if Gg is not None:
+        cross = cross - np.einsum("tk,tkn->tn", h, Gg.values)
+    diagnostics = {
+        "window": window,
+        "max_condition": max_cond,
+        "closed_loop_radius": radius,
+        "weight_tail": max(tail, 0.0) / energy if energy > 0 else 0.0,
+        "causal_leakage": _causal_share(h),
+        "noisy": Gg is not None,
+    }
+    return EstimateSolution(coefficients=fourier_coefficients(cross, -np.arange(window)),
+                            h_grid=h, delta=delta, diagnostics=diagnostics)
 
 
 def solve_noiseless(F, a, window=DEFAULT_WINDOW):
@@ -339,6 +493,22 @@ def _pd_cholesky(matrix, name):
     return np.linalg.cholesky(matrix)
 
 
+def _causal_denominator(den, z):
+    """The scalar denominator with each root inside the unit disk reflected
+    to 1 / conj(root), evaluated at ``z``: grid values z = exp(-i lambda),
+    or the polynomial z itself (``np.polynomial.Polynomial([0, 1])``).
+
+    On the unit circle it has the modulus of ``den``, and it has no root
+    inside the disk, so its inverse is causal.  The one root reflection of
+    the Riccati factor and of the filter route.
+    """
+    den = np.trim_zeros(den, "b")
+    out = den[-1]
+    for root in np.roots(den[::-1]):
+        out = out * ((1.0 - np.conj(root) * z) if abs(root) < 1.0 else (z - root))
+    return out
+
+
 def _riccati_factor(F, n):
     """Minimum-phase factor of a :class:`RationalDensity` on the n-point grid.
 
@@ -376,13 +546,8 @@ def _riccati_factor(F, n):
             psi.append(C @ state)
             state = A @ state
     numerator = scale * evaluate_lag_series(psi, -np.arange(q + 1), n)
-
-    den = np.trim_zeros(F.denominator, "b")
-    z = np.exp(-1j * lambda_grid(n))
-    den_grid = np.full(n, den[-1])
-    for root in np.roots(den[::-1]):
-        den_grid *= (1.0 - np.conj(root) * z) if abs(root) < 1.0 else (z - root)
-    return numerator / den_grid[:, None, None]
+    den_grid = _causal_denominator(F.denominator, np.exp(-1j * lambda_grid(n)))
+    return numerator / np.reshape(den_grid, (-1, 1, 1))
 
 
 def _wilson_sweeps(values, sup):

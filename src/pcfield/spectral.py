@@ -275,11 +275,20 @@ class RationalDensity:
         return self.numerator.shape[1]
 
     def rasterize(self, n_lambda=DEFAULT_N_LAMBDA):
+        """F on the n-point grid, as a :class:`SpectralDensityGrid`.
+
+        The numerator sum_u z^u N_u (ascending u), N N^* (each entry's sum
+        over k ascending), the division by |den|^2 and the exact
+        symmetrization run on contiguous (K, K, n) entry planes, and the
+        result is moved back to (n, K, K) once.  K >= 4 forms N N^* by
+        batched ``@`` instead.
+        """
         lam = lambda_grid(n_lambda)
         z = np.exp(-1j * lam)
-        num = np.zeros((n_lambda, self.K, self.K), dtype=complex)
+        K = self.K
+        num = np.zeros((K, K, n_lambda), dtype=complex)
         for u in range(self.numerator.shape[0]):
-            num += (z**u)[:, None, None] * self.numerator[u]
+            num += z**u * self.numerator[u][:, :, None]
         den = np.zeros(n_lambda, dtype=complex)
         for v, coeff in enumerate(self.denominator):
             den += coeff * z**v
@@ -287,10 +296,22 @@ class RationalDensity:
             bad = lam[int(np.argmin(np.abs(den)))]
             raise ValueError(f"denominator vanishes near lambda = {bad:.6f}")
         with np.errstate(over="ignore", invalid="ignore"):
-            values = (_node_matmul(num, np.conj(np.swapaxes(num, 1, 2)))
-                      / (np.abs(den) ** 2)[:, None, None])
+            if K > _ENTRY_LOOP_MAX_K:
+                rows = np.moveaxis(num, 2, 0)
+                planes = np.moveaxis(rows @ np.conj(np.swapaxes(rows, 1, 2)), 0, 2)
+            else:
+                num_conj = np.conj(num)
+                planes = np.empty_like(num)
+                for i in range(K):
+                    for j in range(K):
+                        acc = num[i, 0] * num_conj[j, 0]
+                        for k in range(1, K):
+                            acc += num[i, k] * num_conj[j, k]
+                        planes[i, j] = acc
+            planes = planes / np.abs(den) ** 2
             # N N^* / |den|^2, symmetrized exactly: Hermitian and PSD as built
-            values = (values + np.conj(np.swapaxes(values, 1, 2))) / 2
+            planes = (planes + np.conj(np.swapaxes(planes, 0, 1))) / 2
+        values = np.ascontiguousarray(np.moveaxis(planes, 2, 0))
         if not np.all(np.isfinite(values)):
             raise NonFiniteDensityError(
                 f"rational density overflows on the {n_lambda}-point grid "
@@ -480,17 +501,21 @@ def _hermitian_eigenvalues(values):
     return np.linalg.eigvalsh(values)
 
 
-def _pointwise_inverse(values, lam):
+def _checked_condition(values):
+    """The largest 2-norm condition number of the (n, K, K) grid values of
+    F + G; :class:`MinimalityViolation` where it is not finite or exceeds
+    ``DEFAULT_COND_CEILING`` (the pair is numerically singular there)."""
     conds = _condition_from_eigenvalues(_hermitian_eigenvalues(values))
     worst = int(np.argmax(conds))
     if not np.isfinite(conds[worst]) or conds[worst] > DEFAULT_COND_CEILING:
+        lam = float(lambda_grid(values.shape[0])[worst])
         raise MinimalityViolation(
-            f"density pair is numerically singular at lambda = {lam[worst]:.6f} "
+            f"density pair is numerically singular at lambda = {lam:.6f} "
             f"(condition number {conds[worst]:.3e})",
-            lambda_value=float(lam[worst]),
+            lambda_value=lam,
             condition_number=float(conds[worst]),
         )
-    return _node_inverse(values), float(conds[worst])
+    return float(conds[worst])
 
 
 def assemble_operators(F, G, window):
@@ -508,7 +533,6 @@ def assemble_operators(F, G, window):
         raise ValueError(f"window must be >= 1, got {window}")
     if window >= n // 2:
         raise ValueError(f"window {window} too large for grid size {n}")
-    lam = Fg.lam
     if G is None:
         total = Fg.values
     else:
@@ -516,7 +540,8 @@ def assemble_operators(F, G, window):
         if Gg.K != K:
             raise ValueError(f"component mismatch: F has K={K}, G has K={Gg.K}")
         total = Fg.values + Gg.values
-    inv_total, max_cond = _pointwise_inverse(total, lam)
+    max_cond = _checked_condition(total)
+    inv_total = _node_inverse(total)
 
     lags = np.arange(-(window - 1), window)
     sym_B = np.swapaxes(inv_total, 1, 2)

@@ -18,7 +18,13 @@ from pcfield.cli import (
 )
 from pcfield.extrapolate import FACTORIZATION_TOL
 from pcfield.minimax import DensityClassSpec
-from pcfield.spectral import RationalDensity, as_grid, density_to_spec, lambda_grid
+from pcfield.spectral import (
+    RationalDensity,
+    as_grid,
+    density_from_spec,
+    density_to_spec,
+    lambda_grid,
+)
 
 
 def write_problem(tmp_path, payload, name="problem.json"):
@@ -136,6 +142,59 @@ class TestSolve:
             == EXIT_MINIMALITY
 
 
+class TestSolveRoutes:
+    """``solve`` and ``validate`` solve a rational pair by the filter and a
+    grid pair on the window; ``minimax`` searches over grids on the window."""
+
+    @staticmethod
+    def count_assemblies(monkeypatch):
+        from pcfield import extrapolate, minimax
+
+        calls = []
+        assemble = extrapolate.assemble_operators
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+
+        for module in (extrapolate, minimax):
+            monkeypatch.setattr(module, "assemble_operators", counted)
+        return calls
+
+    @staticmethod
+    def two_channels(grid):
+        prob = ar1_problem()
+        prob["channels"][0]["G"] = {"type": "rational", "numerator": [0.5]}
+        prob["channels"].append(dict(prob["channels"][0], m=1, a=[[1.0], [0.5]]))
+        if grid:
+            for channel in prob["channels"]:
+                for key in ("F", "G"):
+                    density = density_from_spec(channel[key])
+                    channel[key] = density_to_spec(density.rasterize(1024))
+        return prob
+
+    @pytest.mark.parametrize("grid, per_channel", [(False, 0), (True, 1)])
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_assemblies_per_channel(self, tmp_path, monkeypatch, command, grid, per_channel):
+        calls = self.count_assemblies(monkeypatch)
+        path = write_problem(tmp_path, self.two_channels(grid))
+        assert main([command, "--input", str(path), "--output", str(tmp_path / "out")]) \
+            == EXIT_OK
+        assert len(calls) == 2 * per_channel
+
+    def test_minimax_still_assembles(self, tmp_path, monkeypatch):
+        calls = self.count_assemblies(monkeypatch)
+        prob = white_problem()
+        for edit in _noisy_class(_CONTAMINATION):
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        assert main(["minimax", "--input", str(path), "--output", str(tmp_path / "out")]) \
+            in (EXIT_OK, EXIT_NOT_CONVERGED)
+        steps = len(json.loads((tmp_path / "out" / "minimax.json").read_text())
+                    ["objective_history"])
+        assert len(calls) >= steps
+
+
 def _set(path, value):
     """Return an edit that sets ``payload[path[0]][path[1]]...`` to value."""
     def edit(payload):
@@ -213,11 +272,18 @@ _SHORT_SIMULATION = [
 
 # at n_lambda 1024 the factor of a pole at 0.995 misses its density by 14 %:
 # factorize refuses to write it and simulate to draw from it; validate
-# draws from covariances and reports the solver's disagreement with the
-# oracle on so coarse a grid
+# draws from covariances, and the filter route solves the rational pair
+# exactly, so the oracle and the Monte Carlo check agree with it
 _UNSAMPLEABLE_SIGNAL = [
     _set(("solver", "n_lambda"), 1024),
     _set(("channels", 0, "F", "denominator"), [1.0, -0.995]),
+]
+# the same density as a grid (its Wilson factor misses it by 15 %) takes
+# the window route, whose 32 coefficients read delta 2.390 against the
+# oracle's 2.4925: validate reports the disagreement
+_UNSAMPLEABLE_GRID_SIGNAL = [
+    _set(("solver", "n_lambda"), 1024),
+    _set(("channels", 0, "F"), density_to_spec(RationalDensity.ar1(0.995).rasterize(1024))),
 ]
 
 # a white noise grid with one infinite node, written as JSON's Infinity
@@ -284,6 +350,12 @@ def _sampled(samples):
             _set(("channels", 0, "a"), {"samples": samples})]
 
 
+def _blocking(**fields):
+    """An edit that gives white_problem a valid blocking section with
+    ``fields`` replaced."""
+    return [_set(("blocking",), {"period": 1.0, "n_components": 1, "dt": 0.25, **fields})]
+
+
 # a second channel with the first one's (m, l), whose h_0_1.csv would
 # overwrite the first's and whose functional minimax would drop
 _DUPLICATE_CHANNEL = [lambda payload: payload["channels"].append(
@@ -308,7 +380,7 @@ class TestRuntimeFailures:
         pytest.param("simulate", _UNSAMPLEABLE_SIGNAL, EXIT_MINIMALITY,
                      "factorization failure: channels[0]: factor's relative residual",
                      id="simulate-factor-over-tolerance"),
-        pytest.param("validate", _UNSAMPLEABLE_SIGNAL, EXIT_VALIDATION,
+        pytest.param("validate", _UNSAMPLEABLE_GRID_SIGNAL, EXIT_VALIDATION,
                      "validate: disagreement beyond tolerance",
                      id="validate-factor-over-tolerance"),
         pytest.param("solve", [_set(("channels", 0, "F", "denominator"), [1.0, -1.0])],
@@ -417,9 +489,28 @@ class TestRuntimeFailures:
         pytest.param("solve", _sampled([1.0] * 7), EXIT_SCHEMA,
                      "schema error: channels[0].a: final period truncated",
                      id="solve-samples-truncate-a-period"),
+        pytest.param("solve", [_set(("channels", 0, "F", "numerator"),
+                                    [[1.0, 0.0], [-np.cos(0.1234), -np.sin(0.1234)]])],
+                     EXIT_MINIMALITY, "minimality failure: the pair's filter",
+                     id="solve-zero-on-circle-between-nodes"),
         pytest.param("solve", _NON_PD_OPERATOR, EXIT_MINIMALITY,
                      "minimality failure: assembled B is not positive definite",
                      id="solve-non-pd-operator"),
+        pytest.param("solve", _blocking(period="1.0"), EXIT_SCHEMA,
+                     "schema error: blocking.period must be a positive number, got '1.0'",
+                     id="blocking-period-string"),
+        pytest.param("solve", _blocking(period=True), EXIT_SCHEMA,
+                     "schema error: blocking.period must be a positive number, got True",
+                     id="blocking-period-true"),
+        pytest.param("solve", _blocking(n_components=1.7), EXIT_SCHEMA,
+                     "schema error: blocking.n_components must be an integer, got 1.7",
+                     id="blocking-fractional-components"),
+        pytest.param("solve", _blocking(period=[1.0]), EXIT_SCHEMA,
+                     "schema error: blocking.period must be a positive number, got [1.0]",
+                     id="blocking-period-list"),
+        pytest.param("solve", _blocking(period=None), EXIT_SCHEMA,
+                     "schema error: blocking.period must be a positive number, got None",
+                     id="blocking-period-null"),
         pytest.param("validate", [_set(("simulation", "keep_trials"), "false")],
                      EXIT_SCHEMA, "schema error: simulation.keep_trials must be true or "
                      "false, got 'false'", id="keep-trials-string"),
@@ -754,18 +845,23 @@ class TestValidate:
         assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_OK
         assert calls == [1024, 1024, 1024]
 
-    def test_unsampleable_factor_does_not_stop_validate(self, tmp_path):
+    @pytest.mark.parametrize("edits, code, agrees", [
+        pytest.param(_UNSAMPLEABLE_SIGNAL, EXIT_OK, True, id="rational-filter-route"),
+        pytest.param(_UNSAMPLEABLE_GRID_SIGNAL, EXIT_VALIDATION, False, id="grid-window-route"),
+    ])
+    def test_unsampleable_factor_does_not_stop_validate(self, tmp_path, edits, code, agrees):
         # validate draws from covariances, so a density whose factor misses
-        # it still validates; here the oracle disagrees with the solver
+        # it still validates.  The filter route is exact on the rational
+        # pair (delta 2.4925063, the oracle 2.4925043); the grid takes the
+        # window route, whose 32 coefficients read 2.390 and disagree
         prob = white_problem()
-        for edit in _UNSAMPLEABLE_SIGNAL:
+        for edit in edits:
             edit(prob)
         path = write_problem(tmp_path, prob)
         out = tmp_path / "out"
-        assert main(["validate", "--input", str(path), "--output", str(out)]) \
-            == EXIT_VALIDATION
+        assert main(["validate", "--input", str(path), "--output", str(out)]) == code
         row = json.loads((out / "validation.json").read_text())["channels"][0]
-        assert row["oracle_ok"] is False
+        assert row["oracle_ok"] is agrees
 
     def test_seed_flag_changes_the_draw_and_is_recorded(self, tmp_path):
         path = write_problem(tmp_path, ar1_problem())

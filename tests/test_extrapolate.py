@@ -689,3 +689,121 @@ class TestFactorConvolution:
                     expect[j] += d[p].T @ a[p + j]
         assert np.max(np.abs(_factor_convolution(d, a) - expect)) < 1e-12
 
+
+
+class TestFilterRoute:
+    """A rational pair is solved by one steady-state Kalman filter; any grid
+    density takes the window route."""
+
+    @staticmethod
+    def count_assemblies(monkeypatch):
+        calls = []
+        assemble = extrapolate.assemble_operators
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(extrapolate, "assemble_operators", counted)
+        return calls
+
+    def test_route_is_picked_by_the_kind_of_pair(self, monkeypatch):
+        calls = self.count_assemblies(monkeypatch)
+        rng = np.random.default_rng(12)
+        F, G = random_rational(rng, 2, pole=0.4), random_rational(rng, 2, degree=1)
+        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        filtered = [solve_channel(F, G, a, window=48, n_lambda=1024),
+                    solve_channel(F, None, a, window=48, n_lambda=1024)]
+        assert calls == []
+        assert all("closed_loop_radius" in sol.diagnostics for sol in filtered)
+        windowed = [solve_channel(as_grid(F, 1024), G, a, window=48),
+                    solve_channel(F, as_grid(G, 1024), a, window=48, n_lambda=1024),
+                    solve_channel(as_grid(F, 1024), None, a, window=48)]
+        assert len(calls) == 3
+        assert all("orthogonality_residual" in sol.diagnostics for sol in windowed)
+
+    def test_given_grids_are_used_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        F, G = random_rational(rng, 3, pole=0.5), random_rational(rng, 3, degree=1)
+        a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        own = solve_channel(F, G, a, window=32, n_lambda=512)
+        given = solve_channel(F, G, a, window=32, grids=(as_grid(F, 512), as_grid(G, 512)))
+        assert own.delta == given.delta
+        np.testing.assert_array_equal(own.h_grid, given.h_grid)
+        np.testing.assert_array_equal(own.coefficients, given.coefficients)
+
+    def test_near_unit_root_window_falls_below_the_minimum(self):
+        # AR(0.995) observed through white noise of variance 0.5: a finite
+        # window truncates the estimator and reports an error below the
+        # minimum; the filter meets the oracle
+        F = RationalDensity.ar1(0.995, 1.0)
+        G = RationalDensity([[[np.sqrt(0.5)]]])
+        a = np.array([[1.0], [0.5], [0.25]])
+        minimum = oracle_solve(F, G, a, j_past=1000, n_lambda=16384)
+        sol = solve_channel(F, G, a, n_lambda=16384)
+        assert abs(sol.delta - minimum) <= 1e-10 * minimum
+        assert sol.diagnostics["causal_leakage"] <= 1e-12
+        assert sol.diagnostics["weight_tail"] <= 1e-30
+        for window in (32, 96):
+            grid_sol = solve_channel(as_grid(F, 4096), as_grid(G, 4096), a, window=window)
+            assert grid_sol.delta < minimum * (1 - 1e-3)
+
+    def test_acceptance_instances_meet_the_oracle(self):
+        # the rational F and G of the acceptance suite's 20 instances
+        from test_acceptance import random_instance
+
+        rng = np.random.default_rng(20240101)
+        for _ in range(20):
+            F, G, a = random_instance(rng)
+            sol = solve_channel(F, G, a, window=96, n_lambda=2048)
+            mse = oracle_solve(F, G, a, j_past=160, n_lambda=2048)
+            assert abs(sol.delta - mse) <= 1e-10 * mse
+            assert sol.diagnostics["causal_leakage"] <= 1e-12
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_matches_the_window_route(self, K, noisy):
+        # poles and closed loops well inside the disk: window 96 is exact
+        # to rounding, so both routes give one h and one set of coefficients
+        rng = np.random.default_rng(60 + K + 3 * noisy)
+        F = random_rational(rng, K, pole=0.4)
+        G = random_rational(rng, K, degree=1) if noisy else None
+        a = rng.normal(size=(4, K)) + 1j * rng.normal(size=(4, K))
+        sol = solve_channel(F, G, a, window=96, n_lambda=2048)
+        ref = solve_channel(as_grid(F, 2048), None if G is None else as_grid(G, 2048), a,
+                            window=96)
+        assert abs(sol.delta - ref.delta) <= 1e-12 * ref.delta
+        scale = np.max(np.abs(ref.h_grid))
+        assert np.max(np.abs(sol.h_grid - ref.h_grid)) <= 1e-12 * scale
+        assert np.max(np.abs(sol.coefficients - ref.coefficients)) \
+            <= 1e-12 * np.max(np.abs(ref.coefficients))
+
+    def test_singular_lag_zero_numerator(self):
+        # N_0 is singular, so the observation noise D_y D_y^* of the filter
+        # is singular, while F is positive definite on the circle
+        N = np.zeros((2, 2, 2), dtype=complex)
+        N[0, 0, 0] = 1.0
+        N[1, 1, 1] = 1.0
+        F = RationalDensity(N)
+        a = np.array([[1.0, 0.5], [0.2, -0.3]])
+        sol = solve_channel(F, None, a, window=16, n_lambda=512)
+        assert sol.delta == pytest.approx(oracle_solve(F, None, a, j_past=64, n_lambda=512),
+                                          rel=1e-12)
+
+    def test_weight_tail_beyond_the_grid_is_reported(self):
+        # an MA(1) zero at radius 1 - 1e-6: the one-step error is exactly 1,
+        # while the weights decay too slowly for a 512-node grid
+        F = RationalDensity.ma([1.0, -(1.0 - 1e-6)])
+        sol = solve_channel(F, None, np.array([[1.0]]), window=16, n_lambda=512)
+        assert sol.delta == pytest.approx(1.0, abs=1e-12)
+        assert sol.diagnostics["weight_tail"] > 0.5
+        quick = solve_channel(RationalDensity.ar1(0.5), None, np.array([[1.0]]), window=16,
+                              n_lambda=512)
+        assert quick.diagnostics["weight_tail"] == 0.0
+
+    def test_zero_on_the_circle_between_nodes_is_a_minimality_violation(self):
+        # the zero at lambda = 0.1234 misses every node (condition 1 at
+        # K = 1), so the filter's closed loop is what refuses it
+        F = RationalDensity.ma([1.0, -np.exp(0.1234j)])
+        with pytest.raises(MinimalityViolation, match="closed-loop|stabilizing"):
+            solve_channel(F, None, np.array([[1.0]]), n_lambda=4096)

@@ -162,6 +162,32 @@ class TestDensityTypes:
         expect = 1.0 / np.abs(1 - phi * np.exp(1j * lam)) ** 2
         assert np.max(np.abs(grid.values[:, 0, 0] - expect)) < 1e-12
 
+    @pytest.mark.parametrize("n", [512, 4096, 8192])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_rasterize_in_entry_planes_is_bit_exact(self, K, n):
+        # the node-major formula rasterize used before it ran on entry
+        # planes: the same ufuncs in the same order give the same bits
+        def node_major(density, n_lambda):
+            z = np.exp(-1j * lambda_grid(n_lambda))
+            num = np.zeros((n_lambda, density.K, density.K), dtype=complex)
+            for u in range(density.numerator.shape[0]):
+                num += (z**u)[:, None, None] * density.numerator[u]
+            den = np.zeros(n_lambda, dtype=complex)
+            for v, coeff in enumerate(density.denominator):
+                den += coeff * z**v
+            values = (_node_matmul(num, np.conj(np.swapaxes(num, 1, 2)))
+                      / (np.abs(den) ** 2)[:, None, None])
+            return (values + np.conj(np.swapaxes(values, 1, 2))) / 2
+
+        rng = np.random.default_rng(10 * K + n % 7)
+        for U in (1, 3):
+            for den in ([1.0], [1.0, -0.6], [2.0, 0.3 - 0.2j, 0.1]):
+                num = rng.normal(size=(U, K, K)) + 1j * rng.normal(size=(U, K, K))
+                density = RationalDensity(num, den)
+                grid = density.rasterize(n).values
+                assert grid.flags.c_contiguous
+                np.testing.assert_array_equal(grid, node_major(density, n))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_grid_values(self, bad):
         vals = np.ones((8, 1, 1), dtype=complex)
@@ -536,9 +562,9 @@ class TestKernelSites:
             ("minimax", "_check_weight"),
         }
 
-    def test_riccati_solve_only_in_riccati_factor(self):
+    def test_riccati_solves_only_in_riccati_factor_and_filter(self):
         assert _call_sites("scipy.linalg.solve_discrete_are") == [
-            ("extrapolate", "_riccati_factor")]
+            ("extrapolate", "_solve_by_filter"), ("extrapolate", "_riccati_factor")]
 
     def test_fft_only_in_the_lag_helpers(self):
         # the grid's two lag transforms, the sweeps' causal projection and
@@ -594,7 +620,7 @@ class TestThresholdSites:
         assert _sites(lambda node: named(node) and isinstance(node.ctx, ast.Store)) == [
             ("spectral", "<module>")]
         assert set(_sites(lambda node: named(node) and isinstance(node.ctx, ast.Load))) == {
-            ("spectral", "_pointwise_inverse"), ("spectral", "_node_traces"), ("cli", "_meta")}
+            ("spectral", "_checked_condition"), ("spectral", "_node_traces"), ("cli", "_meta")}
 
     def test_factor_residual_compared_only_in_checked_factor(self):
         def compares(node):
