@@ -6,7 +6,9 @@ P(l) = sum_u d(u) exp(-i*u*l).  A rational density is factorized exactly by
 one Riccati solve; a density given on a grid, by Wilson's sweeps.  The
 factor coefficients alone give the prediction error as a finite sum, and
 the pointwise inverse of P gives the spectral characteristic; both agree
-with the linear-system route.
+with the linear-system route.  The same Riccati solve judges minimality:
+``check_minimality`` reads the whitening filter's closed loop and its exact
+trace integral.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import numpy as np
 from pcfield import (
     RationalDensity,
     as_grid,
+    check_minimality,
     solve_by_factorization,
     solve_noiseless,
     spectral_factorize,
@@ -48,3 +51,11 @@ print(f"\nprediction error, innovations route:   {through_factor.delta:.8f}")
 print(f"prediction error, linear-system route:  {through_system.delta:.8f}")
 print("spectral characteristics agree to",
       f"{np.max(np.abs(through_factor.h_grid - through_system.h_grid)):.2e}")
+
+print("\n=== minimality from the same Riccati solve ===")
+print("MA(1) [1, -rho]: the trace integral of 1/F is 1/(1 - rho^2), exactly")
+for rho in (0.5, 0.9, 0.999, 1.0):
+    report = check_minimality(RationalDensity.ma([1.0, -rho]), n_lambda=4096)
+    exact = 1.0 / (1.0 - rho ** 2) if rho < 1.0 else float("inf")
+    print(f"  rho = {rho:<6} check: {report.trace_integral:.12g}  1/(1 - rho^2): {exact:.12g}"
+          f"  closed-loop radius {report.closed_loop_radius:.6f}  passed {report.passed}")

@@ -409,10 +409,24 @@ def _channel_factors(problem):
 # commands
 
 
+def _checked_weights(sol, problem, i):
+    """``sol``, or :class:`SchemaError` when its ``weight_tail``, the weights' energy
+    share past the grid's lags, exceeds the factorization tolerance ``_meta`` records."""
+    tail = sol.diagnostics.get("weight_tail", 0.0)
+    limit = _meta(problem)["tolerances"]["factorization"]
+    if not tail <= limit:
+        raise SchemaError(
+            f"channels[{i}]: solver.n_lambda {problem.n_lambda} holds the estimator's "
+            f"weights to lag {problem.n_lambda // 2 - 1} only; the share {tail:.3e} of "
+            f"their energy beyond exceeds {limit:.1e}")
+    return sol
+
+
 def cmd_solve(problem, out_dir, args):
-    sols = [solve_channel(entry["F"], entry["G"], entry["a"], window=problem.window,
-                          n_lambda=problem.n_lambda)
-            for entry in problem.channels]
+    sols = [_checked_weights(solve_channel(entry["F"], entry["G"], entry["a"],
+                                           window=problem.window, n_lambda=problem.n_lambda),
+                             problem, i)
+            for i, entry in enumerate(problem.channels)]
     payload = {"command": "solve", "meta": _meta(problem), "channels": []}
     total = 0.0
     for entry, sol in zip(problem.channels, sols):
@@ -533,8 +547,9 @@ def cmd_validate(problem, out_dir, args):
         # oracle and the draw share the channel's grids; a reference
         # density is rasterized apart, only when given
         F, G = _channel_grids(problem, entry)
-        sol = solve_channel(entry["F"], entry["G"], entry["a"], window=problem.window,
-                            grids=(F, G))
+        sol = _checked_weights(solve_channel(entry["F"], entry["G"], entry["a"],
+                                             window=problem.window, grids=(F, G)),
+                               problem, i)
         ref_F, ref_G = entry["reference_F"], entry["reference_G"]
         F_true = F if ref_F is None else as_grid(ref_F, problem.n_lambda)
         G_true = G if ref_G is None else as_grid(ref_G, problem.n_lambda)
@@ -669,8 +684,7 @@ def cmd_check(problem, out_dir, args):
             "passed": report.passed,
             "trace_integral": report.trace_integral,
             "max_condition": report.max_condition,
-            "refined_integral": report.refined_integral,
-            "refinement_growth": report.refinement_growth,
+            "closed_loop_radius": report.closed_loop_radius,
             "singular_lambdas": report.singular_lambdas,
         })
     payload["all_passed"] = overall

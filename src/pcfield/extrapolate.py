@@ -19,8 +19,8 @@ Four routes are implemented and cross-checked:
   of coefficient vectors ``c(j)``, whose error converges geometrically in
   the window size and lies below the minimum at a finite window,
 * ``solve_by_factorization`` - the innovations route through a canonical
-  factorization of the density (exact by one Riccati solve for a rational
-  density, Wilson's sweeps for a grid),
+  factorization of the density (exact for a rational density, read off
+  the filter's innovations model; Wilson's sweeps for a grid),
 * ``oracle_solve`` - a brute-force finite-past projection built from
   covariances only, used as an independent check.
 """
@@ -41,9 +41,9 @@ from .spectral import (
     evaluate_lag_series,
     fourier_coefficients,
     joint_covariance,
-    lambda_grid,
     _checked_condition,
     _hermitian_eigenvalues,
+    _innovations,
     _node_inverse,
     _node_matmul,
 )
@@ -234,66 +234,14 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
     return sol, A
 
 
-def _numerator_times(N, d):
-    """The matrix polynomial N (U, K, K) times the scalar polynomial d,
-    both ascending in z: (U + len(d) - 1, K, K)."""
-    out = np.zeros((N.shape[0] + len(d) - 1,) + N.shape[1:], dtype=complex)
-    for k, coeff in enumerate(d):
-        out[k:k + N.shape[0]] += coeff * N
-    return out
-
-
-def _pair_state_space(F, G):
-    """One state-space model of a rational pair, driven by white noise.
-
-    With the causal denominators d_F, d_G (``_causal_denominator``) and d =
-    d_F d_G scaled to d(0) = 1, v = w / d is driven by w = [w_F; w_G],
-    white in C^m (m = 2K; m = K and w = w_F without noise).  The signal is
-    zeta = M_zeta(L) v with M_zeta = [N_F d_G, 0], the observation y = M(L) v
-    with M = [N_F d_G, N_G d_F].  The state s(t) = [v(t-1); ..; v(t-r)] gives
-
-        s(t+1) = A s(t) + B w(t),  y = C_y s + D_y w,  zeta = C_z s + D_z w.
-
-    The numerators are scaled by one power of two to unit size.  Returns
-    (A, B, C_y, D_y, C_z, D_z) and that scale.
-    """
-    # one * (...) is a polynomial also where a denominator has no root
-    one, z = np.polynomial.Polynomial([1.0]), np.polynomial.Polynomial([0.0, 1.0])
-    d_F = (one * _causal_denominator(F.denominator, z)).coef
-    d_G = (one * _causal_denominator(G.denominator, z)).coef if G is not None else one.coef
-    d = np.convolve(d_F, d_G)
-    parts = [_numerator_times(F.numerator, d_G)]
-    if G is not None:
-        parts.append(_numerator_times(G.numerator, d_F))
-    q = max(part.shape[0] for part in parts)
-    parts = [np.concatenate([part, np.zeros((q - part.shape[0],) + part.shape[1:])])
-             for part in parts]
-    M = np.concatenate(parts, axis=2) / d[0]
-    unit = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(M))))[1])
-    M = M * unit
-    K, m = M.shape[1], M.shape[2]
-    M_z = np.concatenate([M[:, :, :K], np.zeros_like(M[:, :, K:])], axis=2)
-    r = max(len(d) - 1, q - 1, 1)
-    alpha = np.zeros(r + 1, dtype=complex)
-    alpha[:len(d)] = d / d[0]
-    M, M_z = (np.concatenate([X, np.zeros((r + 1 - q, K, m))]) for X in (M, M_z))
-
-    A = np.eye(r * m, k=-m, dtype=complex)
-    A[:m] = np.kron(-alpha[1:], np.eye(m))
-    B = np.eye(r * m, m)
-    C_y, C_z = (np.concatenate([X[k] - X[0] * alpha[k] for k in range(1, r + 1)], axis=1)
-                for X in (M, M_z))
-    return (A, B, C_y, M[0], C_z, M_z[0]), unit
-
-
 def _solve_by_filter(F, G, Fg, Gg, a, window):
     """Exact solve of a rational pair by one steady-state Kalman filter.
 
-    On ``_pair_state_space``'s model, the stabilizing solution P of the
-    filter's Riccati equation is the covariance of s(0) given the whole
-    observed past, K_p the predictor gain and A - K_p C_y the closed loop
-    (Kailath, Sayed & Hassibi 2000, Linear Estimation).  The functional is
-    v s(0) plus the future noise, with v = sum_j a(j)^T C_z A^j, so
+    On the pair's innovations model (``spectral._innovations``), the
+    stabilizing solution P of the filter's Riccati equation is the
+    covariance of s(0) given the whole observed past, K_p the predictor
+    gain and A - K_p C_y the closed loop.  The functional is v s(0) plus
+    the future noise, with v = sum_j a(j)^T C_z A^j, so
 
         delta = v P v^* + sum_i || sum_{j >= i} a(j)^T G_{j-i} ||^2,
 
@@ -308,18 +256,9 @@ def _solve_by_filter(F, G, Fg, Gg, a, window):
     a_pad = _pad_functional(a, window, Fg.K)
     support = np.flatnonzero(np.any(a_pad != 0, axis=1))
     a = a_pad[:support[-1] + 1 if support.size else 1]
-    (A, B, C_y, D_y, C_z, D_z), unit = _pair_state_space(F, G)
-    S = B @ D_y.conj().T
-    R = D_y @ D_y.conj().T
-    try:
-        P = scipy.linalg.solve_discrete_are(A.conj().T, C_y.conj().T, B @ B.conj().T, R, s=S)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise MinimalityViolation(
-            f"the pair's filter Riccati equation has no stabilizing solution ({exc})") from None
-    innovation = C_y @ P @ C_y.conj().T + R
-    gain = np.linalg.solve(innovation.T, (A @ P @ C_y.conj().T + S).T).T
-    closed = A - gain @ C_y
-    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
+    model = _innovations(F, G)
+    (A, B, _, _, C_z, D_z), unit = model.system, model.unit
+    P, gain, closed, radius = model.P, model.gain, model.closed, model.radius
     if not radius < 1.0:
         raise MinimalityViolation(
             f"the pair's filter is not stable (closed-loop spectral radius {radius:.6f})")
@@ -334,12 +273,9 @@ def _solve_by_filter(F, G, Fg, Gg, a, window):
     delta = (float(np.real(v @ P @ v.conj())) + float(future)) / unit / unit
 
     lags = max(n // 2 - 1, 0)
-    rows, power = v[None], closed                # rows k: v (A - K_p C_y)^k
-    while rows.shape[0] <= lags:
-        rows = np.concatenate([rows, rows @ power])
-        power = power @ power
+    rows = _power_rows(v[None], closed, lags + 1)    # rows k: v (A - K_p C_y)^k
     weights = rows[:lags] @ gain
-    reach = scipy.linalg.solve_discrete_lyapunov(closed, gain @ gain.conj().T)
+    reach = model.reach
     energy = float(np.real(v @ reach @ v.conj()))
     tail = float(np.real(rows[lags] @ reach @ rows[lags].conj()))
     h = evaluate_lag_series(weights, -np.arange(1, lags + 1), n)
@@ -483,73 +419,6 @@ def _upper_gram(a, b):
     return out
 
 
-def _pd_cholesky(matrix, name):
-    """Cholesky factor of a Hermitian K x K matrix; :class:`FactorizationError`
-    where its smallest eigenvalue is below ``_FACTORIZE_PD_FLOOR`` times its
-    largest (singular)."""
-    eigvals = _hermitian_eigenvalues(matrix[None])
-    if eigvals.min() <= _FACTORIZE_PD_FLOOR * eigvals.max():
-        raise FactorizationError(f"{name} is singular (min eigenvalue {eigvals.min():.3e})")
-    return np.linalg.cholesky(matrix)
-
-
-def _causal_denominator(den, z):
-    """The scalar denominator with each root inside the unit disk reflected
-    to 1 / conj(root), evaluated at ``z``: grid values z = exp(-i lambda),
-    or the polynomial z itself (``np.polynomial.Polynomial([0, 1])``).
-
-    On the unit circle it has the modulus of ``den``, and it has no root
-    inside the disk, so its inverse is causal.  The one root reflection of
-    the Riccati factor and of the filter route.
-    """
-    den = np.trim_zeros(den, "b")
-    out = den[-1]
-    for root in np.roots(den[::-1]):
-        out = out * ((1.0 - np.conj(root) * z) if abs(root) < 1.0 else (z - root))
-    return out
-
-
-def _riccati_factor(F, n):
-    """Minimum-phase factor of a :class:`RationalDensity` on the n-point grid.
-
-    The MA numerator's covariances R_j = sum_u N_{u+j} N_u^* are
-    R_j = C A^{j-1} B for the block shift A, B = [I; 0] and C = [R_1 .. R_q].
-    The stabilizing solution P of the covariance (Faurre) form of the
-    Riccati equation gives Re = R_0 - C P C^*, the gain
-    Kg = (B - A P C^*) Re^{-1} and the minimum-phase numerator
-    Psi_0 = chol(Re), Psi_u = C A^{u-1} Kg Psi_0, with Psi Psi^* = N N^*
-    (Sayed & Kailath 2001).  Only R_0 must be invertible (true for a density
-    positive definite on the circle), not N_0.  The denominator's roots
-    inside the unit disk are reflected, so Psi / den is causal and minimum
-    phase.  Raises :class:`FactorizationError` where R_0 or Re is singular
-    or the equation has no stabilizing solution.
-    """
-    scale = np.max(np.abs(F.numerator))     # solved for N / scale: no over- or underflow
-    N = F.numerator / scale
-    K, q = F.K, N.shape[0] - 1
-    R = [np.einsum("uab,ucb->ac", N[j:], N[:q + 1 - j].conj()) for j in range(q + 1)]
-    r0 = (R[0] + R[0].conj().T) / 2
-    psi = [_pd_cholesky(r0, "the numerator's lag-0 covariance")]
-    if q > 0:
-        A = np.eye(q * K, k=-K)
-        B = np.eye(q * K, K)
-        C = np.concatenate(R[1:], axis=1)
-        try:
-            P = -scipy.linalg.solve_discrete_are(A.T, C.conj().T, np.zeros_like(A), r0, s=B)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"no stabilizing Riccati solution ({exc})") from None
-        Re = r0 - C @ P @ C.conj().T
-        psi = [_pd_cholesky(Re, "the innovation covariance")]
-        gain = np.linalg.solve(Re.T, (B - A @ P @ C.conj().T).T).T
-        state = gain @ psi[0]           # A^{u-1} Kg Psi_0, from u = 1
-        for _ in range(q):
-            psi.append(C @ state)
-            state = A @ state
-    numerator = scale * evaluate_lag_series(psi, -np.arange(q + 1), n)
-    den_grid = _causal_denominator(F.denominator, np.exp(-1j * lambda_grid(n)))
-    return numerator / np.reshape(den_grid, (-1, 1, 1))
-
-
 def _wilson_sweeps(values, sup):
     """Wilson's (1972) Newton sweeps on the grid: the factor and the sweeps run.
 
@@ -602,21 +471,31 @@ def _wilson_sweeps(values, sup):
     return np.moveaxis(psi, 2, 0), iterations
 
 
+def _power_rows(rows, power, count):
+    """rows (b, s) times power^u for u = 0 .. count - 1, stacked as one
+    (count b, s) matrix, by doubling."""
+    size = count * rows.shape[0]
+    while rows.shape[0] < size:
+        rows = np.concatenate([rows, rows @ power])
+        power = power @ power
+    return rows[:size]
+
+
 def spectral_factorize(F, n_lambda=None):
     """Canonical (causal, minimum-phase) factorization of a Hermitian PD
     matrix density.
 
-    A :class:`RationalDensity` is factorized exactly by one Riccati solve on
-    its numerator's covariances (``_riccati_factor``, ``iterations`` 0), a
-    grid density by Wilson's sweeps (``_wilson_sweeps``).  The grid is
-    divided by 4^k, the even power of two nearest its largest entry; the
-    rank floor, the stop test and the residual are taken on that unit grid,
-    and the factor is multiplied back by 2^k.  Both scalings are exact, so
-    a grid gets the same sweeps and factor, bit for bit, at any scale that
-    neither under- nor overflows.  The factor's first n/2 causal
-    coefficients are read off the grid, rotated so that d(0) is lower
-    triangular with a positive diagonal, and the residual of that factor is
-    taken against the density on the grid.
+    A :class:`RationalDensity` is factorized exactly by its innovations
+    model, the filter route's (``iterations`` 0; the closed loop is not
+    judged), a grid density by Wilson's sweeps (``_wilson_sweeps``).  The
+    grid is divided by 4^k, the even power of two nearest its largest
+    entry; the rank floor, the stop test and the residual are taken on that
+    unit grid, and the factor is multiplied back by 2^k.  Both scalings are
+    exact, so a grid gets the same sweeps and factor, bit for bit, at any
+    scale that neither under- nor overflows.  The factor's first n/2 causal
+    coefficients (exact lags, or read off the sweeps' grid) are rotated so
+    that d(0) is lower triangular with a positive diagonal, and the
+    residual of that factor is taken against the density on the grid.
 
     Returns the factor however far the sweeps got, with its own residual,
     for its user to judge.  Raises :class:`FactorizationError` for a
@@ -644,15 +523,23 @@ def spectral_factorize(F, n_lambda=None):
         )
 
     sup = float(np.max(np.linalg.norm(values, axis=(1, 2))))
+    lags = np.arange(n // 2)
     if isinstance(F, RationalDensity):
-        psi, iterations = _riccati_factor(F, n) * root, 0
+        # exact lags d(0) = chol(Re) / unit, d(u) = C_y A^{u-1} K_p chol(Re) / unit
+        try:
+            model = _innovations(F, None)
+            head = np.linalg.cholesky(model.innovation)
+        except (MinimalityViolation, np.linalg.LinAlgError) as exc:
+            raise FactorizationError(
+                f"no stabilizing Riccati solution ({exc.__cause__ or exc})") from None
+        A, _, C_y = model.system[:3]
+        tail = (_power_rows(C_y, A, n // 2 - 1) @ (model.gain @ head)).reshape(-1, *head.shape)
+        d, iterations = np.concatenate([head[None], tail]) * (root / model.unit), 0
     else:
         psi, iterations = _wilson_sweeps(values, sup)
-
-    # causal coefficients of psi: d(u) is the coefficient of exp(-i u lambda);
-    # with no sweep run, psi is still the one starting node
-    lags = np.arange(n // 2)
-    d = fourier_coefficients(np.broadcast_to(psi, values.shape), lags)
+        # causal coefficients of psi: d(u) is the coefficient of exp(-i u lambda);
+        # with no sweep run, psi is still the one starting node
+        d = fourier_coefficients(np.broadcast_to(psi, values.shape), lags)
 
     # rotate so d(0) is lower triangular with positive diagonal
     q, r = np.linalg.qr(d[0].conj().T)

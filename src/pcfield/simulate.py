@@ -8,11 +8,11 @@ exp(-i*u*l), the sequence
 
 driven by circular complex Gaussian innovations w has spectral density F.
 A draw takes a density or its :class:`FactorizationResult` (factorize once,
-draw many paths).  A rational density is factorized exactly, by one Riccati
-solve; a grid density by Wilson's sweeps, whose factor comes back however
-far they got.  A draw refuses a factor whose relative residual exceeds
-``FACTORIZATION_TOL`` (:class:`FactorizationError`): its paths would have
-another density.
+draw many paths).  A rational density is factorized exactly, read off the
+filter's innovations model; a grid density by Wilson's sweeps, whose factor
+comes back however far they got.  A draw refuses a factor whose relative
+residual exceeds ``FACTORIZATION_TOL`` (:class:`FactorizationError`): its
+paths would have another density.
 ``synthesize_field`` makes real field samples in one batched synthesis.
 
 ``empirical_mse`` replays the solved estimator on simulated paths and

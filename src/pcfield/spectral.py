@@ -23,10 +23,12 @@ without noise).  The error is read off the characteristic h of the solved c:
 delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)].
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 DEFAULT_N_LAMBDA = 4096
 # the largest condition number of F + G at a grid node; above it, or where
@@ -249,8 +251,8 @@ class RationalDensity:
     ``F(lambda) = N(lambda) N(lambda)^* / |den(lambda)|^2`` with the matrix
     numerator ``N(lambda) = sum_u N_u exp(-i*u*lambda)`` and a scalar
     denominator polynomial ``den(lambda) = sum_v den_v exp(-i*v*lambda)``.
-    Hermitian and PSD by construction; rasterizes to any grid size, so
-    refinement diagnostics stay available.  Coefficients must be finite,
+    Hermitian and PSD by construction; rasterizes to any grid size.
+    Coefficients must be finite,
     and ``rasterize`` raises :class:`NonFiniteDensityError` when the grid
     values overflow.
     """
@@ -328,6 +330,115 @@ class RationalDensity:
     def ma(cls, coefficients):
         """Scalar moving-average density |sum_u c_u e^{-iu lambda}|^2."""
         return cls(np.asarray(coefficients, dtype=complex)[:, None, None])
+
+
+def _numerator_times(N, d):
+    """The matrix polynomial N (U, K, K) times the scalar polynomial d,
+    both ascending in z: (U + len(d) - 1, K, K)."""
+    out = np.zeros((N.shape[0] + len(d) - 1,) + N.shape[1:], dtype=complex)
+    for k, coeff in enumerate(d):
+        out[k:k + N.shape[0]] += coeff * N
+    return out
+
+
+def _causal_denominator(den):
+    """The scalar denominator, ascending, with each root inside the unit disk
+    reflected to 1 / conj(root): its modulus on the circle, a causal inverse."""
+    # one * (...) is a polynomial also where the denominator has no root
+    one, z = np.polynomial.Polynomial([1.0]), np.polynomial.Polynomial([0.0, 1.0])
+    den = np.trim_zeros(den, "b")
+    out = den[-1]
+    for root in np.roots(den[::-1]):
+        out = out * ((1.0 - np.conj(root) * z) if abs(root) < 1.0 else (z - root))
+    return (one * out).coef
+
+
+def _pair_state_space(F, G):
+    """One state-space model of a rational pair, driven by white noise.
+
+    With the causal denominators d_F, d_G (``_causal_denominator``) and d =
+    d_F d_G scaled to d(0) = 1, v = w / d is driven by w = [w_F; w_G],
+    white in C^m (m = 2K; m = K and w = w_F without noise).  The signal is
+    zeta = M_zeta(L) v with M_zeta = [N_F d_G, 0], the observation y = M(L) v
+    with M = [N_F d_G, N_G d_F].  The state s(t) = [v(t-1); ..; v(t-r)] gives
+
+        s(t+1) = A s(t) + B w(t),  y = C_y s + D_y w,  zeta = C_z s + D_z w.
+
+    The numerators are scaled by one power of two to unit size.  Returns
+    (A, B, C_y, D_y, C_z, D_z) and that scale.
+    """
+    d_F = _causal_denominator(F.denominator)
+    d_G = _causal_denominator(G.denominator) if G is not None else np.ones(1)
+    d = np.convolve(d_F, d_G)
+    parts = [_numerator_times(F.numerator, d_G)]
+    if G is not None:
+        parts.append(_numerator_times(G.numerator, d_F))
+    q = max(part.shape[0] for part in parts)
+    parts = [np.concatenate([part, np.zeros((q - part.shape[0],) + part.shape[1:])])
+             for part in parts]
+    M = np.concatenate(parts, axis=2) / d[0]
+    unit = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(M))))[1])
+    M = M * unit
+    K, m = M.shape[1], M.shape[2]
+    M_z = np.concatenate([M[:, :, :K], np.zeros_like(M[:, :, K:])], axis=2)
+    r = max(len(d) - 1, q - 1, 1)
+    alpha = np.zeros(r + 1, dtype=complex)
+    alpha[:len(d)] = d / d[0]
+    M, M_z = (np.concatenate([X, np.zeros((r + 1 - q, K, m))]) for X in (M, M_z))
+
+    A = np.eye(r * m, k=-m, dtype=complex)
+    A[:m] = np.kron(-alpha[1:], np.eye(m))
+    B = np.eye(r * m, m)
+    C_y, C_z = (np.concatenate([X[k] - X[0] * alpha[k] for k in range(1, r + 1)], axis=1)
+                for X in (M, M_z))
+    return (A, B, C_y, M[0], C_z, M_z[0]), unit
+
+
+@dataclass
+class Innovations:
+    """``_innovations``' model: ``system`` (A, B, C_y, D_y, C_z, D_z) at scale
+    ``unit``, the Riccati solution P, Re (``innovation``), the predictor gain
+    K_p, the closed loop A - K_p C_y, its spectral radius and, where that is
+    below 1, its reachability Gramian W = sum_k closed^k K_p K_p^* closed^k*."""
+
+    system: tuple
+    unit: float
+    P: np.ndarray
+    innovation: np.ndarray
+    gain: np.ndarray
+    closed: np.ndarray
+    radius: float
+    reach: np.ndarray | None
+
+
+def _innovations(F, G):
+    """The innovations model of the rational pair (F, G); G may be None.
+
+    One ``solve_discrete_are`` on ``_pair_state_space``'s model gives P, the
+    state's covariance given the whole observed past, and F + G = Phi Phi^*
+    / unit^2 with the canonical factor Phi = (I + C_y (zI - A)^{-1} K_p)
+    chol(Re) (Kailath, Sayed & Hassibi 2000, Linear Estimation).  The
+    whitening filter Phi^{-1} is stable iff rho(A - K_p C_y) < 1; then one
+    ``solve_discrete_lyapunov`` gives W.  :class:`MinimalityViolation` where
+    the equation has no stabilizing solution or Re is singular.
+    """
+    system, unit = _pair_state_space(F, G)
+    A, B, C_y, D_y = system[:4]
+    S = B @ D_y.conj().T
+    R = D_y @ D_y.conj().T
+    try:
+        P = scipy.linalg.solve_discrete_are(A.conj().T, C_y.conj().T, B @ B.conj().T, R, s=S)
+        innovation = C_y @ P @ C_y.conj().T + R
+        gain = np.linalg.solve(innovation.T, (A @ P @ C_y.conj().T + S).T).T
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise MinimalityViolation(
+            f"the pair's filter Riccati equation has no stabilizing solution ({exc})") from exc
+    closed = A - gain @ C_y
+    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
+    reach = (scipy.linalg.solve_discrete_lyapunov(closed, gain @ gain.conj().T)
+             if radius < 1.0 else None)
+    return Innovations(system=system, unit=unit, P=P, innovation=innovation, gain=gain,
+                       closed=closed, radius=radius, reach=reach)
 
 
 def as_grid(density, n_lambda=None):
@@ -564,15 +675,15 @@ def assemble_operators(F, G, window):
 
 @dataclass
 class MinimalityReport:
-    """Diagnostics for invertibility of F + G across the grid."""
+    """Diagnostics for invertibility of F + G; ``closed_loop_radius`` is the
+    filter's (``_innovations``) for a rational pair, None for a grid pair."""
 
     trace_integral: float
     max_condition: float
     passed: bool
     singular_lambdas: list
     n_lambda: int
-    refined_integral: float | None = None
-    refinement_growth: float | None = None
+    closed_loop_radius: float | None = None
 
 
 def _node_traces(values):
@@ -590,66 +701,52 @@ def _node_traces(values):
     return inverse.sum(axis=1), conds, regular
 
 
-def _masked_integral(traces, regular):
-    """Sum of the regular nodes' traces against the full grid measure."""
-    if not regular.any():
-        return float("inf")
-    return float(np.sum(traces[regular]) / traces.shape[0])
-
-
 def check_minimality(F, G=None, n_lambda=DEFAULT_N_LAMBDA):
-    """Report whether (F + G)^{-1} has an integrable trace on the grid.
+    """Report whether (F + G)^{-1} has an integrable trace.
 
-    The trace integral (1/2pi) int Tr[(F+G)^{-1}] is computed with exactly
-    singular nodes masked and reported.  For parametric densities (F
-    rational, and G rational or absent) a refined grid (2 * n_lambda) is
-    always evaluated as well: growth above 10% between the two
-    resolutions marks a divergent integral.  The base grid is the refined
-    grid's even nodes, bit for bit, so the pair is rasterized and
-    eigen-decomposed once, at 2 * n_lambda.  Singular nodes are listed base
-    nodes first, then the refined grid's other nodes; a node is singular
-    where its condition number is not finite or exceeds
-    ``DEFAULT_COND_CEILING``.  Passing requires no singular nodes and no
-    divergence.
+    Every pair lists its singular grid nodes (condition number not finite or
+    above ``DEFAULT_COND_CEILING``).  A rational pair (G rational or None)
+    is judged by the filter the solve reads (``_innovations``): minimal iff
+    its Riccati equation has a stabilizing solution and rho(A - K_p C_y) <
+    1.  Its trace integral (1/2pi) int Tr[(F+G)^{-1}] is then exact, the
+    whitening filter's squared H2 norm unit^2 Tr[Re^{-1} (I + C_y W C_y^*)],
+    and infinite where the filter refuses the pair.  A grid pair's integral
+    is the grid mean with singular nodes masked.  Passing requires no
+    singular node and, for a rational pair, a stable closed loop.
     """
-
-    def total_at(n):
-        Fg = as_grid(F, n if not isinstance(F, SpectralDensityGrid) else None)
-        if G is None:
-            return Fg.values
+    Fg = as_grid(F, n_lambda if not isinstance(F, SpectralDensityGrid) else None)
+    total = Fg.values
+    if G is not None:
         Gg = as_grid(G, Fg.n_lambda if isinstance(G, RationalDensity) else None)
         if Gg.n_lambda != Fg.n_lambda:
             raise ValueError("F and G sampled on different grids")
-        return Fg.values + Gg.values
-
-    refined = (isinstance(F, RationalDensity)
-               and (G is None or isinstance(G, RationalDensity)))
-    total = total_at(2 * n_lambda if refined else n_lambda)
+        total = Fg.values + Gg.values
     traces, conds, regular = _node_traces(total)
-    lam = lambda_grid(total.shape[0])
-    step = 2 if refined else 1
-    base = slice(None, None, step)
-    integral = _masked_integral(traces[base], regular[base])
-    singular = lam[base][~regular[base]].tolist()
+    singular = lambda_grid(total.shape[0])[~regular].tolist()
     max_cond = float(conds.max()) if regular.all() else float("inf")
-    refined_integral = None
-    growth = None
-    if refined:
-        refined_integral = _masked_integral(traces, regular)
-        singular += lam[1::2][~regular[1::2]].tolist()
-        if integral > 0 and np.isfinite(integral) and np.isfinite(refined_integral):
-            growth = float(refined_integral / integral - 1.0)
+    radius, integral = None, math.inf
+    if not (isinstance(F, RationalDensity) and (G is None or isinstance(G, RationalDensity))):
+        if regular.any():       # the regular nodes' traces against the full grid measure
+            integral = float(np.sum(traces[regular]) / len(traces))
+    else:
+        try:
+            model = _innovations(F, G)
+        except MinimalityViolation:
+            radius = math.inf
         else:
-            growth = float("inf")
-    passed = not singular and (growth is None or growth <= 0.10)
+            radius = model.radius
+            if model.reach is not None:
+                C_y = model.system[2]
+                whitened = np.linalg.solve(model.innovation,
+                                           np.eye(Fg.K) + C_y @ model.reach @ C_y.conj().T)
+                integral = float(np.trace(whitened).real) * model.unit * model.unit
     return MinimalityReport(
         trace_integral=integral,
         max_condition=max_cond,
-        passed=passed,
+        passed=not singular and (radius is None or radius < 1.0),
         singular_lambdas=singular,
-        n_lambda=total.shape[0] // step,
-        refined_integral=refined_integral,
-        refinement_growth=growth,
+        n_lambda=total.shape[0],
+        closed_loop_radius=radius,
     )
 
 

@@ -286,6 +286,16 @@ _UNSAMPLEABLE_GRID_SIGNAL = [
     _set(("channels", 0, "F"), density_to_spec(RationalDensity.ar1(0.995).rasterize(1024))),
 ]
 
+# an MA(1) zero at radius 1 - 1e-6: the filter's weights decay too slowly
+# for a 512-node grid, which holds h at lags up to 255 only
+_WEIGHTS_BEYOND_THE_GRID = [_set(("channels", 0, "F", "numerator"), [1.0, -(1.0 - 1e-6)])]
+
+
+def _ma1_zero(radius, angle):
+    """The numerator [1, -radius e^{i angle}] as [re, im] pairs."""
+    return [[1.0, 0.0], [-radius * np.cos(angle), -radius * np.sin(angle)]]
+
+
 # a white noise grid with one infinite node, written as JSON's Infinity
 _INFINITE_GRID_NOISE = [_set(("channels", 0, "G"), {
     "type": "grid", "K": 1, "n_lambda": 512,
@@ -493,6 +503,12 @@ class TestRuntimeFailures:
                                     [[1.0, 0.0], [-np.cos(0.1234), -np.sin(0.1234)]])],
                      EXIT_MINIMALITY, "minimality failure: the pair's filter",
                      id="solve-zero-on-circle-between-nodes"),
+        pytest.param("solve", _WEIGHTS_BEYOND_THE_GRID, EXIT_SCHEMA,
+                     "schema error: channels[0]: solver.n_lambda 512 holds the estimator's "
+                     "weights to lag 255 only", id="solve-weights-beyond-the-grid"),
+        pytest.param("validate", _WEIGHTS_BEYOND_THE_GRID, EXIT_SCHEMA,
+                     "schema error: channels[0]: solver.n_lambda 512 holds the estimator's "
+                     "weights to lag 255 only", id="validate-weights-beyond-the-grid"),
         pytest.param("solve", _NON_PD_OPERATOR, EXIT_MINIMALITY,
                      "minimality failure: assembled B is not positive definite",
                      id="solve-non-pd-operator"),
@@ -1291,7 +1307,62 @@ class TestOtherCommands:
             == EXIT_MINIMALITY
         report = json.loads((out / "minimality.json").read_text())
         assert report["all_passed"] is False
-        assert report["channels"][0]["refinement_growth"] > 0.10
+        assert report["channels"][0]["closed_loop_radius"] >= 1.0
+        assert report["channels"][0]["trace_integral"] == float("inf")
+
+
+class TestCheckAgreesWithSolve:
+    """``check`` and ``solve`` read one filter: ``check`` exits 2 exactly
+    where ``solve`` raises a minimality violation."""
+
+    @pytest.mark.parametrize("numerator, denominator, check_code, solve_code", [
+        pytest.param([1.0, -1.0], [1.0], EXIT_MINIMALITY, EXIT_MINIMALITY, id="zero-at-a-node"),
+        pytest.param(_ma1_zero(1.0, 0.1234), [1.0], EXIT_MINIMALITY, EXIT_MINIMALITY,
+                     id="zero-between-nodes"),
+        pytest.param([0.0], [1.0], EXIT_MINIMALITY, EXIT_MINIMALITY, id="zero-density"),
+        pytest.param([1.0], [1.0, -0.5], EXIT_OK, EXIT_OK, id="ar1"),
+        # the zero sits at an odd node of the doubled grid: the pair is
+        # minimal, but its weights outlast the 4096-node grid
+        pytest.param(_ma1_zero(1.0 - 1e-6, np.pi / 4096), [1.0], EXIT_OK, EXIT_SCHEMA,
+                     id="zero-near-an-odd-node-of-2n"),
+    ])
+    def test_exit_codes_agree(self, tmp_path, capsys, numerator, denominator,
+                              check_code, solve_code):
+        prob = white_problem(n_lambda=4096)
+        prob["channels"][0]["F"] = {"type": "rational", "numerator": numerator,
+                                    "denominator": denominator}
+        path = write_problem(tmp_path, prob)
+        codes = [main([command, "--input", str(path), "--output", str(tmp_path / command)])
+                 for command in ("check", "solve")]
+        assert codes == [check_code, solve_code]
+        report = json.loads((tmp_path / "check" / "minimality.json").read_text())["channels"][0]
+        assert report["passed"] == (check_code == EXIT_OK)
+        assert (report["closed_loop_radius"] < 1.0) == report["passed"]
+        capsys.readouterr()
+
+    def test_solve_refuses_before_writing(self, tmp_path, capsys):
+        prob = white_problem()
+        for edit in _WEIGHTS_BEYOND_THE_GRID:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_SCHEMA
+        assert list(out.iterdir()) == []
+        capsys.readouterr()
+
+    def test_factorize_keeps_a_zero_between_nodes(self, tmp_path):
+        # the factor does not judge the closed loop: a zero on the circle
+        # between nodes factorizes to rounding
+        prob = white_problem(n_lambda=4096)
+        prob["channels"][0]["F"]["numerator"] = _ma1_zero(1.0, 0.1234)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["factorize", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        report = json.loads((out / "factorization.json").read_text())["channels"][0]
+        F = density_from_spec(prob["channels"][0]["F"]).rasterize(4096)
+        sup = np.max(np.abs(F.values))
+        assert report["iterations"] == 0
+        assert report["residual"] <= 1e-13 * sup
 
 
 class TestSampledInputs:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcfield import spectral
+from pcfield import extrapolate, spectral
 from pcfield.spectral import (
     MinimalityViolation,
     NonFiniteDensityError,
@@ -562,9 +562,18 @@ class TestKernelSites:
             ("minimax", "_check_weight"),
         }
 
-    def test_riccati_solves_only_in_riccati_factor_and_filter(self):
-        assert _call_sites("scipy.linalg.solve_discrete_are") == [
-            ("extrapolate", "_solve_by_filter"), ("extrapolate", "_riccati_factor")]
+    def test_riccati_and_lyapunov_solves_only_in_the_shared_model(self):
+        # the solve, the rational factor and the minimality verdict read one
+        # innovations model; the covariance-form factor is gone
+        assert _call_sites("scipy.linalg.solve_discrete_are") == [("spectral", "_innovations")]
+        assert _call_sites("scipy.linalg.solve_discrete_lyapunov") == [
+            ("spectral", "_innovations")]
+        assert set(_call_sites("_innovations")) == {
+            ("spectral", "check_minimality"), ("extrapolate", "_solve_by_filter"),
+            ("extrapolate", "spectral_factorize")}
+        source = Path(extrapolate.__file__).read_text()
+        for name in ("_riccati_factor", "_pd_cholesky", "lambda_grid"):
+            assert name not in source
 
     def test_fft_only_in_the_lag_helpers(self):
         # the grid's two lag transforms, the sweeps' causal projection and
@@ -833,20 +842,24 @@ class TestCheckMinimality:
     def test_vanishing_density_flagged_divergent(self):
         report = check_minimality(RationalDensity.ma([1.0, -1.0]), n_lambda=4096)
         assert not report.passed
-        # masked integral grows by more than 10% when the grid is doubled
-        assert report.refinement_growth is not None
-        assert report.refinement_growth > 0.10
+        # the zero at lambda = 0 puts the filter's closed loop on the circle
+        assert report.closed_loop_radius >= 1.0
+        assert report.trace_integral == np.inf
         assert any(abs(x) < 1e-9 for x in report.singular_lambdas)
 
     def test_smooth_rational_refinement_stable(self):
-        report = check_minimality(RationalDensity.ar1(0.5), n_lambda=1024)
-        assert report.passed
-        assert abs(report.refinement_growth) < 1e-10
+        # the exact integral (1 + phi^2) / sigma^2 does not move with the grid
+        reports = [check_minimality(RationalDensity.ar1(0.5), n_lambda=n) for n in (1024, 2048)]
+        assert all(report.passed for report in reports)
+        assert reports[0].trace_integral == reports[1].trace_integral
+        assert reports[0].trace_integral == pytest.approx(1.25, rel=1e-12)
+        assert reports[0].closed_loop_radius < 1.0
 
     @staticmethod
     def separate_grid_report(F, G, n, cond_ceiling=1e10):
-        """The refined report from two separate rasterizations, at n and 2n,
-        each inverted node by node and its singular nodes merged by value."""
+        """Masked trace integrals on separate grids n, 2n, .., 16n, each
+        rasterized and inverted node by node, with the condition number
+        and singular nodes of the first."""
 
         def masked(total):
             conds = pointwise_condition(total)
@@ -859,10 +872,9 @@ class TestCheckMinimality:
         def total(m):
             return as_grid(F, m).values + (0.0 if G is None else as_grid(G, m).values)
 
-        integral, cond, singular = masked(total(n))
-        refined, fine_cond, fine_singular = masked(total(2 * n))
-        singular += [x for x in fine_singular if x not in singular]
-        return integral, refined, max(cond, fine_cond), singular
+        integrals = [masked(total(n * 2 ** k))[0] for k in range(5)]
+        _, cond, singular = masked(total(n))
+        return integrals, cond, singular
 
     @pytest.mark.parametrize("F, G", [
         pytest.param(RationalDensity.ar1(0.5), RationalDensity([[[0.6]]]), id="ar1-white"),
@@ -872,16 +884,22 @@ class TestCheckMinimality:
                      RationalDensity(0.1 * np.eye(2)[None]), id="K2"),
     ])
     def test_nested_grid_matches_separate_grids(self, monkeypatch, F, G):
-        integral, refined, cond, singular = self.separate_grid_report(F, G, 1024)
+        # the grid part of the report is one eigenvalue pass at n; the exact
+        # integral is the limit of the nested grids' integrals, which grow
+        # without bound where the filter refuses the pair
+        integrals, cond, singular = self.separate_grid_report(F, G, 1024)
         eigen_calls = count_calls(monkeypatch, spectral, "_hermitian_eigenvalues")
         inv_calls = count_calls(monkeypatch, np.linalg, "inv")
         report = check_minimality(F, G, n_lambda=1024)
         assert len(eigen_calls) == 1 and inv_calls == []
         assert report.n_lambda == 1024
-        assert report.trace_integral == pytest.approx(integral, rel=1e-12)
-        assert report.refined_integral == pytest.approx(refined, rel=1e-12)
         assert report.max_condition == cond
         assert report.singular_lambdas == singular
+        if report.passed:
+            assert report.trace_integral == pytest.approx(integrals[-1], rel=1e-12)
+        else:
+            assert report.trace_integral == np.inf
+            assert all(b > 1.1 * a for a, b in zip(integrals, integrals[1:]))
 
     def test_grid_pair_takes_one_eigenvalue_pass(self, monkeypatch):
         F = RationalDensity.ar1(0.5).rasterize(512)
@@ -890,23 +908,49 @@ class TestCheckMinimality:
         inv_calls = count_calls(monkeypatch, np.linalg, "inv")
         report = check_minimality(F, G)
         assert len(eigen_calls) == 1 and inv_calls == []
-        assert report.passed and report.refined_integral is None
+        assert report.passed and report.closed_loop_radius is None
         direct = np.mean(1.0 / (F.values[:, 0, 0].real + 0.5))
         assert report.trace_integral == pytest.approx(direct, rel=1e-12)
 
     def test_all_singular_report(self):
-        # every node of both grids is singular; the base nodes are listed
-        # first, then the refined grid's odd nodes, and the merge is linear
+        # every node is singular, and the filter has no stabilizing solution
         n = 16384
         report = check_minimality(RationalDensity([[[0.0]]]), n_lambda=n)
         assert not report.passed
         assert report.trace_integral == np.inf
-        assert report.refined_integral == np.inf
-        assert report.refinement_growth == np.inf
+        assert report.closed_loop_radius == np.inf
         assert report.max_condition == np.inf
         assert report.n_lambda == n
-        assert report.singular_lambdas == (lambda_grid(n).tolist()
-                                           + lambda_grid(2 * n)[1::2].tolist())
+        assert report.singular_lambdas == lambda_grid(n).tolist()
+
+    @pytest.mark.parametrize("rho, angle", [
+        (0.3, 0.0), (0.9, 0.0), (0.999, 0.0),
+        # a zero next to an odd node of the doubled grid: minimal, and exact
+        (1.0 - 1e-6, np.pi / 4096),
+    ])
+    def test_ma1_integral_is_exact(self, rho, angle):
+        report = check_minimality(RationalDensity.ma([1.0, -rho * np.exp(1j * angle)]),
+                                  n_lambda=4096)
+        assert report.passed and report.closed_loop_radius < 1.0
+        assert report.trace_integral == pytest.approx(1.0 / (1.0 - rho ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("phi, sigma", [(0.5, 1.0), (0.9, 2.0), (0.995, 0.7)])
+    def test_ar1_integral_is_exact(self, phi, sigma):
+        report = check_minimality(RationalDensity.ar1(phi, sigma), n_lambda=512)
+        assert report.passed
+        assert report.trace_integral == pytest.approx((1.0 + phi ** 2) / sigma ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_noisy_integral_meets_a_fine_grid(self, K):
+        rng = np.random.default_rng(70 + K)
+        num = rng.normal(size=(3, K, K)) + 1j * rng.normal(size=(3, K, K))
+        F = RationalDensity(num, [1.0, -0.6 * np.exp(1j)])
+        G = RationalDensity(0.3 * np.eye(K)[None])
+        report = check_minimality(F, G, n_lambda=256)
+        total = as_grid(F, 8192).values + as_grid(G, 8192).values
+        grid = np.mean(np.trace(np.linalg.inv(total), axis1=1, axis2=2).real)
+        assert report.passed
+        assert report.trace_integral == pytest.approx(grid, rel=1e-12)
 
 
 class TestCovariance:
