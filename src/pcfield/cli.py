@@ -48,11 +48,11 @@ from .spectral import (
     DEFAULT_N_LAMBDA,
     MinimalityViolation,
     NonFiniteDensityError,
-    as_grid,
     check_minimality,
     complex_tensor_from_json,
     density_from_spec,
     lambda_grid,
+    _pair_grids,
     _real_array_from_json,
 )
 
@@ -392,12 +392,6 @@ def _meta(problem):
     }
 
 
-def _channel_grids(problem, entry):
-    """The channel's F and G rasterized at ``n_lambda``; G may be None."""
-    return (as_grid(entry["F"], problem.n_lambda),
-            as_grid(entry["G"], problem.n_lambda) if entry["G"] is not None else None)
-
-
 def _channel_factors(problem):
     """Each channel's factor of F at ``n_lambda``; a factor that
     ``_checked_factor`` refuses stops the command before it writes a file."""
@@ -540,19 +534,18 @@ def cmd_validate(problem, out_dir, args):
     cfg = _simulation(problem, args)
     _check_oracle_lags(problem)
     _check_simulation_lags(problem, cfg)
-    rows = []
-    all_ok = True
+    rows, draws = [], []
     for i, entry in enumerate(problem.channels):
         # the solve (which picks its route by the parsed densities), the
         # oracle and the draw share the channel's grids; a reference
         # density is rasterized apart, only when given
-        F, G = _channel_grids(problem, entry)
+        F, G = _pair_grids(entry["F"], entry["G"], problem.n_lambda)
         sol = _checked_weights(solve_channel(entry["F"], entry["G"], entry["a"],
                                              window=problem.window, grids=(F, G)),
                                problem, i)
         ref_F, ref_G = entry["reference_F"], entry["reference_G"]
-        F_true = F if ref_F is None else as_grid(ref_F, problem.n_lambda)
-        G_true = G if ref_G is None else as_grid(ref_G, problem.n_lambda)
+        F_true, G_true = _pair_grids(F if ref_F is None else ref_F,
+                                     G if ref_G is None else ref_G, problem.n_lambda)
         mse_oracle = oracle_solve(F_true, G_true, entry["a"],
                                   j_past=problem.j_past, n_lambda=problem.n_lambda)
         try:
@@ -560,34 +553,34 @@ def cmd_validate(problem, out_dir, args):
                                keep_trials=problem.keep_trials)
         except PastWindowError as exc:
             raise SchemaError(f"channels[{i}]: simulation.n_steps: {exc}") from None
-        if problem.keep_trials:
-            realized, estimated = mc.realized, mc.estimated
-            # scalar abs and pow: numpy's vectorized complex abs rounds some
-            # values differently, which would change the artifact's bytes
-            squared = [abs(z) ** 2 for z in (realized - estimated).tolist()]
-            _write_csv(out_dir / f"trials_{entry['m']}_{entry['l']}.csv",
-                       ["trial", "realized_re", "realized_im",
-                        "estimated_re", "estimated_im", "squared_error"],
-                       [np.arange(mc.n_trials), realized.real, realized.imag,
-                        estimated.real, estimated.imag, squared])
         rel = abs(sol.delta - mse_oracle) / max(abs(mse_oracle), 1e-300)
-        oracle_ok = rel <= problem.tolerances["oracle_rel"]
         sigmas = abs(mc.mse - sol.delta) / max(mc.stderr, 1e-300)
-        mc_ok = sigmas <= problem.tolerances["mc_sigmas"]
-        all_ok = all_ok and oracle_ok and mc_ok
         rows.append({
             "m": entry["m"], "l": entry["l"],
             "delta_theory": sol.delta,
             "mse_oracle": mse_oracle,
             "oracle_rel_error": rel,
-            "oracle_ok": oracle_ok,
+            "oracle_ok": rel <= problem.tolerances["oracle_rel"],
             "mse_empirical": mc.mse,
             "stderr": mc.stderr,
             "empirical_sigmas": sigmas,
-            "empirical_ok": mc_ok,
+            "empirical_ok": sigmas <= problem.tolerances["mc_sigmas"],
             "n_trials": mc.n_trials,
             "seed": mc.seed,
         })
+        draws.append((entry, mc))
+    # every channel is solved and checked before any file is written
+    for entry, mc in draws if problem.keep_trials else []:
+        realized, estimated = mc.realized, mc.estimated
+        # scalar abs and pow: numpy's vectorized complex abs rounds some
+        # values differently, which would change the artifact's bytes
+        squared = [abs(z) ** 2 for z in (realized - estimated).tolist()]
+        _write_csv(out_dir / f"trials_{entry['m']}_{entry['l']}.csv",
+                   ["trial", "realized_re", "realized_im",
+                    "estimated_re", "estimated_im", "squared_error"],
+                   [np.arange(mc.n_trials), realized.real, realized.imag,
+                    estimated.real, estimated.imag, squared])
+    all_ok = all(row["oracle_ok"] and row["empirical_ok"] for row in rows)
     payload = {"command": "validate", "meta": _meta(problem),
                "channels": rows, "all_ok": all_ok}
     _write_json(out_dir / "validation.json", payload)
@@ -635,8 +628,7 @@ def cmd_minimax(problem, out_dir, args):
         if density is not None and density.K != spec.K:
             raise SchemaError(f"class_spec.{key} has K={density.K}, "
                               f"class_spec.upper has K={spec.K}")
-    init = (as_grid(init_F, problem.n_lambda),
-            as_grid(init_G, problem.n_lambda) if init_G is not None else None)
+    init = _pair_grids(init_F, init_G, problem.n_lambda)
     with warnings.catch_warnings():
         # a non-converged search is reported once, by the line below
         warnings.filterwarnings("ignore", message="least-favorable search did not converge",
@@ -675,10 +667,8 @@ def cmd_minimax(problem, out_dir, args):
 
 def cmd_check(problem, out_dir, args):
     payload = {"command": "check", "meta": _meta(problem), "channels": []}
-    overall = True
     for entry in problem.channels:
         report = check_minimality(entry["F"], entry["G"], n_lambda=problem.n_lambda)
-        overall = overall and report.passed
         payload["channels"].append({
             "m": entry["m"], "l": entry["l"],
             "passed": report.passed,
@@ -687,9 +677,9 @@ def cmd_check(problem, out_dir, args):
             "closed_loop_radius": report.closed_loop_radius,
             "singular_lambdas": report.singular_lambdas,
         })
-    payload["all_passed"] = overall
+    payload["all_passed"] = all(row["passed"] for row in payload["channels"])
     _write_json(out_dir / "minimality.json", payload)
-    return EXIT_OK if overall else EXIT_MINIMALITY
+    return EXIT_OK if payload["all_passed"] else EXIT_MINIMALITY
 
 
 _COMMANDS = {

@@ -41,11 +41,14 @@ from .spectral import (
     evaluate_lag_series,
     fourier_coefficients,
     joint_covariance,
-    _checked_condition,
     _hermitian_eigenvalues,
     _innovations,
+    _judge_pair,
     _node_inverse,
     _node_matmul,
+    _pair_grids,
+    _rational_pair,
+    _reachability,
 )
 
 DEFAULT_WINDOW = 96
@@ -155,8 +158,8 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
     a : (J, K) complex array of functional coefficients, J <= window.
     window : the number of coefficients c(j) reported, and on the window
         route the truncation length of the coefficient solve.
-    n_lambda : grid size for rational densities (default
-        ``DEFAULT_N_LAMBDA``; a grid density brings its own).
+    n_lambda : grid size; the pair's grid follows ``spectral._pair_grids``
+        (``n_lambda``, else a grid side's N, else ``DEFAULT_N_LAMBDA``).
     grids : (Fg, Gg), F and G already sampled on the solve's grid, used in
         place of sampling them again.
 
@@ -173,22 +176,16 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
       Diagnostics ``cond_B``, ``orthogonality_residual`` (the relative
       residual ||B c - d|| / ||d||) and ``causal_leakage``.
 
-    Both check the per-node condition of F + G against
-    ``DEFAULT_COND_CEILING`` and raise :class:`MinimalityViolation` where
-    the pair is singular.  Returns an :class:`EstimateSolution` with the
-    spectral characteristic h on the grid, the mean-square error delta
-    (on the window route read off h: mean Re[(A - h)^T F conj(A - h) +
-    h^T G conj(h)]) and the first ``window`` lags of c = (A - h)^T F -
-    h^T G.  ``causal_leakage`` is ``_causal_share``.
+    Both read the pair's verdict (``spectral._judge_pair``) and raise its
+    :class:`MinimalityViolation` where the pair is singular.  Returns an
+    :class:`EstimateSolution` with the spectral characteristic h on the
+    grid, the mean-square error delta (on the window route read off h: mean
+    Re[(A - h)^T F conj(A - h) + h^T G conj(h)]) and the first ``window``
+    lags of c = (A - h)^T F - h^T G.  ``causal_leakage`` is ``_causal_share``.
     """
-    if grids is None:
-        Fg = as_grid(F, n_lambda)
-        grids = Fg, as_grid(G, Fg.n_lambda) if G is not None else None
-    Fg, Gg = grids
-    if Gg is not None and Gg.K != Fg.K:
-        raise ValueError(f"component mismatch: F has K={Fg.K}, G has K={Gg.K}")
-    if isinstance(F, RationalDensity) and (G is None or isinstance(G, RationalDensity)):
-        return _solve_by_filter(F, G, Fg, Gg, a, window)
+    Fg, Gg = grids = _pair_grids(*(grids or (F, G)), n_lambda)
+    if _rational_pair(F, G):
+        return _solve_by_filter(_judge_pair(F, G, grids), a, window)
     ops = assemble_operators(Fg, Gg, window=window)
     return _solve_assembled(ops, Fg, Gg, _pad_functional(a, window, Fg.K))[0]
 
@@ -199,7 +196,7 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
     ``a_pad`` is the functional zero-padded to the window.  Returns the
     :class:`EstimateSolution` and the grid function A of the functional.
     """
-    window, K = ops.window, ops.K
+    window, K = a_pad.shape
     if ops.cond_B > 1e8:
         warnings.warn(
             f"normal equations are ill-conditioned (cond ~ {ops.cond_B:.3e}); "
@@ -234,10 +231,10 @@ def _solve_assembled(ops, Fg, Gg, a_pad):
     return sol, A
 
 
-def _solve_by_filter(F, G, Fg, Gg, a, window):
+def _solve_by_filter(verdict, a, window):
     """Exact solve of a rational pair by one steady-state Kalman filter.
 
-    On the pair's innovations model (``spectral._innovations``), the
+    On the pair's innovations model (``verdict.filter``), the
     stabilizing solution P of the filter's Riccati equation is the
     covariance of s(0) given the whole observed past, K_p the predictor
     gain and A - K_p C_y the closed loop.  The functional is v s(0) plus
@@ -248,20 +245,20 @@ def _solve_by_filter(F, G, Fg, Gg, a, window):
     G_0 = D_z and G_k = C_z A^{k-1} B.  The estimate's weight on y(-k) is
     c_k = v (A - K_p C_y)^{k-1} K_p; the weights at lags 1 .. n/2 - 1 are
     formed by doubling and give h on the grid (``evaluate_lag_series``).
-    The grids of F and G serve the per-node condition check and the
+    The verdict's grids serve the per-node condition check and the
     reported coefficients only.
     """
+    Fg, Gg = verdict.grids
     n = Fg.n_lambda
-    max_cond = _checked_condition(Fg.values if Gg is None else Fg.values + Gg.values)
+    max_cond = verdict.node_condition()
     a_pad = _pad_functional(a, window, Fg.K)
     support = np.flatnonzero(np.any(a_pad != 0, axis=1))
     a = a_pad[:support[-1] + 1 if support.size else 1]
-    model = _innovations(F, G)
+    model, refusal = verdict.filter
+    if refusal is not None:
+        raise refusal
     (A, B, _, _, C_z, D_z), unit = model.system, model.unit
     P, gain, closed, radius = model.P, model.gain, model.closed, model.radius
-    if not radius < 1.0:
-        raise MinimalityViolation(
-            f"the pair's filter is not stable (closed-loop spectral radius {radius:.6f})")
 
     CA = [C_z]                                   # C_z A^j, j = 0 .. J-1
     for _ in range(len(a) - 1):
@@ -275,7 +272,7 @@ def _solve_by_filter(F, G, Fg, Gg, a, window):
     lags = max(n // 2 - 1, 0)
     rows = _power_rows(v[None], closed, lags + 1)    # rows k: v (A - K_p C_y)^k
     weights = rows[:lags] @ gain
-    reach = model.reach
+    reach = _reachability(model)
     energy = float(np.real(v @ reach @ v.conj()))
     tail = float(np.real(rows[lags] @ reach @ rows[lags].conj()))
     h = evaluate_lag_series(weights, -np.arange(1, lags + 1), n)
@@ -641,12 +638,12 @@ def oracle_solve(F, G, a, j_past=DEFAULT_J_PAST, n_lambda=None):
 
     Independent of the operator route; converges to the solver's delta
     from above as ``j_past`` grows.  A singular Gram matrix is
-    ridge-stabilized and the shift reported through a warning.
+    ridge-stabilized and the shift reported through a warning.  It shares
+    the pair's grid rule (``spectral._pair_grids``) and no verdict.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     J = a.shape[0]
-    Fg = as_grid(F, n_lambda)
-    Gg = as_grid(G, Fg.n_lambda) if G is not None else None
+    Fg, Gg = _pair_grids(F, G, n_lambda)
     cov = joint_covariance(Fg, Gg, j_past, J)
     P = j_past * Fg.K
     a_vec = a.ravel()

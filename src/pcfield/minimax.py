@@ -54,6 +54,7 @@ from .spectral import (
     _eig2_range,
     _hermitian_eigenvalues,
     _node_matmul,
+    _pair_grids,
 )
 
 _PROJECTION_SWEEPS = 80   # cap of _Constraints.project, met only at K >= 2
@@ -607,8 +608,7 @@ def _project(F, G, constraints):
     f_out = SpectralDensityGrid(signal.project(F.values), check=False)
     if noise is None:
         return f_out, None
-    g_vals = noise.project(as_grid(G, F.n_lambda).values)
-    return f_out, SpectralDensityGrid(g_vals, check=False)
+    return f_out, SpectralDensityGrid(noise.project(G.values), check=False)
 
 
 def _gap(F, G, constraints):
@@ -616,35 +616,33 @@ def _gap(F, G, constraints):
     gap = signal.gap(F.values)
     if noise is None:
         return gap
-    return max(gap, noise.gap(as_grid(G, F.n_lambda).values))
+    return max(gap, noise.gap(G.values))
 
 
 def project_onto_class(pair, spec):
     """Grid-L2 projection of a density pair onto the admissible class.
 
-    ``pair`` is (F, G); G is ignored for noiseless specs.  Each side
-    alternates one exact step onto its own constraints (a clipped shift
-    onto the bounds and the power, or a soft threshold onto the L1 ball)
-    with the projection onto the PSD cone (``_Constraints.project``): a
-    field side stops once the PSD clip leaves its step unchanged, a matrix
-    side once a sweep leaves the iterate unchanged; feasible inputs come
-    back untouched.  At K = 1 (one sweep), and for the diagonal iterates of
+    ``pair`` is (F, G) on one grid (``spectral._pair_grids``); G is ignored
+    for noiseless specs.  Each side alternates one exact step onto its own
+    constraints (a clipped shift onto the bounds and the power, or a soft
+    threshold onto the L1 ball) with the projection onto the PSD cone
+    (``_Constraints.project``): a field side stops once the PSD clip leaves
+    its step unchanged, a matrix side once a sweep leaves the iterate
+    unchanged; feasible inputs come back untouched.  At K = 1 (one sweep), and for the diagonal iterates of
     the component variant, the result is the exact projection.  At K >= 2
     the PSD cone couples the constraints and the alternation may stop at its
     sweep cap short of the projection, with a ``RuntimeWarning`` that names
     the side, K and the last step.
     Infeasible parameter combinations raise :class:`InfeasibleClassError`.
     """
-    F, G = pair
-    Fg = as_grid(F)
-    return _project(Fg, G, _class_constraints(spec, Fg.n_lambda, G is not None))
+    F, G = _pair_grids(*pair)
+    return _project(F, G, _class_constraints(spec, F.n_lambda, G is not None))
 
 
 def feasibility_gap(pair, spec):
     """Worst violation of class constraints, for tests and diagnostics."""
-    F, G = pair
-    Fg = as_grid(F)
-    return _gap(Fg, G, _class_constraints(spec, Fg.n_lambda, G is not None))
+    F, G = _pair_grids(*pair)
+    return _gap(F, G, _class_constraints(spec, F.n_lambda, G is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +667,16 @@ class RobustAnchor:
     grad_F: np.ndarray
     grad_G: np.ndarray
     delta: float
-    window: int
 
 
 def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
     """Solve every channel at (F0, G0) and form the gradient fields.
 
-    The operators and (F0 + G0)^{-1} are assembled once and shared by all
+    The operators and (F0 + G0)^{-1} on the pair's grid
+    (``spectral._pair_grids``) are assembled once and shared by all
     channels; the fields are read off each solve's A - h and h.
     """
-    Fg = as_grid(F0)
-    Gg = as_grid(G0, Fg.n_lambda) if G0 is not None else None
+    Fg, Gg = _pair_grids(F0, G0)
     ops = assemble_operators(Fg, Gg, window=window)
     grad_F = np.zeros((Fg.n_lambda, Fg.K, Fg.K), dtype=complex)
     grad_G = np.zeros_like(grad_F)
@@ -692,7 +689,7 @@ def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
         solutions[key] = sol
         delta += sol.delta
     return RobustAnchor(F0=Fg, G0=Gg, solutions=solutions, grad_F=grad_F,
-                        grad_G=grad_G, delta=float(delta), window=window)
+                        grad_G=grad_G, delta=float(delta))
 
 
 def evaluate_robust_objective(F, G, anchor):
@@ -703,9 +700,9 @@ def evaluate_robust_objective(F, G, anchor):
     anchor's own error.  ``G`` may be None when the anchor is noiseless.
     """
     def pairing(grad, density):
-        values = as_grid(density, anchor.F0.n_lambda).values
-        return float(np.mean(np.einsum("tkn,tnk->t", grad, values).real))
+        return float(np.mean(np.einsum("tkn,tnk->t", grad, density.values).real))
 
+    F, G = _pair_grids(F, G, anchor.F0.n_lambda)
     total = pairing(anchor.grad_F, F)
     if G is not None:
         total += pairing(anchor.grad_G, G)
@@ -754,9 +751,9 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
         G = None
     elif G is None:
         raise ValueError("noisy class needs an initial noise density")
-    Fg = as_grid(F, n_lambda)
-    constraints = _class_constraints(spec, Fg.n_lambda, G is not None)
-    F, G = _project(Fg, G, constraints)
+    F, G = _pair_grids(F, G, n_lambda)
+    constraints = _class_constraints(spec, F.n_lambda, G is not None)
+    F, G = _project(F, G, constraints)
 
     anchor = build_anchor(F, G, functionals, window=window)
     history = [anchor.delta]
@@ -925,9 +922,9 @@ def saddle_point_residual(F0, G0, spec, functionals, window=DEFAULT_WINDOW):
     """
     if G0 is not None and spec.noiseless:
         raise ValueError("a noiseless class takes no noise density G0")
-    Fg = as_grid(F0)
-    constraints = _class_constraints(spec, Fg.n_lambda, G0 is not None)
-    anchor = build_anchor(Fg, G0, _channel_functionals(functionals), window=window)
+    Fg, Gg = _pair_grids(F0, G0)
+    constraints = _class_constraints(spec, Fg.n_lambda, Gg is not None)
+    anchor = build_anchor(Fg, Gg, _channel_functionals(functionals), window=window)
     return _saddle_report(anchor, constraints)
 
 

@@ -23,6 +23,7 @@ without noise).  The error is read off the characteristic h of the solved c:
 delta = mean Re[(A - h)^T F conj(A - h) + h^T G conj(h)].
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,10 +51,9 @@ _ADJUGATE_MAX_COND = 64.0
 class MinimalityViolation(RuntimeError):
     """The density pair is (numerically) singular somewhere on the grid."""
 
-    def __init__(self, message, lambda_value=None, condition_number=None):
+    def __init__(self, message, lambda_value=None):
         super().__init__(message)
         self.lambda_value = lambda_value
-        self.condition_number = condition_number
 
 
 class NonFiniteDensityError(ValueError):
@@ -398,8 +398,7 @@ def _pair_state_space(F, G):
 class Innovations:
     """``_innovations``' model: ``system`` (A, B, C_y, D_y, C_z, D_z) at scale
     ``unit``, the Riccati solution P, Re (``innovation``), the predictor gain
-    K_p, the closed loop A - K_p C_y, its spectral radius and, where that is
-    below 1, its reachability Gramian W = sum_k closed^k K_p K_p^* closed^k*."""
+    K_p, the closed loop A - K_p C_y and its spectral radius."""
 
     system: tuple
     unit: float
@@ -408,7 +407,6 @@ class Innovations:
     gain: np.ndarray
     closed: np.ndarray
     radius: float
-    reach: np.ndarray | None
 
 
 def _innovations(F, G):
@@ -418,9 +416,9 @@ def _innovations(F, G):
     state's covariance given the whole observed past, and F + G = Phi Phi^*
     / unit^2 with the canonical factor Phi = (I + C_y (zI - A)^{-1} K_p)
     chol(Re) (Kailath, Sayed & Hassibi 2000, Linear Estimation).  The
-    whitening filter Phi^{-1} is stable iff rho(A - K_p C_y) < 1; then one
-    ``solve_discrete_lyapunov`` gives W.  :class:`MinimalityViolation` where
-    the equation has no stabilizing solution or Re is singular.
+    whitening filter Phi^{-1} is stable iff rho(A - K_p C_y) < 1.
+    :class:`MinimalityViolation` where the equation has no stabilizing
+    solution or Re is singular.
     """
     system, unit = _pair_state_space(F, G)
     A, B, C_y, D_y = system[:4]
@@ -435,10 +433,15 @@ def _innovations(F, G):
             f"the pair's filter Riccati equation has no stabilizing solution ({exc})") from exc
     closed = A - gain @ C_y
     radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
-    reach = (scipy.linalg.solve_discrete_lyapunov(closed, gain @ gain.conj().T)
-             if radius < 1.0 else None)
     return Innovations(system=system, unit=unit, P=P, innovation=innovation, gain=gain,
-                       closed=closed, radius=radius, reach=reach)
+                       closed=closed, radius=radius)
+
+
+def _reachability(model):
+    """The reachability Gramian W = sum_k closed^k K_p K_p^* closed^k* of a
+    stable closed loop, by one ``solve_discrete_lyapunov``: the filter's
+    ``weight_tail`` and ``check``'s exact trace integral read it."""
+    return scipy.linalg.solve_discrete_lyapunov(model.closed, model.gain @ model.gain.conj().T)
 
 
 def as_grid(density, n_lambda=None):
@@ -493,11 +496,12 @@ def joint_covariance(F, G, n_past, n_future):
 
     Block (s, t) is E[x(s) x(t)^*] = K_F(s - t), plus K_G(s - t) when both
     times are observed; signal and noise are independent.  ``G`` may be
-    None.  This is the one layout the covariance checks (the finite-past
-    oracle and the Monte Carlo draw) share; it uses nothing from the
-    operator route they check.
+    None; the pair's grid is ``_pair_grids``'.  This is the one layout the
+    covariance checks (the finite-past oracle and the Monte Carlo draw)
+    share; it uses nothing from the operator route they check.
     """
     n = n_past + n_future
+    F, G = _pair_grids(F, G)
     lag = np.subtract.outer(np.arange(n), np.arange(n))
     blocks = covariance_from_density(F, n - 1).matrices[lag + n - 1]
     if G is not None:
@@ -522,8 +526,6 @@ class OperatorSet:
     """
 
     B: np.ndarray
-    window: int
-    K: int
     cond_B: float
     inv_total: np.ndarray
 
@@ -612,47 +614,93 @@ def _hermitian_eigenvalues(values):
     return np.linalg.eigvalsh(values)
 
 
-def _checked_condition(values):
-    """The largest 2-norm condition number of the (n, K, K) grid values of
-    F + G; :class:`MinimalityViolation` where it is not finite or exceeds
-    ``DEFAULT_COND_CEILING`` (the pair is numerically singular there)."""
-    conds = _condition_from_eigenvalues(_hermitian_eigenvalues(values))
-    worst = int(np.argmax(conds))
-    if not np.isfinite(conds[worst]) or conds[worst] > DEFAULT_COND_CEILING:
-        lam = float(lambda_grid(values.shape[0])[worst])
-        raise MinimalityViolation(
-            f"density pair is numerically singular at lambda = {lam:.6f} "
-            f"(condition number {conds[worst]:.3e})",
-            lambda_value=lam,
-            condition_number=float(conds[worst]),
-        )
-    return float(conds[worst])
+def _pair_grids(F, G, n_lambda=None):
+    """The one grid rule of a pair (F, G), G None or a density: both go on N =
+    ``n_lambda`` if given, else a grid side's N, else ``DEFAULT_N_LAMBDA``.
+    A grid of another N, or F and G of different K, raise ``ValueError``."""
+    if n_lambda is None:
+        n_lambda = next((side.n_lambda for side in (F, G)
+                         if isinstance(side, SpectralDensityGrid)), DEFAULT_N_LAMBDA)
+    Fg, Gg = as_grid(F, n_lambda), None if G is None else as_grid(G, n_lambda)
+    if Gg is not None and Gg.K != Fg.K:
+        raise ValueError(f"component mismatch: F has K={Fg.K}, G has K={Gg.K}")
+    return Fg, Gg
+
+
+def _rational_pair(F, G):
+    """The route predicate: F rational, G rational or absent.  Such a pair is
+    solved and judged by its filter; a grid side sends it to the window."""
+    return isinstance(F, RationalDensity) and (G is None or isinstance(G, RationalDensity))
+
+
+@dataclass
+class _PairVerdict:
+    """``_judge_pair``'s answer to "can this pair be solved on this grid?"."""
+
+    pair: tuple                     # (F, G) as given
+    grids: tuple                    # (Fg, Gg), by ``_pair_grids``
+    total: np.ndarray               # F + G on the grid
+    conditions: np.ndarray          # each node's 2-norm condition number
+    singular: np.ndarray            # not finite, or above DEFAULT_COND_CEILING
+    max_condition: float            # inf where a node is singular
+    trace_integral: float | None    # grid pairs: masked mean of Tr (F+G)^{-1}
+
+    def node_condition(self):
+        """``max_condition``, or :class:`MinimalityViolation` at the worst node."""
+        if self.singular.any():
+            worst = int(np.argmax(self.conditions))
+            lam = float(lambda_grid(len(self.conditions))[worst])
+            raise MinimalityViolation(
+                f"density pair is numerically singular at lambda = {lam:.6f} "
+                f"(condition number {self.conditions[worst]:.3e})", lambda_value=lam)
+        return self.max_condition
+
+    @functools.cached_property
+    def filter(self):
+        """A rational pair's ``_innovations`` model (None where its Riccati
+        equation has no stabilizing solution) and the MinimalityViolation
+        that refuses it (None where rho(A - K_p C_y) < 1)."""
+        try:
+            model = _innovations(*self.pair)
+        except MinimalityViolation as exc:
+            return None, exc
+        return model, None if model.radius < 1.0 else MinimalityViolation(
+            f"the pair's filter is not stable (closed-loop spectral radius {model.radius:.6f})")
+
+
+def _judge_pair(F, G, grids):
+    """The verdict on (F, G) put on ``grids`` by ``_pair_grids``, from one
+    eigenvalue pass of F + G; a rational pair's filter is solved on demand."""
+    Fg, Gg = grids
+    total = Fg.values if Gg is None else Fg.values + Gg.values
+    eigs = _hermitian_eigenvalues(total)
+    conditions = _condition_from_eigenvalues(eigs)
+    regular = conditions <= DEFAULT_COND_CEILING
+    integral = None
+    if not _rational_pair(F, G):
+        traces = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=regular[:, None]).sum(axis=1)
+        integral = float(np.sum(traces[regular]) / len(traces)) if regular.any() else math.inf
+    max_condition = float(conditions.max()) if regular.all() else math.inf
+    return _PairVerdict((F, G), grids, total, conditions, ~regular, max_condition, integral)
 
 
 def assemble_operators(F, G, window):
     """Build the truncated operator B for the density pair (F, G).
 
     ``G=None`` means noiseless observations; then B is built from F alone.
-    Raises :class:`MinimalityViolation` where F + G is numerically singular
-    at a grid node (``DEFAULT_COND_CEILING``) or where the assembled B has an
-    eigenvalue <= 0.
+    The pair's grid is ``_pair_grids``'.  Raises :class:`MinimalityViolation`
+    where the pair's verdict finds a singular node or where the assembled B
+    has an eigenvalue <= 0.
     """
-    Fg = as_grid(F)
-    n = Fg.n_lambda
-    K = Fg.K
+    grids = _pair_grids(F, G)
+    n, K = grids[0].n_lambda, grids[0].K
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window >= n // 2:
         raise ValueError(f"window {window} too large for grid size {n}")
-    if G is None:
-        total = Fg.values
-    else:
-        Gg = as_grid(G, n)
-        if Gg.K != K:
-            raise ValueError(f"component mismatch: F has K={K}, G has K={Gg.K}")
-        total = Fg.values + Gg.values
-    max_cond = _checked_condition(total)
-    inv_total = _node_inverse(total)
+    verdict = _judge_pair(F, G, grids)
+    max_cond = verdict.node_condition()
+    inv_total = _node_inverse(verdict.total)
 
     lags = np.arange(-(window - 1), window)
     sym_B = np.swapaxes(inv_total, 1, 2)
@@ -669,8 +717,7 @@ def assemble_operators(F, G, window):
             f"assembled B is not positive definite (min eigenvalue {eig_min:.3e}); "
             "the density pair is too badly conditioned to solve")
     cond_B = float(_condition_from_eigenvalues(eigs_B))
-    return OperatorSet(B=B, window=window, K=K,
-                       cond_B=max(cond_B, max_cond), inv_total=inv_total)
+    return OperatorSet(B=B, cond_B=max(cond_B, max_cond), inv_total=inv_total)
 
 
 @dataclass
@@ -686,66 +733,34 @@ class MinimalityReport:
     closed_loop_radius: float | None = None
 
 
-def _node_traces(values):
-    """Tr (F+G)^{-1} and the 2-norm condition number at each grid node.
+def check_minimality(F, G=None, n_lambda=None):
+    """Report whether (F + G)^{-1} has an integrable trace: the pair's
+    verdict (``_judge_pair``) on its grid (``_pair_grids``).
 
-    One eigenvalue pass gives both: the trace is the sum of the inverse
-    eigenvalues.  Returns (traces, conds, regular); ``regular`` marks the
-    nodes with a finite condition number within ``DEFAULT_COND_CEILING``, and the
-    trace is 0 elsewhere.
+    A pair passes when no node is singular and, for a rational pair, its
+    filter is stable, as the solve requires.  A rational pair's trace
+    integral (1/2pi) int Tr[(F+G)^{-1}] is exact, the whitening filter's
+    squared H2 norm unit^2 Tr[Re^{-1} (I + C_y W C_y^*)], and infinite where
+    the filter refuses the pair; a grid pair's is the verdict's masked mean.
     """
-    eigs = _hermitian_eigenvalues(values)
-    conds = _condition_from_eigenvalues(eigs)
-    regular = np.isfinite(conds) & (conds <= DEFAULT_COND_CEILING)
-    inverse = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=regular[:, None])
-    return inverse.sum(axis=1), conds, regular
-
-
-def check_minimality(F, G=None, n_lambda=DEFAULT_N_LAMBDA):
-    """Report whether (F + G)^{-1} has an integrable trace.
-
-    Every pair lists its singular grid nodes (condition number not finite or
-    above ``DEFAULT_COND_CEILING``).  A rational pair (G rational or None)
-    is judged by the filter the solve reads (``_innovations``): minimal iff
-    its Riccati equation has a stabilizing solution and rho(A - K_p C_y) <
-    1.  Its trace integral (1/2pi) int Tr[(F+G)^{-1}] is then exact, the
-    whitening filter's squared H2 norm unit^2 Tr[Re^{-1} (I + C_y W C_y^*)],
-    and infinite where the filter refuses the pair.  A grid pair's integral
-    is the grid mean with singular nodes masked.  Passing requires no
-    singular node and, for a rational pair, a stable closed loop.
-    """
-    Fg = as_grid(F, n_lambda if not isinstance(F, SpectralDensityGrid) else None)
-    total = Fg.values
-    if G is not None:
-        Gg = as_grid(G, Fg.n_lambda if isinstance(G, RationalDensity) else None)
-        if Gg.n_lambda != Fg.n_lambda:
-            raise ValueError("F and G sampled on different grids")
-        total = Fg.values + Gg.values
-    traces, conds, regular = _node_traces(total)
-    singular = lambda_grid(total.shape[0])[~regular].tolist()
-    max_cond = float(conds.max()) if regular.all() else float("inf")
-    radius, integral = None, math.inf
-    if not (isinstance(F, RationalDensity) and (G is None or isinstance(G, RationalDensity))):
-        if regular.any():       # the regular nodes' traces against the full grid measure
-            integral = float(np.sum(traces[regular]) / len(traces))
-    else:
-        try:
-            model = _innovations(F, G)
-        except MinimalityViolation:
-            radius = math.inf
-        else:
-            radius = model.radius
-            if model.reach is not None:
-                C_y = model.system[2]
-                whitened = np.linalg.solve(model.innovation,
-                                           np.eye(Fg.K) + C_y @ model.reach @ C_y.conj().T)
-                integral = float(np.trace(whitened).real) * model.unit * model.unit
+    grids = _pair_grids(F, G, n_lambda)
+    verdict = _judge_pair(F, G, grids)
+    n = grids[0].n_lambda
+    radius, integral, refusal = None, verdict.trace_integral, None
+    if _rational_pair(F, G):
+        model, refusal = verdict.filter
+        radius, integral = (math.inf if model is None else model.radius), math.inf
+        if refusal is None:
+            C_y = model.system[2]
+            whitened = np.linalg.solve(model.innovation, np.eye(grids[0].K)
+                                       + C_y @ _reachability(model) @ C_y.conj().T)
+            integral = float(np.trace(whitened).real) * model.unit * model.unit
     return MinimalityReport(
         trace_integral=integral,
-        max_condition=max_cond,
-        passed=not singular and (radius is None or radius < 1.0),
-        singular_lambdas=singular,
-        n_lambda=total.shape[0],
+        max_condition=verdict.max_condition,
+        passed=not verdict.singular.any() and refusal is None,
+        singular_lambdas=lambda_grid(n)[verdict.singular].tolist(),
+        n_lambda=n,
         closed_loop_radius=radius,
     )
 

@@ -888,6 +888,21 @@ class TestValidate:
         row = json.loads((out / "validation.json").read_text())["channels"][0]
         assert row["oracle_ok"] is True
 
+    def test_no_file_before_every_channel_passes(self, tmp_path, capsys):
+        # the second channel's weights outlast the 512-node grid: validate
+        # refuses it before it writes the first channel's trials
+        prob = white_problem()
+        prob["simulation"].update(n_trials=200, keep_trials=True)
+        prob["channels"][0]["F"]["denominator"] = [1.0, -0.5]
+        prob["channels"].append(dict(prob["channels"][0], m=1, l=1))
+        prob["channels"][1]["F"] = {"type": "rational", "numerator": [1.0, -0.999999]}
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(
+            "schema error: channels[1]: solver.n_lambda 512 holds the estimator's weights")
+        assert list(out.iterdir()) == []
+
     def test_seed_flag_changes_the_draw_and_is_recorded(self, tmp_path):
         path = write_problem(tmp_path, ar1_problem())
         mse = {}
@@ -1339,6 +1354,25 @@ class TestCheckAgreesWithSolve:
         assert report["passed"] == (check_code == EXIT_OK)
         assert (report["closed_loop_radius"] < 1.0) == report["passed"]
         capsys.readouterr()
+
+    def test_grid_pair_singular_node_names_one_lambda(self, tmp_path, capsys):
+        # a grid pair that vanishes at the node lambda = 0: both commands
+        # read one verdict, exit 2 and name that node
+        prob = white_problem()
+        prob["channels"][0]["F"] = density_to_spec(RationalDensity.ma([1.0, -1.0]).rasterize(512))
+        prob["channels"][0]["G"] = density_to_spec(RationalDensity.ma([0.5, -0.5]).rasterize(512))
+        path = write_problem(tmp_path, prob)
+        capsys.readouterr()
+        codes = []
+        for command in ("check", "solve"):
+            codes.append(main([command, "--input", str(path), "--output", str(tmp_path / command)]))
+        assert codes == [EXIT_MINIMALITY, EXIT_MINIMALITY]
+        report = json.loads((tmp_path / "check" / "minimality.json").read_text())["channels"][0]
+        assert report["singular_lambdas"] == [0.0] and report["closed_loop_radius"] is None
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == ("minimality failure: density pair is numerically singular at "
+                         "lambda = 0.000000 (condition number inf)")
+        assert list((tmp_path / "solve").iterdir()) == []
 
     def test_solve_refuses_before_writing(self, tmp_path, capsys):
         prob = white_problem()

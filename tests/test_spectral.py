@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pcfield import extrapolate, spectral
+from pcfield import extrapolate, minimax, spectral
 from pcfield.spectral import (
     MinimalityViolation,
     NonFiniteDensityError,
@@ -564,16 +565,31 @@ class TestKernelSites:
 
     def test_riccati_and_lyapunov_solves_only_in_the_shared_model(self):
         # the solve, the rational factor and the minimality verdict read one
-        # innovations model; the covariance-form factor is gone
+        # innovations model (the verdict's filter); the covariance-form
+        # factor is gone; W is solved by one helper, which only the filter's
+        # weight_tail and check's exact integral call
         assert _call_sites("scipy.linalg.solve_discrete_are") == [("spectral", "_innovations")]
         assert _call_sites("scipy.linalg.solve_discrete_lyapunov") == [
-            ("spectral", "_innovations")]
+            ("spectral", "_reachability")]
         assert set(_call_sites("_innovations")) == {
-            ("spectral", "check_minimality"), ("extrapolate", "_solve_by_filter"),
-            ("extrapolate", "spectral_factorize")}
+            ("spectral", "filter"), ("extrapolate", "spectral_factorize")}
+        assert set(_call_sites("_reachability")) == {
+            ("spectral", "check_minimality"), ("extrapolate", "_solve_by_filter")}
         source = Path(extrapolate.__file__).read_text()
         for name in ("_riccati_factor", "_pd_cholesky", "lambda_grid"):
             assert name not in source
+
+    def test_rational_factor_solves_no_lyapunov_equation(self, monkeypatch):
+        # spectral_factorize reads P, Re and K_p only; W is solved where it is read
+        rng = np.random.default_rng(31)
+        F = RationalDensity(random_trig_poly_density(rng, 3, 2).numerator, [1.0, -0.5])
+        G = RationalDensity(0.4 * np.eye(3)[None])
+        calls = count_calls(monkeypatch, scipy.linalg, "solve_discrete_lyapunov")
+        extrapolate.spectral_factorize(F, n_lambda=512)
+        assert calls == []
+        extrapolate.solve_channel(F, G, np.ones((2, 3)), window=16, n_lambda=512)
+        check_minimality(F, G, n_lambda=512)
+        assert len(calls) == 2
 
     def test_fft_only_in_the_lag_helpers(self):
         # the grid's two lag transforms, the sweeps' causal projection and
@@ -628,8 +644,10 @@ class TestThresholdSites:
 
         assert _sites(lambda node: named(node) and isinstance(node.ctx, ast.Store)) == [
             ("spectral", "<module>")]
+        # compared once, in the pair's verdict, which the solves, the
+        # operator assembly and check read
         assert set(_sites(lambda node: named(node) and isinstance(node.ctx, ast.Load))) == {
-            ("spectral", "_checked_condition"), ("spectral", "_node_traces"), ("cli", "_meta")}
+            ("spectral", "_judge_pair"), ("cli", "_meta")}
 
     def test_factor_residual_compared_only_in_checked_factor(self):
         def compares(node):
@@ -642,6 +660,89 @@ class TestThresholdSites:
         reads = _sites(lambda node: isinstance(node, ast.Name)
                        and node.id == "FACTORIZATION_TOL" and isinstance(node.ctx, ast.Load))
         assert set(reads) == {("extrapolate", "_checked_factor"), ("cli", "_meta")}
+
+
+
+_FUNCTIONAL = np.array([[1.0], [0.5]])
+# each entry point that puts a density pair on a grid, called on (F, G)
+# and, where it takes one, an explicit n_lambda
+_PAIR_ENTRY_POINTS = {
+    "solve_channel": lambda F, G, **kw: extrapolate.solve_channel(
+        F, G, _FUNCTIONAL[:, :F.K], window=8, **kw),
+    "check_minimality": lambda F, G, **kw: check_minimality(F, G, **kw),
+    "assemble_operators": lambda F, G: assemble_operators(F, G, window=8),
+    "oracle_solve": lambda F, G, **kw: extrapolate.oracle_solve(
+        F, G, _FUNCTIONAL[:, :F.K], j_past=8, **kw),
+    "build_anchor": lambda F, G: minimax.build_anchor(F, G, {(0, 1): _FUNCTIONAL[:, :F.K]},
+                                                      window=8),
+}
+_OFF_GRID = "grid density has N=256, expected 512; re-rasterization needs a parametric density"
+_OFF_N_LAMBDA = "grid density has N=512, expected 4096; re-rasterization needs a parametric density"
+_MISMATCHED_K = "component mismatch: F has K=2, G has K=1"
+
+
+class TestPairLayer:
+    """One grid rule and one verdict per density pair (``spectral._pair_grids``
+    and ``spectral._judge_pair``); the solves, the assembly and ``check``
+    read the verdict, the oracle and the minimax anchor the rule only."""
+
+    @pytest.mark.parametrize("case, name", [
+        *(("grid-sides-differ", name) for name in sorted(_PAIR_ENTRY_POINTS)),
+        # assemble_operators and build_anchor take no n_lambda
+        *(("grid-off-n-lambda", name) for name in
+          ("check_minimality", "oracle_solve", "solve_channel")),
+        *(("k-differs", name) for name in sorted(_PAIR_ENTRY_POINTS)),
+    ])
+    def test_one_value_error_off_the_grid_rule(self, case, name):
+        ar1 = RationalDensity.ar1(0.5)
+        if case == "grid-sides-differ":
+            # no n_lambda: the pair's N is its first grid side's
+            args, kwargs, message = (ar1.rasterize(512), ar1.rasterize(256)), {}, _OFF_GRID
+        elif case == "grid-off-n-lambda":
+            args, kwargs, message = (ar1.rasterize(512), None), {"n_lambda": 4096}, _OFF_N_LAMBDA
+        else:
+            two = RationalDensity(np.eye(2)[None], [1.0, -0.5])
+            args, kwargs, message = (two, RationalDensity([[[0.5]]])), {}, _MISMATCHED_K
+        with pytest.raises(ValueError) as info:
+            _PAIR_ENTRY_POINTS[name](*args, **kwargs)
+        assert str(info.value) == message
+
+    def test_route_predicate_written_once(self):
+        # "F rational, G rational or absent" is one function; the solve and
+        # the verdict call it
+        def predicate(node):
+            return isinstance(node, ast.BoolOp) and "RationalDensity" in ast.unparse(node)
+
+        assert set(_sites(predicate)) == {("spectral", "_rational_pair")}
+        assert set(_call_sites("_rational_pair")) == {
+            ("spectral", "_judge_pair"),
+            ("spectral", "check_minimality"), ("extrapolate", "solve_channel")}
+
+    def test_pairs_reach_a_grid_only_through_the_rule(self):
+        # as_grid is called on single densities only; every pair goes
+        # through _pair_grids, and only the solve, the assembly and check judge
+        assert set(_call_sites("as_grid")) == {
+            ("spectral", "_pair_grids"), ("spectral", "covariance_from_density"),
+            ("spectral", "density_to_spec"), ("extrapolate", "spectral_factorize"),
+            ("extrapolate", "functional_variance"), ("minimax", "rasterized"),
+            ("minimax", "factorized_saddle_residual")}
+        assert set(_call_sites("_judge_pair")) == {
+            ("spectral", "assemble_operators"), ("spectral", "check_minimality"),
+            ("extrapolate", "solve_channel")}
+        readers = {module for module, _ in _call_sites("_pair_grids")}
+        assert readers == {"spectral", "extrapolate", "minimax", "cli"}
+        for name in ("_checked_condition", "_node_traces"):
+            assert not hasattr(spectral, name)
+
+    @pytest.mark.parametrize("F, G", [
+        pytest.param(RationalDensity.ar1(0.5), RationalDensity([[[0.6]]]), id="rational"),
+        pytest.param(RationalDensity.ar1(0.5).rasterize(512),
+                     SpectralDensityGrid.white(1, 0.36, 512), id="grid"),
+    ])
+    def test_solve_takes_one_eigenvalue_pass(self, monkeypatch, F, G):
+        eigen_calls = count_calls(monkeypatch, spectral, "_hermitian_eigenvalues")
+        extrapolate.solve_channel(F, G, _FUNCTIONAL, window=8, n_lambda=512)
+        assert len(eigen_calls) == 1
 
 
 def _kernel_nodes(K, rng):
