@@ -20,18 +20,17 @@ from pcfield import (
     functional_variance,
     oracle_solve,
     solve_channel,
-    solve_noiseless,
 )
 
 print("=== classical sanity checks ===")
 # white noise is unpredictable: the error is the functional's variance
 a = np.array([[1.0], [0.5]])
-sol = solve_noiseless(SpectralDensityGrid.white(1, 1.0, 1024), a, window=48)
+sol = solve_channel(SpectralDensityGrid.white(1, 1.0, 1024), None, a, window=48)
 print(f"white noise:  delta = {sol.delta:.6f}  (= ||a||^2 = 1.25)")
 
 # first-order autoregression, one-step prediction: unit innovation variance
 F = RationalDensity.ar1(0.5)
-sol = solve_noiseless(F, np.array([[1.0]]), window=96)
+sol = solve_channel(F, None, np.array([[1.0]]), window=96)
 print(f"AR(1), phi=0.5, one step: delta = {sol.delta:.9f}  (expect 1)")
 w = sol.h_lag_coefficients(3)
 print("time-domain weights on the past:", np.round(w[:, 0].real, 6),

@@ -18,7 +18,7 @@ from pcfield import (
     as_grid,
     check_minimality,
     solve_by_factorization,
-    solve_noiseless,
+    solve_channel,
     spectral_factorize,
 )
 
@@ -46,7 +46,7 @@ print(np.round(d0, 4))
 
 a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
 through_factor = solve_by_factorization(fac, a)
-through_system = solve_noiseless(F, a, window=96)
+through_system = solve_channel(F, None, a, window=96)
 print(f"\nprediction error, innovations route:   {through_factor.delta:.8f}")
 print(f"prediction error, linear-system route:  {through_system.delta:.8f}")
 print("spectral characteristics agree to",

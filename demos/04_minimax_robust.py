@@ -23,7 +23,7 @@ from pcfield import (
     evaluate_robust_objective,
     find_least_favorable,
     sample_feasible,
-    solve_noiseless,
+    solve_channel,
 )
 warnings.simplefilter("ignore", RuntimeWarning)
 N = 512
@@ -49,9 +49,9 @@ print(f"stationarity residual: {res.report.residual_F:.2e}")
 
 # brute confirmation: a cosine-shaped family never beats the constant
 thetas = np.linspace(-0.9, 0.9, 7)
-vals = [solve_noiseless(SpectralDensityGrid.from_scalar_function(
+vals = [solve_channel(SpectralDensityGrid.from_scalar_function(
             lambda lam: p * (1 + th * np.cos(lam)), N),
-        np.array([[1.0]]), window=48).delta for th in thetas]
+        None, np.array([[1.0]]), window=48).delta for th in thetas]
 print("errors along a cosine family through the constant:",
       np.round(vals, 6))
 

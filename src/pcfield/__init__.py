@@ -19,7 +19,6 @@ from .extrapolate import (
     oracle_solve,
     solve_by_factorization,
     solve_channel,
-    solve_noiseless,
     spectral_factorize,
 )
 from .harmonics import (

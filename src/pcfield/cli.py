@@ -236,18 +236,8 @@ class Problem:
                     f"solver.window {self.window}"
                 )
             for field in ("F", "G", "reference_F", "reference_G"):
-                density = entry[field]
-                if density is not None and density.K != F.K:
-                    raise SchemaError(
-                        f"{where}.{field}: density has K={density.K}, "
-                        f"{where}.F has K={F.K}"
-                    )
-                if (hasattr(density, "n_lambda")
-                        and density.n_lambda != self.n_lambda):
-                    raise SchemaError(
-                        f"{where}.{field}: grid density has n_lambda="
-                        f"{density.n_lambda}, solver uses {self.n_lambda}"
-                    )
+                _check_density(entry[field], f"{where}.{field}", F.K, f"{where}.F",
+                               self.n_lambda)
             self.channels.append(entry)
 
         self.class_spec_raw = data.get("class_spec")
@@ -279,6 +269,19 @@ class Problem:
             return DensityClassSpec(**parsed)
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"class_spec: {exc}") from exc
+
+
+def _check_density(density, where, K, against, n_lambda):
+    """The one check of a parsed density of the problem file (None passes):
+    :class:`SchemaError` where its K is not ``against``'s K, or where it is a
+    grid of another N than ``solver.n_lambda``."""
+    if density is None:
+        return
+    if density.K != K:
+        raise SchemaError(f"{where}: density has K={density.K}, {against} has K={K}")
+    if getattr(density, "n_lambda", n_lambda) != n_lambda:
+        raise SchemaError(f"{where}: grid density has n_lambda={density.n_lambda}, "
+                          f"solver uses {n_lambda}")
 
 
 def _class_value(raw, key):
@@ -610,9 +613,8 @@ def cmd_minimax(problem, out_dir, args):
     max_iter = _integer(raw, "max_iter", 500, "class_spec", minimum=1)
     tol = _positive(raw, "tol", 1e-6, "class_spec")
     for i, entry in enumerate(problem.channels):
-        if entry["F"].K != spec.K:
-            raise SchemaError(f"channels[{i}].F has K={entry['F'].K}, "
-                              f"class_spec.upper has K={spec.K}")
+        _check_density(entry["F"], f"channels[{i}].F", spec.K, "class_spec.upper",
+                       problem.n_lambda)
     functionals = {(entry["m"], entry["l"]): entry["a"]
                    for entry in problem.channels}
     init_F = (_parse_density(raw.get("init_F"), "class_spec.init_F")
@@ -624,10 +626,11 @@ def cmd_minimax(problem, out_dir, args):
             raise SchemaError("minimax with a noisy class needs init_G or channel G")
     else:
         init_G = None
-    for key, density in (("init_F", init_F), ("init_G", init_G)):
-        if density is not None and density.K != spec.K:
-            raise SchemaError(f"class_spec.{key} has K={density.K}, "
-                              f"class_spec.upper has K={spec.K}")
+    for key, density in (("upper", spec.upper), ("lower", spec.lower),
+                         ("noise_nominal", spec.noise_nominal),
+                         ("init_F", init_F), ("init_G", init_G)):
+        _check_density(density, f"class_spec.{key}", spec.K, "class_spec.upper",
+                       problem.n_lambda)
     init = _pair_grids(init_F, init_G, problem.n_lambda)
     with warnings.catch_warnings():
         # a non-converged search is reported once, by the line below

@@ -11,13 +11,13 @@ the observed sequence.
 
 Four routes are implemented and cross-checked:
 
-* ``solve_channel`` / ``solve_noiseless`` on a rational pair - the filter
-  route: one steady-state Kalman filter on the pair's state-space form,
-  exact, with no window and no grid truncation of the error,
-* ``solve_channel`` / ``solve_noiseless`` on a grid density - the window
-  route: the block-Toeplitz normal equations truncated to a finite window
-  of coefficient vectors ``c(j)``, whose error converges geometrically in
-  the window size and lies below the minimum at a finite window,
+* ``solve_channel`` on a rational pair - the filter route: one
+  steady-state Kalman filter on the pair's state-space form, exact, with
+  no window and no grid truncation of the error,
+* ``solve_channel`` on a grid density - the window route: the
+  block-Toeplitz normal equations truncated to a finite window of
+  coefficient vectors ``c(j)``, whose error converges geometrically in the
+  window size and lies below the minimum at a finite window,
 * ``solve_by_factorization`` - the innovations route through a canonical
   factorization of the density (exact for a rational density, read off
   the filter's innovations model; Wilson's sweeps for a grid),
@@ -96,9 +96,9 @@ class EstimateSolution:
 
 
 def _functional_on_grid(a, n_lambda):
-    """A(lambda) = sum_j a(j) exp(i j lambda) sampled on the grid."""
-    J = a.shape[0]
-    return evaluate_lag_series(a, np.arange(J), n_lambda)
+    """A(lambda) = sum_j a(j) exp(i j lambda) on the grid; ``a`` may be blocked."""
+    a = np.atleast_2d(np.asarray(getattr(a, "coefficients", a), dtype=complex))
+    return evaluate_lag_series(a, np.arange(a.shape[0]), n_lambda)
 
 
 def _causal_share(h):
@@ -119,7 +119,7 @@ def _causal_share(h):
 
 
 def _solve_pd(B, rhs):
-    """Solve the Hermitian positive definite system B x = rhs by Cholesky.
+    """Solve the Hermitian positive definite system B X = rhs by Cholesky.
 
     A B that the factorization refuses is not positive definite in
     floating point: the pair is too badly conditioned to solve, and
@@ -149,13 +149,15 @@ def _pad_functional(a, window, K):
 
 
 def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
-    """Optimal estimate of one channel's functional from noisy observations.
+    """Optimal estimate of a channel's functional from noisy observations.
 
     Parameters
     ----------
     F, G : densities (grid or rational); ``G`` may be None for noiseless
         observations.
-    a : (J, K) complex array of functional coefficients, J <= window.
+    a : (J, K) complex array of functional coefficients, J <= window, or a
+        dict of them keyed by channel, all solved against the one pair; a
+        dict comes back as a dict of solutions with the same keys.
     window : the number of coefficients c(j) reported, and on the window
         route the truncation length of the coefficient solve.
     n_lambda : grid size; the pair's grid follows ``spectral._pair_grids``
@@ -163,75 +165,83 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
     grids : (Fg, Gg), F and G already sampled on the solve's grid, used in
         place of sampling them again.
 
-    The route is picked by the kind of pair, with no option to change it:
+    The pair is routed once per call, by its kind, with no option to change it:
 
     * F rational and G rational or None: the filter route
       (``_solve_by_filter``), exact, with no truncation.  Diagnostics
       ``max_condition`` (the worst node of F + G), ``closed_loop_radius``,
       ``weight_tail`` (the share of the weights' energy at lags >= n/2,
       beyond the grid) and ``causal_leakage``.
-    * any grid density: the window route, the block-Toeplitz normal
-      equations B c = d on ``window`` coefficients.  Its ``delta``
-      converges to the untruncated value geometrically in the window size.
-      Diagnostics ``cond_B``, ``orthogonality_residual`` (the relative
-      residual ||B c - d|| / ||d||) and ``causal_leakage``.
+    * any grid density: the window route (``_solve_by_window``), the
+      block-Toeplitz normal equations B c = d on ``window`` coefficients,
+      with one B and one Cholesky factor for all the functionals.  Its
+      ``delta`` converges to the untruncated value geometrically in the
+      window size.  Diagnostics ``cond_B``, ``orthogonality_residual`` (the
+      relative residual ||B c - d|| / ||d||) and ``causal_leakage``.
 
     Both read the pair's verdict (``spectral._judge_pair``) and raise its
-    :class:`MinimalityViolation` where the pair is singular.  Returns an
-    :class:`EstimateSolution` with the spectral characteristic h on the
+    :class:`MinimalityViolation` where the pair is singular.  Each
+    :class:`EstimateSolution` holds the spectral characteristic h on the
     grid, the mean-square error delta (on the window route read off h: mean
     Re[(A - h)^T F conj(A - h) + h^T G conj(h)]) and the first ``window``
     lags of c = (A - h)^T F - h^T G.  ``causal_leakage`` is ``_causal_share``.
     """
     Fg, Gg = grids = _pair_grids(*(grids or (F, G)), n_lambda)
+    padded = {key: _pad_functional(f, window, Fg.K)
+              for key, f in (a.items() if isinstance(a, dict) else [(None, a)])}
     if _rational_pair(F, G):
-        return _solve_by_filter(_judge_pair(F, G, grids), a, window)
-    ops = assemble_operators(Fg, Gg, window=window)
-    return _solve_assembled(ops, Fg, Gg, _pad_functional(a, window, Fg.K))[0]
+        solutions = _solve_by_filter(_judge_pair(F, G, grids), padded, window)
+    else:
+        solutions = _solve_by_window(Fg, Gg, padded, window)
+    return solutions if isinstance(a, dict) else solutions[None]
 
 
-def _solve_assembled(ops, Fg, Gg, a_pad):
-    """Solve one channel on operators already assembled for (Fg, Gg).
-
-    ``a_pad`` is the functional zero-padded to the window.  Returns the
-    :class:`EstimateSolution` and the grid function A of the functional.
+def _solve_by_window(Fg, Gg, padded, window):
+    """The window route: B assembled for (Fg, Gg) and one solve on its one
+    Cholesky factor (``_solve_pd``), the right-hand side d of each padded
+    functional a column; one :class:`EstimateSolution` per key of ``padded``.
     """
-    window, K = a_pad.shape
+    n, K = Fg.n_lambda, Fg.K
+    ops = assemble_operators(Fg, Gg, window=window)
     if ops.cond_B > 1e8:
         warnings.warn(
             f"normal equations are ill-conditioned (cond ~ {ops.cond_B:.3e}); "
             "reported error may lose digits",
             RuntimeWarning,
         )
-    n = Fg.n_lambda
-    A = _functional_on_grid(a_pad, n)
-    sym, rhs = A, a_pad.reshape(-1)
-    if Gg is not None:  # sym = A^T F (F+G)^{-1}; block s of d is its lag -s coefficient
-        sym = A - np.einsum("tn,tnk->tk", np.einsum("tk,tkn->tn", A, Gg.values), ops.inv_total)
-        rhs = fourier_coefficients(sym, -np.arange(window)).reshape(-1)
-    c_vec = _solve_pd(ops.B, rhs[:, None])[:, 0]
-    c = c_vec.reshape(window, K)
-    residual = np.linalg.norm(ops.B @ c_vec - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    columns = []
+    for a_pad in padded.values():
+        A = _functional_on_grid(a_pad, n)
+        sym, d = A, a_pad.reshape(-1)
+        if Gg is not None:  # sym = A^T F (F+G)^{-1}; block s of d is its lag -s coefficient
+            sym = A - np.einsum("tn,tnk->tk", np.einsum("tk,tkn->tn", A, Gg.values), ops.inv_total)
+            d = fourier_coefficients(sym, -np.arange(window)).reshape(-1)
+        columns.append((A, sym, d))
+    solved = _solve_pd(ops.B, np.reshape([d for _, _, d in columns], (len(columns), window * K)).T)
 
-    h = sym - np.einsum("tn,tnk->tk", _functional_on_grid(c, n), ops.inv_total)
-    e = A - h
-    error = np.einsum("tk,tkn,tn->t", e, Fg.values, np.conj(e))
-    if Gg is not None:
-        error = error + np.einsum("tk,tkn,tn->t", h, Gg.values, np.conj(h))
+    solutions = {}
+    for key, (A, sym, d), c in zip(padded, columns, solved.T):
+        c = c.reshape(window, K)
+        residual = np.linalg.norm(ops.B @ c.reshape(-1) - d) / max(np.linalg.norm(d), 1e-300)
+        h = sym - np.einsum("tn,tnk->tk", _functional_on_grid(c, n), ops.inv_total)
+        e = A - h
+        error = np.einsum("tk,tkn,tn->t", e, Fg.values, np.conj(e))
+        if Gg is not None:
+            error = error + np.einsum("tk,tkn,tn->t", h, Gg.values, np.conj(h))
+        diagnostics = {
+            "window": window,
+            "cond_B": ops.cond_B,
+            "causal_leakage": _causal_share(h),
+            "orthogonality_residual": float(residual),
+            "noisy": Gg is not None,
+        }
+        solutions[key] = EstimateSolution(coefficients=c, h_grid=h,
+                                          delta=float(np.mean(error.real)),
+                                          diagnostics=diagnostics)
+    return solutions
 
-    diagnostics = {
-        "window": window,
-        "cond_B": ops.cond_B,
-        "causal_leakage": _causal_share(h),
-        "orthogonality_residual": float(residual),
-        "noisy": Gg is not None,
-    }
-    sol = EstimateSolution(coefficients=c, h_grid=h, delta=float(np.mean(error.real)),
-                           diagnostics=diagnostics)
-    return sol, A
 
-
-def _solve_by_filter(verdict, a, window):
+def _solve_by_filter(verdict, padded, window):
     """Exact solve of a rational pair by one steady-state Kalman filter.
 
     On the pair's innovations model (``verdict.filter``), the
@@ -245,61 +255,55 @@ def _solve_by_filter(verdict, a, window):
     G_0 = D_z and G_k = C_z A^{k-1} B.  The estimate's weight on y(-k) is
     c_k = v (A - K_p C_y)^{k-1} K_p; the weights at lags 1 .. n/2 - 1 are
     formed by doubling and give h on the grid (``evaluate_lag_series``).
-    The verdict's grids serve the per-node condition check and the
-    reported coefficients only.
+    The model and its Gramian W serve every key of ``padded``; the
+    verdict's grids serve the node check and the reported coefficients only.
     """
     Fg, Gg = verdict.grids
     n = Fg.n_lambda
     max_cond = verdict.node_condition()
-    a_pad = _pad_functional(a, window, Fg.K)
-    support = np.flatnonzero(np.any(a_pad != 0, axis=1))
-    a = a_pad[:support[-1] + 1 if support.size else 1]
     model, refusal = verdict.filter
     if refusal is not None:
         raise refusal
     (A, B, _, _, C_z, D_z), unit = model.system, model.unit
     P, gain, closed, radius = model.P, model.gain, model.closed, model.radius
-
-    CA = [C_z]                                   # C_z A^j, j = 0 .. J-1
-    for _ in range(len(a) - 1):
-        CA.append(CA[-1] @ A)
-    CA = np.array(CA)
-    v = np.einsum("jk,jkn->n", a, CA)
-    impulse = np.concatenate([D_z[None], CA[:-1, :, :B.shape[1]]])   # G_k, C_z A^{k-1} B
-    future = np.sum(np.abs(_factor_convolution(impulse, a)) ** 2)
-    delta = (float(np.real(v @ P @ v.conj())) + float(future)) / unit / unit
-
-    lags = max(n // 2 - 1, 0)
-    rows = _power_rows(v[None], closed, lags + 1)    # rows k: v (A - K_p C_y)^k
-    weights = rows[:lags] @ gain
     reach = _reachability(model)
-    energy = float(np.real(v @ reach @ v.conj()))
-    tail = float(np.real(rows[lags] @ reach @ rows[lags].conj()))
-    h = evaluate_lag_series(weights, -np.arange(1, lags + 1), n)
+    lags = max(n // 2 - 1, 0)
 
-    A_grid = _functional_on_grid(a_pad, n)
-    cross = np.einsum("tk,tkn->tn", A_grid - h, Fg.values)
-    if Gg is not None:
-        cross = cross - np.einsum("tk,tkn->tn", h, Gg.values)
-    diagnostics = {
-        "window": window,
-        "max_condition": max_cond,
-        "closed_loop_radius": radius,
-        "weight_tail": max(tail, 0.0) / energy if energy > 0 else 0.0,
-        "causal_leakage": _causal_share(h),
-        "noisy": Gg is not None,
-    }
-    return EstimateSolution(coefficients=fourier_coefficients(cross, -np.arange(window)),
-                            h_grid=h, delta=delta, diagnostics=diagnostics)
+    solutions = {}
+    for key, a_pad in padded.items():
+        support = np.flatnonzero(np.any(a_pad != 0, axis=1))
+        a = a_pad[:support[-1] + 1 if support.size else 1]
+        CA = [C_z]                                   # C_z A^j, j = 0 .. J-1
+        for _ in range(len(a) - 1):
+            CA.append(CA[-1] @ A)
+        CA = np.array(CA)
+        v = np.einsum("jk,jkn->n", a, CA)
+        impulse = np.concatenate([D_z[None], CA[:-1, :, :B.shape[1]]])   # G_k, C_z A^{k-1} B
+        future = np.sum(np.abs(_factor_convolution(impulse, a)) ** 2)
+        delta = (float(np.real(v @ P @ v.conj())) + float(future)) / unit / unit
 
+        rows = _power_rows(v[None], closed, lags + 1)    # rows k: v (A - K_p C_y)^k
+        weights = rows[:lags] @ gain
+        energy = float(np.real(v @ reach @ v.conj()))
+        tail = float(np.real(rows[lags] @ reach @ rows[lags].conj()))
+        h = evaluate_lag_series(weights, -np.arange(1, lags + 1), n)
 
-def solve_noiseless(F, a, window=DEFAULT_WINDOW):
-    """Optimal estimate from noise-free observations of the channel.
-
-    Same contract as :func:`solve_channel` with G = 0; the error reduces
-    to the real inner product of c with a.
-    """
-    return solve_channel(F, None, a, window=window)
+        A_grid = _functional_on_grid(a_pad, n)
+        cross = np.einsum("tk,tkn->tn", A_grid - h, Fg.values)
+        if Gg is not None:
+            cross = cross - np.einsum("tk,tkn->tn", h, Gg.values)
+        diagnostics = {
+            "window": window,
+            "max_condition": max_cond,
+            "closed_loop_radius": radius,
+            "weight_tail": max(tail, 0.0) / energy if energy > 0 else 0.0,
+            "causal_leakage": _causal_share(h),
+            "noisy": Gg is not None,
+        }
+        solutions[key] = EstimateSolution(
+            coefficients=fourier_coefficients(cross, -np.arange(window)),
+            h_grid=h, delta=delta, diagnostics=diagnostics)
+    return solutions
 
 
 @dataclass
@@ -622,7 +626,6 @@ def solve_by_factorization(fac, a):
 def functional_variance(F, a):
     """Exact variance of the functional: (1/2pi) int A^T F conj(A)."""
     Fg = as_grid(F)
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
     A = _functional_on_grid(a, Fg.n_lambda)
     vals = np.einsum("tk,tkn,tn->t", A, Fg.values, np.conj(A))
     return float(np.mean(vals.real))

@@ -39,18 +39,16 @@ from .extrapolate import (
     DEFAULT_WINDOW,
     FactorizationError,
     solve_by_factorization,
+    solve_channel,
     spectral_factorize,
     _checked_factor,
     _functional_on_grid,
-    _pad_functional,
-    _solve_assembled,
 )
 from .spectral import (
     MinimalityViolation,
     RationalDensity,
     SpectralDensityGrid,
     as_grid,
-    assemble_operators,
     _eig2_range,
     _hermitian_eigenvalues,
     _node_matmul,
@@ -672,24 +670,20 @@ class RobustAnchor:
 def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
     """Solve every channel at (F0, G0) and form the gradient fields.
 
-    The operators and (F0 + G0)^{-1} on the pair's grid
-    (``spectral._pair_grids``) are assembled once and shared by all
-    channels; the fields are read off each solve's A - h and h.
+    One ``solve_channel`` call on the pair's grids (``spectral._pair_grids``,
+    so the window route) solves every channel on one B and one Cholesky
+    factor; the fields are read off each solve's A - h and h.
     """
     Fg, Gg = _pair_grids(F0, G0)
-    ops = assemble_operators(Fg, Gg, window=window)
+    solutions = solve_channel(Fg, Gg, functionals, window=window)
     grad_F = np.zeros((Fg.n_lambda, Fg.K, Fg.K), dtype=complex)
     grad_G = np.zeros_like(grad_F)
-    solutions = {}
-    delta = 0.0
-    for key, a in functionals.items():
-        sol, A = _solve_assembled(ops, Fg, Gg, _pad_functional(a, window, Fg.K))
+    for key, sol in solutions.items():
+        A = _functional_on_grid(functionals[key], Fg.n_lambda)
         for grad, field in ((grad_F, A - sol.h_grid), (grad_G, sol.h_grid)):
             grad += np.einsum("tk,tn->tkn", np.conj(field), field)
-        solutions[key] = sol
-        delta += sol.delta
-    return RobustAnchor(F0=Fg, G0=Gg, solutions=solutions, grad_F=grad_F,
-                        grad_G=grad_G, delta=float(delta))
+    return RobustAnchor(F0=Fg, G0=Gg, solutions=solutions, grad_F=grad_F, grad_G=grad_G,
+                        delta=float(sum(sol.delta for sol in solutions.values())))
 
 
 def evaluate_robust_objective(F, G, anchor):
@@ -946,12 +940,11 @@ def factorized_saddle_residual(F0, spec, functionals):
     M_F = np.zeros((n, K, K), dtype=complex)
     delta = 0.0
     for a in _channel_functionals(functionals).values():
-        a_arr = np.atleast_2d(np.asarray(a, dtype=complex))
-        sol = solve_by_factorization(fac, a_arr)
+        sol = solve_by_factorization(fac, a)
         if sol.h_grid is None:
             raise FactorizationError("factor of F0 is singular at a grid node; "
                                      "the gradient field is unavailable")
-        e = _functional_on_grid(a_arr, n) - sol.h_grid
+        e = _functional_on_grid(a, n) - sol.h_grid
         M_F += np.einsum("tk,tn->tkn", np.conj(e), e)
         delta += sol.delta
     # the field is M = P^{-*} L P^{-1}, so L = T M T* with T = P^*

@@ -16,7 +16,6 @@ from pcfield.extrapolate import (
     oracle_solve,
     solve_by_factorization,
     solve_channel,
-    solve_noiseless,
     spectral_factorize,
 )
 from pcfield.minimax import (
@@ -90,11 +89,11 @@ def test_criterion_01_oracle_equivalence(solved_instances):
 def test_criterion_02_white_noise_exact():
     a = np.array([[1.0], [0.5], [-0.25]])
     norm_sq = float(np.sum(np.abs(a) ** 2))
-    sol_unit = solve_noiseless(SpectralDensityGrid.white(1, 1.0, 512), a, window=16)
+    sol_unit = solve_channel(SpectralDensityGrid.white(1, 1.0, 512), None, a, window=16)
     assert np.max(np.abs(sol_unit.coefficients[:3] - a)) < 1e-14
     assert abs(sol_unit.delta - norm_sq) < 1e-10
     sigma2 = 2.25
-    sol = solve_noiseless(SpectralDensityGrid.white(1, sigma2, 512), a, window=16)
+    sol = solve_channel(SpectralDensityGrid.white(1, sigma2, 512), None, a, window=16)
     # the defining equations give c = sigma^2 a (B = sigma^{-2} I); at
     # sigma = 1 this is c = a exactly
     assert np.max(np.abs(sol.coefficients[:3] - sigma2 * a)) < 1e-12
@@ -105,7 +104,7 @@ def test_criterion_02_white_noise_exact():
 
 def test_criterion_03_ar1_one_step():
     F = RationalDensity.ar1(0.5)
-    sol = solve_noiseless(F, np.array([[1.0]]), window=96)
+    sol = solve_channel(F, None, np.array([[1.0]]), window=96)
     # independent quadrature of the geometric-mean formula on a finer grid
     grid = as_grid(F, 16384)
     kolmogorov = float(np.exp(np.mean(np.log(grid.values[:, 0, 0].real))))
@@ -131,7 +130,7 @@ def test_criterion_04_factorization():
         worst_resid = max(worst_resid, fac.residual)
         assert fac.residual <= 1e-8
         a = rng.normal(size=(4, K)) + 1j * rng.normal(size=(4, K))
-        inner = solve_noiseless(F, a, window=96).delta
+        inner = solve_channel(F, None, a, window=96).delta
         through_factor = solve_by_factorization(fac, a).delta
         gap = abs(inner - through_factor) / inner
         worst_gap = max(worst_gap, gap)

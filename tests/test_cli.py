@@ -148,7 +148,9 @@ class TestSolveRoutes:
 
     @staticmethod
     def count_assemblies(monkeypatch):
-        from pcfield import extrapolate, minimax
+        # solve_channel is the one caller of assemble_operators, the minimax
+        # anchor's included
+        from pcfield import extrapolate
 
         calls = []
         assemble = extrapolate.assemble_operators
@@ -157,8 +159,7 @@ class TestSolveRoutes:
             calls.append(1)
             return assemble(*args, **kwargs)
 
-        for module in (extrapolate, minimax):
-            monkeypatch.setattr(module, "assemble_operators", counted)
+        monkeypatch.setattr(extrapolate, "assemble_operators", counted)
         return calls
 
     @staticmethod
@@ -340,6 +341,9 @@ def _noisy_class(base, **fields):
     return [_set(("channels", 0, "G"), {"type": "rational", "numerator": [0.5]}),
             _set(("class_spec",), {**base, **fields})]
 
+
+# a class density on 256 nodes, where solver.n_lambda is 512
+_GRID_256 = {"type": "grid", "K": 1, "n_lambda": 256, "values": [[[1.0]]] * 256}
 
 # F = max(|sin(lambda/2)|^8, 1e-19) <= 1: the exact B satisfies B >= I, but at
 # window 48 its condition number is ~8e17 and the computed B has an
@@ -530,6 +534,10 @@ class TestRuntimeFailures:
         pytest.param("validate", [_set(("simulation", "keep_trials"), "false")],
                      EXIT_SCHEMA, "schema error: simulation.keep_trials must be true or "
                      "false, got 'false'", id="keep-trials-string"),
+        *(pytest.param("minimax", _noisy_class(_CONTAMINATION, **{key: _GRID_256}), EXIT_SCHEMA,
+                       f"schema error: class_spec.{key}: grid density has n_lambda=256, "
+                       "solver uses 512", id=f"class-{key}-off-the-grid")
+          for key in ("upper", "init_F", "init_G")),
     ])
     def test_exit_code_with_one_line(self, tmp_path, capsys, command, edits, code, prefix):
         prob = white_problem()
@@ -1173,13 +1181,17 @@ class TestClassSpecShapes:
                      "class_spec.tol must be a positive number, got 'abc'", id="tol-string"),
         pytest.param(_class(family="contamination", variant="trace", upper=_K1,
                             epsilon=0.3, signal_power=2.0, noise_power=0.5),
-                     "channels[0].F has K=2, class_spec.upper has K=1", id="k1-upper"),
+                     "channels[0].F: density has K=2, class_spec.upper has K=1",
+                     id="k1-upper"),
         pytest.param([_add_channel({"m": 1, "l": 1, "F": _K1, "G": _K1, "a": [[1.0]]})],
-                     "channels[1].F has K=1, class_spec.upper has K=2", id="mixed-k-channels"),
+                     "channels[1].F: density has K=1, class_spec.upper has K=2",
+                     id="mixed-k-channels"),
         pytest.param(_class(init_F=_K1),
-                     "class_spec.init_F has K=1, class_spec.upper has K=2", id="k1-init-F"),
+                     "class_spec.init_F: density has K=1, class_spec.upper has K=2",
+                     id="k1-init-F"),
         pytest.param(_class(init_G=_K1),
-                     "class_spec.init_G has K=1, class_spec.upper has K=2", id="k1-init-G"),
+                     "class_spec.init_G: density has K=1, class_spec.upper has K=2",
+                     id="k1-init-G"),
         pytest.param(_class(family="contamination", variant="trace", epsilon=[0.3],
                             signal_power=2.0, noise_power=0.5),
                      "class_spec: float() argument must be", id="epsilon-list"),

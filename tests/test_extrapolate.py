@@ -1,11 +1,14 @@
+import ast
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pcfield import extrapolate
+import pcfield
+from pcfield import extrapolate, minimax
 from pcfield.extrapolate import (
     FACTORIZATION_TOL,
     FactorizationError,
@@ -15,7 +18,6 @@ from pcfield.extrapolate import (
     oracle_solve,
     solve_by_factorization,
     solve_channel,
-    solve_noiseless,
     spectral_factorize,
     _factor_convolution,
 )
@@ -83,7 +85,7 @@ def _oracle_by_loops(F, G, a, j_past, n_lambda):
 class TestWhiteNoise:
     def test_unit_variance_coefficients_and_error_exact(self):
         a = np.array([[1.0], [0.5], [-0.25]])
-        sol = solve_noiseless(SpectralDensityGrid.white(1, 1.0, 512), a, window=16)
+        sol = solve_channel(SpectralDensityGrid.white(1, 1.0, 512), None, a, window=16)
         assert np.max(np.abs(sol.coefficients[:3] - a)) < 1e-12
         assert np.max(np.abs(sol.coefficients[3:])) < 1e-12
         assert sol.delta == pytest.approx(float(np.sum(np.abs(a) ** 2)), abs=1e-10)
@@ -94,7 +96,7 @@ class TestWhiteNoise:
         # factor while the error scales exactly
         sigma2 = 2.25
         a = np.array([[1.0], [0.5], [-0.25]])
-        sol = solve_noiseless(SpectralDensityGrid.white(1, sigma2, 512), a, window=16)
+        sol = solve_channel(SpectralDensityGrid.white(1, sigma2, 512), None, a, window=16)
         assert np.max(np.abs(sol.coefficients[:3] - sigma2 * a)) < 1e-12
         assert sol.delta == pytest.approx(sigma2 * float(np.sum(np.abs(a) ** 2)),
                                           abs=1e-10)
@@ -113,23 +115,23 @@ class TestWhiteNoise:
 class TestAutoregressive:
     def test_one_step_prediction_error(self):
         F = RationalDensity.ar1(0.5)
-        sol = solve_noiseless(F, np.array([[1.0]]), window=96)
+        sol = solve_channel(F, None, np.array([[1.0]]), window=96)
         oracle = kolmogorov_one_step_error(F)
         assert sol.delta == pytest.approx(1.0, abs=1e-6)
         assert sol.delta == pytest.approx(oracle, abs=1e-6)
 
     def test_coefficients_are_powers(self):
-        sol = solve_noiseless(RationalDensity.ar1(0.5), np.array([[1.0]]), window=64)
+        sol = solve_channel(RationalDensity.ar1(0.5), None, np.array([[1.0]]), window=64)
         expect = 0.5 ** np.arange(8)
         assert np.max(np.abs(sol.coefficients[:8, 0] - expect)) < 1e-10
 
     def test_spectral_characteristic(self):
-        sol = solve_noiseless(RationalDensity.ar1(0.5), np.array([[1.0]]), window=64)
+        sol = solve_channel(RationalDensity.ar1(0.5), None, np.array([[1.0]]), window=64)
         lam = lambda_grid(sol.h_grid.shape[0])
         assert np.max(np.abs(sol.h_grid[:, 0] - 0.5 * np.exp(-1j * lam))) < 1e-12
 
     def test_time_domain_weights(self):
-        sol = solve_noiseless(RationalDensity.ar1(0.5), np.array([[1.0]]), window=64)
+        sol = solve_channel(RationalDensity.ar1(0.5), None, np.array([[1.0]]), window=64)
         w = sol.h_lag_coefficients(4)
         assert w[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert np.max(np.abs(w[1:])) < 1e-12
@@ -141,7 +143,7 @@ class TestSolveChannelContracts:
         F = as_grid(random_rational(rng, 2, pole=0.4), 1024)
         a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         eps = SpectralDensityGrid.white(2, 1e-8, 1024)
-        s0 = solve_noiseless(F, a, window=48)
+        s0 = solve_channel(F, None, a, window=48)
         s1 = solve_channel(F, eps, a, window=48)
         assert np.max(np.abs(s0.coefficients - s1.coefficients)) < 1e-6
         assert s1.delta == pytest.approx(s0.delta, rel=1e-7)
@@ -275,8 +277,8 @@ class TestSolveChannelContracts:
         cfg = BlockingConfig(period=1.0, n_components=2, dt=1.0 / 8)
         samples = np.concatenate([np.ones(8), np.zeros(16)])
         func = functional_to_spec(samples, cfg)
-        sol = solve_noiseless(SpectralDensityGrid.white(2, 1.0, 512), func,
-                              window=16)
+        sol = solve_channel(SpectralDensityGrid.white(2, 1.0, 512), None, func,
+                            window=16)
         # the indicator of one period is the unit zero-frequency weight
         assert sol.delta == pytest.approx(1.0, abs=1e-10)
 
@@ -633,8 +635,8 @@ class TestFactorizationSolve:
     def test_ar1_one_step(self):
         fac = spectral_factorize(RationalDensity.ar1(0.5))
         sol = solve_by_factorization(fac, np.array([[1.0]]))
-        direct = solve_noiseless(RationalDensity.ar1(0.5), np.array([[1.0]]),
-                                 window=96)
+        direct = solve_channel(RationalDensity.ar1(0.5), None, np.array([[1.0]]),
+                               window=96)
         assert sol.delta == pytest.approx(1.0, abs=1e-6)
         assert sol.delta == pytest.approx(direct.delta, rel=1e-6)
 
@@ -652,7 +654,7 @@ class TestFactorizationSolve:
             fac = spectral_factorize(F)
             assert fac.residual <= 1e-8
             s_fac = solve_by_factorization(fac, a)
-            s_sys = solve_noiseless(F, a, window=96)
+            s_sys = solve_channel(F, None, a, window=96)
             assert abs(s_fac.delta - s_sys.delta) / s_sys.delta < 1e-6
             assert np.max(np.abs(s_fac.h_grid - s_sys.h_grid)) < 1e-6
 
@@ -807,3 +809,88 @@ class TestFilterRoute:
         F = RationalDensity.ma([1.0, -np.exp(0.1234j)])
         with pytest.raises(MinimalityViolation, match="closed-loop|stabilizing"):
             solve_channel(F, None, np.array([[1.0]]), n_lambda=4096)
+
+
+class TestOneSolveEntry:
+    """``solve_channel`` is the one entry to the filter and window routes: it
+    takes all of a pair's functionals and puts the pair on its grids, judges
+    and routes it, assembles and factors B, or solves the filter's W, once."""
+
+    @staticmethod
+    def functionals(rng, K):
+        return {(m, 1): rng.normal(size=(m + 1, K)) + 1j * rng.normal(size=(m + 1, K))
+                for m in range(3)}
+
+    def test_anchor_assembles_and_factors_once(self, monkeypatch):
+        from test_spectral import count_calls
+
+        rng = np.random.default_rng(41)
+        F, G = random_rational(rng, 2, pole=0.4), random_rational(rng, 2, degree=1)
+        assemblies = count_calls(monkeypatch, extrapolate, "assemble_operators")
+        factors = count_calls(monkeypatch, scipy.linalg, "cho_factor")
+        anchor = minimax.build_anchor(as_grid(F, 512), as_grid(G, 512),
+                                      self.functionals(rng, 2), window=16)
+        assert len(anchor.solutions) == 3
+        assert len(assemblies) == 1 and len(factors) == 1
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("route", ["filter", "window"])
+    def test_dict_form_equals_single_form(self, route, K, noisy):
+        rng = np.random.default_rng(50 + K)
+        F = random_rational(rng, K, pole=0.5)
+        G = random_rational(rng, K, degree=1) if noisy else None
+        if route == "window":
+            F, G = as_grid(F, 512), None if G is None else as_grid(G, 512)
+        functionals = self.functionals(rng, K)
+        together = solve_channel(F, G, functionals, window=24, n_lambda=512)
+        assert list(together) == list(functionals)
+        for key, a in functionals.items():
+            alone = solve_channel(F, G, a, window=24, n_lambda=512)
+            assert ("closed_loop_radius" in alone.diagnostics) == (route == "filter")
+            assert abs(together[key].delta - alone.delta) <= 1e-14 * abs(alone.delta)
+            for name in ("h_grid", "coefficients"):
+                mine, ref = getattr(together[key], name), getattr(alone, name)
+                assert np.max(np.abs(mine - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_rational_pair_solves_w_once(self, monkeypatch):
+        from test_spectral import count_calls
+
+        rng = np.random.default_rng(42)
+        F, G = random_rational(rng, 3, pole=0.5), random_rational(rng, 3, degree=1)
+        calls = count_calls(monkeypatch, scipy.linalg, "solve_discrete_lyapunov")
+        solutions = solve_channel(F, G, self.functionals(rng, 3), window=16, n_lambda=512)
+        assert len(solutions) == 3 and len(calls) == 1
+
+    def test_ill_conditioned_anchor_warns_once(self):
+        # MA(1) with a zero at 0.99999: F(0) = 1e-10 and cond_B ~ 1.2e9 at
+        # window 16, while the smallest eigenvalue of B stays near 0.25
+        F = RationalDensity.ma([1.0, -0.99999]).rasterize(512)
+        functionals = self.functionals(np.random.default_rng(43), 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            anchor = minimax.build_anchor(F, None, functionals, window=16)
+        assert anchor.solutions[(0, 1)].diagnostics["cond_B"] > 1e8
+        assert [str(w.message).split(" (")[0] for w in caught] == [
+            "normal equations are ill-conditioned"]
+
+    def test_assembly_is_called_by_the_solve_alone(self):
+        from test_spectral import _call_sites
+
+        assert _call_sites("assemble_operators") == [("extrapolate", "_solve_by_window")]
+
+    def test_minimax_imports_no_window_internal(self):
+        source = Path(minimax.__file__).read_text()
+        names = {alias.name for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "solve_channel" in names
+        assert not [name for name in names if name.startswith("_solve")
+                    or name in ("_pad_functional", "assemble_operators")]
+
+    def test_no_noiseless_wrapper(self):
+        name = "solve_" + "noiseless"
+        root = Path(__file__).resolve().parents[1]
+        files = [*root.glob("src/pcfield/*.py"), *root.glob("tests/*.py"),
+                 *root.glob("demos/*.py"), root / "README.md"]
+        assert [path.name for path in files if name in path.read_text()] == []
+        assert not hasattr(pcfield, name) and not hasattr(extrapolate, name)

@@ -8,7 +8,6 @@ from pcfield import extrapolate, minimax
 from pcfield.extrapolate import (
     FactorizationError,
     solve_channel,
-    solve_noiseless,
     spectral_factorize,
 )
 from pcfield.minimax import (
@@ -320,7 +319,7 @@ class TestLeastFavorable:
         for theta in thetas:
             f = SpectralDensityGrid.from_scalar_function(
                 lambda lam: p * (1.0 + theta * np.cos(lam)), N)
-            values.append(solve_noiseless(f, np.array([[1.0]]), window=48).delta)
+            values.append(solve_channel(f, None, np.array([[1.0]]), window=48).delta)
         assert np.argmax(values) == 9  # theta = 0
         assert max(values) <= res.objective_history[-1] + 1e-6
 

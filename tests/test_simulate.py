@@ -9,7 +9,6 @@ from pcfield.extrapolate import (
     _FACTORIZE_TOL,
     functional_variance,
     solve_channel,
-    solve_noiseless,
     spectral_factorize,
 )
 from pcfield.harmonics import decompose_field, design_matrix, flat_index, gauss_legendre_grid
@@ -65,7 +64,7 @@ class TestEmpiricalMse:
     def test_white_noise_validates_theory(self):
         F = SpectralDensityGrid.white(1, 1.0, 512)
         a = np.array([[1.0]])
-        sol = solve_noiseless(F, a, window=32)
+        sol = solve_channel(F, None, a, window=32)
         res = empirical_mse(sol, F, None, a,
                             SimulationConfig(seed=123, n_trials=10_000, n_steps=32))
         assert abs(res.mse - 1.0) <= 3 * res.stderr
@@ -74,7 +73,7 @@ class TestEmpiricalMse:
     def test_ar1_one_step(self):
         F = RationalDensity.ar1(0.5)
         a = np.array([[1.0]])
-        sol = solve_noiseless(F, a, window=64)
+        sol = solve_channel(F, None, a, window=64)
         res = empirical_mse(sol, F, None, a,
                             SimulationConfig(seed=5, n_trials=10_000, n_steps=64))
         assert abs(res.mse - sol.delta) <= 3 * res.stderr
@@ -96,7 +95,7 @@ class TestEmpiricalMse:
     def test_deterministic_given_seed(self):
         F = RationalDensity.ar1(0.3)
         a = np.array([[1.0]])
-        sol = solve_noiseless(F, a, window=48)
+        sol = solve_channel(F, None, a, window=48)
         cfg = SimulationConfig(seed=2, n_trials=500, n_steps=48)
         r1 = empirical_mse(sol, F, None, a, cfg)
         r2 = empirical_mse(sol, F, None, a, cfg)
@@ -106,7 +105,7 @@ class TestEmpiricalMse:
     def test_trial_records_kept_on_request(self):
         F = SpectralDensityGrid.white(1, 1.0, 256)
         a = np.array([[1.0]])
-        sol = solve_noiseless(F, a, window=16)
+        sol = solve_channel(F, None, a, window=16)
         res = empirical_mse(sol, F, None, a,
                             SimulationConfig(seed=1, n_trials=100, n_steps=16),
                             keep_trials=True)
@@ -172,7 +171,7 @@ class TestEmpiricalMse:
         # outside the simulated past
         F = RationalDensity.ma([1.0, 0.9])
         a = np.array([[1.0]])
-        sol = solve_noiseless(F, a, window=96)
+        sol = solve_channel(F, None, a, window=96)
         with pytest.raises(ValueError, match="past window"):
             empirical_mse(sol, F, None, a,
                           SimulationConfig(seed=3, n_trials=100, n_steps=2))
@@ -181,7 +180,7 @@ class TestEmpiricalMse:
         # the replay reads weights to lag 2 * n_steps = 128 on a 256-point grid
         F = as_grid(RationalDensity.ar1(0.5), 256)
         a = np.array([[1.0]])
-        sol = solve_noiseless(F, a, window=16)
+        sol = solve_channel(F, None, a, window=16)
         with pytest.raises(PastWindowError, match="lag 128 aliases"):
             empirical_mse(sol, F, None, a,
                           SimulationConfig(seed=3, n_trials=100, n_steps=64))
