@@ -154,6 +154,16 @@ class ChannelFunctional:
     weighted_square_sum: float
 
 
+def _as_functional(a, K):
+    """A functional (an array or a :class:`ChannelFunctional`) as (J, K) complex
+    coefficients; another K, or J = 0, is one ``ValueError``."""
+    a = np.atleast_2d(np.asarray(getattr(a, "coefficients", a), dtype=complex))
+    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] != K:
+        raise ValueError(f"functional of shape {a.shape} does not fit densities with "
+                         f"K={K}: need (J, {K}) with J >= 1")
+    return a
+
+
 def functional_to_spec(samples, cfg):
     """Block a sampled weight function defined on ``[0, J*T)``.
 

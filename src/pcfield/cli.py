@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blocking import BlockingConfig, functional_to_spec, read_samples_csv
+from .blocking import BlockingConfig, _as_functional, functional_to_spec, read_samples_csv
 from .harmonics import flat_index
 from .extrapolate import (
     DEFAULT_J_PAST,
@@ -142,19 +142,17 @@ def _parse_functional(raw, blocking, K, where):
                 _, samples = read_samples_csv(raw["samples_csv"])
             else:
                 samples = _real_array_from_json(raw["samples"], "samples")
-            return functional_to_spec(samples, blocking).coefficients
+            return _as_functional(functional_to_spec(samples, blocking), K)
         except (OSError, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     try:
         arr = complex_tensor_from_json(raw, base_ndim=(1, 2), where=where)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != K:
-        raise SchemaError(
-            f"{where}: functional has {arr.shape[1]} components, density has K={K}"
-        )
-    return arr
+    try:
+        return _as_functional(arr, K)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 class Problem:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .blocking import _as_functional
 from .spectral import (
     MinimalityViolation,
     RationalDensity,
@@ -72,12 +73,14 @@ class EstimateSolution:
     solved unknowns, on the other routes the first lags of c = (A - h)^T F
     - h^T G read off the grid; ``h_grid`` is the spectral characteristic
     sampled on the frequency grid (None when a singular factor makes it
-    unavailable); ``delta`` is the mean-square error of the optimal
-    estimate.
+    unavailable) and ``error_grid`` the error characteristic A - h there,
+    the one transform of the functional (None with ``h_grid``); ``delta``
+    is the mean-square error of the optimal estimate.
     """
 
     coefficients: np.ndarray | None
     h_grid: np.ndarray | None
+    error_grid: np.ndarray | None
     delta: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -96,8 +99,7 @@ class EstimateSolution:
 
 
 def _functional_on_grid(a, n_lambda):
-    """A(lambda) = sum_j a(j) exp(i j lambda) on the grid; ``a`` may be blocked."""
-    a = np.atleast_2d(np.asarray(getattr(a, "coefficients", a), dtype=complex))
+    """A(lambda) = sum_j a(j) exp(i j lambda) on the grid for (J, K) ``a``."""
     return evaluate_lag_series(a, np.arange(a.shape[0]), n_lambda)
 
 
@@ -135,10 +137,7 @@ def _solve_pd(B, rhs):
 
 
 def _pad_functional(a, window, K):
-    a = getattr(a, "coefficients", a)  # accept blocked functionals directly
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    if a.shape[1] != K:
-        raise ValueError(f"functional has K={a.shape[1]}, densities have K={K}")
+    a = _as_functional(a, K)
     if a.shape[0] > window:
         raise ValueError(
             f"functional support {a.shape[0]} exceeds solver window {window}"
@@ -155,9 +154,10 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
     ----------
     F, G : densities (grid or rational); ``G`` may be None for noiseless
         observations.
-    a : (J, K) complex array of functional coefficients, J <= window, or a
-        dict of them keyed by channel, all solved against the one pair; a
-        dict comes back as a dict of solutions with the same keys.
+    a : one (J, K) functional, J <= window, as an array or a
+        ``ChannelFunctional`` (``blocking._as_functional``), or a dict of
+        them keyed by channel, all solved against the one pair; a dict
+        comes back as a dict of solutions with the same keys.
     window : the number of coefficients c(j) reported, and on the window
         route the truncation length of the coefficient solve.
     n_lambda : grid size; the pair's grid follows ``spectral._pair_grids``
@@ -235,7 +235,7 @@ def _solve_by_window(Fg, Gg, padded, window):
             "orthogonality_residual": float(residual),
             "noisy": Gg is not None,
         }
-        solutions[key] = EstimateSolution(coefficients=c, h_grid=h,
+        solutions[key] = EstimateSolution(coefficients=c, h_grid=h, error_grid=e,
                                           delta=float(np.mean(error.real)),
                                           diagnostics=diagnostics)
     return solutions
@@ -288,8 +288,8 @@ def _solve_by_filter(verdict, padded, window):
         tail = float(np.real(rows[lags] @ reach @ rows[lags].conj()))
         h = evaluate_lag_series(weights, -np.arange(1, lags + 1), n)
 
-        A_grid = _functional_on_grid(a_pad, n)
-        cross = np.einsum("tk,tkn->tn", A_grid - h, Fg.values)
+        e = _functional_on_grid(a_pad, n) - h
+        cross = np.einsum("tk,tkn->tn", e, Fg.values)
         if Gg is not None:
             cross = cross - np.einsum("tk,tkn->tn", h, Gg.values)
         diagnostics = {
@@ -302,7 +302,7 @@ def _solve_by_filter(verdict, padded, window):
         }
         solutions[key] = EstimateSolution(
             coefficients=fourier_coefficients(cross, -np.arange(window)),
-            h_grid=h, delta=delta, diagnostics=diagnostics)
+            h_grid=h, error_grid=e, delta=delta, diagnostics=diagnostics)
     return solutions
 
 
@@ -595,10 +595,7 @@ def solve_by_factorization(fac, a):
     exceeds ``FACTORIZATION_TOL``.
     """
     _checked_factor(fac)
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    J, K = a.shape
-    if K != fac.K:
-        raise ValueError(f"functional has K={K}, factor has K={fac.K}")
+    a = _as_functional(a, fac.K)
     d = fac.coefficients
 
     conv = _factor_convolution(d, a)
@@ -606,27 +603,27 @@ def solve_by_factorization(fac, a):
 
     n = fac.factor_grid.shape[0]
     A = _functional_on_grid(a, n)
-    S = evaluate_lag_series(conv, np.arange(J), n)
+    S = evaluate_lag_series(conv, np.arange(len(a)), n)
     diagnostics = {"factorization_residual": fac.residual, "noisy": False}
     try:
         q = _node_inverse(fac.factor_grid)
     except np.linalg.LinAlgError:
-        return EstimateSolution(coefficients=None, h_grid=None, delta=delta,
-                                diagnostics=diagnostics)
+        return EstimateSolution(coefficients=None, h_grid=None, error_grid=None,
+                                delta=delta, diagnostics=diagnostics)
     h = A - np.einsum("tnk,tn->tk", q, S)
     diagnostics["causal_leakage"] = _causal_share(h)
     # the window coefficients from C = (A - h)^T F = S^T P^*; the series
     # coefficient of exp(i*j*lambda) integrates against exp(-i*j*lambda)
     Ct = np.einsum("tk,tnk->tn", S, np.conj(fac.factor_grid))
-    c = fourier_coefficients(Ct, -np.arange(J))
-    return EstimateSolution(coefficients=c, h_grid=h, delta=delta,
+    c = fourier_coefficients(Ct, -np.arange(len(a)))
+    return EstimateSolution(coefficients=c, h_grid=h, error_grid=A - h, delta=delta,
                             diagnostics=diagnostics)
 
 
 def functional_variance(F, a):
     """Exact variance of the functional: (1/2pi) int A^T F conj(A)."""
     Fg = as_grid(F)
-    A = _functional_on_grid(a, Fg.n_lambda)
+    A = _functional_on_grid(_as_functional(a, Fg.K), Fg.n_lambda)
     vals = np.einsum("tk,tkn,tn->t", A, Fg.values, np.conj(A))
     return float(np.mean(vals.real))
 
@@ -644,10 +641,9 @@ def oracle_solve(F, G, a, j_past=DEFAULT_J_PAST, n_lambda=None):
     ridge-stabilized and the shift reported through a warning.  It shares
     the pair's grid rule (``spectral._pair_grids``) and no verdict.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    J = a.shape[0]
     Fg, Gg = _pair_grids(F, G, n_lambda)
-    cov = joint_covariance(Fg, Gg, j_past, J)
+    a = _as_functional(a, Fg.K)
+    cov = joint_covariance(Fg, Gg, j_past, len(a))
     P = j_past * Fg.K
     a_vec = a.ravel()
     var = float(np.real(a_vec @ cov[P:, P:] @ np.conj(a_vec)))

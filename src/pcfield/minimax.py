@@ -42,7 +42,6 @@ from .extrapolate import (
     solve_channel,
     spectral_factorize,
     _checked_factor,
-    _functional_on_grid,
 )
 from .spectral import (
     MinimalityViolation,
@@ -672,15 +671,14 @@ def build_anchor(F0, G0, functionals, window=DEFAULT_WINDOW):
 
     One ``solve_channel`` call on the pair's grids (``spectral._pair_grids``,
     so the window route) solves every channel on one B and one Cholesky
-    factor; the fields are read off each solve's A - h and h.
+    factor; the fields are read off each solution's A - h and h.
     """
     Fg, Gg = _pair_grids(F0, G0)
     solutions = solve_channel(Fg, Gg, functionals, window=window)
     grad_F = np.zeros((Fg.n_lambda, Fg.K, Fg.K), dtype=complex)
     grad_G = np.zeros_like(grad_F)
-    for key, sol in solutions.items():
-        A = _functional_on_grid(functionals[key], Fg.n_lambda)
-        for grad, field in ((grad_F, A - sol.h_grid), (grad_G, sol.h_grid)):
+    for sol in solutions.values():
+        for grad, field in ((grad_F, sol.error_grid), (grad_G, sol.h_grid)):
             grad += np.einsum("tk,tn->tkn", np.conj(field), field)
     return RobustAnchor(F0=Fg, G0=Gg, solutions=solutions, grad_F=grad_F, grad_G=grad_G,
                         delta=float(sum(sol.delta for sol in solutions.values())))
@@ -704,10 +702,8 @@ def evaluate_robust_objective(F, G, anchor):
 
 
 def _channel_functionals(functionals):
-    """Channel keys to (J, K) coefficient arrays; a bare array is one channel."""
-    if isinstance(functionals, np.ndarray) or not isinstance(functionals, dict):
-        return {(0, 1): np.asarray(functionals)}
-    return functionals
+    """Channel keys to functionals; a bare functional is one channel."""
+    return functionals if isinstance(functionals, dict) else {(0, 1): functionals}
 
 
 @dataclass
@@ -725,8 +721,8 @@ def find_least_favorable(spec, functionals, init, max_iter=500, tol=1e-6,
                          window=DEFAULT_WINDOW, n_lambda=None):
     """Projected ascent to the least favorable pair of the class.
 
-    ``functionals`` maps channel keys to (J, K) coefficient arrays (a bare
-    array is treated as a single channel); ``init`` is a density pair
+    ``functionals`` maps channel keys to (J, K) functionals (a bare one is
+    treated as a single channel); ``init`` is a density pair
     (F, G) which is projected onto the class before the first solve.  The
     objective sequence is non-decreasing: each iteration first tries the
     step ``_ASCENT_STEP0`` along the scaled gradient, and a step is
@@ -941,11 +937,10 @@ def factorized_saddle_residual(F0, spec, functionals):
     delta = 0.0
     for a in _channel_functionals(functionals).values():
         sol = solve_by_factorization(fac, a)
-        if sol.h_grid is None:
+        if sol.error_grid is None:
             raise FactorizationError("factor of F0 is singular at a grid node; "
                                      "the gradient field is unavailable")
-        e = _functional_on_grid(a, n) - sol.h_grid
-        M_F += np.einsum("tk,tn->tkn", np.conj(e), e)
+        M_F += np.einsum("tk,tn->tkn", np.conj(sol.error_grid), sol.error_grid)
         delta += sol.delta
     # the field is M = P^{-*} L P^{-1}, so L = T M T* with T = P^*
     T_star = fac.factor_grid

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonics
-from .blocking import _basis_matrix
+from .blocking import _as_functional, _basis_matrix
 from .extrapolate import (
     FactorizationError,
     FactorizationResult,
@@ -195,7 +195,7 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
     ``MAX_JOINT_SIZE``.  :class:`FactorizationError` means the covariance is
     singular, as for a signal density of reduced rank.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    a = _as_functional(a, F.K)
     J, K = a.shape
     L = config.n_steps
     check_joint_size(L, J, K)

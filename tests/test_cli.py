@@ -503,6 +503,10 @@ class TestRuntimeFailures:
         pytest.param("solve", _sampled([1.0] * 7), EXIT_SCHEMA,
                      "schema error: channels[0].a: final period truncated",
                      id="solve-samples-truncate-a-period"),
+        pytest.param("solve", [*_blocking(n_components=2),
+                               _set(("channels", 0, "a"), {"samples": [1.0] * 4})],
+                     EXIT_SCHEMA, "schema error: channels[0].a: functional of shape (1, 2) "
+                     "does not fit densities with K=1", id="solve-samples-of-another-k"),
         pytest.param("solve", [_set(("channels", 0, "F", "numerator"),
                                     [[1.0, 0.0], [-np.cos(0.1234), -np.sin(0.1234)]])],
                      EXIT_MINIMALITY, "minimality failure: the pair's filter",

@@ -894,3 +894,149 @@ class TestOneSolveEntry:
                  *root.glob("demos/*.py"), root / "README.md"]
         assert [path.name for path in files if name in path.read_text()] == []
         assert not hasattr(pcfield, name) and not hasattr(extrapolate, name)
+
+
+_NOT_FITTING = r"functional of shape \(\d+, \d+\) does not fit densities with K=1: need"
+
+
+class TestFunctionalLayer:
+    """A functional is an array or a ``ChannelFunctional`` at every entry
+    point; ``blocking._as_functional`` alone coerces it, and each solution
+    carries the one transform of it, ``error_grid`` = A - h."""
+
+    N = 256
+    F = RationalDensity.ar1(0.5)
+    G = RationalDensity(0.3 * np.eye(1)[None])
+
+    @classmethod
+    def blocked(cls):
+        cfg = pcfield.BlockingConfig(period=1.0, n_components=1, dt=0.25)
+        samples = np.random.default_rng(60).normal(size=8)
+        return pcfield.functional_to_spec(samples, cfg)
+
+    @classmethod
+    def entry_points(cls):
+        """Each entry point that takes a functional, as a function of it to
+        the arrays and floats it returns."""
+        F, G, N = cls.F, cls.G, cls.N
+        Fg, Gg = as_grid(F, N), as_grid(G, N)
+        solution = solve_channel(F, G, cls.blocked().coefficients, window=8, n_lambda=N)
+        spec = minimax.DensityClassSpec("contamination", "trace", noiseless=True,
+                                        upper=SpectralDensityGrid.white(1, 1.0, N),
+                                        epsilon=1.0, signal_power=Fg.trace_integral())
+
+        def fields(sol):
+            return sol.delta, sol.h_grid, sol.error_grid, sol.coefficients
+
+        def anchor(a):
+            result = minimax.build_anchor(Fg, Gg, {(0, 1): a}, window=8)
+            return result.delta, result.grad_F, result.grad_G
+
+        def saddle(a):
+            report = minimax.factorized_saddle_residual(Fg, spec, a)
+            return report.objective, report.residual_F
+
+        return {
+            "solve_channel": lambda a: fields(
+                solve_channel(F, G, a, window=8, n_lambda=N)),
+            "solve_channel-dict": lambda a: fields(
+                solve_channel(F, G, {(0, 1): a}, window=8, n_lambda=N)[(0, 1)]),
+            "oracle_solve": lambda a: (oracle_solve(F, G, a, j_past=8, n_lambda=N),),
+            "solve_by_factorization": lambda a: fields(
+                solve_by_factorization(spectral_factorize(F, N), a)),
+            "functional_variance": lambda a: (functional_variance(F, a),),
+            "empirical_mse": lambda a: (pcfield.empirical_mse(
+                solution, F, G, a, pcfield.SimulationConfig(seed=5, n_trials=200,
+                                                            n_steps=16)).mse,),
+            "build_anchor": anchor,
+            "factorized_saddle_residual": saddle,
+        }
+
+    ENTRY_POINTS = ("solve_channel", "solve_channel-dict", "oracle_solve",
+                    "solve_by_factorization", "functional_variance", "empirical_mse",
+                    "build_anchor", "factorized_saddle_residual")
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_blocked_functional_equals_its_coefficients(self, name):
+        call = self.entry_points()[name]
+        blocked = self.blocked()
+        for mine, ref in zip(call(blocked), call(blocked.coefficients), strict=True):
+            np.testing.assert_array_equal(mine, ref)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("shape", [(1, 2), (0, 1)], ids=["other-k", "no-row"])
+    def test_one_value_error_for_a_functional_that_does_not_fit(self, name, shape):
+        with pytest.raises(ValueError, match=_NOT_FITTING):
+            self.entry_points()[name](np.ones(shape))
+
+    def test_anchor_transforms_each_functional_once(self, monkeypatch):
+        from test_spectral import count_calls
+
+        rng = np.random.default_rng(61)
+        F, G = random_rational(rng, 2, pole=0.4), random_rational(rng, 2, degree=1)
+        calls = count_calls(monkeypatch, extrapolate, "evaluate_lag_series")
+        calls += count_calls(monkeypatch, pcfield.spectral, "evaluate_lag_series")
+        anchor = minimax.build_anchor(as_grid(F, 512), as_grid(G, 512),
+                                      TestOneSolveEntry.functionals(rng, 2), window=16)
+        # per channel: A and the series of c
+        assert len(anchor.solutions) == 3 and len(calls) == 6
+
+    def test_minimax_imports_no_functional_transform(self):
+        source = Path(minimax.__file__).read_text()
+        names = {alias.name for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "_functional_on_grid" not in names
+
+    def test_one_coercion_site(self):
+        from test_spectral import _call_sites, _sites
+
+        def reads_coefficients(node):
+            return (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+                    and any(isinstance(arg, ast.Constant) and arg.value == "coefficients"
+                            for arg in node.args))
+
+        assert _sites(reads_coefficients) == [("blocking", "_as_functional")]
+        # the other atleast_2d is a constant density's matrix
+        assert set(_call_sites("np.atleast_2d")) == {
+            ("blocking", "_as_functional"), ("spectral", "constant")}
+        assert set(_call_sites("_as_functional")) == {
+            ("extrapolate", "_pad_functional"), ("extrapolate", "solve_by_factorization"),
+            ("extrapolate", "functional_variance"), ("extrapolate", "oracle_solve"),
+            ("simulate", "empirical_mse"), ("cli", "_parse_functional"),
+        }
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("route, noisy", [
+        ("filter", False), ("filter", True), ("window", False), ("window", True),
+        ("factorization", False)])   # the factorization route is noiseless
+    def test_error_grid_is_a_minus_h(self, route, noisy, K):
+        rng = np.random.default_rng(70 + K)
+        F = random_rational(rng, K, pole=0.5)
+        G = random_rational(rng, K, degree=1) if noisy else None
+        a = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
+        if route == "factorization":
+            sol = solve_by_factorization(spectral_factorize(F, 512), a)
+        else:
+            if route == "window":
+                F, G = as_grid(F, 512), None if G is None else as_grid(G, 512)
+            sol = solve_channel(F, G, a, window=24, n_lambda=512)
+        np.testing.assert_array_equal(
+            sol.error_grid, extrapolate._functional_on_grid(a, 512) - sol.h_grid)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_anchor_fields_equal_the_transform_of_each_functional(self, K, noisy):
+        rng = np.random.default_rng(80 + K)
+        F = as_grid(random_rational(rng, K, pole=0.4), 512)
+        G = as_grid(random_rational(rng, K, degree=1), 512) if noisy else None
+        functionals = TestOneSolveEntry.functionals(rng, K)
+        anchor = minimax.build_anchor(F, G, functionals, window=16)
+        grad_F = np.zeros((512, K, K), dtype=complex)
+        grad_G = np.zeros_like(grad_F)
+        for key, a in functionals.items():
+            h = anchor.solutions[key].h_grid
+            e = extrapolate._functional_on_grid(a, 512) - h
+            grad_F += np.einsum("tk,tn->tkn", np.conj(e), e)
+            grad_G += np.einsum("tk,tn->tkn", np.conj(h), h)
+        np.testing.assert_array_equal(anchor.grad_F, grad_F)
+        np.testing.assert_array_equal(anchor.grad_G, grad_G)
