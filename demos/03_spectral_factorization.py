@@ -36,10 +36,13 @@ num[0] += 4 * np.eye(3)
 F = RationalDensity(num)
 fac = spectral_factorize(F)
 swept = spectral_factorize(as_grid(F))
+# the exact lags end where their tail is negligible, the sweeps' at n/2
+common = min(len(fac.coefficients), len(swept.coefficients))
 print("K = 3, degree-3 numerator: Riccati residual", f"{fac.residual:.2e}")
 print("the same density as a grid: Wilson residual", f"{swept.residual:.2e}",
-      "after", swept.iterations, "sweeps; coefficients agree to",
-      f"{np.max(np.abs(fac.coefficients - swept.coefficients)):.2e}")
+      "after", swept.iterations, "sweeps; coefficients agree on their", common,
+      "common lags to",
+      f"{np.max(np.abs(fac.coefficients[:common] - swept.coefficients[:common])):.2e}")
 d0 = fac.coefficients[0]
 print("d(0) is lower triangular with positive diagonal:")
 print(np.round(d0, 4))

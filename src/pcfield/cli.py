@@ -404,24 +404,10 @@ def _channel_factors(problem):
 # commands
 
 
-def _checked_weights(sol, problem, i):
-    """``sol``, or :class:`SchemaError` when its ``weight_tail``, the weights' energy
-    share past the grid's lags, exceeds the factorization tolerance ``_meta`` records."""
-    tail = sol.diagnostics.get("weight_tail", 0.0)
-    limit = _meta(problem)["tolerances"]["factorization"]
-    if not tail <= limit:
-        raise SchemaError(
-            f"channels[{i}]: solver.n_lambda {problem.n_lambda} holds the estimator's "
-            f"weights to lag {problem.n_lambda // 2 - 1} only; the share {tail:.3e} of "
-            f"their energy beyond exceeds {limit:.1e}")
-    return sol
-
-
 def cmd_solve(problem, out_dir, args):
-    sols = [_checked_weights(solve_channel(entry["F"], entry["G"], entry["a"],
-                                           window=problem.window, n_lambda=problem.n_lambda),
-                             problem, i)
-            for i, entry in enumerate(problem.channels)]
+    sols = [solve_channel(entry["F"], entry["G"], entry["a"],
+                          window=problem.window, n_lambda=problem.n_lambda)
+            for entry in problem.channels]
     payload = {"command": "solve", "meta": _meta(problem), "channels": []}
     total = 0.0
     for entry, sol in zip(problem.channels, sols):
@@ -443,15 +429,16 @@ def cmd_solve(problem, out_dir, args):
 
 
 def _check_oracle_lags(problem):
-    """The oracle's covariances reach lag j_past + support; reject lags the
-    grid aliases (|lag| >= n_lambda // 2)."""
+    """The oracle's covariances reach lag j_past + support - 1; reject lags
+    the grid aliases (|lag| >= n_lambda // 2)."""
     limit = problem.n_lambda // 2
     for i, entry in enumerate(problem.channels):
-        support = entry["a"].shape[0]
-        if problem.j_past + support >= limit:
+        reach = problem.j_past + entry["a"].shape[0] - 1
+        if reach >= limit:
             raise SchemaError(
-                f"channels[{i}]: solver.j_past {problem.j_past} plus functional "
-                f"support {support} must stay below n_lambda // 2 = {limit}"
+                f"channels[{i}]: solver.j_past {problem.j_past} and functional support "
+                f"{entry['a'].shape[0]} read the covariances to lag {reach}, which must "
+                f"stay below n_lambda // 2 = {limit}"
             )
 
 
@@ -541,9 +528,8 @@ def cmd_validate(problem, out_dir, args):
         # oracle and the draw share the channel's grids; a reference
         # density is rasterized apart, only when given
         F, G = _pair_grids(entry["F"], entry["G"], problem.n_lambda)
-        sol = _checked_weights(solve_channel(entry["F"], entry["G"], entry["a"],
-                                             window=problem.window, grids=(F, G)),
-                               problem, i)
+        sol = solve_channel(entry["F"], entry["G"], entry["a"],
+                            window=problem.window, grids=(F, G))
         ref_F, ref_G = entry["reference_F"], entry["reference_G"]
         F_true, G_true = _pair_grids(F if ref_F is None else ref_F,
                                      G if ref_G is None else ref_G, problem.n_lambda)

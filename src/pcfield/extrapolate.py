@@ -49,7 +49,6 @@ from .spectral import (
     _node_matmul,
     _pair_grids,
     _rational_pair,
-    _reachability,
 )
 
 DEFAULT_WINDOW = 96
@@ -59,6 +58,7 @@ _FACTORIZE_TOL = 1e-10          # relative residual at which the sweeps stop
 _FACTORIZE_MAX_SWEEPS = 200
 _FACTORIZE_PD_FLOOR = 1e-10     # smallest eigenvalue relative to sup |F|
 _NEGLIGIBLE_TAIL = 1e-13        # factor coefficients below this times ||d(0)|| are cut
+_FACTOR_MAX_LAGS = 2 ** 16      # most exact lags of a rational factor
 
 
 class FactorizationError(RuntimeError):
@@ -136,17 +136,6 @@ def _solve_pd(B, rhs):
     return scipy.linalg.cho_solve((c, low), rhs)
 
 
-def _pad_functional(a, window, K):
-    a = _as_functional(a, K)
-    if a.shape[0] > window:
-        raise ValueError(
-            f"functional support {a.shape[0]} exceeds solver window {window}"
-        )
-    out = np.zeros((window, K), dtype=complex)
-    out[: a.shape[0]] = a
-    return out
-
-
 def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
     """Optimal estimate of a channel's functional from noisy observations.
 
@@ -169,9 +158,9 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
 
     * F rational and G rational or None: the filter route
       (``_solve_by_filter``), exact, with no truncation.  Diagnostics
-      ``max_condition`` (the worst node of F + G), ``closed_loop_radius``,
-      ``weight_tail`` (the share of the weights' energy at lags >= n/2,
-      beyond the grid) and ``causal_leakage``.
+      ``max_condition`` (the worst node of F + G), ``closed_loop_radius``
+      and ``causal_leakage`` (there the share of the weights' energy at
+      lags >= n/2, which the grid wraps onto its positive lags).
     * any grid density: the window route (``_solve_by_window``), the
       block-Toeplitz normal equations B c = d on ``window`` coefficients,
       with one B and one Cholesky factor for all the functionals.  Its
@@ -187,19 +176,23 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
     lags of c = (A - h)^T F - h^T G.  ``causal_leakage`` is ``_causal_share``.
     """
     Fg, Gg = grids = _pair_grids(*(grids or (F, G)), n_lambda)
-    padded = {key: _pad_functional(f, window, Fg.K)
-              for key, f in (a.items() if isinstance(a, dict) else [(None, a)])}
+    functionals = {key: _as_functional(f, Fg.K)
+                   for key, f in (a.items() if isinstance(a, dict) else [(None, a)])}
+    for f in functionals.values():
+        if f.shape[0] > window:
+            raise ValueError(f"functional support {f.shape[0]} exceeds solver window {window}")
     if _rational_pair(F, G):
-        solutions = _solve_by_filter(_judge_pair(F, G, grids), padded, window)
+        solutions = _solve_by_filter(_judge_pair(F, G, grids), functionals, window)
     else:
-        solutions = _solve_by_window(Fg, Gg, padded, window)
+        solutions = _solve_by_window(Fg, Gg, functionals, window)
     return solutions if isinstance(a, dict) else solutions[None]
 
 
-def _solve_by_window(Fg, Gg, padded, window):
+def _solve_by_window(Fg, Gg, functionals, window):
     """The window route: B assembled for (Fg, Gg) and one solve on its one
-    Cholesky factor (``_solve_pd``), the right-hand side d of each padded
-    functional a column; one :class:`EstimateSolution` per key of ``padded``.
+    Cholesky factor (``_solve_pd``), the right-hand side d of each functional
+    a, padded with zeros to ``window``, a column; one
+    :class:`EstimateSolution` per key of ``functionals``.
     """
     n, K = Fg.n_lambda, Fg.K
     ops = assemble_operators(Fg, Gg, window=window)
@@ -210,17 +203,18 @@ def _solve_by_window(Fg, Gg, padded, window):
             RuntimeWarning,
         )
     columns = []
-    for a_pad in padded.values():
-        A = _functional_on_grid(a_pad, n)
-        sym, d = A, a_pad.reshape(-1)
-        if Gg is not None:  # sym = A^T F (F+G)^{-1}; block s of d is its lag -s coefficient
+    for a in functionals.values():
+        A = _functional_on_grid(a, n)
+        if Gg is None:  # d is a, padded to the window
+            sym, d = A, np.concatenate([a, np.zeros((window - len(a), K))]).reshape(-1)
+        else:  # sym = A^T F (F+G)^{-1}; block s of d is its lag -s coefficient
             sym = A - np.einsum("tn,tnk->tk", np.einsum("tk,tkn->tn", A, Gg.values), ops.inv_total)
             d = fourier_coefficients(sym, -np.arange(window)).reshape(-1)
         columns.append((A, sym, d))
     solved = _solve_pd(ops.B, np.reshape([d for _, _, d in columns], (len(columns), window * K)).T)
 
     solutions = {}
-    for key, (A, sym, d), c in zip(padded, columns, solved.T):
+    for key, (A, sym, d), c in zip(functionals, columns, solved.T):
         c = c.reshape(window, K)
         residual = np.linalg.norm(ops.B @ c.reshape(-1) - d) / max(np.linalg.norm(d), 1e-300)
         h = sym - np.einsum("tn,tnk->tk", _functional_on_grid(c, n), ops.inv_total)
@@ -241,7 +235,7 @@ def _solve_by_window(Fg, Gg, padded, window):
     return solutions
 
 
-def _solve_by_filter(verdict, padded, window):
+def _solve_by_filter(verdict, functionals, window):
     """Exact solve of a rational pair by one steady-state Kalman filter.
 
     On the pair's innovations model (``verdict.filter``), the
@@ -253,10 +247,13 @@ def _solve_by_filter(verdict, padded, window):
         delta = v P v^* + sum_i || sum_{j >= i} a(j)^T G_{j-i} ||^2,
 
     G_0 = D_z and G_k = C_z A^{k-1} B.  The estimate's weight on y(-k) is
-    c_k = v (A - K_p C_y)^{k-1} K_p; the weights at lags 1 .. n/2 - 1 are
-    formed by doubling and give h on the grid (``evaluate_lag_series``).
-    The model and its Gramian W serve every key of ``padded``; the
-    verdict's grids serve the node check and the reported coefficients only.
+    c_k = v (A - K_p C_y)^{k-1} K_p.  On the grid from -pi, z^-n = (-1)^n,
+    so the whole series folds onto lags 1 .. n with the weights
+    v (A - K_p C_y)^{k-1} (I - (-1)^n (A - K_p C_y)^n)^{-1} K_p, formed by
+    doubling; h on the grid (``evaluate_lag_series``, which wraps lag n
+    onto lag 0) is exact at every node.  The model serves every key of
+    ``functionals``; the verdict's grids serve the node check and the
+    reported coefficients only.
     """
     Fg, Gg = verdict.grids
     n = Fg.n_lambda
@@ -265,14 +262,12 @@ def _solve_by_filter(verdict, padded, window):
     if refusal is not None:
         raise refusal
     (A, B, _, _, C_z, D_z), unit = model.system, model.unit
-    P, gain, closed, radius = model.P, model.gain, model.closed, model.radius
-    reach = _reachability(model)
-    lags = max(n // 2 - 1, 0)
+    P, closed, radius = model.P, model.closed, model.radius
+    wrap = np.linalg.matrix_power(closed, n) * (-1.0) ** n
+    folded = np.linalg.solve(np.eye(len(closed)) - wrap, model.gain)
 
     solutions = {}
-    for key, a_pad in padded.items():
-        support = np.flatnonzero(np.any(a_pad != 0, axis=1))
-        a = a_pad[:support[-1] + 1 if support.size else 1]
+    for key, a in functionals.items():
         CA = [C_z]                                   # C_z A^j, j = 0 .. J-1
         for _ in range(len(a) - 1):
             CA.append(CA[-1] @ A)
@@ -282,13 +277,10 @@ def _solve_by_filter(verdict, padded, window):
         future = np.sum(np.abs(_factor_convolution(impulse, a)) ** 2)
         delta = (float(np.real(v @ P @ v.conj())) + float(future)) / unit / unit
 
-        rows = _power_rows(v[None], closed, lags + 1)    # rows k: v (A - K_p C_y)^k
-        weights = rows[:lags] @ gain
-        energy = float(np.real(v @ reach @ v.conj()))
-        tail = float(np.real(rows[lags] @ reach @ rows[lags].conj()))
-        h = evaluate_lag_series(weights, -np.arange(1, lags + 1), n)
+        weights = _power_rows(v[None], closed, n) @ folded   # rows k - 1: lag k
+        h = evaluate_lag_series(weights, -np.arange(1, n + 1), n)
 
-        e = _functional_on_grid(a_pad, n) - h
+        e = _functional_on_grid(a, n) - h
         cross = np.einsum("tk,tkn->tn", e, Fg.values)
         if Gg is not None:
             cross = cross - np.einsum("tk,tkn->tn", h, Gg.values)
@@ -296,7 +288,6 @@ def _solve_by_filter(verdict, padded, window):
             "window": window,
             "max_condition": max_cond,
             "closed_loop_radius": radius,
-            "weight_tail": max(tail, 0.0) / energy if energy > 0 else 0.0,
             "causal_leakage": _causal_share(h),
             "noisy": Gg is not None,
         }
@@ -337,13 +328,18 @@ class FactorizationResult:
 
     @property
     def trimmed_coefficients(self):
-        """d(u) up to the last whose Frobenius norm exceeds ``_NEGLIGIBLE_TAIL``
-        ||d(0)||, the norms taken on d scaled exactly by a power of two."""
-        d = self.coefficients
-        unit = d * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(d))))[1])
-        norms = np.linalg.norm(unit, axis=(1, 2))
-        keep = np.nonzero(norms > _NEGLIGIBLE_TAIL * norms[0])[0]
-        return d[:int(keep[-1]) + 1 if keep.size else 1]
+        """d(u) up to the last that is not negligible (``_kept_lags``)."""
+        return self.coefficients[:_kept_lags(self.coefficients)]
+
+
+def _kept_lags(d):
+    """The one negligible-tail rule: the number of d(u) up to the last whose
+    Frobenius norm exceeds ``_NEGLIGIBLE_TAIL`` ||d(0)||, the norms taken on
+    d scaled exactly by a power of two."""
+    unit = d * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(d))))[1])
+    norms = np.linalg.norm(unit, axis=(1, 2))
+    keep = np.nonzero(norms > _NEGLIGIBLE_TAIL * norms[0])[0]
+    return int(keep[-1]) + 1 if keep.size else 1
 
 
 def _causal_half(rows):
@@ -493,10 +489,13 @@ def spectral_factorize(F, n_lambda=None):
     entry; the rank floor, the stop test and the residual are taken on that
     unit grid, and the factor is multiplied back by 2^k.  Both scalings are
     exact, so a grid gets the same sweeps and factor, bit for bit, at any
-    scale that neither under- nor overflows.  The factor's first n/2 causal
-    coefficients (exact lags, or read off the sweeps' grid) are rotated so
-    that d(0) is lower triangular with a positive diagonal, and the
-    residual of that factor is taken against the density on the grid.
+    scale that neither under- nor overflows.  A rational factor's exact
+    lags are formed by doubling their count until the second half of them
+    is negligible (``_kept_lags``), or up to ``_FACTOR_MAX_LAGS``; a grid
+    factor's are the sweeps' causal coefficients that the grid resolves,
+    lags 0 .. n/2 - 1.  They are rotated so that d(0) is lower triangular
+    with a positive diagonal, and the residual of that factor is taken
+    against the density on the grid, every lag wrapped onto it.
 
     Returns the factor however far the sweeps got, with its own residual,
     for its user to judge.  Raises :class:`FactorizationError` for a
@@ -524,7 +523,6 @@ def spectral_factorize(F, n_lambda=None):
         )
 
     sup = float(np.max(np.linalg.norm(values, axis=(1, 2))))
-    lags = np.arange(n // 2)
     if isinstance(F, RationalDensity):
         # exact lags d(0) = chol(Re) / unit, d(u) = C_y A^{u-1} K_p chol(Re) / unit
         try:
@@ -534,20 +532,30 @@ def spectral_factorize(F, n_lambda=None):
             raise FactorizationError(
                 f"no stabilizing Riccati solution ({exc.__cause__ or exc})") from None
         A, _, C_y = model.system[:3]
-        tail = (_power_rows(C_y, A, n // 2 - 1) @ (model.gain @ head)).reshape(-1, *head.shape)
-        d, iterations = np.concatenate([head[None], tail]) * (root / model.unit), 0
+        gain = model.gain @ head
+        # the count starts above twice the state size r: r zero lags in a row
+        # make every later lag zero (Cayley-Hamilton), so a negligible second
+        # half is no gap in an oscillating tail
+        count = 1 << (2 * len(A)).bit_length()
+        while True:
+            tail = _power_rows(C_y, A, count - 1) @ gain
+            d = np.concatenate([head[None], tail.reshape(-1, *head.shape)])
+            if 2 * _kept_lags(d) <= count or count >= _FACTOR_MAX_LAGS:
+                break
+            count *= 2
+        d, iterations = d * (root / model.unit), 0
     else:
         psi, iterations = _wilson_sweeps(values, sup)
         # causal coefficients of psi: d(u) is the coefficient of exp(-i u lambda);
         # with no sweep run, psi is still the one starting node
-        d = fourier_coefficients(np.broadcast_to(psi, values.shape), lags)
+        d = fourier_coefficients(np.broadcast_to(psi, values.shape), np.arange(n // 2))
 
     # rotate so d(0) is lower triangular with positive diagonal
     q, r = np.linalg.qr(d[0].conj().T)
     d = d @ (q * np.where(np.real(np.diag(r)) < 0, -1.0, 1.0))
 
     # residual of the reconstruction actually returned (from coefficients)
-    p_from_d = evaluate_lag_series(d, -lags, n)
+    p_from_d = evaluate_lag_series(d, -np.arange(len(d)), n)
     recon = _node_matmul(p_from_d, np.conj(np.swapaxes(p_from_d, 1, 2)))
     residual = float(np.max(np.linalg.norm(values - recon, axis=(1, 2))))
     return FactorizationResult(coefficients=d / root, factor_grid=p_from_d / root,

@@ -437,13 +437,6 @@ def _innovations(F, G):
                        closed=closed, radius=radius)
 
 
-def _reachability(model):
-    """The reachability Gramian W = sum_k closed^k K_p K_p^* closed^k* of a
-    stable closed loop, by one ``solve_discrete_lyapunov``: the filter's
-    ``weight_tail`` and ``check``'s exact trace integral read it."""
-    return scipy.linalg.solve_discrete_lyapunov(model.closed, model.gain @ model.gain.conj().T)
-
-
 def as_grid(density, n_lambda=None):
     """Coerce a density (grid or rational) to a SpectralDensityGrid."""
     if isinstance(density, SpectralDensityGrid):
@@ -740,8 +733,10 @@ def check_minimality(F, G=None, n_lambda=None):
     A pair passes when no node is singular and, for a rational pair, its
     filter is stable, as the solve requires.  A rational pair's trace
     integral (1/2pi) int Tr[(F+G)^{-1}] is exact, the whitening filter's
-    squared H2 norm unit^2 Tr[Re^{-1} (I + C_y W C_y^*)], and infinite where
-    the filter refuses the pair; a grid pair's is the verdict's masked mean.
+    squared H2 norm unit^2 Tr[Re^{-1} (I + C_y W C_y^*)], W = sum_k Abar^k K_p
+    K_p^* Abar^k* the reachability Gramian of the closed loop Abar (one
+    ``solve_discrete_lyapunov``), and infinite where the filter refuses the
+    pair; a grid pair's is the verdict's masked mean.
     """
     grids = _pair_grids(F, G, n_lambda)
     verdict = _judge_pair(F, G, grids)
@@ -751,9 +746,10 @@ def check_minimality(F, G=None, n_lambda=None):
         model, refusal = verdict.filter
         radius, integral = (math.inf if model is None else model.radius), math.inf
         if refusal is None:
-            C_y = model.system[2]
-            whitened = np.linalg.solve(model.innovation, np.eye(grids[0].K)
-                                       + C_y @ _reachability(model) @ C_y.conj().T)
+            C_y, gain = model.system[2], model.gain
+            W = scipy.linalg.solve_discrete_lyapunov(model.closed, gain @ gain.conj().T)
+            whitened = np.linalg.solve(model.innovation,
+                                       np.eye(grids[0].K) + C_y @ W @ C_y.conj().T)
             integral = float(np.trace(whitened).real) * model.unit * model.unit
     return MinimalityReport(
         trace_integral=integral,

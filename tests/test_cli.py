@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -271,13 +272,22 @@ _SHORT_SIMULATION = [
     _set(("simulation", "n_steps"), 4),
 ]
 
-# at n_lambda 1024 the factor of a pole at 0.995 misses its density by 14 %:
-# factorize refuses to write it and simulate to draw from it; validate
-# draws from covariances, and the filter route solves the rational pair
-# exactly, so the oracle and the Monte Carlo check agree with it
-_UNSAMPLEABLE_SIGNAL = [
+# a pole at 0.995, whose factor needs 5972 lags at n_lambda 1024: the exact
+# lags are kept to their negligible tail and wrap onto the grid
+_LONG_MEMORY_SIGNAL = [
     _set(("solver", "n_lambda"), 1024),
     _set(("channels", 0, "F", "denominator"), [1.0, -0.995]),
+]
+# a pole at radius 1 - 2e-8 between two nodes of the 1024-node grid passes
+# the parser's 1e-8 rule, the rank floor and check, but its factor needs
+# about 1.5e9 exact lags: cut at the bound of the doubling, it misses its
+# density by a relative residual near 1, so factorize refuses to write it
+# and simulate to draw from it
+_BOUNDED_POLE = [[1.0, 0.0], [-(1.0 - 2e-8) * np.cos(np.pi / 1024),
+                              -(1.0 - 2e-8) * np.sin(np.pi / 1024)]]
+_UNSAMPLEABLE_SIGNAL = [
+    _set(("solver", "n_lambda"), 1024),
+    _set(("channels", 0, "F", "denominator"), _BOUNDED_POLE),
 ]
 # the same density as a grid (its Wilson factor misses it by 15 %) takes
 # the window route, whose 32 coefficients read delta 2.390 against the
@@ -287,8 +297,9 @@ _UNSAMPLEABLE_GRID_SIGNAL = [
     _set(("channels", 0, "F"), density_to_spec(RationalDensity.ar1(0.995).rasterize(1024))),
 ]
 
-# an MA(1) zero at radius 1 - 1e-6: the filter's weights decay too slowly
-# for a 512-node grid, which holds h at lags up to 255 only
+# an MA(1) zero at radius 1 - 1e-6: the filter's weights decay far past the
+# lags a 512-node grid resolves, and fold onto it; validate's 32 simulated
+# steps hold only half of their weight
 _WEIGHTS_BEYOND_THE_GRID = [_set(("channels", 0, "F", "numerator"), [1.0, -(1.0 - 1e-6)])]
 
 
@@ -511,12 +522,10 @@ class TestRuntimeFailures:
                                     [[1.0, 0.0], [-np.cos(0.1234), -np.sin(0.1234)]])],
                      EXIT_MINIMALITY, "minimality failure: the pair's filter",
                      id="solve-zero-on-circle-between-nodes"),
-        pytest.param("solve", _WEIGHTS_BEYOND_THE_GRID, EXIT_SCHEMA,
-                     "schema error: channels[0]: solver.n_lambda 512 holds the estimator's "
-                     "weights to lag 255 only", id="solve-weights-beyond-the-grid"),
         pytest.param("validate", _WEIGHTS_BEYOND_THE_GRID, EXIT_SCHEMA,
-                     "schema error: channels[0]: solver.n_lambda 512 holds the estimator's "
-                     "weights to lag 255 only", id="validate-weights-beyond-the-grid"),
+                     "schema error: channels[0]: simulation.n_steps: estimator keeps 5.00e-01 "
+                     "of its weight beyond the simulated past window",
+                     id="validate-weights-beyond-the-past-window"),
         pytest.param("solve", _NON_PD_OPERATOR, EXIT_MINIMALITY,
                      "minimality failure: assembled B is not positive definite",
                      id="solve-non-pd-operator"),
@@ -586,9 +595,27 @@ class TestRuntimeFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("schema error: channels[0]: " + prefix)
 
+    @pytest.mark.parametrize("j_past, code", [(28, EXIT_OK), (29, EXIT_SCHEMA)])
+    def test_oracle_reads_covariances_to_j_past_plus_support_minus_one(
+            self, tmp_path, capsys, j_past, code):
+        # J = 4 at n_lambda 64: the covariance lags reach j_past + 3, which
+        # first aliases at j_past 29
+        prob = white_problem(n_lambda=64)
+        prob["solver"].update(window=8, j_past=j_past)
+        prob["channels"][0]["a"] = [[1.0], [0.5], [0.25], [0.125]]
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["oracle", "--input", str(path), "--output", str(out)]) == code
+        err = capsys.readouterr().err
+        assert (err == "") == (code == EXIT_OK)
+        if code == EXIT_SCHEMA:
+            assert err.startswith(f"schema error: channels[0]: solver.j_past {j_past} and "
+                                  "functional support 4 read the covariances to lag 32")
+
     def test_factorize_over_tolerance_writes_nothing(self, tmp_path, capsys):
         # factorize and simulate refuse the same factor by one rule, with
-        # one message, before either writes a file
+        # one message, before either writes a file; the doubling's bound
+        # refuses the pole near the circle quickly
         prob = white_problem()
         for edit in _UNSAMPLEABLE_SIGNAL:
             edit(prob)
@@ -596,8 +623,10 @@ class TestRuntimeFailures:
         errors = []
         for command in ("factorize", "simulate"):
             out = tmp_path / command
+            start = time.perf_counter()
             assert main([command, "--input", str(path), "--output", str(out)]) \
                 == EXIT_MINIMALITY
+            assert time.perf_counter() - start < 5.0
             assert not any(out.iterdir())
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
@@ -605,14 +634,6 @@ class TestRuntimeFailures:
         assert errors[0].startswith(
             "factorization failure: channels[0]: factor's relative residual ")
         assert errors[0].rstrip().endswith(f"exceeds {FACTORIZATION_TOL:.1e}")
-        # the same signal on a grid that holds its memory factorizes and draws
-        prob["solver"]["n_lambda"] = 16384
-        path = write_problem(tmp_path, prob)
-        for command, artifact in (("factorize", "factorization.json"),
-                                  ("simulate", "simulation.json")):
-            out = tmp_path / f"{command}_fine"
-            assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_OK
-            assert (out / artifact).exists()
 
     def test_factorize_at_the_sweep_cap_fails_the_gate(self, tmp_path, capsys, monkeypatch):
         # one sweep leaves the factor of a pole at 0.5 far from its density;
@@ -630,6 +651,43 @@ class TestRuntimeFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("factorization failure: channels[0]: factor's relative residual")
+
+
+class TestNoLagCut:
+    """The rational route keeps every lag: the factor's exact lags and the
+    filter's weights wrap onto the grid, at an even and an odd N."""
+
+    @pytest.mark.parametrize("phi, n", [(0.9, 256), (0.9, 255), (0.995, 1024), (0.995, 1023)])
+    def test_long_memory_signal_factorizes_and_draws(self, tmp_path, phi, n):
+        prob = white_problem(n_lambda=n)
+        prob["solver"]["window"] = 16
+        prob["channels"][0]["F"]["denominator"] = [1.0, -phi]
+        path = write_problem(tmp_path, prob)
+        for command in ("factorize", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_OK
+        report = json.loads((tmp_path / "factorize" / "factorization.json").read_text())
+        F = RationalDensity.ar1(phi).rasterize(n)
+        assert report["channels"][0]["residual"] <= 1e-12 * np.max(np.abs(F.values))
+        assert report["channels"][0]["n_coefficients"] > n // 2
+
+    @pytest.mark.parametrize("n", [512, 511])
+    def test_near_unit_ma_solves(self, tmp_path, n):
+        # the one-step error of the MA [1, -(1 - 1e-6)] is exactly 1, and
+        # h read back from its CSV has that grid error
+        prob = white_problem(n_lambda=n)
+        prob["channels"][0]["a"] = [[1.0]]
+        for edit in _WEIGHTS_BEYOND_THE_GRID:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        delta = json.loads((out / "results.json").read_text())["delta_total"]
+        assert delta == pytest.approx(1.0, abs=1e-10)
+        rows = np.loadtxt(out / "h_0_1.csv", delimiter=",", skiprows=1, ndmin=2)
+        h = rows[:, 2] + 1j * rows[:, 3]
+        F = RationalDensity.ma([1.0, -(1.0 - 1e-6)]).rasterize(n).values[:, 0, 0].real
+        assert np.mean(np.abs(1.0 - h) ** 2 * F) == pytest.approx(delta, abs=1e-10)
 
 
 class TestRemovedKeys:
@@ -887,12 +945,12 @@ class TestValidate:
         row = json.loads((out / "validation.json").read_text())["channels"][0]
         assert row["oracle_ok"] is False
 
-    def test_unsampleable_rational_factor_validates_on_the_filter(self, tmp_path):
-        # the same density as a rational pair: its factor is refused as
-        # well, and the filter route solves it exactly (delta 2.4925063,
-        # the oracle 2.4925043), so validate agrees with the oracle
+    def test_long_memory_rational_signal_validates_on_the_filter(self, tmp_path):
+        # the same density as a rational pair: the filter route solves it
+        # exactly (delta 2.4925063, the oracle 2.4925043), so validate
+        # agrees with the oracle
         prob = white_problem()
-        for edit in _UNSAMPLEABLE_SIGNAL:
+        for edit in _LONG_MEMORY_SIGNAL:
             edit(prob)
         path = write_problem(tmp_path, prob)
         out = tmp_path / "out"
@@ -901,8 +959,8 @@ class TestValidate:
         assert row["oracle_ok"] is True
 
     def test_no_file_before_every_channel_passes(self, tmp_path, capsys):
-        # the second channel's weights outlast the 512-node grid: validate
-        # refuses it before it writes the first channel's trials
+        # the second channel's weights outlast the 32 simulated steps:
+        # validate refuses it before it writes the first channel's trials
         prob = white_problem()
         prob["simulation"].update(n_trials=200, keep_trials=True)
         prob["channels"][0]["F"]["denominator"] = [1.0, -0.5]
@@ -912,7 +970,7 @@ class TestValidate:
         out = tmp_path / "out"
         assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_SCHEMA
         assert capsys.readouterr().err.startswith(
-            "schema error: channels[1]: solver.n_lambda 512 holds the estimator's weights")
+            "schema error: channels[1]: simulation.n_steps: estimator keeps")
         assert list(out.iterdir()) == []
 
     def test_seed_flag_changes_the_draw_and_is_recorded(self, tmp_path):
@@ -1353,8 +1411,8 @@ class TestCheckAgreesWithSolve:
         pytest.param([0.0], [1.0], EXIT_MINIMALITY, EXIT_MINIMALITY, id="zero-density"),
         pytest.param([1.0], [1.0, -0.5], EXIT_OK, EXIT_OK, id="ar1"),
         # the zero sits at an odd node of the doubled grid: the pair is
-        # minimal, but its weights outlast the 4096-node grid
-        pytest.param(_ma1_zero(1.0 - 1e-6, np.pi / 4096), [1.0], EXIT_OK, EXIT_SCHEMA,
+        # minimal, and its weights, which outlast the 4096-node grid, fold onto it
+        pytest.param(_ma1_zero(1.0 - 1e-6, np.pi / 4096), [1.0], EXIT_OK, EXIT_OK,
                      id="zero-near-an-odd-node-of-2n"),
     ])
     def test_exit_codes_agree(self, tmp_path, capsys, numerator, denominator,
@@ -1391,14 +1449,16 @@ class TestCheckAgreesWithSolve:
         assert list((tmp_path / "solve").iterdir()) == []
 
     def test_solve_refuses_before_writing(self, tmp_path, capsys):
+        # the first channel solves; the second's zero between nodes is
+        # refused by its filter before any file is written
         prob = white_problem()
-        for edit in _WEIGHTS_BEYOND_THE_GRID:
-            edit(prob)
+        prob["channels"].append(dict(prob["channels"][0], m=1, l=1, F={
+            "type": "rational", "numerator": _ma1_zero(1.0, 0.1234)}))
         path = write_problem(tmp_path, prob)
         out = tmp_path / "out"
-        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_SCHEMA
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_MINIMALITY
         assert list(out.iterdir()) == []
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("minimality failure: the pair's filter")
 
     def test_factorize_keeps_a_zero_between_nodes(self, tmp_path):
         # the factor does not judge the closed loop: a zero on the circle

@@ -533,7 +533,9 @@ class TestRiccatiFactor:
         swept = spectral_factorize(as_grid(F, n))
         assert exact.iterations == 0 and swept.iterations > 0
         assert exact.relative_residual <= 1e-13
-        gap = (np.linalg.norm(exact.coefficients - swept.coefficients)
+        # the exact lags end where their tail is negligible, the sweeps' at n/2
+        common = min(len(exact.coefficients), len(swept.coefficients))
+        gap = (np.linalg.norm(exact.coefficients[:common] - swept.coefficients[:common])
                / np.linalg.norm(exact.coefficients))
         assert gap <= 1e-9
         d0 = exact.coefficients[0]
@@ -554,6 +556,31 @@ class TestRiccatiFactor:
         fac = spectral_factorize(self.singular_leading_coefficient(), 512)
         assert fac.iterations == 0
         assert fac.relative_residual <= 1e-13
+
+    @pytest.mark.parametrize("phi, n", [(0.9, 256), (0.9, 255), (0.995, 1024), (0.995, 1023)])
+    def test_long_memory_factor_keeps_its_exact_lags(self, phi, n):
+        # the exact lags outlast n/2 (285 and 5972 of them are not
+        # negligible); they wrap onto the grid, which judges them to rounding
+        fac = spectral_factorize(RationalDensity.ar1(phi), n)
+        assert fac.relative_residual <= 1e-12
+        kept = len(fac.trimmed_coefficients)
+        assert kept > n // 2 and 2 * kept <= len(fac.coefficients)
+        np.testing.assert_allclose(fac.trimmed_coefficients[:, 0, 0].real,
+                                   phi ** np.arange(kept), rtol=1e-9)
+        assert simulate_channel(fac, 64, seed=1).shape == (64, 1)
+
+    def test_doubling_stops_at_its_bound(self):
+        # a pole at radius 1 - 2e-8 between two nodes: its factor needs
+        # about 1.5e9 lags; cut at the bound, it keeps its residual, and
+        # the solve and the sampler refuse it
+        pole = (1.0 - 2e-8) * np.exp(1j * np.pi / 1024)
+        fac = spectral_factorize(RationalDensity([[[1.0]]], [1.0, -pole]), 1024)
+        assert len(fac.coefficients) == extrapolate._FACTOR_MAX_LAGS
+        assert fac.relative_residual > 0.5
+        with pytest.raises(FactorizationError, match="relative residual"):
+            simulate_channel(fac, 8, seed=1)
+        with pytest.raises(FactorizationError, match="relative residual"):
+            solve_by_factorization(fac, np.array([[1.0]]))
 
     def test_rational_input_never_enters_the_sweeps(self, monkeypatch):
         def refuse(*args):
@@ -745,7 +772,6 @@ class TestFilterRoute:
         sol = solve_channel(F, G, a, n_lambda=16384)
         assert abs(sol.delta - minimum) <= 1e-10 * minimum
         assert sol.diagnostics["causal_leakage"] <= 1e-12
-        assert sol.diagnostics["weight_tail"] <= 1e-30
         for window in (32, 96):
             grid_sol = solve_channel(as_grid(F, 4096), as_grid(G, 4096), a, window=window)
             assert grid_sol.delta < minimum * (1 - 1e-3)
@@ -792,16 +818,38 @@ class TestFilterRoute:
         assert sol.delta == pytest.approx(oracle_solve(F, None, a, j_past=64, n_lambda=512),
                                           rel=1e-12)
 
-    def test_weight_tail_beyond_the_grid_is_reported(self):
+    @pytest.mark.parametrize("n", [512, 511])
+    def test_weights_beyond_the_grid_fold_onto_it(self, n):
         # an MA(1) zero at radius 1 - 1e-6: the one-step error is exactly 1,
-        # while the weights decay too slowly for a 512-node grid
+        # and the weights, which decay far past n/2, fold onto the grid, so
+        # h's grid error equals delta at an even and an odd N
         F = RationalDensity.ma([1.0, -(1.0 - 1e-6)])
-        sol = solve_channel(F, None, np.array([[1.0]]), window=16, n_lambda=512)
-        assert sol.delta == pytest.approx(1.0, abs=1e-12)
-        assert sol.diagnostics["weight_tail"] > 0.5
-        quick = solve_channel(RationalDensity.ar1(0.5), None, np.array([[1.0]]), window=16,
-                              n_lambda=512)
-        assert quick.diagnostics["weight_tail"] == 0.0
+        sol = solve_channel(F, None, np.array([[1.0]]), window=16, n_lambda=n)
+        assert sol.delta == pytest.approx(1.0, abs=1e-10)
+        error = np.mean(np.abs(sol.error_grid[:, 0]) ** 2 * as_grid(F, n).values[:, 0, 0].real)
+        assert error == pytest.approx(sol.delta, abs=1e-10)
+        # the folded weights past n/2 sit on the grid's positive lags
+        assert 0.49 < sol.diagnostics["causal_leakage"] < 0.5
+
+    def test_replayed_weights_are_the_exact_weights(self):
+        # validate replays h_lag_coefficients(2 L); on the acceptance
+        # instances they are c_k = v Abar^{k-1} K_p, the folded tail below rounding
+        from test_acceptance import random_instance
+        from pcfield.spectral import _innovations
+
+        rng = np.random.default_rng(20240101)
+        for _ in range(20):
+            F, G, a = random_instance(rng)
+            sol = solve_channel(F, G, a, window=96, n_lambda=2048)
+            model = _innovations(F, G)
+            C_z, A = model.system[4], model.system[0]
+            v = sum(a[j] @ C_z @ np.linalg.matrix_power(A, j) for j in range(len(a)))
+            rows = [v]
+            for _ in range(2 * 64 - 1):
+                rows.append(rows[-1] @ model.closed)
+            exact = np.array(rows) @ model.gain
+            replayed = sol.h_lag_coefficients(2 * 64)
+            assert np.max(np.abs(replayed - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_zero_on_the_circle_between_nodes_is_a_minimality_violation(self):
         # the zero at lambda = 0.1234 misses every node (condition 1 at
@@ -853,14 +901,14 @@ class TestOneSolveEntry:
                 mine, ref = getattr(together[key], name), getattr(alone, name)
                 assert np.max(np.abs(mine - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_rational_pair_solves_w_once(self, monkeypatch):
+    def test_rational_pair_solves_no_lyapunov_equation(self, monkeypatch):
         from test_spectral import count_calls
 
         rng = np.random.default_rng(42)
         F, G = random_rational(rng, 3, pole=0.5), random_rational(rng, 3, degree=1)
         calls = count_calls(monkeypatch, scipy.linalg, "solve_discrete_lyapunov")
         solutions = solve_channel(F, G, self.functionals(rng, 3), window=16, n_lambda=512)
-        assert len(solutions) == 3 and len(calls) == 1
+        assert len(solutions) == 3 and calls == []
 
     def test_ill_conditioned_anchor_warns_once(self):
         # MA(1) with a zero at 0.99999: F(0) = 1e-10 and cond_B ~ 1.2e9 at
@@ -885,7 +933,7 @@ class TestOneSolveEntry:
                  if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert "solve_channel" in names
         assert not [name for name in names if name.startswith("_solve")
-                    or name in ("_pad_functional", "assemble_operators")]
+                    or name == "assemble_operators"]
 
     def test_no_noiseless_wrapper(self):
         name = "solve_" + "noiseless"
@@ -1000,7 +1048,7 @@ class TestFunctionalLayer:
         assert set(_call_sites("np.atleast_2d")) == {
             ("blocking", "_as_functional"), ("spectral", "constant")}
         assert set(_call_sites("_as_functional")) == {
-            ("extrapolate", "_pad_functional"), ("extrapolate", "solve_by_factorization"),
+            ("extrapolate", "solve_channel"), ("extrapolate", "solve_by_factorization"),
             ("extrapolate", "functional_variance"), ("extrapolate", "oracle_solve"),
             ("simulate", "empirical_mse"), ("cli", "_parse_functional"),
         }

@@ -566,30 +566,28 @@ class TestKernelSites:
     def test_riccati_and_lyapunov_solves_only_in_the_shared_model(self):
         # the solve, the rational factor and the minimality verdict read one
         # innovations model (the verdict's filter); the covariance-form
-        # factor is gone; W is solved by one helper, which only the filter's
-        # weight_tail and check's exact integral call
+        # factor is gone; W is solved where check's exact integral reads it
         assert _call_sites("scipy.linalg.solve_discrete_are") == [("spectral", "_innovations")]
         assert _call_sites("scipy.linalg.solve_discrete_lyapunov") == [
-            ("spectral", "_reachability")]
+            ("spectral", "check_minimality")]
         assert set(_call_sites("_innovations")) == {
             ("spectral", "filter"), ("extrapolate", "spectral_factorize")}
-        assert set(_call_sites("_reachability")) == {
-            ("spectral", "check_minimality"), ("extrapolate", "_solve_by_filter")}
         source = Path(extrapolate.__file__).read_text()
-        for name in ("_riccati_factor", "_pd_cholesky", "lambda_grid"):
+        for name in ("_riccati_factor", "_pd_cholesky", "lambda_grid", "_reachability"):
             assert name not in source
 
     def test_rational_factor_solves_no_lyapunov_equation(self, monkeypatch):
-        # spectral_factorize reads P, Re and K_p only; W is solved where it is read
+        # spectral_factorize and the filter read P, Re and K_p only; W is
+        # solved where check reads it
         rng = np.random.default_rng(31)
         F = RationalDensity(random_trig_poly_density(rng, 3, 2).numerator, [1.0, -0.5])
         G = RationalDensity(0.4 * np.eye(3)[None])
         calls = count_calls(monkeypatch, scipy.linalg, "solve_discrete_lyapunov")
         extrapolate.spectral_factorize(F, n_lambda=512)
-        assert calls == []
         extrapolate.solve_channel(F, G, np.ones((2, 3)), window=16, n_lambda=512)
+        assert calls == []
         check_minimality(F, G, n_lambda=512)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_fft_only_in_the_lag_helpers(self):
         # the grid's two lag transforms, the sweeps' causal projection and
@@ -605,15 +603,18 @@ class TestKernelSites:
         assert _call_sites("_wilson_sweeps") == [("extrapolate", "spectral_factorize")]
 
     def test_tail_cut_is_one_named_constant(self):
-        # one assignment, read by the one rule that simulate and cli share;
-        # no small literal (a trim level) is left in either of them
+        # one assignment, read by the one rule, which the rational factor's
+        # doubling and the trim that simulate and cli share both call; no
+        # small literal (a trim level) is left in either of them
         def named(node):
             return isinstance(node, ast.Name) and node.id == "_NEGLIGIBLE_TAIL"
 
         assert _sites(lambda node: named(node) and isinstance(node.ctx, ast.Store)) == [
             ("extrapolate", "<module>")]
         assert _sites(lambda node: named(node) and isinstance(node.ctx, ast.Load)) == [
-            ("extrapolate", "trimmed_coefficients")]
+            ("extrapolate", "_kept_lags")]
+        assert set(_call_sites("_kept_lags")) == {
+            ("extrapolate", "trimmed_coefficients"), ("extrapolate", "spectral_factorize")}
         readers = _sites(lambda node: isinstance(node, ast.Attribute)
                          and node.attr == "trimmed_coefficients")
         assert {module for module, _ in readers} == {"simulate", "cli"}
