@@ -24,9 +24,11 @@ factors.  The realized functional and the estimate are two linear maps of
 that factor's innovations; one thin QR of the two maps gives a 2 x 2
 triangle R, and each trial draws the pair as u R from two innovations u.
 This is the joint vector's law of the pair, exactly.  The covariance holds
-((L + J) * K)^2 entries, so memory grows with the square of ``n_steps``
-but not with the number of draws; ``check_joint_size`` refuses a joint
-vector longer than ``MAX_JOINT_SIZE``.
+((L + J) * K)^2 entries and is factored in its own buffer, so the check's
+peak is one joint matrix of 16 * ((L + J) * K)^2 bytes (68 MiB traced at a
+2046-entry joint vector): memory grows with the square of ``n_steps`` but
+not with the number of draws.
+``check_joint_size`` refuses a joint vector longer than ``MAX_JOINT_SIZE``.
 ``joint_covariance`` is what this check shares with the covariance oracle,
 which reads three of its blocks; neither shares code with the operator
 route it checks.
@@ -35,6 +37,7 @@ route it checks.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import harmonics
 from .blocking import _as_functional, _basis_matrix
@@ -56,8 +59,8 @@ class PastWindowError(ValueError):
 _BATCH_TRIALS = 1000
 
 # Largest joint vector (n_steps + J) * K that ``empirical_mse`` draws: its
-# covariance and Cholesky factor are dense complex matrices of 16 * size^2
-# bytes each, 64 MiB at this limit.
+# covariance is one dense complex matrix of 16 * size^2 bytes, 64 MiB at
+# this limit, which its Cholesky factor overwrites.
 MAX_JOINT_SIZE = 2048
 
 
@@ -178,6 +181,29 @@ def _pair_conjugate(values, cfg):
     return values
 
 
+# Side of the square tiles that ``_c_order_in_place`` moves (256 KiB each)
+_TILE = 128
+
+
+def _c_order_in_place(lower):
+    """The Fortran-ordered lower triangular ``lower`` as a C-ordered array of
+    the same values, rewritten in its own buffer.
+
+    Read C-ordered, the buffer holds lower^T, which is upper triangular:
+    each tile above the diagonal moves, transposed, to its mirror below and
+    is zeroed, and each diagonal tile is transposed through a tile-sized
+    copy.  The factor's products then read each of its rows contiguously.
+    """
+    view = lower.T
+    for i in range(0, len(view), _TILE):
+        diagonal = view[i:i + _TILE, i:i + _TILE]
+        diagonal[...] = diagonal.T.copy()
+        for j in range(i + _TILE, len(view), _TILE):
+            view[j:j + _TILE, i:i + _TILE] = view[i:i + _TILE, j:j + _TILE].T
+            view[i:i + _TILE, j:j + _TILE] = 0
+    return view
+
+
 def empirical_mse(solution, F, G, a, config, keep_trials=False):
     """Monte Carlo mean-square error of the solved estimator.
 
@@ -212,10 +238,12 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
                               f"beyond the simulated past window; increase n_steps above {L}")
 
     try:
-        factor = np.linalg.cholesky(joint_covariance(F, G, L, J))
-    except np.linalg.LinAlgError:
+        factor = scipy.linalg.cholesky(joint_covariance(F, G, L, J), lower=True,
+                                       overwrite_a=True)
+    except scipy.linalg.LinAlgError:
         raise FactorizationError("cannot sample: the joint covariance of the observed past "
                                  "and the signal future is singular") from None
+    factor = _c_order_in_place(factor)
     # with joint = innovations @ factor.T, each functional of the joint
     # vector is one product with the innovations; weights row i applies at
     # time -(i+1), i.e. past position L-1-i

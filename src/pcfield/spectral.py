@@ -492,16 +492,31 @@ def joint_covariance(F, G, n_past, n_future):
     None; the pair's grid is ``_pair_grids``'.  This is the one layout the
     covariance checks (the finite-past oracle and the Monte Carlo draw)
     share; it uses nothing from the operator route they check.
+
+    The result is the only dense array made: K_F is written into it from a
+    view of the lag sequence, and the noise's past block is added in place,
+    so the peak is one joint matrix of 16 * ((n_past + n_future) * K)^2
+    bytes.  It is Fortran-ordered, the layout LAPACK factors in place.
     """
     n = n_past + n_future
     F, G = _pair_grids(F, G)
-    lag = np.subtract.outer(np.arange(n), np.arange(n))
-    blocks = covariance_from_density(F, n - 1).matrices[lag + n - 1]
+    out = np.empty((n * F.K, n * F.K), dtype=complex, order="F")
+    blocks = out.reshape(n, F.K, n, F.K)
+    blocks[...] = _lag_blocks(covariance_from_density(F, n - 1).matrices)
     if G is not None:
         noise = covariance_from_density(G, n_past - 1).matrices
-        blocks[:n_past, :n_past] += noise[lag[:n_past, :n_past] + n_past - 1]
-    K = blocks.shape[-1]
-    return blocks.transpose(0, 2, 1, 3).reshape(n * K, n * K)
+        blocks[:n_past, :, :n_past] += _lag_blocks(noise)
+    return out
+
+
+def _lag_blocks(matrices):
+    """The (n, K, n, K) view whose [s, :, t, :] is K(s - t), of a lag
+    sequence ``matrices`` (2n - 1, K, K) that runs from lag -(n - 1) to
+    n - 1; it copies nothing."""
+    n = (len(matrices) + 1) // 2
+    # windows[p, :, :, q] is matrices[2n - 2 - p - q]; p = n - 1 - s, q = t
+    windows = np.lib.stride_tricks.sliding_window_view(matrices[::-1], n, axis=0)
+    return windows[::-1].transpose(0, 1, 3, 2)
 
 
 @dataclass

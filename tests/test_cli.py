@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pcfield import cli
 from pcfield.cli import (
@@ -611,6 +612,25 @@ class TestRuntimeFailures:
         if code == EXIT_SCHEMA:
             assert err.startswith(f"schema error: channels[0]: solver.j_past {j_past} and "
                                   "functional support 4 read the covariances to lag 32")
+
+    @pytest.mark.parametrize("command", ["oracle", "validate"])
+    def test_oracle_gram_no_shift_factors_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # the oracle's ridge loop gives up past a shift of 1e-2 with a typed
+        # error, not a LinAlgError traceback
+        def never(gram, **kwargs):
+            raise scipy.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", never)
+        path = write_problem(tmp_path, white_problem())
+        out = tmp_path / "out"
+        assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_MINIMALITY
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("factorization failure: observation Gram matrix is not positive "
+                              "definite with ridge shift 1.000e-02; the next shift "
+                              "1.000e-01 exceeds 1e-2")
+        assert not any(out.iterdir())
 
     def test_factorize_over_tolerance_writes_nothing(self, tmp_path, capsys):
         # factorize and simulate refuse the same factor by one rule, with

@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from pcfield.spectral import (
     covariance_from_density,
     evaluate_lag_series,
     fourier_coefficients,
+    joint_covariance,
     lambda_grid,
     _node_inverse,
     _node_matmul,
@@ -355,6 +357,65 @@ class TestOracle:
         gaps = [abs(oracle_solve(F, None, a, j_past=jp, n_lambda=2048) - sol.delta)
                 for jp in (4, 8, 16, 32)]
         assert gaps[0] >= gaps[1] >= gaps[2] >= gaps[3]
+
+    def test_peak_is_about_two_joint_matrices(self):
+        # the joint covariance and one Gram array, factored in place: at
+        # K = 3 and j_past 256 the Gram is 0.97 of the joint
+        rng = np.random.default_rng(33)
+        F = as_grid(random_rational(rng, 3, pole=0.4), 2048)
+        G = as_grid(random_rational(rng, 3, degree=0), 2048)
+        a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        joint_bytes = 16 * ((256 + 4) * 3) ** 2
+        tracemalloc.start()
+        try:
+            oracle_solve(F, G, a, j_past=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * joint_bytes
+
+    def test_failed_factor_is_rebuilt_and_shifted(self, monkeypatch):
+        # the first factor scribbles on its input and fails; the retry must
+        # rebuild the Gram from the covariance and add the ridge shift
+        rng = np.random.default_rng(34)
+        F, G = random_rational(rng, 2, pole=0.5), random_rational(rng, 2, degree=0)
+        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        factor = scipy.linalg.cho_factor
+        calls = []
+
+        def scribble_once(gram, **kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                gram[...] = 0.0
+                gram[np.diag_indices(len(gram))] = 7.0
+                raise scipy.linalg.LinAlgError("scribbled")
+            return factor(gram, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", scribble_once)
+        cov = np.ascontiguousarray(joint_covariance(F, G, 16, 3))
+        P = 16 * 2
+        gram = (cov[:P, :P] + cov[:P, :P].conj().T) / 2
+        shift = 1e-12 * max(1.0, float(np.abs(gram).max()))
+        with pytest.warns(RuntimeWarning, match=f"ridge-stabilized with shift {shift:.3e}"):
+            got = oracle_solve(F, G, a, j_past=16)
+        assert len(calls) == 2
+        a_vec = a.ravel()
+        cross = cov[P:, :P].T @ a_vec
+        solved = scipy.linalg.cho_solve(factor(gram + shift * np.eye(P)), np.conj(cross))
+        expect = (float(np.real(a_vec @ cov[P:, P:] @ np.conj(a_vec)))
+                  - float(np.real(cross @ solved)))
+        assert got == expect
+
+    def test_gram_no_shift_makes_definite_is_a_factorization_error(self, monkeypatch):
+        def never(gram, **kwargs):
+            raise scipy.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", never)
+        # Var = 4/3, so the shifts run 1.333e-12, 1.333e-11, ... 1.333e-3
+        with pytest.raises(FactorizationError, match=r"^observation Gram matrix is not "
+                           r"positive definite with ridge shift 1\.333e-03; the next "
+                           r"shift 1\.333e-02 exceeds 1e-2$"):
+            oracle_solve(RationalDensity.ar1(0.5), None, np.array([[1.0]]), j_past=8)
 
 
 class TestFactorization:

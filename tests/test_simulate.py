@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,38 @@ class TestEmpiricalMse:
         with pytest.raises(PastWindowError, match="lag 128 aliases"):
             empirical_mse(sol, F, None, a,
                           SimulationConfig(seed=3, n_trials=100, n_steps=64))
+
+
+class TestInPlaceFactor:
+    """The draw's Cholesky factor overwrites the joint covariance."""
+
+    def test_peak_is_one_joint_matrix(self):
+        # a joint vector of (396 + 4) * 3 = 1200 entries
+        rng = np.random.default_rng(33)
+        num = 0.4 * (rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3)))
+        num[0] += 2 * np.eye(3)
+        F, G = RationalDensity(num, [1.0, -0.4]), RationalDensity(0.7 * np.eye(3)[None])
+        a = rng.normal(size=(4, 3)) + 0j
+        sol = solve_channel(F, G, a, window=96)
+        Fg, Gg = as_grid(F, 2048), as_grid(G, 2048)
+        cfg = SimulationConfig(seed=1, n_trials=1000, n_steps=396)
+        tracemalloc.start()
+        try:
+            empirical_mse(sol, Fg, Gg, a, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * 1200 ** 2
+
+    @pytest.mark.parametrize("n", [1, 5, 128, 129, 300])
+    def test_c_order_in_place_keeps_the_values(self, n):
+        # one tile, a whole tile, a one-entry second tile and a ragged third
+        rng = np.random.default_rng(n)
+        lower = np.asfortranarray(np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+        expect = lower.copy()
+        got = simulate._c_order_in_place(lower)
+        assert np.array_equal(got, expect)
+        assert got.flags.c_contiguous and np.shares_memory(got, lower)
 
 
 def _noisy_case(K, noisy, seed=0):

@@ -1096,3 +1096,26 @@ class TestCovariance:
                 assert np.allclose(cov[s, :, t, :], expected, atol=1e-14)
         flat = cov.reshape((L + J) * K, -1)
         assert np.allclose(flat, flat.conj().T, atol=1e-14)
+
+    @pytest.mark.parametrize("n_past, n_future", [(1, 1), (1, 3), (4, 1), (6, 2)])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_joint_covariance_equals_block_reference(self, K, noisy, n_past, n_future):
+        # the lag-sequence view writes the same numbers as a block loop over
+        # the same covariances, into one Fortran-ordered matrix
+        rng = np.random.default_rng(40 + 2 * K + noisy)
+        F = RationalDensity(random_trig_poly_density(rng, K, 2).numerator, [1.0, -0.5])
+        G = random_trig_poly_density(rng, K, 1) if noisy else None
+        n = n_past + n_future
+        KF = covariance_from_density(F, n - 1).matrices
+        KG = covariance_from_density(G, n_past - 1).matrices if noisy else None
+        expect = np.empty((n * K, n * K), dtype=complex)
+        for s in range(n):
+            for t in range(n):
+                block = KF[s - t + n - 1]
+                if noisy and max(s, t) < n_past:
+                    block = block + KG[s - t + n_past - 1]
+                expect[s * K:(s + 1) * K, t * K:(t + 1) * K] = block
+        got = joint_covariance(F, G, n_past, n_future)
+        assert np.array_equal(got, expect)
+        assert got.flags.f_contiguous
