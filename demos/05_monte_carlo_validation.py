@@ -2,11 +2,11 @@
 """Replay the solved estimator on simulated paths.
 
 A channel path is synthesized through the causal factor of its density.
-The error check reads the realized functional and the estimate (the
-estimator's time-domain weights on the observed past) through one Cholesky
-factor of the joint covariance of the past and the future, draws that pair
-of numbers from a thin QR of the two maps, and compares the sample
-mean-square error with the theoretical value.
+The error check reads the 2 x 2 covariance of the realized functional and
+the estimate (the estimator's time-domain weights on the observed past) off
+the joint covariance of the past and the future, draws that pair of numbers
+from a root of it, and compares the sample mean-square error with the
+theoretical value.
 """
 
 import numpy as np

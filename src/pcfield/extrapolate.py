@@ -158,9 +158,8 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
 
     * F rational and G rational or None: the filter route
       (``_solve_by_filter``), exact, with no truncation.  Diagnostics
-      ``max_condition`` (the worst node of F + G), ``closed_loop_radius``
-      and ``causal_leakage`` (there the share of the weights' energy at
-      lags >= n/2, which the grid wraps onto its positive lags).
+      ``max_condition`` (the worst node of F + G) and
+      ``closed_loop_radius``; its weights are causal by construction.
     * any grid density: the window route (``_solve_by_window``), the
       block-Toeplitz normal equations B c = d on ``window`` coefficients,
       with one B and one Cholesky factor for all the functionals.  Its
@@ -173,7 +172,8 @@ def solve_channel(F, G, a, window=DEFAULT_WINDOW, n_lambda=None, grids=None):
     :class:`EstimateSolution` holds the spectral characteristic h on the
     grid, the mean-square error delta (on the window route read off h: mean
     Re[(A - h)^T F conj(A - h) + h^T G conj(h)]) and the first ``window``
-    lags of c = (A - h)^T F - h^T G.  ``causal_leakage`` is ``_causal_share``.
+    lags of c = (A - h)^T F - h^T G.  ``causal_leakage`` is ``_causal_share``
+    on the window route.
     """
     Fg, Gg = grids = _pair_grids(*(grids or (F, G)), n_lambda)
     functionals = {key: _as_functional(f, Fg.K)
@@ -288,7 +288,6 @@ def _solve_by_filter(verdict, functionals, window):
             "window": window,
             "max_condition": max_cond,
             "closed_loop_radius": radius,
-            "causal_leakage": _causal_share(h),
             "noisy": Gg is not None,
         }
         solutions[key] = EstimateSolution(
@@ -668,7 +667,7 @@ def oracle_solve(F, G, a, j_past=DEFAULT_J_PAST, n_lambda=None):
     past = cov[:P, :P]
     # Fortran-ordered, so that the factor overwrites it instead of a copy
     gram = _hermitian_part(past, np.empty((P, P), dtype=complex, order="F"))
-    shift = 0.0
+    shift, floor = 0.0, None
     while True:
         try:
             factor = scipy.linalg.cho_factor(gram, overwrite_a=True)
@@ -676,7 +675,11 @@ def oracle_solve(F, G, a, j_past=DEFAULT_J_PAST, n_lambda=None):
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             # the failed factor overwrote the Gram: rebuild it from cov
             _hermitian_part(past, gram)
-            last, shift = shift, max(shift * 10, 1e-12 * max(1.0, float(np.abs(gram).max())))
+            if floor is None:
+                # the Gram's largest entry, a column at a time: no temporary
+                # of the Gram's size
+                floor = 1e-12 * max(1.0, max(float(np.abs(column).max()) for column in gram.T))
+            last, shift = shift, max(shift * 10, floor)
             if shift > 1e-2:
                 raise FactorizationError(
                     f"observation Gram matrix is not positive definite with ridge shift "

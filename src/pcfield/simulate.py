@@ -17,17 +17,17 @@ paths would have another density.
 
 ``empirical_mse`` replays the solved estimator on simulated paths and
 compares the sample mean-square error with the theoretical value.  It does
-not factorize.  The joint vector of the observed past (zeta + theta)(-L ..
--1) and the signal future zeta(0 .. J-1) has a block-Toeplitz covariance,
-which ``spectral.joint_covariance`` builds and one Cholesky decomposition
-factors.  The realized functional and the estimate are two linear maps of
-that factor's innovations; one thin QR of the two maps gives a 2 x 2
-triangle R, and each trial draws the pair as u R from two innovations u.
-This is the joint vector's law of the pair, exactly.  The covariance holds
-((L + J) * K)^2 entries and is factored in its own buffer, so the check's
-peak is one joint matrix of 16 * ((L + J) * K)^2 bytes (68 MiB traced at a
-2046-entry joint vector): memory grows with the square of ``n_steps`` but
-not with the number of draws.
+not factorize.  The joint vector x of the observed past (zeta + theta)(-L
+.. -1) and the signal future zeta(0 .. J-1) has a block-Toeplitz
+covariance, which ``spectral.joint_covariance`` builds.  The realized
+functional and the estimate are two linear maps of x, z = M^T x, so the
+pair's law is its 2 x 2 covariance M^T Cov(x) conj(M); one ``eigh`` of it
+gives a root R, and each trial draws the pair as u R from two innovations
+u.  This is the joint vector's law of the pair, exactly, and it needs no
+factor of the joint: a zero estimator, whose 2 x 2 covariance is singular,
+is drawn as well.  The covariance holds ((L + J) * K)^2 entries, so the
+check's peak is one joint matrix of 16 * ((L + J) * K)^2 bytes: memory
+grows with the square of ``n_steps`` but not with the number of draws.
 ``check_joint_size`` refuses a joint vector longer than ``MAX_JOINT_SIZE``.
 ``joint_covariance`` is what this check shares with the covariance oracle,
 which reads three of its blocks; neither shares code with the operator
@@ -37,16 +37,10 @@ route it checks.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import harmonics
 from .blocking import _as_functional, _basis_matrix
-from .extrapolate import (
-    FactorizationError,
-    FactorizationResult,
-    spectral_factorize,
-    _checked_factor,
-)
+from .extrapolate import FactorizationResult, spectral_factorize, _checked_factor
 from .spectral import joint_covariance
 
 
@@ -60,7 +54,7 @@ _BATCH_TRIALS = 1000
 
 # Largest joint vector (n_steps + J) * K that ``empirical_mse`` draws: its
 # covariance is one dense complex matrix of 16 * size^2 bytes, 64 MiB at
-# this limit, which its Cholesky factor overwrites.
+# this limit.
 MAX_JOINT_SIZE = 2048
 
 
@@ -181,45 +175,22 @@ def _pair_conjugate(values, cfg):
     return values
 
 
-# Side of the square tiles that ``_c_order_in_place`` moves (256 KiB each)
-_TILE = 128
-
-
-def _c_order_in_place(lower):
-    """The Fortran-ordered lower triangular ``lower`` as a C-ordered array of
-    the same values, rewritten in its own buffer.
-
-    Read C-ordered, the buffer holds lower^T, which is upper triangular:
-    each tile above the diagonal moves, transposed, to its mirror below and
-    is zeroed, and each diagonal tile is transposed through a tile-sized
-    copy.  The factor's products then read each of its rows contiguously.
-    """
-    view = lower.T
-    for i in range(0, len(view), _TILE):
-        diagonal = view[i:i + _TILE, i:i + _TILE]
-        diagonal[...] = diagonal.T.copy()
-        for j in range(i + _TILE, len(view), _TILE):
-            view[j:j + _TILE, i:i + _TILE] = view[i:i + _TILE, j:j + _TILE].T
-            view[i:i + _TILE, j:j + _TILE] = 0
-    return view
-
-
 def empirical_mse(solution, F, G, a, config, keep_trials=False):
     """Monte Carlo mean-square error of the solved estimator.
 
-    The estimator's time-domain weights on the observed past and the
-    functional on the signal future are read through one Cholesky factor
-    of the two windows' joint covariance, as two columns V = [future,
-    past]; a thin QR V = Q R leaves the 2 x 2 triangle R.  Each of the
-    ``config.n_trials`` trials draws u with iid CN(0, 1) entries and takes
-    (realized, estimated) = u R: for innovations w of the whole joint
-    vector, w Q has the law of u because Q^H Q = I.  Returns a
+    The realized functional and the estimate are z = M^T x for the joint
+    vector x of the observed past and the signal future: M's first column
+    is the functional on the future, its second the estimator's
+    time-domain weights on the past.  Their 2 x 2 covariance M^T Cov(x)
+    conj(M) is read off ``joint_covariance``, and one ``eigh`` gives a
+    root R with R^T conj(R) equal to it, its eigenvalues clipped at 0.
+    Each of the ``config.n_trials`` trials draws u with iid CN(0, 1)
+    entries and takes (realized, estimated) = u R.  Returns a
     :class:`TrialSummary` with the sample mean and its standard error.
     ``F`` and ``G`` are densities.  :class:`PastWindowError` means
     ``config.n_steps`` is too short for the estimator's memory, 2 * n_steps
     reaches half the solution's frequency grid, or the joint vector exceeds
-    ``MAX_JOINT_SIZE``.  :class:`FactorizationError` means the covariance is
-    singular, as for a signal density of reduced rank.
+    ``MAX_JOINT_SIZE``.
     """
     a = _as_functional(a, F.K)
     J, K = a.shape
@@ -237,21 +208,16 @@ def empirical_mse(solution, F, G, a, config, keep_trials=False):
         raise PastWindowError(f"estimator keeps {tail_mass / total_mass:.2e} of its weight "
                               f"beyond the simulated past window; increase n_steps above {L}")
 
-    try:
-        factor = scipy.linalg.cholesky(joint_covariance(F, G, L, J), lower=True,
-                                       overwrite_a=True)
-    except scipy.linalg.LinAlgError:
-        raise FactorizationError("cannot sample: the joint covariance of the observed past "
-                                 "and the signal future is singular") from None
-    factor = _c_order_in_place(factor)
-    # with joint = innovations @ factor.T, each functional of the joint
-    # vector is one product with the innovations; weights row i applies at
-    # time -(i+1), i.e. past position L-1-i
-    past = factor[:L * K].T @ weights[::-1].ravel()
-    future = factor[L * K:].T @ a.ravel()
-    # w @ [future, past] = (w Q) R, and w Q is again iid CN(0, 1) because
-    # Q^H Q = I: each trial draws the two functionals from two innovations
-    gram_root = np.linalg.qr(np.column_stack([future, past]), mode="r")
+    # weights row i applies at time -(i+1), i.e. past position L-1-i
+    maps = np.zeros(((L + J) * K, 2), dtype=complex)
+    maps[L * K:, 0] = a.ravel()
+    maps[:L * K, 1] = weights[::-1].ravel()
+    gram = maps.T @ (joint_covariance(F, G, L, J) @ np.conj(maps))
+    # E[z^T conj(z)] = R^T conj(R) for z = u R; the clip keeps the root
+    # finite where rounding leaves an eigenvalue of a degenerate pair (a
+    # zero estimator) just below 0
+    eigenvalues, vectors = np.linalg.eigh(gram)
+    gram_root = np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None] * vectors.T
 
     starts = range(0, config.n_trials, _BATCH_TRIALS)
     children = np.random.SeedSequence(config.seed).spawn(len(starts))

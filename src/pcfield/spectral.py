@@ -538,16 +538,6 @@ class OperatorSet:
     inv_total: np.ndarray
 
 
-def _block_toeplitz(coeffs, lags, window, K):
-    """Assemble blocks M(s, j) = coeffs[j - s] into a (wK, wK) matrix.
-
-    ``lags`` must be consecutive integers covering -(window-1) .. window-1.
-    """
-    offsets = np.arange(window)
-    blocks = coeffs[offsets[None, :] - offsets[:, None] - lags[0]]  # (w, w, K, K)
-    return blocks.transpose(0, 2, 1, 3).reshape(window * K, window * K)
-
-
 def _condition_from_eigenvalues(eigvals):
     """2-norm condition numbers of Hermitian matrices from their eigenvalues.
 
@@ -713,7 +703,9 @@ def assemble_operators(F, G, window):
     lags = np.arange(-(window - 1), window)
     sym_B = np.swapaxes(inv_total, 1, 2)
     coeff_B = fourier_coefficients(sym_B, lags)
-    B = _block_toeplitz(coeff_B, lags, window, K)
+    # block (s, j) is the lag j - s coefficient: the lag view of the
+    # reversed sequence, the layout ``joint_covariance`` uses
+    B = _lag_blocks(coeff_B[::-1]).reshape(window * K, window * K)
     B = (B + B.conj().T) / 2
 
     eigs_B = np.linalg.eigvalsh(B)

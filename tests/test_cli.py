@@ -325,6 +325,15 @@ _MISMATCHED_NOISE = [
     _set(("channels", 0, "G"), {"type": "rational", "numerator": [0.5]}),
 ]
 
+# a K = 2 signal whose second component is zero, observed through full-rank
+# white noise: the joint past/future covariance is singular
+_REDUCED_RANK_SIGNAL = [
+    _set(("channels", 0, "F"), {"type": "rational", "numerator": [[[1.0, 0.0], [0.0, 0.0]]],
+                                "denominator": [1.0, -0.5]}),
+    _set(("channels", 0, "G"), {"type": "rational", "numerator": [[[0.5, 0.0], [0.0, 0.5]]]}),
+    _set(("channels", 0, "a"), [[1.0, 1.0]]),
+]
+
 _INFEASIBLE_BAND = {
     "family": "band", "variant": "trace", "noiseless": True,
     "lower": {"type": "rational", "numerator": [0.5], "denominator": [1.0]},
@@ -671,6 +680,17 @@ class TestRuntimeFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("factorization failure: channels[0]: factor's relative residual")
+
+    def test_reduced_rank_signal_validates(self, tmp_path, capsys):
+        # the draw needs no factor of the singular joint covariance
+        prob = white_problem()
+        for edit in _REDUCED_RANK_SIGNAL:
+            edit(prob)
+        path = write_problem(tmp_path, prob)
+        out = tmp_path / "out"
+        assert main(["validate", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "validation.json").read_text())["all_ok"] is True
 
 
 class TestNoLagCut:
