@@ -275,6 +275,22 @@ class TestTwoFunctionalDraw:
         gram = _functional_gram(sol, F, G, a, 48)
         assert np.max(np.abs(R.T @ np.conj(R) - gram)) <= 1e-13 * np.max(np.abs(gram))
 
+    def test_root_of_a_singular_gram_reproduces_it(self, monkeypatch):
+        # a zero estimator leaves the pair's 2 x 2 covariance singular; the
+        # clipped root is finite and still squares to it
+        monkeypatch.setattr(simulate, "_complex_innovations",
+                            lambda rng, shape: np.eye(2, dtype=complex))
+        F, G, a, sol = _noisy_case(2, True, seed=5)
+        zero = dataclasses.replace(sol, h_grid=np.zeros_like(sol.h_grid))
+        res = empirical_mse(zero, F, G, a,
+                            SimulationConfig(seed=1, n_trials=2, n_steps=48),
+                            keep_trials=True)
+        R = np.column_stack([res.realized, res.estimated])
+        gram = _functional_gram(zero, F, G, a, 48)
+        assert np.all(np.isfinite(R))
+        assert np.all(gram[1] == 0) and np.all(gram[:, 1] == 0)
+        assert np.max(np.abs(R.T @ np.conj(R) - gram)) <= 1e-13 * np.max(np.abs(gram))
+
     def test_draws_two_innovations_per_trial(self, monkeypatch):
         shapes = []
         draw = simulate._complex_innovations

@@ -349,7 +349,7 @@ class TestAssembleOperators:
             residuals.append(np.max(np.abs(row - expect)))
         assert residuals[0] > residuals[1] > residuals[2]
 
-    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_matches_loop_built_block_toeplitz(self, K):
         # reference: the symbols' coefficients placed block by block
         rng = np.random.default_rng(30 + K)
